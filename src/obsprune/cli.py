@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
-import scipy.linalg
 
 from . import oracle as oracle_mod
 from . import pipeline, schedules
@@ -53,7 +53,6 @@ _RUNTIME_ERRORS = (
     DegenerateCurvatureError,
     pipeline.DivergenceError,
     np.linalg.LinAlgError,
-    scipy.linalg.LinAlgError,
     ValueError,
     OSError,
 )
@@ -435,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
@@ -448,10 +451,19 @@ def main(argv=None, out=None) -> int:
             ]
             if sum(chosen) > 1:
                 parser.error("--sparsity, --targets and --nm are mutually exclusive")
+        if args.command in ("prune", "toy") and args.nm is not None:
+            if args.method != "ovit":
+                parser.error("--nm needs --method ovit")
+            if args.per_layer:
+                parser.error("--nm and --per-layer are mutually exclusive")
+            if args.recompute > 1:
+                parser.error("--nm does not support --recompute above 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.fn(args, out))
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return int(args.fn(args, out))
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,12 +3,16 @@
 The curvature proxy is F = lambda*I + (1/N) * sum_i g_i g_i^T over N
 per-sample gradient rows, approximated block-diagonally: weights are cut
 into contiguous blocks of ``block_size`` (the last block holds the
-remainder) and each block keeps its own dense inverse. Inverses are built
-directly, without ever materializing F: start from (1/lambda)*I and fold
-in one Sherman-Morrison rank-1 update per gradient row, in stored row
-order:
+remainder) and each block keeps its own dense inverse. With R_b the
+(N, B) slice of the rows that falls in block b, blocks are inverted in
+batches, in one of two exact forms:
 
-    F^-1  <-  F^-1 - (F^-1 g)(F^-1 g)^T / (N + g^T F^-1 g)
+    N >= B:  F_b^-1 = (R_b^T R_b / N + lambda*I)^-1            (LU)
+    N <  B:  F_b^-1 = (1/lambda) * (I - R_b^T (N*lambda*I + R_b R_b^T)^-1 R_b)
+
+The second (Woodbury) form needs only an N x N solve and stays well
+conditioned at tiny dampening. Rows are converted to float64 one chunk
+of blocks at a time, so float32 gradient files are never widened whole.
 
 ``eliminate_index`` downdates an inverse after a coordinate is removed
 from the system (Schur complement step): the remaining entries become the
@@ -32,6 +36,10 @@ EPS_FLOOR = 1e-12
 
 DEFAULT_BLOCK_SIZE = 64
 DEFAULT_NUM_GRADS = 4096
+#: gradient values widened to float64 at a time, by the build and by
+#: ``obs_core.loss_increase``; bounds their scratch memory independently
+#: of the row count and layer width
+CHUNK_VALUES = 1 << 20
 #: default dampening per method (CLI-overridable)
 DAMPENING_DEFAULTS = {"ovit": 1e-8, "wf": 1e-6, "gm": 1e-8}
 
@@ -49,8 +57,8 @@ class FisherConfig:
     """Hyperparameters for building block Fisher inverses.
 
     ``num_grads`` is a cap: builders use the first ``min(num_grads, rows)``
-    gradient rows and the Sherman-Morrison denominators use that same
-    count, so scoring stays consistent with the built inverse.
+    gradient rows and normalize by that same count, so scoring stays
+    consistent with the built inverse.
     """
 
     block_size: int = DEFAULT_BLOCK_SIZE
@@ -120,17 +128,27 @@ class FisherBlockInverse:
         )
 
 
-def _sm_updates(inv3: np.ndarray, rows3: np.ndarray, denom_count: int) -> None:
-    """Apply one Sherman-Morrison update per gradient row, in row order.
+def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
+    """Inverses of lambda*I + R_b^T R_b / N for a (nblocks, N, B) float64 stack.
 
-    ``inv3`` is (nblocks, B, B) and is updated in place; ``rows3`` is
-    (nrows, nblocks, B). Batched over blocks, sequential over rows, so the
-    per-block arithmetic is identical to a plain per-block loop.
+    Every block is computed on its own (per-matrix BLAS and LAPACK calls),
+    so a block's bytes do not depend on which other blocks share its batch.
     """
-    for g in rows3:
-        v = np.einsum("mij,mj->mi", inv3, g)
-        denom = denom_count + np.einsum("mi,mi->m", g, v)
-        inv3 -= v[:, :, None] * v[:, None, :] / denom[:, None, None]
+    _, n, bs = rows3.shape
+    rows_t = rows3.transpose(0, 2, 1)
+    diag = np.arange(bs)
+    if n >= bs:
+        gram = rows_t @ rows3
+        gram /= n
+        gram[:, diag, diag] += lam
+        return np.linalg.inv(gram)
+    small = rows3 @ rows_t
+    small[:, diag[:n], diag[:n]] += n * lam
+    out = rows_t @ np.linalg.solve(small, rows3)
+    np.negative(out, out=out)
+    out[:, diag, diag] += 1.0
+    out /= lam
+    return out
 
 
 def build_fisher_inverse(
@@ -138,35 +156,39 @@ def build_fisher_inverse(
 ) -> FisherBlockInverse:
     """Build per-block inverses of lambda*I + (1/N) sum g g^T.
 
-    Raises ValueError on non-finite gradients or an empty sample set.
+    Uses the first ``min(num_grads, rows)`` rows in their stored dtype and
+    widens them to float64 one chunk of blocks at a time. Raises ValueError
+    on an empty sample set or on non-finite values in any row, used or not.
     """
     samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
-    samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ValueError("gradient samples must be a non-empty (N, d) array")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("gradient samples contain non-finite values")
-    n_used = min(int(config.num_grads), samples.shape[0])
-    samples = samples[:n_used]
     dim = samples.shape[1]
     sizes = block_partition(dim, config.block_size)
+    step = max(1, CHUNK_VALUES // dim)
+    for lo in range(0, samples.shape[0], step):
+        if not np.isfinite(samples[lo : lo + step]).all():
+            raise ValueError("gradient samples contain non-finite values")
+    n_used = min(int(config.num_grads), samples.shape[0])
+    used = samples[:n_used]
     lam = float(config.dampening)
-
-    blocks: list[np.ndarray] = [None] * len(sizes)  # type: ignore[list-item]
-    n_main = sum(1 for s in sizes if s == config.block_size)
     bs = config.block_size
-    if n_main:
-        inv3 = np.tile(np.eye(bs) / lam, (n_main, 1, 1))
-        rows3 = samples[:, : n_main * bs].reshape(n_used, n_main, bs)
-        _sm_updates(inv3, rows3, n_used)
-        for b in range(n_main):
-            blocks[b] = inv3[b]
+    n_main = dim // bs
+    per_chunk = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
+
+    def invert(lo: int, hi: int, width: int) -> np.ndarray:
+        rows3 = used[:, lo:hi].reshape(n_used, (hi - lo) // width, width)
+        return _invert_blocks(
+            np.ascontiguousarray(rows3.transpose(1, 0, 2), dtype=np.float64), lam
+        )
+
+    inv3 = np.empty((n_main, bs, bs))
+    for b in range(0, n_main, per_chunk):
+        e = min(b + per_chunk, n_main)
+        inv3[b:e] = invert(b * bs, e * bs, bs)
+    blocks = list(inv3)
     if len(sizes) > n_main:  # trailing partial block
-        rem = sizes[-1]
-        inv3 = (np.eye(rem) / lam)[None, :, :].copy()
-        rows3 = samples[:, n_main * bs :].reshape(n_used, 1, rem)
-        _sm_updates(inv3, rows3, n_used)
-        blocks[-1] = inv3[0]
+        blocks.append(invert(n_main * bs, dim, sizes[-1])[0])
     return FisherBlockInverse(blocks, config)
 
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .fisher import EPS_FLOOR, FisherBlockInverse
+from .fisher import CHUNK_VALUES, EPS_FLOOR, FisherBlockInverse
 from .tensorstore import GradientSet
 
 
@@ -90,13 +89,13 @@ def _group_split(inv: FisherBlockInverse, indices: Sequence[int]) -> tuple[int, 
 
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        c = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(c, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        low = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(mat)) if np.all(np.isfinite(mat)) else float("inf")
         raise NumericalError(
             f"group submatrix is not SPD (condition estimate {cond:.3e})"
         ) from exc
+    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
 
 
 def saliency_group(w: np.ndarray, inv: FisherBlockInverse, indices: Sequence[int]) -> float:
@@ -171,15 +170,17 @@ def loss_increase(
 
     Evaluated from gradient rows directly, so it costs O(N*d) and never
     forms F. Uses every row it is given; callers cap rows beforehand if a
-    cap applies.
+    cap applies. Rows are widened to float64 a chunk at a time.
     """
     rows = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
-    rows = np.asarray(rows, dtype=np.float64)
     delta = np.asarray(w_after, dtype=np.float64) - np.asarray(w_before, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != delta.size:
         raise ValueError(
             f"gradient rows have width {rows.shape[-1]}, weights have {delta.size}"
         )
-    proj = rows @ delta
     n = rows.shape[0]
+    step = max(1, CHUNK_VALUES // max(delta.size, 1))
+    proj = np.empty(n)
+    for lo in range(0, n, step):
+        proj[lo : lo + step] = np.asarray(rows[lo : lo + step], dtype=np.float64) @ delta
     return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))

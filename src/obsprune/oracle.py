@@ -5,8 +5,8 @@ engine's inverse-maintenance path:
 
 * ``exhaustive_best_subset`` scans every size-k index set Q and evaluates
   the joint removal cost 0.5 * w_Q^T ([F^-1]_[Q,Q])^-1 w_Q from a dense
-  Fisher matrix, returning the cheapest set (lexicographically first on
-  ties).
+  Fisher matrix, via the Schur complement of F_SS in F (S the survivors),
+  returning the cheapest set (lexicographically first on ties).
 
 * ``sparse_regression_min`` scans every k-zero support pattern and solves
   the ridge-augmented least-squares fit on the free coordinates directly
@@ -51,13 +51,20 @@ def exhaustive_best_subset(
         raise ValueError(f"k={k} out of range for {d} weights")
     if k == 0:
         return (), 0.0
-    inv = np.linalg.inv(fisher)
     best_q: tuple[int, ...] | None = None
     best_val = np.inf
     for q in combinations(range(d), k):
-        sub = inv[np.ix_(q, q)]
+        rest = [i for i in range(d) if i not in q]
+        # ([F^-1]_QQ)^-1 is the Schur complement F_QQ - F_QS F_SS^-1 F_SQ;
+        # forming it directly avoids inverting an inverse, whose rounding
+        # swamps near-zero costs at tiny dampening
+        schur = fisher[np.ix_(q, q)]
+        if rest:
+            schur = schur - fisher[np.ix_(q, rest)] @ np.linalg.solve(
+                fisher[np.ix_(rest, rest)], fisher[np.ix_(rest, q)]
+            )
         wq = w[list(q)]
-        val = 0.5 * float(wq @ np.linalg.solve(sub, wq))
+        val = 0.5 * float(wq @ schur @ wq)
         if val < best_val:
             best_val = val
             best_q = q

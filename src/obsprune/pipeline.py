@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .pruners import (
     PrunerSpec,
@@ -151,7 +150,8 @@ def _correlated_inputs(rng: np.random.Generator, n: int, d: int, corr: float) ->
     z = rng.standard_normal((n, d))
     if corr == 0.0:
         return z
-    cov = scipy.linalg.toeplitz(corr ** np.arange(d))
+    idx = np.arange(d)
+    cov = (corr ** idx)[np.abs(idx[:, None] - idx[None, :])]
     return z @ np.linalg.cholesky(cov).T
 
 

@@ -18,6 +18,7 @@ unconditionally (used to keep masks monotone across repeated pruning).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -270,7 +271,12 @@ def prune_ovit(
             raise ValueError("an n:m pattern and a global k are mutually exclusive")
         n, m = spec.nm
         if cfg.block_size % m:
-            cfg = replace(cfg, block_size=max(m, (cfg.block_size // m) * m))
+            rounded = max(m, (cfg.block_size // m) * m)
+            warnings.warn(
+                f"block size {cfg.block_size} is not a multiple of m={m}; using {rounded}",
+                stacklevel=2,
+            )
+            cfg = replace(cfg, block_size=rounded)
         inv = build_layered_inverse(grads, layout, cfg)
         return solve_nm(w, inv, n, m, prunable=pr, threads=spec.threads, layout=layout)
     if k is None:

@@ -27,6 +27,7 @@ Tensor naming convention inside a container: ``layer.<id>.weight``,
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -186,17 +187,20 @@ def write_container(path: str, container: TensorContainer) -> None:
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def view(self, n: int, what: str) -> memoryview:
         end = self.pos + n
         if end > len(self.buf):
             raise TruncatedError(f"file truncated while reading {what}")
         out = self.buf[self.pos : end]
         self.pos = end
         return out
+
+    def take(self, n: int, what: str) -> bytes:
+        return bytes(self.view(n, what))
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -206,10 +210,15 @@ class _Cursor:
 
 
 def read_container(path: str) -> TensorContainer:
-    """Parse a container file; raises a distinct error per failure mode."""
+    """Parse a container file; raises a distinct error per failure mode.
+
+    The file is read once into one buffer; every tensor's data is a
+    writable view into that buffer, never a copy.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    cur = _Cursor(buf)
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf) :]
+    cur = _Cursor(memoryview(buf))
     magic = cur.take(4, "magic")
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -230,8 +239,8 @@ def read_container(path: str) -> TensorContainer:
         dims = struct.unpack(f"<{ndim}Q", dims_raw)
         np_dtype = _NAME_TO_NP[dtype]
         n_elem = int(np.prod(dims, dtype=np.int64)) if ndim else 0
-        raw = cur.take(n_elem * np_dtype.itemsize, f"data of tensor {name!r}")
-        data = np.frombuffer(raw, dtype=np_dtype).copy()
+        raw = cur.view(n_elem * np_dtype.itemsize, f"data of tensor {name!r}")
+        data = np.frombuffer(raw, dtype=np_dtype)
         out.add(name, Tensor(dtype, tuple(int(d) for d in dims), data))
     if cur.pos != len(buf):
         raise ContainerError(
@@ -242,13 +251,20 @@ def read_container(path: str) -> TensorContainer:
 
 @dataclass
 class GradientSet:
-    """Per-sample gradient rows for one layer: shape (N, d), one row per sample."""
+    """Per-sample gradient rows for one layer: shape (N, d), one row per sample.
+
+    float32 and float64 rows keep their dtype (and their memory: a container
+    view stays a view); anything else is converted to float64. Consumers
+    widen rows to float64 chunk by chunk.
+    """
 
     layer: str
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.float64)
+        s = np.asarray(self.samples)
+        if s.dtype not in (np.float32, np.float64):
+            s = s.astype(np.float64)
         if s.ndim != 2:
             raise ValueError(f"gradient samples for {self.layer!r} must be 2-D")
         if s.shape[0] < 1:

@@ -39,7 +39,7 @@ def run_cli(*argv):
 
 
 def test_criterion_01_fisher_inverse_matches_dense_inversion():
-    """100 random instances (d<=64, B in {1,8,16,d}, N<=256): the rank-one
+    """100 random instances (d<=64, B in {1,8,16,d}, N<=256): the batched
     build agrees with per-block dense inversion within 1e-8 relative,
     in under 10 seconds."""
     rng = np.random.default_rng(10)

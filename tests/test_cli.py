@@ -92,6 +92,37 @@ class TestPrune:
                           "--sparsity", "0.5", "--nm", "2:4", "--out", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ("--method", "gm"),
+        ("--method", "wf"),
+        ("--method", "ovit", "--per-layer"),
+        ("--method", "ovit", "--recompute", "2"),
+    ])
+    def test_nm_combinations_that_would_be_ignored_exit_two(self, tmp_path, extra):
+        # the inputs do not exist: a check made after loading them would exit 3
+        code, text = run_cli(
+            "prune", "--weights", str(tmp_path / "w.ovpt"),
+            "--grads", str(tmp_path / "g.ovpt"), "--nm", "2:4", *extra,
+            "--out", str(tmp_path / "x.ovpt"),
+        )
+        assert (code, text) == (2, "")
+
+    def test_nm_block_size_rounding_warns_on_stderr_only(self, fixture_files, capsys):
+        wpath, gpath, tmp = fixture_files
+        runs = []
+        for block in ("30", "28"):
+            out_path = tmp / f"nm{block}.ovpt"
+            code, text = run_cli(
+                "prune", "--weights", str(wpath), "--grads", str(gpath),
+                "--method", "ovit", "--nm", "2:4", "--block-size", block,
+                "--out", str(out_path),
+            )
+            assert code == 0
+            runs.append((text, out_path.read_bytes(), capsys.readouterr().err))
+        assert runs[0][:2] == runs[1][:2]
+        assert runs[0][2] == "warning: block size 30 is not a multiple of m=4; using 28\n"
+        assert runs[1][2] == ""
+
     def test_identical_bytes_across_runs_and_threads(self, fixture_files):
         wpath, gpath, tmp = fixture_files
         results = []
@@ -256,6 +287,18 @@ class TestToyAndSweep:
         )
         assert code == 0
         assert "final\tloss\t" in text
+
+    @pytest.mark.parametrize("extra", [
+        ("--recompute", "3"),
+        ("--per-layer",),
+        ("--method", "wf"),
+    ])
+    def test_toy_nm_combinations_that_would_be_ignored_exit_two(self, extra):
+        code, text = run_cli(
+            "toy", "--seed", "7", "--dims", "8,8,4", "--steps", "40",
+            "--nm", "2:4", "--block-size", "8", *extra,
+        )
+        assert (code, text) == (2, "")  # rejected before training starts
 
     def test_divergent_learning_rate_exits_three(self):
         code, _ = run_cli(

@@ -175,6 +175,33 @@ def test_gradient_set_shape_checks():
         GradientSet("0", np.ones((0, 3)))
 
 
+def test_gradient_set_keeps_float_rows_as_stored():
+    rows32 = np.ones((4, 3), dtype=np.float32)
+    assert GradientSet("0", rows32).samples is rows32
+    rows64 = np.ones((4, 3))
+    assert GradientSet("0", rows64).samples is rows64
+    assert GradientSet("0", np.ones((4, 3), dtype=np.int64)).samples.dtype == np.float64
+
+
+def test_read_gives_views_into_one_buffer_and_round_trips(tmp_path):
+    box = TensorContainer()
+    box.add(grads_name("0"), np.float32([[0.1, -0.0], [np.nan, np.inf]]))
+    box.add(weight_name("0"), np.array([np.nextafter(1.0, 2.0), 1e-300]))
+    box.add(mask_name("0"), np.array([1, 0], dtype=np.uint8))
+    out = roundtrip(tmp_path, box)
+    datas = [out[name].data for name in out]
+    owners = set()
+    for d in datas:
+        while isinstance(d, np.ndarray):
+            d = d.base
+        owners.add(id(d.obj))
+    assert len(owners) == 1  # one file buffer, no per-tensor copies
+    assert out == box
+    path = tmp_path / "again.ovpt"
+    write_container(path, out)
+    assert path.read_bytes() == (tmp_path / "t.ovpt").read_bytes()
+
+
 def test_layer_naming_and_discovery():
     box = TensorContainer()
     box.add(weight_name("2"), np.zeros(2))

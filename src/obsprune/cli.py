@@ -31,7 +31,7 @@ from .fisher import (
     build_fisher_inverse,
 )
 from .obs_core import NumericalError, loss_increase
-from .pruners import PrunerSpec, prune_with_recompute, run_pruner
+from .pruners import PrunerSpec, run_pruner
 from .solver import nm_violations, solve_global
 from .tensorstore import (
     ContainerError,
@@ -102,7 +102,7 @@ def _add_fisher_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-layer", action="store_true",
                    help="uniform per-layer sparsity instead of a global pool")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for block-parallel solves")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
@@ -212,12 +212,6 @@ def cmd_prune(args, out) -> int:
     spec = _spec_from_args(args)
     if spec.nm is not None:
         result = run_pruner(spec, weights, grads, prunable=prunable)
-    elif spec.recomputations > 1:
-        if grads is None:
-            raise ContainerError("--recompute needs --grads")
-        result = prune_with_recompute(
-            spec, weights, lambda _w: grads, args.sparsity, prunable=prunable
-        )
     else:
         result = run_pruner(spec, weights, grads, sparsity=args.sparsity,
                             prunable=prunable)
@@ -458,6 +452,9 @@ def main(argv=None, out=None) -> int:
                 parser.error("--nm and --per-layer are mutually exclusive")
             if args.recompute > 1:
                 parser.error("--nm does not support --recompute above 1")
+        if args.command == "prune" and args.recompute > 1:
+            parser.error("prune reads one fixed gradient file, so --recompute above 1 "
+                         "would rebuild the same inverse; use toy or sweep")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

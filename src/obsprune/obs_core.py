@@ -14,8 +14,8 @@ Removing a whole index set Q jointly costs
     dw    = -F^-1 E_Q^T ([F^-1]_[Q,Q])^-1 w_Q
 
 With a block-diagonal F^-1 the compensation never leaves the block that
-contains the removed weight(s); the ``*_across_blocks`` wrappers split a
-mixed index set by block and combine the per-block pieces.
+contains the removed weight(s); ``saliency_group_across_blocks`` splits a
+mixed index set by block and sums the per-block costs.
 
 ``loss_increase`` evaluates the same quadratic model for an arbitrary
 weight change directly from gradient rows, without materializing F:
@@ -144,20 +144,6 @@ def saliency_group_across_blocks(
 ) -> float:
     """Sum of per-block joint costs for an index set that may span blocks."""
     return float(sum(saliency_group(w, inv, part) for part in _by_block(inv, indices)))
-
-
-def update_group_across_blocks(
-    w: np.ndarray, inv: FisherBlockInverse, indices: Sequence[int]
-) -> WeightUpdate:
-    """Concatenation of per-block joint updates for a set spanning blocks."""
-    w = np.asarray(w, dtype=np.float64)
-    delta = np.zeros(w.size)
-    zeroed: list[int] = []
-    for part in _by_block(inv, indices):
-        upd = update_group(w, inv, part)
-        delta += upd.delta
-        zeroed.extend(upd.zeroed)
-    return WeightUpdate(delta=delta, zeroed=tuple(sorted(zeroed)))
 
 
 def loss_increase(

@@ -46,7 +46,8 @@ GradMap = Mapping[str, GradientSet]
 @dataclass(frozen=True)
 class PrunerSpec:
     """What to prune with: method, Fisher hyperparameters, optional n:m
-    pattern, recomputation sub-steps, and layer-local vs global selection."""
+    pattern, recomputation sub-steps, and layer-local vs global selection.
+    ``threads`` is accepted for compatibility and has no effect."""
 
     method: str
     fisher: FisherConfig = FisherConfig()
@@ -360,7 +361,7 @@ def _run_per_layer(
     _, _, layout = flatten_layers(wmap, prunable)
     pinned = np.asarray(list(pinned), dtype=np.int64)
     flat_spec = replace(spec, per_layer=False)
-    masks, news, preds, pred_by_layer, spars = [], [], 0.0, {}, {}
+    masks, news, preds, pred_by_layer, spars, clamps = [], [], 0.0, {}, {}, 0
     for lay in layout:
         sub_w = {lay.name: wmap[lay.name]}
         sub_pr = None
@@ -377,6 +378,7 @@ def _run_per_layer(
         preds += res.predicted_loss_increase
         pred_by_layer[lay.name] = res.predicted_loss_increase
         spars[lay.name] = res.per_layer_sparsity[lay.name]
+        clamps += res.clamp_events
     return PruneResult(
         mask=np.concatenate(masks),
         new_weights=np.concatenate(news),
@@ -384,6 +386,7 @@ def _run_per_layer(
         per_layer_sparsity=spars,
         per_layer_predicted=pred_by_layer,
         layout=layout,
+        clamp_events=clamps,
     )
 
 
@@ -415,6 +418,7 @@ def prune_with_recompute(
     step_spec = replace(spec, recomputations=1)
     acc_pinned = sorted(int(p) for p in pinned)
     total_pred = 0.0
+    total_clamps = 0
     per_layer_pred = {lay.name: 0.0 for lay in layout}
     result: PruneResult | None = None
     for t in range(1, r + 1):
@@ -428,6 +432,7 @@ def prune_with_recompute(
             k=k_t, prunable=prunable, pinned=acc_pinned,
         )
         total_pred += result.predicted_loss_increase
+        total_clamps += result.clamp_events
         for name, val in result.per_layer_predicted.items():
             per_layer_pred[name] += val
         new_zeros = np.flatnonzero(result.mask == 0)
@@ -438,11 +443,6 @@ def prune_with_recompute(
     assert result is not None
     result.predicted_loss_increase = total_pred
     result.per_layer_predicted = per_layer_pred
+    result.clamp_events = total_clamps
     return result
 
-
-REGISTRY: dict[str, Callable[..., PruneResult]] = {
-    "gm": prune_gm,
-    "wf": prune_wf,
-    "ovit": prune_ovit,
-}

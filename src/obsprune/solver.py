@@ -1,38 +1,59 @@
-"""Greedy one-at-a-time elimination with per-block traces and a global merge.
+"""Greedy one-at-a-time elimination inside Fisher blocks, and a global merge.
 
 Each Fisher block is solved independently: repeatedly pick the live
 prunable weight with the smallest single-weight saliency (ties go to the
-lowest index), apply its compensating update inside the block, fold its
-cost into a running per-block total ``err``, record ``err`` as the
-weight's *global* score, snapshot the block weights, and downdate the
-block inverse. Because the recorded score is cumulative, pruning any
-prefix of a block's elimination order costs exactly the last recorded
-score of that prefix, and pruning k weights globally reduces to sorting
-all recorded scores ascending (ties by global index) and reloading each
-block's snapshot at its selected prefix length.
+lowest index), apply its compensating update inside the block, and fold
+its cost into a running per-block total ``err``. In global mode ``err``
+is recorded as the weight's *global* score and the block weights are
+snapshotted after every step. Because the recorded score is cumulative,
+pruning any prefix of a block's elimination order costs exactly the last
+recorded score of that prefix, and pruning k weights globally reduces to
+sorting all recorded scores ascending (ties by global index) and
+reloading each block's snapshot at its selected prefix length.
 
-Per block of size B this costs O(B^3) time and O(B^2) trace storage,
-O(d*B^2) time and O(d*B) space overall.
+One kernel, ``eliminate_blocks``, runs this greedy for every mode. It
+steps all blocks of one size in lockstep, a chunk of blocks at a time,
+and never downdates a B x B inverse. Eliminating coordinate i from an
+inverse H is the rank-one downdate H - c c^T with c = H e_i / sqrt(H_ii),
+so the kernel keeps the initial inverses H0, the accumulated scaled
+columns c and a running diagonal ``D -= c**2``, and forms only the one
+column each step needs, ``H[:, i] = H0[:, i] - C^T C[:, i]``. Columns are
+exactly zero at eliminated and frozen coordinates. Per block of size B
+this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time and O(d*B)
+memory overall, for the global snapshots as for the kernel's scratch.
 
-The N:M variant runs the same loop but skips any weight whose aligned
-group of m consecutive weights (row-major, within a layer) already has
-m-n zeroed entries, and stops when every group reached its quota.
+The N:M variant runs the same kernel but makes a weight ineligible once
+its aligned group of m consecutive weights (row-major, within a layer)
+has m-n zeroed entries, and stops a block when every group reached its
+quota. It keeps no snapshots: it always takes every step, so only the
+final weights are needed.
 
-Non-prunable coordinates are eliminated from the block inverse up front
-without touching their weights, which freezes them: no compensation
-computed from the reduced inverse can move them, and they can never be
-selected.
+Non-prunable coordinates are eliminated first, in index order, without
+touching their weights or adding cost, which freezes them: no
+compensation computed from the reduced inverse can move them, and they
+can never be selected. Pinned coordinates come next, in index order,
+with the normal update and cost. Pivots at or below ``EPS_FLOOR`` are
+clamped to it and counted; a solve that clamps warns once with the count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .fisher import EPS_FLOOR, FisherBlockInverse, eliminate_index_clamped
+from .fisher import (
+    EPS_FLOOR,
+    DegenerateCurvatureWarning,
+    FisherBlockInverse,
+    FisherConfig,
+)
+
+#: float64 values of stacked initial inverses per kernel chunk (64 blocks
+#: at B=64); the chunk's columns, snapshots and copies scale with it
+SOLVE_CHUNK_VALUES = 1 << 18
 
 
 class InternalSolverError(AssertionError):
@@ -49,24 +70,19 @@ class LayerLayout:
     shape: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SaliencyRecord:
-    """One elimination event: global score (cumulative block cost) plus position."""
-
-    global_index: int
-    score: float
-    block_id: int
-    elim_rank: int
-
-
 @dataclass
 class BlockTrace:
-    """Elimination order, cumulative costs and weight snapshots for one block."""
+    """Elimination order, cumulative costs and weights for one block.
+
+    ``states`` holds the block weights after each step, or no rows when
+    snapshots were not kept; ``final`` is the weights after the last step.
+    """
 
     block_id: int
     order: np.ndarray  # (steps,) within-block indices, elimination order
     cumulative: np.ndarray  # (steps,) non-decreasing cumulative cost
-    states: np.ndarray  # (steps, B) block weights after each step
+    states: np.ndarray  # (steps, B) or (0, B) block weights after each step
+    final: np.ndarray  # (B,) block weights after the last step
     pinned_steps: int = 0
     clamp_events: int = 0
 
@@ -74,17 +90,13 @@ class BlockTrace:
     def steps(self) -> int:
         return int(self.order.size)
 
-    def records(self, offset: int = 0) -> list[SaliencyRecord]:
-        return [
-            SaliencyRecord(int(offset + self.order[t]), float(self.cumulative[t]),
-                           self.block_id, t)
-            for t in range(self.steps)
-        ]
-
 
 @dataclass
 class PruneResult:
-    """Global mask (u8, 1 = kept), compensated weights, and model-cost summary."""
+    """Global mask (u8, 1 = kept), compensated weights, and model-cost summary.
+
+    ``clamp_events`` counts pivots clamped to the numerical floor.
+    """
 
     mask: np.ndarray
     new_weights: np.ndarray
@@ -92,55 +104,139 @@ class PruneResult:
     per_layer_sparsity: dict[str, float] = field(default_factory=dict)
     per_layer_predicted: dict[str, float] = field(default_factory=dict)
     layout: tuple[LayerLayout, ...] = ()
+    clamp_events: int = 0
 
 
 def _default_layout(dim: int) -> tuple[LayerLayout, ...]:
     return (LayerLayout("weights", 0, dim, (dim,)),)
 
 
-def _greedy_eliminate(
+def _eliminate_stack(
+    ids: np.ndarray,
+    cols0: np.ndarray,
     w: np.ndarray,
-    inv: np.ndarray,
-    alive: np.ndarray,
-    pinned_list: list[int],
-    block_id: int,
-    max_steps: int,
-) -> BlockTrace:
-    """Greedy min-saliency elimination over the live entries of one block."""
-    dim = w.size
-    order = np.empty(max_steps, dtype=np.int64)
-    cumulative = np.empty(max_steps, dtype=np.float64)
-    states = np.empty((max_steps, dim), dtype=np.float64)
-    err = 0.0
-    clamps = 0
-    t = 0
-    while t < max_steps:
-        if t < len(pinned_list):
-            i = pinned_list[t]
-        else:
-            live = np.flatnonzero(alive)
-            if live.size == 0:
-                break
-            diag = np.maximum(inv[live, live], EPS_FLOOR)
-            rho = w[live] ** 2 / (2.0 * diag)
-            i = int(live[int(np.argmin(rho))])  # first min = lowest index
-        pivot = max(float(inv[i, i]), EPS_FLOOR)
-        rho_i = float(w[i]) ** 2 / (2.0 * pivot)
-        w += -(w[i] / pivot) * inv[:, i]
-        w[i] = 0.0
-        err += rho_i
-        order[t] = i
-        cumulative[t] = err
-        states[t] = w
-        if inv[i, i] <= EPS_FLOOR:
-            clamps += 1
-        inv = eliminate_index_clamped(inv, i)
-        alive[i] = False
-        t += 1
-    return BlockTrace(
-        block_id, order[:t], cumulative[:t], states[:t],
-        pinned_steps=len(pinned_list), clamp_events=clamps,
-    )
+    prunable: np.ndarray,
+    pinned: np.ndarray,
+    nm: tuple[int, int] | None,
+    keep_states: bool,
+) -> list[BlockTrace]:
+    """Greedy elimination on a stack of same-size blocks, in lockstep.
+
+    ``cols0[b, i]`` is column i of block ``ids[b]``'s initial inverse;
+    ``w``, ``prunable`` and ``pinned`` are (nb, B). Step t eliminates one
+    coordinate in every block that still has one to eliminate: its
+    non-prunable coordinates first, then its pinned ones, then the live
+    eligible coordinate of least saliency.
+    """
+    nb, bs = w.shape
+    rows = np.arange(nb)
+    n_frozen = np.count_nonzero(~prunable, axis=1)
+    n_forced = n_frozen + np.count_nonzero(pinned, axis=1)
+    # frozen coordinates in index order, then pinned ones in index order
+    forced = np.argsort(np.where(prunable, np.where(pinned, 1, 2), 0), axis=1, kind="stable")
+    if nm is None:
+        n_steps = np.count_nonzero(prunable, axis=1)
+    else:
+        n, m = nm
+        group = np.arange(bs) // m
+        quota = np.minimum(m - n, np.count_nonzero(prunable.reshape(nb, -1, m), axis=2))
+        counts = np.zeros_like(quota)
+        n_steps = quota.sum(axis=1)
+    n_total = n_frozen + n_steps
+    max_steps = int(n_steps.max(initial=0))
+
+    scaled = np.empty((nb, int(n_total.max(initial=0)), bs))  # C, one row per step
+    diag = np.diagonal(cols0, axis1=1, axis2=2).copy()  # running D
+    gone = np.zeros((nb, bs), dtype=bool)  # eliminated or frozen
+    live = prunable.copy()
+    err = np.zeros(nb)
+    clamps = np.zeros(nb, dtype=np.int64)
+    order = np.zeros((nb, max_steps), dtype=np.int64)
+    cumulative = np.zeros((nb, max_steps))
+    states = np.zeros((nb, max_steps if keep_states else 0, bs))
+
+    for t in range(scaled.shape[1]):
+        active = t < n_total
+        eligible = live if nm is None else live & (counts < quota)[:, group]
+        score = np.where(eligible, w * w / (2.0 * np.maximum(diag, EPS_FLOOR)), np.inf)
+        i = np.where(t < n_forced, forced[:, t], np.argmin(score, axis=1))
+        col = cols0[rows, i]
+        if t:
+            col -= np.matmul(scaled[rows, :t, i][:, None, :], scaled[:, :t])[:, 0]
+        col[gone] = 0.0
+        raw = col[rows, i]
+        ok = np.isfinite(raw) & (raw > EPS_FLOOR)
+        pivot = np.where(ok, raw, EPS_FLOOR)
+        clamps += active & ~ok
+        col[rows, i] = pivot
+        c = col / np.sqrt(pivot)[:, None]
+        c[~active] = 0.0
+        scaled[:, t] = c
+        diag -= c * c
+        gone[rows[active], i[active]] = True
+
+        upd = active & (t >= n_frozen)  # frozen steps move no weight
+        if not upd.any():
+            continue
+        r, iu = rows[upd], i[upd]
+        wi = w[r, iu]
+        w[r] -= (wi / pivot[upd])[:, None] * col[r]
+        w[r, iu] = 0.0
+        err[r] += wi * wi / (2.0 * pivot[upd])
+        live[r, iu] = False
+        if nm is not None:
+            counts[r, group[iu]] += 1
+        k = t - n_frozen[r]  # every step after the frozen ones is recorded
+        order[r, k] = iu
+        cumulative[r, k] = err[r]
+        if keep_states:
+            states[r, k] = w[r]
+
+    pinned_steps = n_forced - n_frozen
+    return [
+        BlockTrace(int(ids[b]), order[b, : n_steps[b]], cumulative[b, : n_steps[b]],
+                   states[b, : n_steps[b]], w[b], int(pinned_steps[b]), int(clamps[b]))
+        for b in range(nb)
+    ]
+
+
+def eliminate_blocks(
+    w: np.ndarray,
+    inv: FisherBlockInverse,
+    prunable: np.ndarray,
+    pinned: np.ndarray | None = None,
+    nm: tuple[int, int] | None = None,
+    keep_states: bool = True,
+) -> list[BlockTrace]:
+    """Greedy traces of every block of ``inv``, one lockstep pass per
+    chunk of same-size blocks; warns once if any pivot was clamped.
+
+    ``w``, ``prunable`` and ``pinned`` are global flat vectors. With ``nm``
+    the greedy respects n:m group quotas and ``pinned`` must be empty.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if pinned is None:
+        pinned = np.zeros(w.size, dtype=bool)
+    sizes = np.diff(inv.offsets)
+    traces: list[BlockTrace] = [None] * inv.num_blocks  # type: ignore[list-item]
+    for bs in np.unique(sizes):
+        ids = np.flatnonzero(sizes == bs)
+        per_chunk = max(1, SOLVE_CHUNK_VALUES // int(bs * bs))
+        for lo in range(0, ids.size, per_chunk):
+            part = ids[lo : lo + per_chunk]
+            idx = inv.offsets[part][:, None] + np.arange(bs)
+            cols0 = np.stack([inv.blocks[b].T for b in part], dtype=np.float64)
+            for trace in _eliminate_stack(part, cols0, w[idx], prunable[idx], pinned[idx],
+                                          nm, keep_states):
+                traces[trace.block_id] = trace
+    clamped = sum(t.clamp_events for t in traces)
+    if clamped:
+        warnings.warn(
+            f"clamped {clamped} degenerate pivot(s) to {EPS_FLOOR:.0e}",
+            DegenerateCurvatureWarning,
+            stacklevel=3,
+        )
+    return traces
 
 
 def solve_block(
@@ -156,46 +252,15 @@ def solve_block(
     order, before any saliency-based selection; they exist so that a
     caller can force previously-pruned weights to stay pruned.
     """
-    w = np.array(w_block, dtype=np.float64)
-    inv = np.array(inv_block, dtype=np.float64)
-    if inv.shape != (w.size, w.size):
-        raise ValueError(f"inverse block shape {inv.shape} does not match {w.size} weights")
-    if prunable is None:
-        alive = np.ones(w.size, dtype=bool)
-    else:
-        alive = np.asarray(prunable, dtype=bool).copy()
-        if alive.shape != (w.size,):
-            raise ValueError("prunable mask shape does not match block")
-    pinned_list = sorted(int(p) for p in pinned)
-    for p in pinned_list:
-        if not alive[p]:
-            raise ValueError(f"pinned index {p} is not prunable")
-    for j in np.flatnonzero(~alive):
-        inv = eliminate_index_clamped(inv, int(j))
-    return _greedy_eliminate(
-        w, inv, alive, pinned_list, block_id, max_steps=int(alive.sum())
-    )
-
-
-def _block_inputs(
-    w: np.ndarray,
-    inv: FisherBlockInverse,
-    prunable: np.ndarray,
-    pinned: np.ndarray,
-) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    jobs = []
-    for b in range(inv.num_blocks):
-        lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
-        jobs.append((b, w[lo:hi], inv.blocks[b], prunable[lo:hi],
-                     np.flatnonzero(pinned[lo:hi])))
-    return jobs
-
-
-def _run_blockwise(jobs, fn, threads: int) -> list[BlockTrace]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, jobs))
-    return [fn(j) for j in jobs]
+    inv = np.asarray(inv_block, dtype=np.float64)
+    size = np.size(w_block)
+    if inv.shape != (size, size):
+        raise ValueError(f"inverse block shape {inv.shape} does not match {size} weights")
+    one = FisherBlockInverse([inv], FisherConfig())
+    w, pr, pin = _validate_inputs(w_block, one, prunable, pinned)
+    (trace,) = eliminate_blocks(w, one, pr, pin)
+    trace.block_id = block_id
+    return trace
 
 
 def _validate_inputs(w, inv, prunable, pinned):
@@ -244,7 +309,7 @@ def _assemble(
         tb = int(take_per_block[b])
         lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
         if tb:
-            new_w[lo:hi] = trace.states[tb - 1]
+            new_w[lo:hi] = trace.final if tb == trace.steps else trace.states[tb - 1]
             mask[lo + trace.order[:tb]] = 0
             cost = float(trace.cumulative[tb - 1])
             predicted += cost
@@ -261,6 +326,7 @@ def _assemble(
         per_layer_sparsity=per_layer_sparsity,
         per_layer_predicted=per_layer_pred,
         layout=layout,
+        clamp_events=sum(t.clamp_events for t in traces),
     )
 
 
@@ -279,7 +345,8 @@ def solve_global(
     marks the first k as pruned; each block then reloads its snapshot at
     the selected prefix length. Pinned records sort before unpinned ones
     only among exactly equal scores, which keeps previously-pruned weights
-    pruned without disturbing the tie rule anywhere else.
+    pruned without disturbing the tie rule anywhere else. ``threads`` is
+    accepted for compatibility and has no effect.
     """
     w, pr, pin = _validate_inputs(w, inv, prunable, pinned)
     total_prunable = int(pr.sum())
@@ -288,42 +355,28 @@ def solve_global(
     if layout is None:
         layout = _default_layout(w.size)
 
-    jobs = _block_inputs(w, inv, pr, pin)
-    traces = _run_blockwise(
-        jobs, lambda j: solve_block(j[1], j[2], j[3], pinned=j[4], block_id=j[0]), threads
-    )
+    traces = eliminate_blocks(w, inv, pr, pin)
 
-    scores = np.concatenate([t.cumulative for t in traces]) if traces else np.empty(0)
-    gidx = np.concatenate(
-        [t.order + int(inv.offsets[b]) for b, t in enumerate(traces)]
-    ) if traces else np.empty(0, dtype=np.int64)
-    block_ids = np.concatenate(
-        [np.full(t.steps, b, dtype=np.int64) for b, t in enumerate(traces)]
-    ) if traces else np.empty(0, dtype=np.int64)
-    unpinned = np.concatenate(
-        [
-            np.r_[np.zeros(t.pinned_steps), np.ones(t.steps - t.pinned_steps)]
-            for t in traces
-        ]
-    ) if traces else np.empty(0)
+    steps = np.array([t.steps for t in traces])
+    scores = np.concatenate([t.cumulative for t in traces])
+    gidx = np.concatenate([t.order + int(inv.offsets[b]) for b, t in enumerate(traces)])
+    block_ids = np.repeat(np.arange(inv.num_blocks), steps)
+    rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    unpinned = rank >= np.repeat([t.pinned_steps for t in traces], steps)
 
     chosen = np.lexsort((gidx, unpinned, scores))[:k]
     take = np.bincount(block_ids[chosen], minlength=inv.num_blocks)
 
     # bug trap: the selected set inside each block must be a prefix of its
-    # elimination order, otherwise reloading snapshot t is meaningless
-    sel_gidx = gidx[chosen]
-    sel_block = block_ids[chosen]
-    for b, trace in enumerate(traces):
-        tb = int(take[b])
-        if tb == 0:
-            continue
-        got = np.sort(sel_gidx[sel_block == b])
-        want = np.sort(trace.order[:tb] + int(inv.offsets[b]))
-        if not np.array_equal(got, want):
-            raise InternalSolverError(
-                f"block {b}: selected set is not a prefix of the elimination order"
-            )
+    # elimination order, otherwise reloading snapshot t is meaningless;
+    # with take[b] records chosen in block b, that holds iff every chosen
+    # record ranks below take[b]
+    beyond = rank[chosen] >= take[block_ids[chosen]]
+    if beyond.any():
+        raise InternalSolverError(
+            f"block {int(block_ids[chosen][beyond].min())}: "
+            "selected set is not a prefix of the elimination order"
+        )
     return _assemble(w, inv, traces, take, layout)
 
 
@@ -342,7 +395,8 @@ def solve_nm(
     A weight is skipped once its group reached the quota; groups whose
     prunable membership is below m-n reach a reduced quota (prunability
     wins). Requires every layer size and every block boundary to be a
-    multiple of m so groups never straddle blocks or layers.
+    multiple of m so groups never straddle blocks or layers. ``threads``
+    is accepted for compatibility and has no effect.
     """
     if not (0 < n < m):
         raise ValueError(f"need 0 < n < m, got {n}:{m}")
@@ -359,53 +413,7 @@ def solve_nm(
             f"block boundaries must be multiples of m={m}; "
             "use a block size that m divides"
         )
-
-    quota_full = m - n
-
-    def solve_one(job) -> BlockTrace:
-        b, wb, invb, prb, _ = job
-        wb = np.array(wb, dtype=np.float64)
-        invb = np.array(invb, dtype=np.float64)
-        alive = np.asarray(prb, dtype=bool).copy()
-        for j in np.flatnonzero(~alive):
-            invb = eliminate_index_clamped(invb, int(j))
-        gid = np.arange(wb.size) // m
-        n_groups = wb.size // m
-        quota = np.minimum(quota_full, np.bincount(gid[alive], minlength=n_groups))
-        counts = np.zeros(n_groups, dtype=np.int64)
-        dim = wb.size
-        max_steps = int(quota.sum())
-        order = np.empty(max_steps, dtype=np.int64)
-        cumulative = np.empty(max_steps, dtype=np.float64)
-        states = np.empty((max_steps, dim), dtype=np.float64)
-        err = 0.0
-        clamps = 0
-        t = 0
-        while t < max_steps:
-            live = np.flatnonzero(alive & (counts[gid] < quota[gid]))
-            if live.size == 0:
-                break
-            diag = np.maximum(invb[live, live], EPS_FLOOR)
-            rho = wb[live] ** 2 / (2.0 * diag)
-            i = int(live[int(np.argmin(rho))])
-            pivot = max(float(invb[i, i]), EPS_FLOOR)
-            rho_i = float(wb[i]) ** 2 / (2.0 * pivot)
-            wb += -(wb[i] / pivot) * invb[:, i]
-            wb[i] = 0.0
-            err += rho_i
-            order[t] = i
-            cumulative[t] = err
-            states[t] = wb
-            if invb[i, i] <= EPS_FLOOR:
-                clamps += 1
-            invb = eliminate_index_clamped(invb, i)
-            alive[i] = False
-            counts[gid[i]] += 1
-            t += 1
-        return BlockTrace(b, order[:t], cumulative[:t], states[:t], 0, clamps)
-
-    jobs = _block_inputs(w, inv, pr, np.zeros(w.size, dtype=bool))
-    traces = _run_blockwise(jobs, solve_one, threads)
+    traces = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
     take = np.array([t.steps for t in traces], dtype=np.int64)
     return _assemble(w, inv, traces, take, layout)
 

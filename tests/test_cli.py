@@ -107,6 +107,18 @@ class TestPrune:
         )
         assert (code, text) == (2, "")
 
+    def test_recompute_with_one_gradient_file_exits_two(self, tmp_path, capsys):
+        # every sub-step would rebuild the identical inverse from the same rows
+        code, text = run_cli(
+            "prune", "--weights", str(tmp_path / "w.ovpt"),
+            "--grads", str(tmp_path / "g.ovpt"), "--method", "ovit",
+            "--sparsity", "0.5", "--recompute", "2", "--out", str(tmp_path / "x.ovpt"),
+        )
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "error:" in line]) == 1
+        assert "--recompute" in err_lines[-1]
+
     def test_nm_block_size_rounding_warns_on_stderr_only(self, fixture_files, capsys):
         wpath, gpath, tmp = fixture_files
         runs = []

@@ -1,14 +1,84 @@
 """Greedy block solver: traces, global merge, n:m mode, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obsprune.fisher import FisherConfig, build_fisher_inverse
-from obsprune.solver import nm_violations, solve_block, solve_global, solve_nm
+from obsprune.fisher import (
+    EPS_FLOOR,
+    DegenerateCurvatureWarning,
+    FisherBlockInverse,
+    FisherConfig,
+    build_fisher_inverse,
+    eliminate_index_clamped,
+)
+from obsprune.solver import (
+    BlockTrace,
+    eliminate_blocks,
+    nm_violations,
+    solve_block,
+    solve_global,
+    solve_nm,
+)
 
 from conftest import inverse_from_dense, random_spd
+
+
+def reference_block(w, inv, prunable=None, pinned=(), nm=None):
+    """Greedy elimination on one block with a full B x B downdate per step.
+
+    The plain loop that the lockstep kernel replaces, kept as its
+    reference: non-prunable coordinates are eliminated first (no weight
+    update, no cost), then ``pinned`` in index order, then the live
+    eligible weight of least saliency, until every prunable weight (or
+    every n:m group quota) is used up. Clamped pivots are counted.
+    """
+    w = np.array(w, dtype=np.float64)
+    inv = np.array(inv, dtype=np.float64)
+    dim = w.size
+    alive = np.ones(dim, dtype=bool) if prunable is None else np.array(prunable, dtype=bool)
+    clamps = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCurvatureWarning)
+        for j in np.flatnonzero(~alive):
+            clamps += bool(inv[j, j] <= EPS_FLOOR)
+            inv = eliminate_index_clamped(inv, int(j))
+        gid = np.zeros(dim, dtype=np.int64)  # global mode: one group whose
+        quota = np.array([dim])  # quota never binds
+        if nm is not None:
+            n, m = nm
+            gid = np.arange(dim) // m
+            quota = np.minimum(m - n, np.bincount(gid[alive], minlength=dim // m))
+        counts = np.zeros(quota.size, dtype=np.int64)
+        pinned_list = sorted(int(p) for p in pinned)
+        max_steps = int(min(alive.sum(), quota.sum()))
+        order = np.empty(max_steps, dtype=np.int64)
+        cumulative = np.empty(max_steps)
+        states = np.empty((max_steps, dim))
+        err = 0.0
+        for t in range(max_steps):
+            if t < len(pinned_list):
+                i = pinned_list[t]
+            else:
+                live = np.flatnonzero(alive & (counts[gid] < quota[gid]))
+                diag = np.maximum(inv[live, live], EPS_FLOOR)
+                rho = w[live] ** 2 / (2.0 * diag)
+                i = int(live[int(np.argmin(rho))])  # first min = lowest index
+            pivot = max(float(inv[i, i]), EPS_FLOOR)
+            err += float(w[i]) ** 2 / (2.0 * pivot)
+            w += -(w[i] / pivot) * inv[:, i]
+            w[i] = 0.0
+            order[t] = i
+            cumulative[t] = err
+            states[t] = w
+            clamps += bool(inv[i, i] <= EPS_FLOOR)
+            inv = eliminate_index_clamped(inv, i)
+            alive[i] = False
+            counts[gid[i]] += 1
+    return BlockTrace(0, order, cumulative, states, w, len(pinned_list), clamps)
 
 
 def make_inverse(rng, d, block_size, damp=1e-3, n=None):
@@ -140,6 +210,25 @@ class TestGlobalMerge:
         assert a.new_weights.tobytes() == b.new_weights.tobytes()
         assert a.predicted_loss_increase == b.predicted_loss_increase
 
+    def test_non_prefix_selection_trips_the_bug_trap(self, rng, monkeypatch):
+        """Costs that fall along a block's order would make the merge pick
+        a mid-order subset; the solver must refuse instead of reloading a
+        meaningless snapshot."""
+        from obsprune import solver
+
+        real = solver.eliminate_blocks
+
+        def reversed_costs(*args, **kwargs):
+            traces = real(*args, **kwargs)
+            for t in traces:
+                t.cumulative = t.cumulative[::-1].copy()
+            return traces
+
+        monkeypatch.setattr(solver, "eliminate_blocks", reversed_costs)
+        rows, inv = make_inverse(rng, 8, 4)
+        with pytest.raises(solver.InternalSolverError, match="not a prefix"):
+            solve_global(rng.standard_normal(8), inv, 1)
+
     def test_k_out_of_range_rejected(self, rng):
         rows, inv = make_inverse(rng, 4, 2)
         w = rng.standard_normal(4)
@@ -244,3 +333,145 @@ def test_per_step_states_have_compact_shape(rng):
     trace = solve_block(np.ones(6), np.linalg.inv(fisher), block_id=0)
     assert trace.states.shape == (6, 6)
     assert trace.states.dtype == np.float64
+
+
+# -- the lockstep kernel against the per-block reference ----------------------
+
+def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
+    """Kernel traces equal the reference block by block: same orders, pins
+    and clamp counts, costs to 1e-9 relative, weights close, frozen weights
+    bit-identical and eliminated weights exactly zero."""
+    pin = np.zeros(w.size, dtype=bool) if pinned is None else pinned
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCurvatureWarning)
+        traces = eliminate_blocks(w, inv, prunable, pin, nm=nm, keep_states=nm is None)
+    assert len(traces) == inv.num_blocks
+    for b, got in enumerate(traces):
+        lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
+        want = reference_block(w[lo:hi], inv.blocks[b], prunable[lo:hi],
+                               np.flatnonzero(pin[lo:hi]), nm)
+        assert got.block_id == b
+        np.testing.assert_array_equal(got.order, want.order)
+        assert got.pinned_steps == want.pinned_steps
+        assert got.clamp_events == want.clamp_events
+        np.testing.assert_allclose(got.cumulative, want.cumulative, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.final, want.final, rtol=1e-7, atol=1e-9)
+        if nm is None:
+            np.testing.assert_allclose(got.states, want.states, rtol=1e-7, atol=1e-9)
+            for t in range(got.steps):
+                assert (got.states[t, got.order[: t + 1]] == 0.0).all()
+        else:
+            assert got.states.shape == (0, hi - lo)
+        frozen = ~prunable[lo:hi]
+        assert got.final[frozen].tobytes() == w[lo:hi][frozen].tobytes()
+        assert (got.final[got.order] == 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([4, 8, 12]),
+    full_blocks=st.integers(1, 4),
+    tail_groups=st.integers(0, 2),
+    rows=st.integers(1, 30),
+    frozen_share=st.sampled_from([0.0, 0.3, 0.6]),
+    nm=st.sampled_from([None, (2, 4), (1, 4)]),
+    damp=st.sampled_from([1e-2, 1e-4]),
+)
+@example(seed=1, block=8, full_blocks=2, tail_groups=1, rows=3, frozen_share=0.3,
+         nm=(2, 4), damp=1e-4)
+@example(seed=2, block=12, full_blocks=3, tail_groups=2, rows=5, frozen_share=0.3,
+         nm=None, damp=1e-4)
+def test_kernel_matches_per_block_reference(seed, block, full_blocks, tail_groups,
+                                            rows, frozen_share, nm, damp):
+    """Global mode with pins and n:m mode with reduced quotas, with frozen
+    coordinates, a trailing partial block (a multiple of 4 weights) and
+    fewer gradient rows than the block size. Dampening stays at 1e-4 or
+    above: at 1e-8 with fewer rows than B, both implementations are only
+    good to about 1e-8 relative (checked against a long-double
+    recomputation), so 1e-9 agreement would test rounding, not logic."""
+    rng = np.random.default_rng(seed)
+    d = full_blocks * block + 4 * tail_groups
+    grads = rng.standard_normal((rows, d))
+    inv = build_fisher_inverse(grads, FisherConfig(block, damp, rows))
+    w = rng.standard_normal(d)
+    prunable = rng.random(d) >= frozen_share
+    pinned = None
+    if nm is None:
+        pinned = prunable & (rng.random(d) < 0.25)
+    assert_matches_reference(w, inv, prunable, pinned, nm)
+
+
+def degenerate_inverse():
+    """Two 4x4 blocks; the second has a zero and a negative diagonal entry,
+    so elimination there clamps pivots to the floor."""
+    healthy = np.linalg.inv(random_spd(np.random.default_rng(5), 4))
+    bad = np.array([
+        [2.0, 0.5, 0.0, 0.1],
+        [0.5, 0.0, 0.2, 0.0],
+        [0.0, 0.2, -1.0, 0.0],
+        [0.1, 0.0, 0.0, 1.5],
+    ])
+    return FisherBlockInverse([healthy, bad], FisherConfig(block_size=4))
+
+
+@pytest.mark.parametrize("nm", [None, (2, 4)])
+@pytest.mark.parametrize("frozen", [(), (5,)])
+def test_kernel_matches_reference_on_degenerate_pivots(nm, frozen):
+    inv = degenerate_inverse()
+    w = np.array([0.3, -1.2, 0.8, 0.5, 0.7, -0.4, 1.1, 0.9])
+    prunable = np.ones(8, dtype=bool)
+    prunable[list(frozen)] = False
+    pinned = None if nm else np.isin(np.arange(8), [2])
+    assert_matches_reference(w, inv, prunable, pinned, nm)
+
+
+def test_clamps_are_counted_and_warned_once_per_solve():
+    """One warning per solve carries the count; ``PruneResult`` keeps it.
+    In n:m mode the greedy never picks the degenerate weights, so the
+    clamps come from freezing the zero-diagonal coordinate."""
+    inv = degenerate_inverse()
+    w = np.array([0.3, -1.2, 0.8, 0.5, 0.7, -0.4, 1.1, 0.9])
+    frozen = np.ones(8, dtype=bool)
+    frozen[5] = False
+    for solve, prunable, nm in (
+        (lambda: solve_global(w, inv, 6), np.ones(8, dtype=bool), None),
+        (lambda: solve_nm(w, inv, 2, 4, prunable=frozen), frozen, (2, 4)),
+    ):
+        want = reference_block(w[4:], inv.blocks[1], prunable[4:], nm=nm).clamp_events
+        assert want >= 1
+        with pytest.warns(DegenerateCurvatureWarning) as record:
+            res = solve()
+        assert len(record) == 1
+        assert res.clamp_events == want
+        assert f"clamped {want} degenerate pivot(s)" in str(record[0].message)
+
+
+def test_healthy_solve_reports_no_clamps(rng):
+    rows, inv = make_inverse(rng, 12, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateCurvatureWarning)
+        res = solve_global(rng.standard_normal(12), inv, 6)
+    assert res.clamp_events == 0
+
+
+@pytest.mark.parametrize("blocks_per_chunk", [1, 3])
+def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk):
+    """A block's arithmetic does not depend on which blocks share its
+    lockstep chunk, so chunk size never changes an output byte."""
+    from obsprune import solver
+
+    grads = rng.standard_normal((6, 76))  # 9 blocks of 8 and one of 4
+    inv = build_fisher_inverse(grads, FisherConfig(8, 1e-4, 6))
+    w = rng.standard_normal(76)
+    prunable = rng.random(76) > 0.2
+
+    def run():
+        a = solve_global(w, inv, 40, prunable=prunable, pinned=np.flatnonzero(prunable)[:5])
+        b = solve_nm(w, inv, 2, 4, prunable=prunable)
+        return [(r.mask.tobytes(), r.new_weights.tobytes(), r.predicted_loss_increase)
+                for r in (a, b)]
+
+    whole = run()
+    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", blocks_per_chunk * 64)
+    assert run() == whole

@@ -31,7 +31,8 @@ from .fisher import (
     build_fisher_inverse,
 )
 from .obs_core import NumericalError, loss_increase
-from .pruners import PrunerSpec, run_pruner
+from .pipeline import _fmt
+from .pruners import PrunerSpec, run_pruner, split_by_layer
 from .solver import nm_violations, solve_global
 from .tensorstore import (
     ContainerError,
@@ -56,10 +57,6 @@ _RUNTIME_ERRORS = (
     ValueError,
     OSError,
 )
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.12g}"
 
 
 def _parse_nm(text: str) -> tuple[int, int]:
@@ -141,8 +138,7 @@ def _spec_from_args(args, method: str | None = None) -> PrunerSpec:
     )
 
 
-def _resolve_schedule(args, interval: int | None) -> schedules.LrSchedule:
-    cfg = schedules.load_config(args.config) if args.config else {}
+def _resolve_schedule(args, cfg, interval: int | None) -> schedules.LrSchedule:
     lr_max = args.lr_max if args.lr_max is not None else cfg.get("lr.max", schedules.DEFAULT_LR_MAX)
     lr_min = args.lr_min if args.lr_min is not None else cfg.get("lr.min", schedules.DEFAULT_LR_MIN)
     period = args.period if args.period is not None else cfg.get("lr.period", None)
@@ -164,7 +160,7 @@ def _load_weight_layers(path: str):
         pname = prunable_name(lid)
         if pname in box:
             prunable[lid] = box[pname].array().astype(bool)
-    return box, ids, weights, (prunable or None), dtypes
+    return ids, weights, (prunable or None), dtypes
 
 
 def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
@@ -179,8 +175,6 @@ def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
 
 
 def _write_pruned(path: str, ids, result, dtypes) -> None:
-    from .pruners import split_by_layer
-
     weights = split_by_layer(result.new_weights, result.layout)
     masks = split_by_layer(result.mask, result.layout)
     box = TensorContainer()
@@ -207,14 +201,10 @@ def _print_prune_summary(out, ids, result) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_prune(args, out) -> int:
-    _, ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
+    ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
     grads = _load_grad_layers(args.grads, ids) if args.grads else None
-    spec = _spec_from_args(args)
-    if spec.nm is not None:
-        result = run_pruner(spec, weights, grads, prunable=prunable)
-    else:
-        result = run_pruner(spec, weights, grads, sparsity=args.sparsity,
-                            prunable=prunable)
+    result = run_pruner(_spec_from_args(args), weights, grads, sparsity=args.sparsity,
+                        prunable=prunable)
     _write_pruned(args.out, ids, result, dtypes)
     _print_prune_summary(out, ids, result)
     return 0
@@ -296,13 +286,13 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
         interval = int(interval) if interval is not None else schedules.DEFAULT_PERIOD
         plan = schedules.plan_sweep(targets, interval)
         spec = _spec_from_args(args)
-        sched = _resolve_schedule(args, plan.interval)
+        sched = _resolve_schedule(args, cfg, plan.interval)
         report, checkpoints = pipeline.run_gradual(
             model, spec, plan, sched, acyclic=args.acyclic
         )
     else:
         spec = _spec_from_args(args)
-        sched = _resolve_schedule(args, None)
+        sched = _resolve_schedule(args, cfg, None)
         sparsity = None if getattr(args, "nm", None) is not None else args.sparsity
         if sparsity is None and getattr(args, "nm", None) is None:
             raise ValueError("need --sparsity, --targets or --nm")

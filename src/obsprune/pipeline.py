@@ -14,20 +14,12 @@ equals the true Hessian plus lambda*I with no sampling slack at all.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .pruners import (
-    PrunerSpec,
-    flatten_layers,
-    prune_with_recompute,
-    run_pruner,
-    sparsity_to_k,
-    split_by_layer,
-)
+from .pruners import PrunerSpec, prune_with_recompute, run_pruner, split_by_layer
 from .schedules import LrSchedule, SweepPlan, lr_at
 from .tensorstore import GradientSet
 
@@ -415,16 +407,20 @@ def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
+def _event_rows(report: RunReport) -> Iterator[tuple[int, str, str]]:
+    """(step, field, formatted value) for every event, in report order."""
+    for ev in report.events:
+        yield ev.step, "sparsity", _fmt(ev.sparsity)
+        yield ev.step, "loss_before", _fmt(ev.loss_before)
+        yield ev.step, "loss_after", _fmt(ev.loss_after)
+        yield ev.step, "predicted_increase", _fmt(ev.predicted_increase)
+        if ev.post_recovery_loss is not None:
+            yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
+
+
 def report_lines(report: RunReport) -> list[str]:
     """Line-delimited (step, field, value) records plus a summary block."""
-    lines = []
-    for ev in report.events:
-        lines.append(f"{ev.step}\tsparsity\t{_fmt(ev.sparsity)}")
-        lines.append(f"{ev.step}\tloss_before\t{_fmt(ev.loss_before)}")
-        lines.append(f"{ev.step}\tloss_after\t{_fmt(ev.loss_after)}")
-        lines.append(f"{ev.step}\tpredicted_increase\t{_fmt(ev.predicted_increase)}")
-        if ev.post_recovery_loss is not None:
-            lines.append(f"{ev.step}\tpost_recovery_loss\t{_fmt(ev.post_recovery_loss)}")
+    lines = [f"{step}\t{name}\t{value}" for step, name, value in _event_rows(report)]
     lines.append("summary\tevent\tstep\tsparsity\tloss_before\tloss_after\tpredicted\tpost_recovery")
     for i, ev in enumerate(report.events):
         post = "-" if ev.post_recovery_loss is None else _fmt(ev.post_recovery_loss)
@@ -439,13 +435,7 @@ def report_lines(report: RunReport) -> list[str]:
 
 
 def report_csv(report: RunReport) -> str:
-    """Plot-friendly CSV: step,field,value rows."""
+    """Plot-friendly CSV: step,field,value rows, the event rows of ``report_lines``."""
     rows = ["step,field,value"]
-    for ev in report.events:
-        rows.append(f"{ev.step},sparsity,{_fmt(ev.sparsity)}")
-        rows.append(f"{ev.step},loss_before,{_fmt(ev.loss_before)}")
-        rows.append(f"{ev.step},loss_after,{_fmt(ev.loss_after)}")
-        rows.append(f"{ev.step},predicted_increase,{_fmt(ev.predicted_increase)}")
-        if ev.post_recovery_loss is not None:
-            rows.append(f"{ev.step},post_recovery_loss,{_fmt(ev.post_recovery_loss)}")
+    rows += [f"{step},{name},{value}" for step, name, value in _event_rows(report)]
     return "\n".join(rows) + "\n"

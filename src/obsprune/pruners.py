@@ -1,4 +1,4 @@
-"""Pruning methods behind one interface: gm, wf, ovit.
+"""Pruning methods behind one entry, ``run_pruner``: gm, wf, ovit.
 
 * ``gm``   global magnitude: zero the k smallest |w|, no compensation.
 * ``wf``   frozen-curvature baseline: score every weight once from the
@@ -9,10 +9,14 @@
            with cumulative scores and a global merge (see ``solver``),
            optionally under an n:m pattern.
 
-All methods share the weight indexing convention (layers concatenated in
-mapping order, each flattened row-major), respect prunability masks, and
-break score ties by global index. ``pinned`` indices are pruned
-unconditionally (used to keep masks monotone across repeated pruning).
+``run_pruner`` flattens the layers, validates ``pinned`` and the target,
+and resolves a sparsity into a zero count k once per call, over the whole
+model or, in per-layer mode, over each layer; ``prune_with_recompute``
+reaches a sparsity in several ``run_pruner`` calls. All methods share the
+weight indexing convention (layers concatenated in mapping order, each
+flattened row-major), respect prunability masks, and break score ties by
+global index. ``pinned`` indices are pruned unconditionally (used to keep
+masks monotone across repeated pruning).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .fisher import (
     concat_inverses,
     freeze_indices,
 )
-from .solver import LayerLayout, PruneResult, solve_global, solve_nm
+from .solver import LayerLayout, PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
 
 METHODS = ("gm", "wf", "ovit")
@@ -140,155 +144,98 @@ def build_layered_inverse(
     return concat_inverses(parts)
 
 
-def _cap_rows(gs: GradientSet, config: FisherConfig) -> np.ndarray:
-    return gs.samples[: min(config.num_grads, gs.num_samples)]
-
-
-def _selection_topk(
-    scores: np.ndarray,
-    eligible: np.ndarray,
-    pinned: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """k global indices: all pinned, then smallest (score, index) eligible."""
-    pin_idx = np.flatnonzero(pinned)
-    if pin_idx.size > k:
-        raise ValueError(f"{pin_idx.size} pinned indices exceed k={k}")
-    rest = np.flatnonzero(eligible & ~pinned)
-    order = rest[np.lexsort((rest, scores[rest]))][: k - pin_idx.size]
-    return np.sort(np.concatenate([pin_idx, order]))
-
-
-def _finish(
-    w: np.ndarray,
-    new_w: np.ndarray,
-    selected: np.ndarray,
-    predicted: float,
-    per_layer_predicted: dict[str, float],
-    layout: tuple[LayerLayout, ...],
-) -> PruneResult:
-    mask = np.ones(w.size, dtype=np.uint8)
-    mask[selected] = 0
-    new_w = new_w.copy()
-    new_w[selected] = 0.0
-    sparsity = {
-        lay.name: float(np.count_nonzero(mask[lay.offset : lay.offset + lay.size] == 0))
-        / lay.size
-        for lay in layout
-    }
-    return PruneResult(
-        mask=mask,
-        new_weights=new_w,
-        predicted_loss_increase=float(predicted),
-        per_layer_sparsity=sparsity,
-        per_layer_predicted=per_layer_predicted,
-        layout=layout,
-    )
-
-
 # -- methods -----------------------------------------------------------------
 
-def prune_gm(
-    weights,
-    k: int,
-    prunable: Mapping[str, np.ndarray] | None = None,
-    pinned: Sequence[int] = (),
-) -> PruneResult:
-    """Zero the k smallest-magnitude prunable weights; no compensation."""
-    w, pr, layout = flatten_layers(_as_map(weights), prunable)
-    pin = np.zeros(w.size, dtype=bool)
-    if len(pinned):
-        pin[np.asarray(list(pinned), dtype=np.int64)] = True
-        if np.any(pin & ~pr):
-            raise ValueError("pinned indices must be prunable")
-    total = int(pr.sum())
-    if not 0 <= k <= total:
-        raise ValueError(f"k={k} out of range; {total} weights are prunable")
-    selected = _selection_topk(np.abs(w), pr, pin, k)
-    per_layer_pred = {lay.name: 0.0 for lay in layout}
-    return _finish(w, w, selected, 0.0, per_layer_pred, layout)
-
-
-def prune_wf(
-    weights,
-    grads: GradMap,
-    k: int,
+def _prune_frozen(
     spec: PrunerSpec,
-    prunable: Mapping[str, np.ndarray] | None = None,
-    pinned: Sequence[int] = (),
+    w: np.ndarray,
+    pr: np.ndarray,
+    pin: np.ndarray,
+    k: int,
+    layout: tuple[LayerLayout, ...],
+    grads: GradMap | None,
 ) -> PruneResult:
-    """Frozen-inverse baseline: one scoring pass, independent summed updates."""
-    w, pr, layout = flatten_layers(_as_map(weights), prunable)
-    pin = np.zeros(w.size, dtype=bool)
-    if len(pinned):
-        pin[np.asarray(list(pinned), dtype=np.int64)] = True
-        if np.any(pin & ~pr):
-            raise ValueError("pinned indices must be prunable")
-    total = int(pr.sum())
-    if not 0 <= k <= total:
-        raise ValueError(f"k={k} out of range; {total} weights are prunable")
-
-    inv = build_layered_inverse(grads, layout, spec.fisher)
-    if not pr.all():
-        inv = freeze_indices(inv, np.flatnonzero(~pr))
-    diag = np.maximum(inv.diagonal(), EPS_FLOOR)
-    rho = w**2 / (2.0 * diag)
-    selected = _selection_topk(rho, pr, pin, k)
+    """gm and wf (see the module docstring): score every weight once and
+    zero the k cheapest. gm assigns no scores of its own, so its predicted
+    increase is the quadratic model's when gradient rows are given, else 0."""
+    inv = None
+    if spec.method == "wf":
+        inv = build_layered_inverse(grads, layout, spec.fisher)
+        if not pr.all():
+            inv = freeze_indices(inv, np.flatnonzero(~pr))
+        diag = np.maximum(inv.diagonal(), EPS_FLOOR)
+        scores = w**2 / (2.0 * diag)
+    else:
+        scores = np.abs(w)
+    # every pinned index, then the cheapest other prunable ones by (score, index)
+    rest = np.flatnonzero(pr & ~pin)
+    cheapest = rest[np.lexsort((rest, scores[rest]))][: k - int(pin.sum())]
+    selected = np.sort(np.concatenate([np.flatnonzero(pin), cheapest]))
 
     new_w = w.copy()
-    sel_mask = np.zeros(w.size, dtype=bool)
-    sel_mask[selected] = True
-    for b in range(inv.num_blocks):
-        lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
-        local = np.flatnonzero(sel_mask[lo:hi])
-        if local.size == 0:
-            continue
-        blk = inv.blocks[b]
-        coef = w[lo + local] / diag[lo + local]
-        new_w[lo:hi] -= blk[:, local] @ coef
+    per_layer_pred = {lay.name: 0.0 for lay in layout}
+    predicted = 0.0
+    if inv is not None:
+        sel_mask = np.zeros(w.size, dtype=bool)
+        sel_mask[selected] = True
+        for b in range(inv.num_blocks):
+            lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
+            local = np.flatnonzero(sel_mask[lo:hi])
+            if local.size:
+                coef = w[lo + local] / diag[lo + local]
+                new_w[lo:hi] -= inv.blocks[b][:, local] @ coef
+        predicted = float(scores[selected].sum())
+        for lay in layout:
+            inside = (selected >= lay.offset) & (selected < lay.offset + lay.size)
+            per_layer_pred[lay.name] = float(scores[selected[inside]].sum())
+    new_w[selected] = 0.0
+    if inv is None and grads is not None:
+        for lay in layout:
+            sl = slice(lay.offset, lay.offset + lay.size)
+            gs = grads[lay.name]
+            rows = gs.samples[: min(spec.fisher.num_grads, gs.num_samples)]
+            val = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
+            per_layer_pred[lay.name] = val
+            predicted += val
 
-    predicted = float(rho[selected].sum())
-    per_layer_pred = {
-        lay.name: float(rho[selected[(selected >= lay.offset)
-                                     & (selected < lay.offset + lay.size)]].sum())
-        for lay in layout
-    }
-    return _finish(w, new_w, selected, predicted, per_layer_pred, layout)
+    mask = np.ones(w.size, dtype=np.uint8)
+    mask[selected] = 0
+    return PruneResult.from_mask(mask, new_w, predicted, per_layer_pred, layout)
 
 
-def prune_ovit(
-    weights,
-    grads: GradMap,
+def _prune_pool(
     spec: PrunerSpec,
-    k: int | None = None,
-    prunable: Mapping[str, np.ndarray] | None = None,
-    pinned: Sequence[int] = (),
+    w: np.ndarray,
+    pr: np.ndarray,
+    pin: np.ndarray,
+    k: int,
+    layout: tuple[LayerLayout, ...],
+    grads: GradMap | None,
 ) -> PruneResult:
-    """Greedy correlation-aware pruning; k-target or n:m pattern."""
-    w, pr, layout = flatten_layers(_as_map(weights), prunable)
-    cfg = spec.fisher
-    if spec.nm is not None:
-        if k is not None:
-            raise ValueError("an n:m pattern and a global k are mutually exclusive")
-        n, m = spec.nm
-        if cfg.block_size % m:
-            rounded = max(m, (cfg.block_size // m) * m)
-            warnings.warn(
-                f"block size {cfg.block_size} is not a multiple of m={m}; using {rounded}",
-                stacklevel=2,
-            )
-            cfg = replace(cfg, block_size=rounded)
-        inv = build_layered_inverse(grads, layout, cfg)
-        return solve_nm(w, inv, n, m, prunable=pr, threads=spec.threads, layout=layout)
+    """Prune the k cheapest weights of one pool with the spec's method."""
+    if spec.method != "ovit":
+        return _prune_frozen(spec, w, pr, pin, k, layout, grads)
+    inv = build_layered_inverse(grads, layout, spec.fisher)
+    return solve_global(w, inv, k, prunable=pr, pinned=np.flatnonzero(pin), layout=layout)
+
+
+def _resolve_k(
+    sparsity: float | None, k: int | None, pr: np.ndarray, pin: np.ndarray
+) -> int:
+    """The zero count for one pool: ``k`` as given, or
+    max(sparsity_to_k(sparsity, P), pinned count) over its P prunable weights."""
+    total = int(pr.sum())
+    n_pinned = int(pin.sum())
     if k is None:
-        raise ValueError("either k or an n:m pattern is required")
-    inv = build_layered_inverse(grads, layout, cfg)
-    return solve_global(
-        w, inv, k, prunable=pr, pinned=pinned, threads=spec.threads, layout=layout
-    )
+        return max(sparsity_to_k(sparsity, total), n_pinned)
+    if not 0 <= k <= total:
+        raise ValueError(f"k={k} out of range; {total} weights are prunable")
+    if n_pinned > k:
+        raise ValueError(f"{n_pinned} pinned indices exceed k={k}")
+    return k
 
 
-# -- uniform dispatch --------------------------------------------------------
+# -- the entry ---------------------------------------------------------------
 
 def run_pruner(
     spec: PrunerSpec,
@@ -300,93 +247,57 @@ def run_pruner(
     prunable: Mapping[str, np.ndarray] | None = None,
     pinned: Sequence[int] = (),
 ) -> PruneResult:
-    """Dispatch to the configured method with uniform target handling.
+    """Prune ``weights`` with the configured method.
 
-    Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target.
-    For gm the predicted increase is evaluated from the quadratic model
-    when gradient rows are available (gm assigns no scores of its own).
+    Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target;
+    ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
+    instead of to one global pool. Layers are flattened, and ``pinned``
+    and the target are validated, once per call.
     """
-    wmap = _as_map(weights)
+    w, pr, layout = flatten_layers(_as_map(weights), prunable)
+    pin = pinned_mask(pinned, pr)
+    if grads is None and spec.method != "gm":
+        raise ValueError(f"method {spec.method!r} needs gradient rows")
     if spec.nm is not None:
         if sparsity is not None or k is not None:
             raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
         if spec.method != "ovit":
             raise ValueError("n:m patterns are only supported by the ovit method")
-        if grads is None:
-            raise ValueError("ovit needs gradient rows")
-        return prune_ovit(wmap, grads, spec, prunable=prunable)
-
-    if spec.per_layer:
-        if sparsity is None:
-            raise ValueError("per-layer mode needs a sparsity target")
-        return _run_per_layer(spec, wmap, grads, sparsity, prunable, pinned)
-
-    _, pr, layout = flatten_layers(wmap, prunable)
+        if pin.any():
+            raise ValueError("an n:m pattern takes no pinned indices")
+        n, m = spec.nm
+        cfg = spec.fisher
+        if cfg.block_size % m:
+            rounded = max(m, (cfg.block_size // m) * m)
+            warnings.warn(
+                f"block size {cfg.block_size} is not a multiple of m={m}; using {rounded}",
+                stacklevel=2,
+            )
+            cfg = replace(cfg, block_size=rounded)
+        inv = build_layered_inverse(grads, layout, cfg)
+        return solve_nm(w, inv, n, m, prunable=pr, layout=layout)
     if (sparsity is None) == (k is None):
         raise ValueError("exactly one of sparsity or k is required")
-    if k is None:
-        k = sparsity_to_k(sparsity, int(pr.sum()))
 
-    if spec.method == "gm":
-        w_flat, _, _ = flatten_layers(wmap, prunable)
-        result = prune_gm(wmap, k, prunable, pinned)
-        if grads is not None:
-            total = 0.0
-            for lay in layout:
-                sl = slice(lay.offset, lay.offset + lay.size)
-                rows = _cap_rows(grads[lay.name], spec.fisher)
-                val = obs_core.loss_increase(
-                    w_flat[sl], result.new_weights[sl], rows, spec.fisher.dampening
-                )
-                result.per_layer_predicted[lay.name] = val
-                total += val
-            result.predicted_loss_increase = total
-        return result
-    if grads is None:
-        raise ValueError(f"method {spec.method!r} needs gradient rows")
-    if spec.method == "wf":
-        return prune_wf(wmap, grads, k, spec, prunable, pinned)
-    return prune_ovit(wmap, grads, spec, k=k, prunable=prunable, pinned=pinned)
+    if not spec.per_layer:
+        k = _resolve_k(sparsity, k, pr, pin)
+        return _prune_pool(spec, w, pr, pin, k, layout, grads)
 
-
-def _run_per_layer(
-    spec: PrunerSpec,
-    wmap: WeightMap,
-    grads: GradMap | None,
-    sparsity: float,
-    prunable: Mapping[str, np.ndarray] | None,
-    pinned: Sequence[int],
-) -> PruneResult:
-    """Uniform per-layer targets: each layer pruned independently at s."""
-    _, _, layout = flatten_layers(wmap, prunable)
-    pinned = np.asarray(list(pinned), dtype=np.int64)
-    flat_spec = replace(spec, per_layer=False)
-    masks, news, preds, pred_by_layer, spars, clamps = [], [], 0.0, {}, {}, 0
+    if sparsity is None:
+        raise ValueError("per-layer mode needs a sparsity target")
+    parts = []
     for lay in layout:
-        sub_w = {lay.name: wmap[lay.name]}
-        sub_pr = None
-        if prunable is not None and lay.name in prunable:
-            sub_pr = {lay.name: prunable[lay.name]}
-        sub_pin = pinned[(pinned >= lay.offset) & (pinned < lay.offset + lay.size)] - lay.offset
-        sub_grads = None if grads is None else {lay.name: grads[lay.name]}
-        res = run_pruner(
-            flat_spec, sub_w, sub_grads,
-            sparsity=sparsity, prunable=sub_pr, pinned=sub_pin.tolist(),
-        )
-        masks.append(res.mask)
-        news.append(res.new_weights)
-        preds += res.predicted_loss_increase
-        pred_by_layer[lay.name] = res.predicted_loss_increase
-        spars[lay.name] = res.per_layer_sparsity[lay.name]
-        clamps += res.clamp_events
-    return PruneResult(
-        mask=np.concatenate(masks),
-        new_weights=np.concatenate(news),
-        predicted_loss_increase=preds,
-        per_layer_sparsity=spars,
-        per_layer_predicted=pred_by_layer,
-        layout=layout,
-        clamp_events=clamps,
+        sl = slice(lay.offset, lay.offset + lay.size)
+        own = (replace(lay, offset=0),)
+        k_l = _resolve_k(sparsity, None, pr[sl], pin[sl])
+        parts.append(_prune_pool(spec, w[sl], pr[sl], pin[sl], k_l, own, grads))
+    return PruneResult.from_mask(
+        np.concatenate([p.mask for p in parts]),
+        np.concatenate([p.new_weights for p in parts]),
+        sum(p.predicted_loss_increase for p in parts),
+        {lay.name: p.predicted_loss_increase for lay, p in zip(layout, parts)},
+        layout,
+        sum(p.clamp_events for p in parts),
     )
 
 
@@ -412,24 +323,21 @@ def prune_with_recompute(
     if spec.nm is not None:
         raise ValueError("recomputation sub-steps apply to sparsity targets, not n:m")
     wmap = {k_: np.asarray(v, dtype=np.float64).copy() for k_, v in _as_map(weights).items()}
-    _, pr, layout = flatten_layers(wmap, prunable)
-    total_prunable = int(pr.sum())
     r = spec.recomputations
     step_spec = replace(spec, recomputations=1)
     acc_pinned = sorted(int(p) for p in pinned)
     total_pred = 0.0
     total_clamps = 0
-    per_layer_pred = {lay.name: 0.0 for lay in layout}
+    per_layer_pred = dict.fromkeys(wmap, 0.0)
     result: PruneResult | None = None
     for t in range(1, r + 1):
         s_t = 1.0 - (1.0 - sparsity) ** (t / r)
         if t == r:
             s_t = sparsity  # exact final target, no float drift
-        k_t = max(sparsity_to_k(s_t, total_prunable), len(acc_pinned))
         grads = grad_provider(wmap)
         result = run_pruner(
             step_spec, wmap, grads,
-            k=k_t, prunable=prunable, pinned=acc_pinned,
+            sparsity=s_t, prunable=prunable, pinned=acc_pinned,
         )
         total_pred += result.predicted_loss_increase
         total_clamps += result.clamp_events
@@ -439,10 +347,9 @@ def prune_with_recompute(
         if not set(acc_pinned).issubset(set(new_zeros.tolist())):
             raise AssertionError("mask monotonicity violated across sub-steps")
         acc_pinned = new_zeros.tolist()
-        wmap = split_by_layer(result.new_weights, layout)
+        wmap = split_by_layer(result.new_weights, result.layout)
     assert result is not None
     result.predicted_loss_increase = total_pred
     result.per_layer_predicted = per_layer_pred
     result.clamp_events = total_clamps
     return result
-

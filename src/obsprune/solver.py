@@ -106,6 +106,26 @@ class PruneResult:
     layout: tuple[LayerLayout, ...] = ()
     clamp_events: int = 0
 
+    @classmethod
+    def from_mask(
+        cls,
+        mask: np.ndarray,
+        new_weights: np.ndarray,
+        predicted: float,
+        per_layer_predicted: dict[str, float],
+        layout: tuple[LayerLayout, ...],
+        clamp_events: int = 0,
+    ) -> PruneResult:
+        """The one constructor every method uses; per-layer sparsity is
+        counted from ``mask`` over ``layout``."""
+        per_layer_sparsity = {
+            lay.name: float(np.count_nonzero(mask[lay.offset : lay.offset + lay.size] == 0))
+            / lay.size
+            for lay in layout
+        }
+        return cls(mask, new_weights, float(predicted), per_layer_sparsity,
+                   per_layer_predicted, layout, clamp_events)
+
 
 def _default_layout(dim: int) -> tuple[LayerLayout, ...]:
     return (LayerLayout("weights", 0, dim, (dim,)),)
@@ -277,14 +297,17 @@ def _validate_inputs(w, inv, prunable, pinned):
         pr = np.asarray(prunable, dtype=bool)
         if pr.shape != w.shape:
             raise ValueError("prunable mask shape does not match weights")
-    pin = np.zeros(w.size, dtype=bool)
+    return w, pr, pinned_mask(pinned, pr)
+
+
+def pinned_mask(pinned: Sequence[int] | None, prunable: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``pinned`` global indices; each must be prunable."""
+    pin = np.zeros(prunable.size, dtype=bool)
     if pinned is not None:
-        idx = np.asarray(list(pinned), dtype=np.int64)
-        if idx.size:
-            pin[idx] = True
-            if np.any(pin & ~pr):
-                raise ValueError("pinned indices must be prunable")
-    return w, pr, pin
+        pin[np.asarray(list(pinned), dtype=np.int64)] = True
+        if np.any(pin & ~prunable):
+            raise ValueError("pinned indices must be prunable")
+    return pin
 
 
 def _layer_for_block(layout: tuple[LayerLayout, ...], lo: int, hi: int) -> LayerLayout:
@@ -314,20 +337,8 @@ def _assemble(
             cost = float(trace.cumulative[tb - 1])
             predicted += cost
             per_layer_pred[_layer_for_block(layout, lo, hi).name] += cost
-    per_layer_sparsity = {
-        lay.name: float(np.count_nonzero(mask[lay.offset : lay.offset + lay.size] == 0))
-        / lay.size
-        for lay in layout
-    }
-    return PruneResult(
-        mask=mask,
-        new_weights=new_w,
-        predicted_loss_increase=predicted,
-        per_layer_sparsity=per_layer_sparsity,
-        per_layer_predicted=per_layer_pred,
-        layout=layout,
-        clamp_events=sum(t.clamp_events for t in traces),
-    )
+    return PruneResult.from_mask(mask, new_w, predicted, per_layer_pred, layout,
+                                 sum(t.clamp_events for t in traces))
 
 
 def solve_global(

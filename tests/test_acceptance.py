@@ -269,7 +269,8 @@ def test_criterion_10_linear_time_and_memory_in_dimension():
     def timed(d):
         w, inv = setup(d)
         best = np.inf
-        for _ in range(2):
+        # best of five: one scheduler stall can double a single 30-90 ms solve
+        for _ in range(5):
             t0 = time.perf_counter()
             solve_global(w.copy(), inv, d // 2)
             best = min(best, time.perf_counter() - t0)

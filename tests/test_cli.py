@@ -9,6 +9,7 @@ import pytest
 
 from obsprune import pipeline
 from obsprune.cli import main
+from obsprune.pruners import sparsity_to_k
 from obsprune.tensorstore import (
     TensorContainer,
     read_container,
@@ -172,6 +173,26 @@ class TestEval:
         assert prune_total[0] == eval_total[0] == "total"
         assert float(prune_total[4]) == pytest.approx(float(eval_total[2]), rel=1e-9)
 
+    def test_csv_rows_match_the_per_layer_lines(self, fixture_files):
+        wpath, gpath, tmp = fixture_files
+        out_path, csv_path = tmp / "wf.ovpt", tmp / "eval.csv"
+        code, _ = run_cli("prune", "--weights", str(wpath), "--grads", str(gpath),
+                          "--method", "wf", "--sparsity", "0.5", "--out", str(out_path))
+        assert code == 0
+        code, text = run_cli(
+            "eval", "--weights-before", str(wpath), "--weights-after", str(out_path),
+            "--grads", str(gpath), "--csv", str(csv_path),
+        )
+        assert code == 0
+        layer_lines = [ln.split("\t") for ln in text.splitlines()
+                       if ln.startswith("layer.")]
+        assert len(layer_lines) == 2
+        expected = ["layer,predicted,sparsity"] + [
+            f"{name},{pred},{sparsity}"
+            for name, _, pred, _, sparsity in layer_lines
+        ]
+        assert csv_path.read_text() == "\n".join(expected) + "\n"
+
     def test_shape_mismatch_is_a_runtime_failure(self, fixture_files, tmp_path):
         wpath, gpath, _ = fixture_files
         bad = TensorContainer()
@@ -311,6 +332,58 @@ class TestToyAndSweep:
             "--nm", "2:4", "--block-size", "8", *extra,
         )
         assert (code, text) == (2, "")  # rejected before training starts
+
+    @pytest.mark.parametrize("recompute", ["1", "3"])
+    def test_toy_per_layer_prunes_every_layer_to_the_target(self, recompute):
+        # layers of 35 and 21 weights: 0.5 rounds half-up to 18 and 11 zeros
+        code, text = run_cli(
+            "toy", "--seed", "3", "--dims", "5,7,3", "--steps", "40",
+            "--sparsity", "0.5", "--per-layer", "--recompute", recompute,
+            "--block-size", "8",
+        )
+        assert code == 0
+        final = dict(ln.split("\t")[1:] for ln in text.splitlines()
+                     if ln.startswith("final\tsparsity."))
+        assert final == {
+            f"sparsity.{lid}": f"{sparsity_to_k(0.5, size) / size:.12g}"
+            for lid, size in (("0", 35), ("1", 21))
+        }
+
+    def test_sweep_per_layer_with_recompute_keeps_masks_monotone(self, tmp_path):
+        prefix = tmp_path / "cp"
+        code, _ = run_cli(
+            "sweep", "--seed", "3", "--dims", "5,7,3", "--steps", "40",
+            "--targets", "0.3,0.5,0.7", "--interval", "5", "--per-layer",
+            "--recompute", "2", "--block-size", "8", "--out", str(prefix),
+        )
+        assert code == 0
+        prev = None
+        for target in (0.3, 0.5, 0.7):
+            box = read_container(f"{prefix}.{target:g}.ovpt")
+            zero = {lid: box[f"layer.{lid}.mask"].array().reshape(-1) == 0
+                    for lid in ("0", "1")}
+            for lid, z in zero.items():
+                assert z.sum() == sparsity_to_k(target, z.size)
+                if prev is not None:
+                    assert (prev[lid] <= z).all()  # nothing comes back
+            prev = zero
+
+    @pytest.mark.parametrize("command, extra", [
+        ("toy", ("--sparsity", "0.5", "--recovery", "5", "--recompute", "2")),
+        ("sweep", ("--targets", "0.25,0.5", "--interval", "5")),
+    ])
+    def test_csv_is_the_event_lines_of_stdout(self, tmp_path, command, extra):
+        csv_path = tmp_path / "run.csv"
+        argv = ["--seed", "4", "--dims", "6,8,4", "--steps", "30", *extra,
+                "--csv", str(csv_path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "cp")]
+        code, text = run_cli(command, *argv)
+        assert code == 0
+        events = [ln.replace("\t", ",") for ln in text.splitlines()
+                  if ln.split("\t")[0].isdigit()]
+        assert len(events) >= 5
+        assert csv_path.read_text() == "\n".join(["step,field,value", *events]) + "\n"
 
     def test_divergent_learning_rate_exits_three(self):
         code, _ = run_cli(

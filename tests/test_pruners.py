@@ -147,6 +147,11 @@ class TestFullSolve:
         res = run_pruner(spec_for("ovit", nm=(2, 4)), weights, grads)
         assert nm_violations(res.mask, 2, 4) == 0
 
+    def test_nm_rejects_pins(self, rng):
+        weights, grads = toy_layers(rng, sizes=((4, 8),), n=50)
+        with pytest.raises(ValueError, match="pinned"):
+            run_pruner(spec_for("ovit", nm=(2, 4)), weights, grads, pinned=[0])
+
     def test_sparsity_and_nm_are_exclusive(self, rng):
         weights, grads = toy_layers(rng)
         with pytest.raises(ValueError):
@@ -200,6 +205,22 @@ class TestLayerHandling:
         assert sum(res.per_layer_predicted.values()) == pytest.approx(
             res.predicted_loss_increase, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("spec", [
+    spec_for("gm"), spec_for("wf"), spec_for("ovit"), spec_for("ovit", nm=(2, 4)),
+])
+def test_one_flatten_per_call(rng, monkeypatch, spec):
+    from obsprune import pruners
+
+    calls = []
+    real = pruners.flatten_layers
+    monkeypatch.setattr(pruners, "flatten_layers",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    weights, grads = toy_layers(rng, sizes=((4, 8), (2, 4)))
+    target = {} if spec.nm else {"sparsity": 0.5}
+    run_pruner(spec, weights, grads, **target)
+    assert len(calls) == 1
 
 
 class TestRecompute:

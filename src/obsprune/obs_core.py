@@ -14,8 +14,7 @@ Removing a whole index set Q jointly costs
     dw    = -F^-1 E_Q^T ([F^-1]_[Q,Q])^-1 w_Q
 
 With a block-diagonal F^-1 the compensation never leaves the block that
-contains the removed weight(s); ``saliency_group_across_blocks`` splits a
-mixed index set by block and sums the per-block costs.
+contains the removed weight(s).
 
 ``loss_increase`` evaluates the same quadratic model for an arbitrary
 weight change directly from gradient rows, without materializing F:
@@ -81,7 +80,7 @@ def _group_split(inv: FisherBlockInverse, indices: Sequence[int]) -> tuple[int, 
     blocks = {b for b, _ in pairs}
     if len(blocks) != 1:
         raise ValueError(
-            f"group spans blocks {sorted(blocks)}; use the *_across_blocks wrapper"
+            f"group spans blocks {sorted(blocks)}; a group must lie in one block"
         )
     b = blocks.pop()
     return b, [local for _, local in pairs]
@@ -129,21 +128,6 @@ def update_group(w: np.ndarray, inv: FisherBlockInverse, indices: Sequence[int])
     for i in indices:
         delta[int(i)] = -w[int(i)]
     return WeightUpdate(delta=delta, zeroed=tuple(int(i) for i in indices))
-
-
-def _by_block(inv: FisherBlockInverse, indices: Sequence[int]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for i in indices:
-        b, _ = inv.block_of(int(i))
-        groups.setdefault(b, []).append(int(i))
-    return [groups[b] for b in sorted(groups)]
-
-
-def saliency_group_across_blocks(
-    w: np.ndarray, inv: FisherBlockInverse, indices: Sequence[int]
-) -> float:
-    """Sum of per-block joint costs for an index set that may span blocks."""
-    return float(sum(saliency_group(w, inv, part) for part in _by_block(inv, indices)))
 
 
 def loss_increase(

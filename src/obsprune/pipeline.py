@@ -120,9 +120,17 @@ def per_sample_gradients(
 def batch_gradient(
     model: ToyModel, weights: Mapping[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
-    per = per_sample_gradients(model, weights)
+    """Mean loss gradient per layer, in the weight's shape: ``r.T @ X / n``
+    from one forward pass (the residual backpropagated through the tanh for
+    the hidden layer), without forming the (n, d) per-sample rows."""
     weights = model.weights if weights is None else weights
-    return {k: per[k].mean(axis=0).reshape(weights[k].shape) for k in per}
+    out, (X, a) = _forward(model, weights, model.inputs)
+    _, r = _residuals(model, out)
+    n = model.num_samples
+    if a is None:
+        return {"0": r.T @ X / n}
+    back = (r @ weights["1"]) * (1.0 - a * a)
+    return {"0": back.T @ X / n, "1": r.T @ a / n}
 
 
 def gradient_norm(model: ToyModel) -> float:
@@ -227,9 +235,11 @@ def train_model(
     weights or the loss stop being finite.
     """
     lr_fn = lr if callable(lr) else (lambda _t: lr)
+    drop = None
     if masks is not None:
-        for k, m in masks.items():
-            model.weights[k] = model.weights[k] * (np.asarray(m).reshape(model.weights[k].shape) != 0)
+        drop = {k: np.asarray(m).reshape(model.weights[k].shape) == 0 for k, m in masks.items()}
+        for k, d in drop.items():
+            model.weights[k] = model.weights[k] * ~d
     # overflow on a diverging run is detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
@@ -237,8 +247,8 @@ def train_model(
             eta = float(lr_fn(start_step + t))
             for k in model.weights:
                 model.weights[k] = model.weights[k] - eta * g[k]
-                if masks is not None:
-                    model.weights[k][np.asarray(masks[k]).reshape(model.weights[k].shape) == 0] = 0.0
+                if drop is not None:
+                    model.weights[k][drop[k]] = 0.0
             if not all(np.all(np.isfinite(v)) for v in model.weights.values()):
                 raise DivergenceError(f"non-finite weights at step {start_step + t}")
     loss = model_loss(model)
@@ -369,7 +379,9 @@ def run_gradual(
 
     Prunes to ``plan.targets[i]`` at step ``i * interval``, recovers for
     ``interval`` steps, then emits a checkpoint (target, weights, masks).
-    Masks are monotone across events. Returns (report, checkpoints).
+    Each event records the sparsity the prune reached, which per-layer
+    rounding can put above the target. Masks are monotone across events.
+    Returns (report, checkpoints).
     """
     schedule = schedule or LrSchedule(period=plan.interval)
     report = RunReport()
@@ -389,7 +401,7 @@ def run_gradual(
         train_model(model, plan.interval, lr_fn, masks=masks, start_step=estep)
         post = model_loss(model)
         report.events.append(
-            EventRecord(estep, target, loss_before, loss_after,
+            EventRecord(estep, new_zeros.size / result.mask.size, loss_before, loss_after,
                         result.predicted_loss_increase, post)
         )
         checkpoints.append((target, model.copy_weights(),

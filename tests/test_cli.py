@@ -368,6 +368,19 @@ class TestToyAndSweep:
                     assert (prev[lid] <= z).all()  # nothing comes back
             prev = zero
 
+    def test_sweep_event_reports_the_reached_sparsity(self, tmp_path):
+        # 18 + 11 of 56 weights: the per-layer rounding overshoots the target
+        common = ("--seed", "3", "--dims", "5,7,3", "--steps", "40",
+                  "--per-layer", "--block-size", "8")
+        code, sweep = run_cli("sweep", *common, "--targets", "0.5", "--interval", "5",
+                              "--out", str(tmp_path / "cp"))
+        assert code == 0
+        code, toy = run_cli("toy", *common, "--sparsity", "0.5")
+        assert code == 0
+        for text in (sweep, toy):
+            assert "0\tsparsity\t0.517857142857\n" in text
+        assert "checkpoint\t0.5\t" in sweep  # the file name keeps the target
+
     @pytest.mark.parametrize("command, extra", [
         ("toy", ("--sparsity", "0.5", "--recovery", "5", "--recompute", "2")),
         ("sweep", ("--targets", "0.25,0.5", "--interval", "5")),

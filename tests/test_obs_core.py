@@ -10,7 +10,6 @@ from obsprune.obs_core import (
     NumericalError,
     loss_increase,
     saliency_group,
-    saliency_group_across_blocks,
     saliency_single,
     update_group,
     update_single,
@@ -125,6 +124,20 @@ def test_group_sequential_consistency():
             )
             rho2 = saliency_single(w1, two, second)
             assert joint == pytest.approx(rho1 + rho2, rel=1e-9)
+
+
+def _by_block(inv, indices):
+    groups = {}
+    for i in indices:
+        b, _ = inv.block_of(int(i))
+        groups.setdefault(b, []).append(int(i))
+    return [groups[b] for b in sorted(groups)]
+
+
+def saliency_group_across_blocks(w, inv, indices):
+    """Reference: sum of per-block joint costs for an index set that may
+    span blocks."""
+    return float(sum(saliency_group(w, inv, part) for part in _by_block(inv, indices)))
 
 
 def test_group_across_blocks_requires_wrapper():

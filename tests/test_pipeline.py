@@ -1,5 +1,7 @@
 """Toy models, gradient collection, and the end-to-end run modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,55 @@ def ovit_spec(block_size=16, recompute=1):
     )
 
 
+def reference_batch_gradient(model, weights=None):
+    """The mean of the per-sample gradient rows, the obvious way."""
+    per = pipeline.per_sample_gradients(model, weights)
+    weights = model.weights if weights is None else weights
+    return {k: per[k].mean(axis=0).reshape(weights[k].shape) for k in per}
+
+
+def reference_masked_training(model, steps, lr, masks):
+    """Full-batch descent on ``reference_batch_gradient``, re-zeroing the
+    masked weights after every step."""
+    for k, m in masks.items():
+        model.weights[k] = model.weights[k] * (m != 0)
+    for _ in range(steps):
+        g = reference_batch_gradient(model)
+        for k in model.weights:
+            model.weights[k] = model.weights[k] - lr * g[k]
+            model.weights[k][masks[k] == 0] = 0.0
+
+
+TOYS = [((6, 4), "mse"), ((5, 8, 3), "mse"), ((6, 4), "logistic"), ((5, 8, 3), "logistic")]
+
+
 class TestGradients:
-    @pytest.mark.parametrize("dims,loss", [
-        ((6, 4), "mse"),
-        ((5, 8, 3), "mse"),
-        ((6, 4), "logistic"),
-        ((5, 8, 3), "logistic"),
-    ])
+    @pytest.mark.parametrize("dims,loss", TOYS)
+    def test_batch_gradient_matches_the_mean_of_per_sample_rows(self, dims, loss):
+        model = pipeline.make_toy(19, dims, n_samples=33, noise=0.3, loss=loss)
+        rng = np.random.default_rng(2)
+        other = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.weights.items()}
+        for weights in (None, other):
+            got = pipeline.batch_gradient(model, weights)
+            want = reference_batch_gradient(model, weights)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k].shape == want[k].shape
+                np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=0)
+
+    def test_batch_gradient_never_forms_per_sample_rows(self):
+        """On the sweep benchmark's toy the (512, 6912) rows alone take
+        27 MiB; the direct kernel needs only the activations."""
+        model = pipeline.make_toy(5, (48, 96, 24), n_samples=512)
+        tracemalloc.start()
+        try:
+            pipeline.batch_gradient(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("dims,loss", TOYS)
     def test_batch_gradient_matches_finite_differences(self, dims, loss):
         model = pipeline.make_toy(7, dims, n_samples=20, noise=0.3, loss=loss)
         grad = pipeline.batch_gradient(model)
@@ -89,6 +133,18 @@ class TestTraining:
         pipeline.train_model(model, 25, 0.05, masks=masks)
         for k, m in masks.items():
             assert (model.weights[k][m == 0] == 0.0).all()
+
+    def test_masked_steps_match_the_reference_loop(self):
+        model = pipeline.make_toy(13, (6, 8, 2), n_samples=32)
+        ref = pipeline.ToyModel(model.dims, model.copy_weights(), model.inputs,
+                                model.targets, model.loss_kind)
+        masks = {k: (np.arange(v.size).reshape(v.shape) % 3 != 0).astype(np.uint8)
+                 for k, v in model.weights.items()}
+        pipeline.train_model(model, 20, 0.05, masks=masks)
+        reference_masked_training(ref, 20, 0.05, masks)
+        for k in masks:
+            np.testing.assert_array_equal(model.weights[k] == 0, ref.weights[k] == 0)
+            np.testing.assert_allclose(model.weights[k], ref.weights[k], rtol=0, atol=1e-12)
 
     def test_divergence_raises(self):
         model = pipeline.make_toy(17, (6, 8, 2), n_samples=16)

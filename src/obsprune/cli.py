@@ -48,6 +48,11 @@ from .tensorstore import (
     write_container,
 )
 
+
+class UsageError(Exception):
+    """A flag value that only a subcommand can check; exits 2 before any work."""
+
+
 _RUNTIME_ERRORS = (
     ContainerError,
     NumericalError,
@@ -268,6 +273,18 @@ def _write_model_container(path: str, weights, masks) -> None:
 
 
 def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
+    cfg = schedules.load_config(args.config) if args.config else {}
+    targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
+    interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
+    nm = getattr(args, "nm", None)
+    if require_targets and targets is None:
+        raise UsageError("a sweep needs --targets")
+    if targets is None and nm is None:
+        if args.sparsity is None:
+            raise UsageError("need --sparsity, --targets or --nm")
+        if not 0.0 <= args.sparsity <= 1.0:
+            raise UsageError(f"sparsity must be in [0, 1], got {args.sparsity}")
+
     model = pipeline.toy_train(
         args.seed, args.dims, args.steps, args.lr,
         n_samples=args.samples, noise=args.noise, loss=args.loss,
@@ -275,29 +292,19 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     out.write(f"train\tloss\t{_fmt(pipeline.model_loss(model))}\n")
     out.write(f"train\tgrad_norm\t{_fmt(pipeline.gradient_norm(model))}\n")
 
-    cfg = schedules.load_config(args.config) if args.config else {}
-    targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
-    interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
-    if require_targets and targets is None:
-        raise ValueError("a sweep needs --targets")
-
     checkpoints = []
+    spec = _spec_from_args(args)
     if targets is not None:
         interval = int(interval) if interval is not None else schedules.DEFAULT_PERIOD
         plan = schedules.plan_sweep(targets, interval)
-        spec = _spec_from_args(args)
         sched = _resolve_schedule(args, cfg, plan.interval)
         report, checkpoints = pipeline.run_gradual(
             model, spec, plan, sched, acyclic=args.acyclic
         )
     else:
-        spec = _spec_from_args(args)
         sched = _resolve_schedule(args, cfg, None)
-        sparsity = None if getattr(args, "nm", None) is not None else args.sparsity
-        if sparsity is None and getattr(args, "nm", None) is None:
-            raise ValueError("need --sparsity, --targets or --nm")
         report = pipeline.run_oneshot_finetune(
-            model, spec, sparsity, args.recovery, sched, acyclic=args.acyclic
+            model, spec, args.sparsity, args.recovery, sched, acyclic=args.acyclic
         )
     if args.extra_recovery:
         extra = (args.steps * 100) // 300
@@ -451,6 +458,9 @@ def main(argv=None, out=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return int(args.fn(args, out))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,14 @@ index order every pruning module uses.
 Tensor naming convention inside a container: ``layer.<id>.weight``,
 ``layer.<id>.grads`` (one row per sample), ``layer.<id>.mask`` and
 ``layer.<id>.prunable``.
+
+Reading maps the file copy-on-write instead of copying it into memory:
+every tensor is a writable view into one private mapping, pages are read
+only when touched, and writes to a view never reach the file. Writing never
+truncates a file in place, because touching a mapping of a truncated file
+kills the process with SIGBUS: the bytes go to a sibling temporary file
+that then atomically replaces the destination, so readers that still map
+the old file keep its old bytes.
 """
 
 from __future__ import annotations
@@ -171,7 +179,16 @@ class TensorContainer:
 
 
 def write_container(path: str, container: TensorContainer) -> None:
-    """Serialize ``container`` to ``path``. Same container, same bytes."""
+    """Serialize ``container`` to ``path``. Same container, same bytes.
+
+    The parts are streamed into a new sibling file, which then replaces
+    ``path`` (the target of ``path`` if it is a symlink) in one
+    ``os.replace``. Arrays read from the old file stay valid, and ``path``
+    may be one of the inputs the container was computed from. On any
+    failure the temporary file is removed and ``path`` is left untouched.
+    The new file gets the mode ``open(path, "wb")`` would leave: that of
+    the file it replaces, or 0o666 less the umask.
+    """
     if container.version != VERSION:
         raise UnsupportedVersionError(f"cannot write version {container.version}")
     parts = [MAGIC, struct.pack("<II", container.version, len(container.entries))]
@@ -181,9 +198,24 @@ def write_container(path: str, container: TensorContainer) -> None:
         parts.append(raw)
         parts.append(struct.pack("<BI", _NAME_TO_CODE[t.dtype], len(t.dims)))
         parts.append(struct.pack(f"<{len(t.dims)}Q", *t.dims))
-        parts.append(t.data.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        parts.append(t.data)  # contiguous little-endian, written without a copy
+    dest = os.path.realpath(path)
+    try:
+        mode = os.stat(dest).st_mode & 0o777
+    except FileNotFoundError:
+        mode = None
+    head, tail = os.path.split(dest)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    fh = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
+            fh.writelines(parts)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Cursor:
@@ -212,12 +244,18 @@ class _Cursor:
 def read_container(path: str) -> TensorContainer:
     """Parse a container file; raises a distinct error per failure mode.
 
-    The file is read once into one buffer; every tensor's data is a
-    writable view into that buffer, never a copy.
+    The file is mapped once, copy-on-write (``mmap.ACCESS_COPY``); every
+    tensor's data is a writable view into that one mapping, never a copy.
+    Pages are read from the file only when touched, and writes to a view
+    stay private to this process. ``write_container`` replaces files
+    instead of truncating them, so rewriting ``path`` leaves these views
+    valid.
     """
+    import mmap  # here, so that commands which read no container never load it
+
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf) :]
+        empty = os.fstat(fh.fileno()).st_size == 0  # mmap rejects empty files
+        buf = b"" if empty else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
     cur = _Cursor(memoryview(buf))
     magic = cur.take(4, "magic")
     if magic != MAGIC:

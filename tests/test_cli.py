@@ -120,6 +120,35 @@ class TestPrune:
         assert len([line for line in err_lines if "error:" in line]) == 1
         assert "--recompute" in err_lines[-1]
 
+    def test_out_may_name_the_weights_input(self, fixture_files):
+        # the weights are mapped while the output replaces the same path
+        wpath, gpath, tmp = fixture_files
+        argv = ("prune", "--weights", str(wpath), "--grads", str(gpath),
+                "--method", "ovit", "--sparsity", "0.5", "--block-size", "8")
+        code, apart = run_cli(*argv, "--out", str(tmp / "apart.ovpt"))
+        assert code == 0
+        code, in_place = run_cli(*argv, "--out", str(wpath))
+        assert (code, in_place) == (0, apart)
+        assert wpath.read_bytes() == (tmp / "apart.ovpt").read_bytes()
+
+    def test_nan_in_an_unused_gradient_row_exits_three(self, fixture_files, capsys):
+        wpath, gpath, tmp = fixture_files
+        box = read_container(gpath)
+        rows = {name: box[name].array().copy() for name in box}
+        rows["layer.1.grads"][-1, 0] = np.nan  # row 64 of 64; 8 are used
+        bad = TensorContainer()
+        for name, arr in rows.items():
+            bad.add(name, arr)
+        write_container(gpath, bad)
+        code, text = run_cli(
+            "prune", "--weights", str(wpath), "--grads", str(gpath),
+            "--method", "ovit", "--sparsity", "0.5", "--num-grads", "8",
+            "--out", str(tmp / "x.ovpt"),
+        )
+        assert (code, text) == (3, "")
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp / "x.ovpt").exists()
+
     def test_nm_block_size_rounding_warns_on_stderr_only(self, fixture_files, capsys):
         wpath, gpath, tmp = fixture_files
         runs = []
@@ -332,6 +361,28 @@ class TestToyAndSweep:
             "--nm", "2:4", "--block-size", "8", *extra,
         )
         assert (code, text) == (2, "")  # rejected before training starts
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--out", "cp"),
+        ("sweep", "--out", "cp", "--config", "CFG"),
+        ("toy",),
+        ("toy", "--sparsity", "1.5"),
+    ], ids=["sweep", "sweep-config", "toy", "toy-sparsity"])
+    def test_missing_or_bad_target_exits_two_before_training(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr.max = 1e-3\nsweep.interval = 10\n")  # no sweep.targets
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the target")
+
+        monkeypatch.setattr(pipeline, "toy_train", no_training)
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        code, text = run_cli(*argv, "--seed", "7", "--dims", "6,8,4", "--steps", "40")
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("recompute", ["1", "3"])
     def test_toy_per_layer_prunes_every_layer_to_the_target(self, recompute):

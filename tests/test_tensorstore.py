@@ -1,13 +1,20 @@
 """Container format: round trips, error taxonomy, naming helpers."""
 
-import io
+import os
+import pathlib
+import stat
 import struct
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obsprune
 from obsprune.tensorstore import (
     BadMagicError,
     ContainerError,
@@ -144,6 +151,13 @@ def test_truncation_fuzz_never_misparses(tmp_path_factory, data):
         read_container(path)
 
 
+def test_empty_file_raises_truncated(tmp_path):
+    path = tmp_path / "empty.ovpt"
+    path.write_bytes(b"")
+    with pytest.raises(TruncatedError):
+        read_container(path)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     box = TensorContainer()
     box.add("x", np.zeros(3))
@@ -209,3 +223,116 @@ def test_layer_naming_and_discovery():
     box.add(grads_name("0"), np.zeros((1, 2)))
     box.add(mask_name("0"), np.zeros(2, dtype=np.uint8))
     assert layer_ids(box) == ["0", "2"]
+
+
+# -- mapped reads and atomic writes --------------------------------------------
+
+_OVERWRITE_SCRIPT = """
+import sys
+import numpy as np
+from obsprune.tensorstore import TensorContainer, read_container, write_container
+
+path = sys.argv[1]
+old = np.arange(1 << 17, dtype=np.float64)  # 1 MiB: many pages past the new end
+box = TensorContainer()
+box.add("x", old)
+write_container(path, box)
+alive = read_container(path)["x"].array()
+small = TensorContainer()
+small.add("x", np.float32([7.0, 8.0]))
+write_container(path, small)
+assert np.array_equal(alive, old), "old arrays changed"
+assert read_container(path) == small, "file does not hold the new container"
+print("ok")
+"""
+
+
+def test_overwriting_a_read_file_leaves_its_arrays_alive(tmp_path):
+    # a mapping of a file truncated in place dies with SIGBUS when touched,
+    # so run in a child: a regression fails this test instead of pytest
+    src = str(pathlib.Path(obsprune.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_OVERWRITE_SCRIPT),
+         str(tmp_path / "t.ovpt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_editing_a_read_array_leaves_the_file_unchanged(tmp_path):
+    box = TensorContainer()
+    box.add(weight_name("0"), np.arange(6, dtype=np.float64).reshape(2, 3))
+    path = tmp_path / "t.ovpt"
+    write_container(path, box)
+    before = path.read_bytes()
+    arr = read_container(path)[weight_name("0")].array()
+    arr[...] = -1.0  # copy-on-write: private to this process
+    assert (arr == -1.0).all()
+    assert path.read_bytes() == before
+    assert read_container(path) == box
+
+
+def test_read_does_not_copy_the_file(tmp_path):
+    box = TensorContainer()
+    box.add(grads_name("0"), np.ones((1 << 11, 1 << 10), dtype=np.float64))  # 16 MiB
+    path = tmp_path / "big.ovpt"
+    write_container(path, box)
+    tracemalloc.start()
+    try:
+        out = read_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[grads_name("0")].dims == (1 << 11, 1 << 10)
+    assert peak < 1 << 20
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path):
+    dest = tmp_path / "dest.ovpt"
+    dest.mkdir()
+    (dest / "inside").write_bytes(b"keep")
+    box = TensorContainer()
+    box.add("x", np.zeros(3))
+    with pytest.raises(OSError):
+        write_container(dest, box)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dest.ovpt"]
+    assert [p.name for p in dest.iterdir()] == ["inside"]
+    assert (dest / "inside").read_bytes() == b"keep"
+
+
+def test_failed_write_leaves_the_old_file_intact(tmp_path, monkeypatch):
+    old, new = TensorContainer(), TensorContainer()
+    old.add("x", np.zeros(3))
+    new.add("x", np.ones(5))
+    path = tmp_path / "t.ovpt"
+    write_container(path, old)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_container(path, new)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.ovpt"]
+
+
+def test_write_follows_symlinks_and_keeps_the_open_mode(tmp_path):
+    box = TensorContainer()
+    box.add("x", np.arange(3.0))
+    target, link = tmp_path / "target.ovpt", tmp_path / "link.ovpt"
+    write_container(target, box)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    box2 = TensorContainer()
+    box2.add("x", np.arange(4.0))
+    write_container(link, box2)
+    assert link.is_symlink()
+    assert read_container(target) == box2
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640

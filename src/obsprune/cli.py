@@ -115,7 +115,8 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--acyclic", action="store_true",
                    help="single linear decay instead of cycling")
     p.add_argument("--config", default=None,
-                   help="key-value config file (lr.*, sweep.*); flags win")
+                   help="key-value config file (lr.*, sweep.*); flags win, but "
+                        "--sparsity or --nm next to sweep.targets is an error")
 
 
 def _add_toy_flags(p: argparse.ArgumentParser) -> None:
@@ -277,6 +278,10 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
     interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
     nm = getattr(args, "nm", None)
+    if args.targets is None and targets is not None:
+        for flag, value in (("--sparsity", args.sparsity), ("--nm", nm)):
+            if value is not None:
+                raise UsageError(f"{flag} conflicts with sweep.targets in --config")
     if require_targets and targets is None:
         raise UsageError("a sweep needs --targets")
     if targets is None and nm is None:

@@ -5,6 +5,13 @@ by full-batch gradient descent on planted-teacher data, with mean squared
 error or multinomial logistic loss. Everything is seeded and the sample
 order is fixed, so every run is reproducible from (seed, config).
 
+Training and the batch gradient run through one private workspace that
+holds every forward/backward buffer of a model shape (activations,
+outputs, residual, backpropagated residual and the per-layer gradients)
+and computes into them with ``out=`` operations. ``train_model`` builds
+one workspace per call and reuses it for every step; it copies the
+weights once on entry and then updates the copies in place.
+
 ``make_quadratic_toy`` builds the special least-squares instance used by
 the predicted-vs-true agreement tests: inputs come in +/- residual pairs
 around a planted optimum, so the per-sample gradients at the optimum are
@@ -56,35 +63,83 @@ class ToyModel:
         return {k: v.copy() for k, v in self.weights.items()}
 
 
-def _forward(model: ToyModel, weights: Mapping[str, np.ndarray], X: np.ndarray):
-    if len(model.dims) == 2:
-        return X @ weights["0"].T, (X, None)
-    z1 = X @ weights["0"].T
-    a = np.tanh(z1)
-    return a @ weights["1"].T, (X, a)
+class _Workspace:
+    """Every buffer one forward/backward pass over the first ``n`` samples
+    of ``model`` needs, allocated once and reused by each pass.
 
+    ``gradient`` returns the workspace's own gradient buffers, which the
+    next pass overwrites.
+    """
 
-def _residuals(model: ToyModel, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and d(loss)/d(out)."""
-    if model.loss_kind == "mse":
-        r = out - model.targets
-        return 0.5 * np.sum(r * r, axis=1), r
-    if model.loss_kind == "logistic":
+    def __init__(self, model: ToyModel, n: int | None = None) -> None:
+        if model.loss_kind not in ("mse", "logistic"):
+            raise ValueError(f"unknown loss kind {model.loss_kind!r}")
+        n = model.num_samples if n is None else n
+        self.logistic = model.loss_kind == "logistic"
+        self.X = model.inputs[:n]
+        self.targets = model.targets[:n]
+        self.labels = self.targets.astype(np.int64) if self.logistic else None
+        self.out = np.empty((n, model.dims[-1]))
+        self.r = np.empty_like(self.out)
+        self.a = None
+        if len(model.dims) == 3:
+            self.a = np.empty((n, model.dims[1]))
+            self.back = np.empty_like(self.a)
+            self.scratch = np.empty_like(self.a)
+        self.grads = {k: np.empty(np.shape(w)) for k, w in model.weights.items()}
+
+    def forward(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        if self.a is None:
+            return np.matmul(self.X, weights["0"].T, out=self.out)
+        np.matmul(self.X, weights["0"].T, out=self.a)
+        np.tanh(self.a, out=self.a)
+        return np.matmul(self.a, weights["1"].T, out=self.out)
+
+    def residual(self) -> np.ndarray:
+        """d(loss)/d(out) per sample, for the last forward pass."""
+        out, r = self.out, self.r
+        if not self.logistic:
+            return np.subtract(out, self.targets, out=r)
+        np.subtract(out, out.max(axis=1, keepdims=True), out=r)
+        np.exp(r, out=r)
+        np.divide(r, np.sum(r, axis=1, keepdims=True), out=r)
+        r[np.arange(out.shape[0]), self.labels] -= 1.0
+        return r
+
+    def loss(self, weights: Mapping[str, np.ndarray]) -> float:
+        """Mean per-sample loss."""
+        out = self.forward(weights)
+        if not self.logistic:
+            r = out - self.targets
+            return float((0.5 * np.sum(r * r, axis=1)).mean())
         shifted = out - out.max(axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=1)) + out.max(axis=1)
-        labels = model.targets.astype(np.int64)
-        losses = logz - out[np.arange(out.shape[0]), labels]
-        p = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-        p[np.arange(out.shape[0]), labels] -= 1.0
-        return losses, p
-    raise ValueError(f"unknown loss kind {model.loss_kind!r}")
+        return float((logz - out[np.arange(out.shape[0]), self.labels]).mean())
+
+    def gradient(self, weights: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Mean loss gradient per layer: ``r.T @ X / n`` for a lone layer;
+        with a hidden layer, ``backprop(r).T @ X / n`` for it and
+        ``r.T @ a / n`` for the output layer."""
+        self.forward(weights)
+        r = self.residual()
+        n, g = self.X.shape[0], self.grads
+        first = r if self.a is None else self.backprop(r, weights)
+        np.divide(np.matmul(first.T, self.X, out=g["0"]), n, out=g["0"])
+        if self.a is not None:
+            np.divide(np.matmul(r.T, self.a, out=g["1"]), n, out=g["1"])
+        return g
+
+    def backprop(self, r: np.ndarray, weights: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The residual ``r`` carried back through the tanh to the hidden
+        layer, ``(r @ W1) * (1 - a*a)``."""
+        np.matmul(r, weights["1"], out=self.back)
+        np.multiply(self.a, self.a, out=self.scratch)
+        np.subtract(1.0, self.scratch, out=self.scratch)
+        return np.multiply(self.back, self.scratch, out=self.back)
 
 
 def model_loss(model: ToyModel, weights: Mapping[str, np.ndarray] | None = None) -> float:
-    weights = model.weights if weights is None else weights
-    out, _ = _forward(model, weights, model.inputs)
-    losses, _ = _residuals(model, out)
-    return float(losses.mean())
+    return _Workspace(model).loss(model.weights if weights is None else weights)
 
 
 def per_sample_gradients(
@@ -98,39 +153,23 @@ def per_sample_gradients(
     n = model.num_samples if n is None else n
     if not 1 <= n <= model.num_samples:
         raise ValueError(f"n={n} out of range, dataset has {model.num_samples} samples")
-    X = model.inputs[:n]
-    out, cache = _forward(model, weights, X)
-    if model.loss_kind == "mse":
-        r = out - model.targets[:n]
-    else:
-        _, r = _residuals(
-            ToyModel(model.dims, dict(weights), X, model.targets[:n], model.loss_kind),
-            out,
-        )
-    if len(model.dims) == 2:
+    ws = _Workspace(model, n)
+    ws.forward(weights)
+    r, X, a = ws.residual(), ws.X, ws.a
+    if a is None:
         g0 = np.einsum("no,ni->noi", r, X).reshape(n, -1)
         return {"0": g0}
-    _, a = cache
     g1 = np.einsum("no,nh->noh", r, a).reshape(n, -1)
-    back = (r @ weights["1"]) * (1.0 - a * a)
-    g0 = np.einsum("nh,ni->nhi", back, X).reshape(n, -1)
+    g0 = np.einsum("nh,ni->nhi", ws.backprop(r, weights), X).reshape(n, -1)
     return {"0": g0, "1": g1}
 
 
 def batch_gradient(
     model: ToyModel, weights: Mapping[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
-    """Mean loss gradient per layer, in the weight's shape: ``r.T @ X / n``
-    from one forward pass (the residual backpropagated through the tanh for
-    the hidden layer), without forming the (n, d) per-sample rows."""
-    weights = model.weights if weights is None else weights
-    out, (X, a) = _forward(model, weights, model.inputs)
-    _, r = _residuals(model, out)
-    n = model.num_samples
-    if a is None:
-        return {"0": r.T @ X / n}
-    back = (r @ weights["1"]) * (1.0 - a * a)
-    return {"0": back.T @ X / n, "1": r.T @ a / n}
+    """Mean loss gradient per layer, in the weight's shape, from one pass of
+    a fresh workspace; no (n, d) per-sample rows are formed."""
+    return _Workspace(model).gradient(model.weights if weights is None else weights)
 
 
 def gradient_norm(model: ToyModel) -> float:
@@ -228,30 +267,36 @@ def train_model(
     masks: Mapping[str, np.ndarray] | None = None,
     start_step: int = 0,
 ) -> float:
-    """Full-batch gradient descent in place; returns the final loss.
+    """Full-batch gradient descent; returns the final loss.
 
-    With ``masks`` given, masked-out weights are pinned to zero after
-    every step (frozen-support recovery). Raises DivergenceError if the
-    weights or the loss stop being finite.
+    Copies each of ``model.weights`` once, then updates the copies in place
+    from one workspace reused by every step, so no array the caller held
+    is written. With ``masks`` given, masked-out weights are pinned to zero
+    after every step (frozen-support recovery). Raises DivergenceError if
+    the weights or the loss stop being finite.
     """
     lr_fn = lr if callable(lr) else (lambda _t: lr)
+    weights = model.weights
     drop = None
     if masks is not None:
-        drop = {k: np.asarray(m).reshape(model.weights[k].shape) == 0 for k, m in masks.items()}
-        for k, d in drop.items():
-            model.weights[k] = model.weights[k] * ~d
+        drop = {k: np.asarray(m).reshape(weights[k].shape) == 0 for k, m in masks.items()}
+    for k, w in weights.items():
+        w = np.asarray(w, dtype=np.float64)
+        weights[k] = w.copy() if drop is None else w * ~drop[k]
+    ws = _Workspace(model)
     # overflow on a diverging run is detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            g = batch_gradient(model)
+            g = ws.gradient(weights)
             eta = float(lr_fn(start_step + t))
-            for k in model.weights:
-                model.weights[k] = model.weights[k] - eta * g[k]
+            for k, w in weights.items():
+                np.multiply(g[k], eta, out=g[k])
+                np.subtract(w, g[k], out=w)
                 if drop is not None:
-                    model.weights[k][drop[k]] = 0.0
-            if not all(np.all(np.isfinite(v)) for v in model.weights.values()):
+                    w[drop[k]] = 0.0
+            if not all(np.all(np.isfinite(v)) for v in weights.values()):
                 raise DivergenceError(f"non-finite weights at step {start_step + t}")
-    loss = model_loss(model)
+    loss = ws.loss(weights)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss after training")
     return loss

@@ -384,6 +384,28 @@ class TestToyAndSweep:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("toy", "--sparsity", "0.9"),
+        ("toy", "--nm", "2:4"),
+        ("sweep", "--sparsity", "0.9", "--out", "cp"),
+    ], ids=["toy-sparsity", "toy-nm", "sweep-sparsity"])
+    def test_target_flag_next_to_config_targets_exits_two_before_training(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep.targets = 0.3, 0.6\nsweep.interval = 10\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the target")
+
+        monkeypatch.setattr(pipeline, "toy_train", no_training)
+        code, text = run_cli(*argv, "--config", str(cfg), "--seed", "5",
+                             "--dims", "6,8,4", "--steps", "50")
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        assert "sweep.targets" in err_lines[0] and argv[1] in err_lines[0]
+
     @pytest.mark.parametrize("recompute", ["1", "3"])
     def test_toy_per_layer_prunes_every_layer_to_the_target(self, recompute):
         # layers of 35 and 21 weights: 0.5 rounds half-up to 18 and 11 zeros

@@ -44,6 +44,73 @@ def reference_masked_training(model, steps, lr, masks):
 TOYS = [((6, 4), "mse"), ((5, 8, 3), "mse"), ((6, 4), "logistic"), ((5, 8, 3), "logistic")]
 
 
+def reference_forward(model, weights):
+    """Hidden activations (None for one layer) and outputs, in fresh arrays."""
+    X = model.inputs
+    if len(model.dims) == 2:
+        return None, X @ weights["0"].T
+    a = np.tanh(X @ weights["0"].T)
+    return a, a @ weights["1"].T
+
+
+def reference_step_gradient(model, weights):
+    """The mean gradient of one step, computed with fresh arrays by the
+    same operations in the same order as the training workspace."""
+    X, n = model.inputs, model.num_samples
+    a, out = reference_forward(model, weights)
+    if model.loss_kind == "mse":
+        r = out - model.targets
+    else:
+        shifted = out - out.max(axis=1, keepdims=True)
+        r = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
+        r[np.arange(n), model.targets.astype(np.int64)] -= 1.0
+    if a is None:
+        return {"0": r.T @ X / n}
+    back = (r @ weights["1"]) * (1.0 - a * a)
+    return {"0": back.T @ X / n, "1": r.T @ a / n}
+
+
+def reference_loss(model):
+    _, out = reference_forward(model, model.weights)
+    if model.loss_kind == "mse":
+        r = out - model.targets
+        return float((0.5 * np.sum(r * r, axis=1)).mean())
+    shifted = out - out.max(axis=1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=1)) + out.max(axis=1)
+    return float((logz - out[np.arange(out.shape[0]), model.targets.astype(np.int64)]).mean())
+
+
+def reference_train_model(model, steps, lr, masks=None, start_step=0):
+    """Full-batch descent that allocates fresh weights and temporaries at
+    every step; returns the final loss."""
+    lr_fn = lr if callable(lr) else (lambda _t: lr)
+    drop = None
+    if masks is not None:
+        drop = {k: np.asarray(m).reshape(model.weights[k].shape) == 0 for k, m in masks.items()}
+        for k, d in drop.items():
+            model.weights[k] = model.weights[k] * ~d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            g = reference_step_gradient(model, model.weights)
+            eta = float(lr_fn(start_step + t))
+            for k in model.weights:
+                model.weights[k] = model.weights[k] - eta * g[k]
+                if drop is not None:
+                    model.weights[k][drop[k]] = 0.0
+            if not all(np.all(np.isfinite(v)) for v in model.weights.values()):
+                raise pipeline.DivergenceError(f"non-finite weights at step {start_step + t}")
+    return reference_loss(model)
+
+
+def twin(model):
+    return pipeline.ToyModel(model.dims, model.copy_weights(), model.inputs,
+                             model.targets, model.loss_kind)
+
+
+def every_third_pruned(model):
+    return {k: (np.arange(v.size) % 3 != 0).astype(np.uint8) for k, v in model.weights.items()}
+
+
 class TestGradients:
     @pytest.mark.parametrize("dims,loss", TOYS)
     def test_batch_gradient_matches_the_mean_of_per_sample_rows(self, dims, loss):
@@ -145,6 +212,63 @@ class TestTraining:
         for k in masks:
             np.testing.assert_array_equal(model.weights[k] == 0, ref.weights[k] == 0)
             np.testing.assert_allclose(model.weights[k], ref.weights[k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,loss", TOYS)
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    @pytest.mark.parametrize("lr,start_step", [
+        (0.05, 0),
+        (lambda t: 0.08 / (1 + t), 0),
+        (lambda t: 0.08 / (1 + t), 7),
+    ], ids=["constant", "callable", "callable-offset"])
+    def test_steps_are_bit_identical_to_the_reference_loop(self, dims, loss, masked, lr,
+                                                            start_step):
+        model = pipeline.make_toy(83, dims, n_samples=40, noise=0.3, loss=loss)
+        ref = twin(model)
+        masks = every_third_pruned(model) if masked else None
+        got = pipeline.train_model(model, 40, lr, masks=masks, start_step=start_step)
+        want = reference_train_model(ref, 40, lr, masks=masks, start_step=start_step)
+        assert got == want
+        assert list(model.weights) == list(ref.weights)
+        for k in ref.weights:
+            assert np.array_equal(model.weights[k], ref.weights[k])
+
+    def test_divergence_stops_at_the_reference_step(self):
+        model = pipeline.make_toy(17, (6, 8, 2), n_samples=16)
+        ref = twin(model)
+        with pytest.raises(pipeline.DivergenceError) as want:
+            reference_train_model(ref, 200, 1e4)
+        with pytest.raises(pipeline.DivergenceError) as got:
+            pipeline.train_model(model, 200, 1e4)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_arrays_the_caller_holds_are_never_written(self, masked):
+        model = pipeline.make_toy(89, (6, 8, 3), n_samples=24)
+        flat = np.concatenate([v.reshape(-1) for v in model.weights.values()])
+        held = flat.copy()
+        # per-layer views into one vector, as split_by_layer hands them out
+        offsets = np.cumsum([0] + [v.size for v in model.weights.values()])
+        model.weights = {k: flat[offsets[i]:offsets[i + 1]].reshape(v.shape)
+                         for i, (k, v) in enumerate(model.weights.items())}
+        views = dict(model.weights)
+        masks = every_third_pruned(model) if masked else None
+        pipeline.train_model(model, 15, 0.05, masks=masks)
+        assert flat.tobytes() == held.tobytes()
+        for k, v in views.items():
+            assert model.weights[k] is not v
+            assert not np.shares_memory(model.weights[k], flat)
+
+    def test_workspace_reuses_its_buffers(self):
+        model = pipeline.make_toy(97, (5, 8, 3), n_samples=30)
+        ws = pipeline._Workspace(model)
+        first = ws.gradient(model.weights)
+        other = {k: 2.0 * v for k, v in model.weights.items()}
+        second = ws.gradient(other)
+        want = pipeline.batch_gradient(model, other)
+        for k in want:
+            assert second[k] is first[k]
+            assert np.shares_memory(second[k], ws.grads[k])
+            assert np.array_equal(second[k], want[k])
 
     def test_divergence_raises(self):
         model = pipeline.make_toy(17, (6, 8, 2), n_samples=16)

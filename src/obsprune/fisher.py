@@ -10,9 +10,15 @@ batches, in one of two exact forms:
     N >= B:  F_b^-1 = (R_b^T R_b / N + lambda*I)^-1            (LU)
     N <  B:  F_b^-1 = (1/lambda) * (I - R_b^T (N*lambda*I + R_b R_b^T)^-1 R_b)
 
-The second (Woodbury) form needs only an N x N solve and stays well
-conditioned at tiny dampening. Rows are converted to float64 one chunk
-of blocks at a time, so float32 gradient files are never widened whole.
+The second (Woodbury) form needs only one N x N inverse and stays well
+conditioned at tiny dampening.
+
+``iter_block_inverses`` is the one build: it validates the rows, then
+yields the inverses as (nb, B, B) stacks of consecutive blocks, one
+chunk of blocks at a time, so rows are widened to float64 a chunk at a
+time and a consumer that frees each stack (the greedy solver) never
+holds the whole inverse. ``build_fisher_inverse`` collects the stream
+into a ``FisherBlockInverse`` for callers that need every block at once.
 
 ``eliminate_index`` downdates an inverse after a coordinate is removed
 from the system (Schur complement step): the remaining entries become the
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -144,21 +150,25 @@ def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
         return np.linalg.inv(gram)
     small = rows3 @ rows_t
     small[:, diag[:n], diag[:n]] += n * lam
-    out = rows_t @ np.linalg.solve(small, rows3)
+    out = rows_t @ (np.linalg.inv(small) @ rows3)
     np.negative(out, out=out)
     out[:, diag, diag] += 1.0
     out /= lam
     return out
 
 
-def build_fisher_inverse(
+def iter_block_inverses(
     grads: GradientSet | np.ndarray, config: FisherConfig
-) -> FisherBlockInverse:
-    """Build per-block inverses of lambda*I + (1/N) sum g g^T.
+) -> Iterator[np.ndarray]:
+    """Per-block inverses of lambda*I + (1/N) sum g g^T, as a stream.
 
-    Uses the first ``min(num_grads, rows)`` rows in their stored dtype and
-    widens them to float64 one chunk of blocks at a time. Raises ValueError
-    on an empty sample set or on non-finite values in any row, used or not.
+    Validates the rows at the call, before any block is built: raises
+    ValueError on an empty sample set or on non-finite values in any row,
+    used or not. The returned iterator then yields (nb, B, B) float64
+    stacks of consecutive blocks in weight order: the full blocks, about
+    ``CHUNK_VALUES`` widened gradient values at a time, then the trailing
+    partial block on its own. Uses the first ``min(num_grads, rows)`` rows
+    in their stored dtype.
     """
     samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -170,7 +180,13 @@ def build_fisher_inverse(
         if not np.isfinite(samples[lo : lo + step]).all():
             raise ValueError("gradient samples contain non-finite values")
     n_used = min(int(config.num_grads), samples.shape[0])
-    used = samples[:n_used]
+    return _inverse_stacks(samples[:n_used], sizes, config)
+
+
+def _inverse_stacks(
+    used: np.ndarray, sizes: list[int], config: FisherConfig
+) -> Iterator[np.ndarray]:
+    n_used, dim = used.shape
     lam = float(config.dampening)
     bs = config.block_size
     n_main = dim // bs
@@ -182,26 +198,22 @@ def build_fisher_inverse(
             np.ascontiguousarray(rows3.transpose(1, 0, 2), dtype=np.float64), lam
         )
 
-    inv3 = np.empty((n_main, bs, bs))
     for b in range(0, n_main, per_chunk):
-        e = min(b + per_chunk, n_main)
-        inv3[b:e] = invert(b * bs, e * bs, bs)
-    blocks = list(inv3)
+        yield invert(b * bs, min(b + per_chunk, n_main) * bs, bs)
     if len(sizes) > n_main:  # trailing partial block
-        blocks.append(invert(n_main * bs, dim, sizes[-1])[0])
-    return FisherBlockInverse(blocks, config)
+        yield invert(n_main * bs, dim, sizes[-1])
 
 
-def concat_inverses(parts: Sequence[FisherBlockInverse]) -> FisherBlockInverse:
-    """Stack per-layer inverses into one global block structure.
+def build_fisher_inverse(
+    grads: GradientSet | np.ndarray, config: FisherConfig
+) -> FisherBlockInverse:
+    """The whole block inverse: every stack of ``iter_block_inverses``, kept."""
+    return collect_inverses(iter_block_inverses(grads, config), config)
 
-    Blocks never span layers: the result's partition is the concatenation
-    of the parts' partitions, in order.
-    """
-    if not parts:
-        raise ValueError("need at least one inverse to concatenate")
-    blocks = [b for p in parts for b in p.blocks]
-    return FisherBlockInverse(blocks, parts[0].config)
+
+def collect_inverses(stacks: Iterable[np.ndarray], config: FisherConfig) -> FisherBlockInverse:
+    """One ``FisherBlockInverse`` holding every block of ``stacks``, in order."""
+    return FisherBlockInverse([blk for stack in stacks for blk in stack], config)
 
 
 def eliminate_index(inv_block: np.ndarray, i: int, floor: float = EPS_FLOOR) -> np.ndarray:

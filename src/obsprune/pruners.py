@@ -12,7 +12,10 @@
 ``run_pruner`` flattens the layers, validates ``pinned`` and the target,
 and resolves a sparsity into a zero count k once per call, over the whole
 model or, in per-layer mode, over each layer; ``prune_with_recompute``
-reaches a sparsity in several ``run_pruner`` calls. All methods share the
+reaches a sparsity in several ``run_pruner`` calls. ``ovit`` hands each
+layer's stream of block inverses (``layered_inverse_stacks``) straight to
+the solver, so it never holds the whole inverse; ``wf`` collects it
+whole (``build_layered_inverse``). All methods share the
 weight indexing convention (layers concatenated in mapping order, each
 flattened row-major), respect prunability masks, and break score ties by
 global index. ``pinned`` indices are pruned unconditionally (used to keep
@@ -21,10 +24,11 @@ masks monotone across repeated pruning).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,9 +38,9 @@ from .fisher import (
     EPS_FLOOR,
     FisherBlockInverse,
     FisherConfig,
-    build_fisher_inverse,
-    concat_inverses,
+    collect_inverses,
     freeze_indices,
+    iter_block_inverses,
 )
 from .solver import LayerLayout, PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
@@ -126,11 +130,8 @@ def split_by_layer(vec: np.ndarray, layout: Sequence[LayerLayout]) -> dict[str, 
     return out
 
 
-def build_layered_inverse(
-    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig
-) -> FisherBlockInverse:
-    """Per-layer block inverses, concatenated; blocks never span layers."""
-    parts = []
+def _check_grads(grads: GradMap, layout: Sequence[LayerLayout]) -> None:
+    """Every layer has a gradient set of its width."""
     for lay in layout:
         if lay.name not in grads:
             raise ValueError(f"no gradient set for layer {lay.name!r}")
@@ -140,8 +141,22 @@ def build_layered_inverse(
                 f"gradient rows for {lay.name!r} have width {gs.dim}, "
                 f"layer has {lay.size} weights"
             )
-        parts.append(build_fisher_inverse(gs, config))
-    return concat_inverses(parts)
+
+
+def layered_inverse_stacks(
+    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig
+) -> Iterator[np.ndarray]:
+    """Every layer's block-inverse stacks, in weight order; blocks never
+    span layers. Every layer's rows are validated before any block is built."""
+    streams = [iter_block_inverses(grads[lay.name], config) for lay in layout]
+    return itertools.chain.from_iterable(streams)
+
+
+def build_layered_inverse(
+    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig
+) -> FisherBlockInverse:
+    """Per-layer block inverses, concatenated into one whole inverse."""
+    return collect_inverses(layered_inverse_stacks(grads, layout, config), config)
 
 
 # -- methods -----------------------------------------------------------------
@@ -215,8 +230,8 @@ def _prune_pool(
     """Prune the k cheapest weights of one pool with the spec's method."""
     if spec.method != "ovit":
         return _prune_frozen(spec, w, pr, pin, k, layout, grads)
-    inv = build_layered_inverse(grads, layout, spec.fisher)
-    return solve_global(w, inv, k, prunable=pr, pinned=np.flatnonzero(pin), layout=layout)
+    stacks = layered_inverse_stacks(grads, layout, spec.fisher)
+    return solve_global(w, stacks, k, prunable=pr, pinned=np.flatnonzero(pin), layout=layout)
 
 
 def _resolve_k(
@@ -251,13 +266,16 @@ def run_pruner(
 
     Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target;
     ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
-    instead of to one global pool. Layers are flattened, and ``pinned``
-    and the target are validated, once per call.
+    instead of to one global pool. Layers are flattened, and ``pinned``,
+    the target and every layer's gradient set are validated, once per
+    call and before any inverse is built.
     """
     w, pr, layout = flatten_layers(_as_map(weights), prunable)
     pin = pinned_mask(pinned, pr)
-    if grads is None and spec.method != "gm":
-        raise ValueError(f"method {spec.method!r} needs gradient rows")
+    if spec.method != "gm":
+        if grads is None:
+            raise ValueError(f"method {spec.method!r} needs gradient rows")
+        _check_grads(grads, layout)
     if spec.nm is not None:
         if sparsity is not None or k is not None:
             raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
@@ -274,8 +292,8 @@ def run_pruner(
                 stacklevel=2,
             )
             cfg = replace(cfg, block_size=rounded)
-        inv = build_layered_inverse(grads, layout, cfg)
-        return solve_nm(w, inv, n, m, prunable=pr, layout=layout)
+        stacks = layered_inverse_stacks(grads, layout, cfg)
+        return solve_nm(w, stacks, n, m, prunable=pr, layout=layout)
     if (sparsity is None) == (k is None):
         raise ValueError("exactly one of sparsity or k is required")
 

@@ -19,8 +19,17 @@ so the kernel keeps the initial inverses H0, the accumulated scaled
 columns c and a running diagonal ``D -= c**2``, and forms only the one
 column each step needs, ``H[:, i] = H0[:, i] - C^T C[:, i]``. Columns are
 exactly zero at eliminated and frozen coordinates. Per block of size B
-this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time and O(d*B)
-memory overall, for the global snapshots as for the kernel's scratch.
+this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time overall.
+
+The kernel consumes block inverses as a stream of (nb, B, B) stacks in
+weight order, straight from ``fisher.iter_block_inverses``, and solves
+and frees each stack before it draws the next; a whole
+``FisherBlockInverse`` is read as the same stream. Stacks are regrouped
+into passes of ``SOLVE_CHUNK_VALUES`` values: larger ones are split into
+views, and consecutive ones of one size are joined across layer
+boundaries. So an N:M solve holds one chunk of inverses and its scratch
+at a time, while a global solve also keeps its per-step snapshots, which
+take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -40,7 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,11 +57,10 @@ from .fisher import (
     EPS_FLOOR,
     DegenerateCurvatureWarning,
     FisherBlockInverse,
-    FisherConfig,
 )
 
-#: float64 values of stacked initial inverses per kernel chunk (64 blocks
-#: at B=64); the chunk's columns, snapshots and copies scale with it
+#: float64 values of initial inverses per lockstep pass (64 blocks at
+#: B=64); the pass's columns and snapshots scale with it
 SOLVE_CHUNK_VALUES = 1 << 18
 
 
@@ -220,35 +228,91 @@ def _eliminate_stack(
     ]
 
 
+InverseStacks = FisherBlockInverse | Iterable[np.ndarray]
+
+
+def _as_stacks(inv: InverseStacks) -> Iterable[np.ndarray]:
+    """A ``FisherBlockInverse`` as one (1, B, B) float64 stack per block."""
+    if isinstance(inv, FisherBlockInverse):
+        return (np.asarray(b, dtype=np.float64)[None] for b in inv.blocks)
+    return inv
+
+
+def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Regroup stacks into lockstep passes of at most ``SOLVE_CHUNK_VALUES``
+    values: larger stacks are split into views, and consecutive stacks of
+    one block size are joined (across layer boundaries) up to the budget.
+    A pass is handed on as soon as it is full, before the next stack is
+    drawn."""
+
+    def joined(held: list[np.ndarray]) -> np.ndarray:
+        return held[0] if len(held) == 1 else np.concatenate(held)
+
+    held: list[np.ndarray] = []
+    count = 0
+    for stack in stacks:
+        bs = stack.shape[1]
+        if held and held[0].shape[1] != bs:
+            yield joined(held)
+            held, count = [], 0
+        per_pass = max(1, SOLVE_CHUNK_VALUES // (bs * bs))
+        lo = 0
+        while lo < len(stack):
+            held.append(stack[lo : lo + per_pass - count])
+            count += len(held[-1])
+            lo += len(held[-1])
+            if count == per_pass:
+                yield joined(held)
+                held, count = [], 0
+        del stack  # unless a view of it is held, free it before the next is built
+    if held:
+        yield joined(held)
+
+
 def eliminate_blocks(
     w: np.ndarray,
-    inv: FisherBlockInverse,
+    inv: InverseStacks,
     prunable: np.ndarray,
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
     keep_states: bool = True,
 ) -> list[BlockTrace]:
-    """Greedy traces of every block of ``inv``, one lockstep pass per
-    chunk of same-size blocks; warns once if any pivot was clamped.
+    """Greedy traces of every block, one lockstep pass per chunk of
+    consecutive same-size blocks; warns once if any pivot was clamped.
 
-    ``w``, ``prunable`` and ``pinned`` are global flat vectors. With ``nm``
-    the greedy respects n:m group quotas and ``pinned`` must be empty.
+    ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
+    stacks of consecutive block inverses in weight order, such as
+    ``fisher.iter_block_inverses``; each stack is solved and released
+    before the next is drawn. ``w``, ``prunable`` and ``pinned`` are
+    global flat vectors. With ``nm`` the greedy respects n:m group quotas,
+    every block boundary must be a multiple of m, and ``pinned`` must be
+    empty.
     """
     w = np.asarray(w, dtype=np.float64)
     if pinned is None:
         pinned = np.zeros(w.size, dtype=bool)
-    sizes = np.diff(inv.offsets)
-    traces: list[BlockTrace] = [None] * inv.num_blocks  # type: ignore[list-item]
-    for bs in np.unique(sizes):
-        ids = np.flatnonzero(sizes == bs)
-        per_chunk = max(1, SOLVE_CHUNK_VALUES // int(bs * bs))
-        for lo in range(0, ids.size, per_chunk):
-            part = ids[lo : lo + per_chunk]
-            idx = inv.offsets[part][:, None] + np.arange(bs)
-            cols0 = np.stack([inv.blocks[b].T for b in part], dtype=np.float64)
-            for trace in _eliminate_stack(part, cols0, w[idx], prunable[idx], pinned[idx],
-                                          nm, keep_states):
-                traces[trace.block_id] = trace
+    traces: list[BlockTrace] = []
+    offset = 0
+    for stack in _kernel_passes(_as_stacks(inv)):
+        nb, bs, _ = stack.shape
+        end = offset + nb * bs
+        if end > w.size:
+            raise ValueError(f"inverse covers more than the {w.size} weights")
+        if nm is not None and (offset % nm[1] or bs % nm[1]):
+            raise ValueError(
+                f"block boundaries must be multiples of m={nm[1]}; "
+                "use a block size that m divides"
+            )
+        sl = slice(offset, end)
+        traces += _eliminate_stack(
+            np.arange(len(traces), len(traces) + nb), stack.transpose(0, 2, 1),
+            w[sl].reshape(nb, bs).copy(), prunable[sl].reshape(nb, bs),
+            pinned[sl].reshape(nb, bs), nm, keep_states,
+        )
+        offset = end
+        del stack  # free this pass before the next stack is built
+    if offset != w.size:
+        raise ValueError(f"inverse covers {offset} weights, got {w.size}")
     clamped = sum(t.clamp_events for t in traces)
     if clamped:
         warnings.warn(
@@ -276,21 +340,16 @@ def solve_block(
     size = np.size(w_block)
     if inv.shape != (size, size):
         raise ValueError(f"inverse block shape {inv.shape} does not match {size} weights")
-    one = FisherBlockInverse([inv], FisherConfig())
-    w, pr, pin = _validate_inputs(w_block, one, prunable, pinned)
-    (trace,) = eliminate_blocks(w, one, pr, pin)
+    w, pr, pin = _validate_inputs(w_block, prunable, pinned)
+    (trace,) = eliminate_blocks(w, [inv[None]], pr, pin)
     trace.block_id = block_id
     return trace
 
 
-def _validate_inputs(w, inv, prunable, pinned):
+def _validate_inputs(w, prunable, pinned):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("weights must be a flat vector")
-    if inv.global_dim != w.size:
-        raise ValueError(
-            f"inverse covers {inv.global_dim} weights, got {w.size}"
-        )
     if prunable is None:
         pr = np.ones(w.size, dtype=bool)
     else:
@@ -317,9 +376,14 @@ def _layer_for_block(layout: tuple[LayerLayout, ...], lo: int, hi: int) -> Layer
     raise ValueError(f"block [{lo}, {hi}) does not sit inside any layer")
 
 
+def _block_offsets(traces: list[BlockTrace]) -> np.ndarray:
+    """Global start of every traced block, plus a trailing total."""
+    return np.concatenate([[0], np.cumsum([t.final.size for t in traces])]).astype(np.int64)
+
+
 def _assemble(
     w: np.ndarray,
-    inv: FisherBlockInverse,
+    offsets: np.ndarray,
     traces: list[BlockTrace],
     take_per_block: np.ndarray,
     layout: tuple[LayerLayout, ...],
@@ -330,7 +394,7 @@ def _assemble(
     per_layer_pred = {lay.name: 0.0 for lay in layout}
     for b, trace in enumerate(traces):
         tb = int(take_per_block[b])
-        lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
+        lo, hi = int(offsets[b]), int(offsets[b + 1])
         if tb:
             new_w[lo:hi] = trace.final if tb == trace.steps else trace.states[tb - 1]
             mask[lo + trace.order[:tb]] = 0
@@ -343,7 +407,7 @@ def _assemble(
 
 def solve_global(
     w: np.ndarray,
-    inv: FisherBlockInverse,
+    inv: InverseStacks,
     k: int,
     prunable: np.ndarray | None = None,
     pinned: Sequence[int] | None = None,
@@ -356,10 +420,12 @@ def solve_global(
     marks the first k as pruned; each block then reloads its snapshot at
     the selected prefix length. Pinned records sort before unpinned ones
     only among exactly equal scores, which keeps previously-pruned weights
-    pruned without disturbing the tie rule anywhere else. ``threads`` is
-    accepted for compatibility and has no effect.
+    pruned without disturbing the tie rule anywhere else. ``inv`` is
+    a ``FisherBlockInverse`` or a stream of stacks (see
+    ``eliminate_blocks``). ``threads`` is accepted for compatibility and
+    has no effect.
     """
-    w, pr, pin = _validate_inputs(w, inv, prunable, pinned)
+    w, pr, pin = _validate_inputs(w, prunable, pinned)
     total_prunable = int(pr.sum())
     if not 0 <= k <= total_prunable:
         raise ValueError(f"k={k} out of range; {total_prunable} weights are prunable")
@@ -367,16 +433,17 @@ def solve_global(
         layout = _default_layout(w.size)
 
     traces = eliminate_blocks(w, inv, pr, pin)
+    offsets = _block_offsets(traces)
 
     steps = np.array([t.steps for t in traces])
     scores = np.concatenate([t.cumulative for t in traces])
-    gidx = np.concatenate([t.order + int(inv.offsets[b]) for b, t in enumerate(traces)])
-    block_ids = np.repeat(np.arange(inv.num_blocks), steps)
+    gidx = np.concatenate([t.order + int(offsets[b]) for b, t in enumerate(traces)])
+    block_ids = np.repeat(np.arange(len(traces)), steps)
     rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
     unpinned = rank >= np.repeat([t.pinned_steps for t in traces], steps)
 
     chosen = np.lexsort((gidx, unpinned, scores))[:k]
-    take = np.bincount(block_ids[chosen], minlength=inv.num_blocks)
+    take = np.bincount(block_ids[chosen], minlength=len(traces))
 
     # bug trap: the selected set inside each block must be a prefix of its
     # elimination order, otherwise reloading snapshot t is meaningless;
@@ -388,12 +455,12 @@ def solve_global(
             f"block {int(block_ids[chosen][beyond].min())}: "
             "selected set is not a prefix of the elimination order"
         )
-    return _assemble(w, inv, traces, take, layout)
+    return _assemble(w, offsets, traces, take, layout)
 
 
 def solve_nm(
     w: np.ndarray,
-    inv: FisherBlockInverse,
+    inv: InverseStacks,
     n: int,
     m: int,
     prunable: np.ndarray | None = None,
@@ -406,12 +473,14 @@ def solve_nm(
     A weight is skipped once its group reached the quota; groups whose
     prunable membership is below m-n reach a reduced quota (prunability
     wins). Requires every layer size and every block boundary to be a
-    multiple of m so groups never straddle blocks or layers. ``threads``
-    is accepted for compatibility and has no effect.
+    multiple of m so groups never straddle blocks or layers; each block
+    boundary is checked before its stack is solved. ``inv`` is a
+    ``FisherBlockInverse`` or a stream of stacks (see ``eliminate_blocks``).
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if not (0 < n < m):
         raise ValueError(f"need 0 < n < m, got {n}:{m}")
-    w, pr, _ = _validate_inputs(w, inv, prunable, None)
+    w, pr, _ = _validate_inputs(w, prunable, None)
     if layout is None:
         layout = _default_layout(w.size)
     for lay in layout:
@@ -419,14 +488,9 @@ def solve_nm(
             raise ValueError(
                 f"layer {lay.name!r} has {lay.size} weights, not divisible by m={m}"
             )
-    if np.any(np.asarray(inv.offsets) % m):
-        raise ValueError(
-            f"block boundaries must be multiples of m={m}; "
-            "use a block size that m divides"
-        )
     traces = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
     take = np.array([t.steps for t in traces], dtype=np.int64)
-    return _assemble(w, inv, traces, take, layout)
+    return _assemble(w, _block_offsets(traces), traces, take, layout)
 
 
 def nm_violations(mask: np.ndarray, n: int, m: int) -> int:

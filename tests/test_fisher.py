@@ -15,6 +15,7 @@ from obsprune.fisher import (
     eliminate_index,
     eliminate_index_clamped,
     freeze_indices,
+    iter_block_inverses,
 )
 from obsprune.tensorstore import GradientSet
 
@@ -143,6 +144,26 @@ def test_chunking_leaves_every_byte_unchanged(monkeypatch, block):
     assert [b.tobytes() for b in chunked.blocks] == [b.tobytes() for b in whole.blocks]
 
 
+def test_stream_yields_chunks_then_the_partial_block(monkeypatch):
+    rows = np.random.default_rng(3).standard_normal((6, 44))  # 5 blocks of 8, one of 4
+    cfg = FisherConfig(block_size=8, dampening=1e-6, num_grads=6)
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * 8)  # two blocks per stack
+    stacks = list(iter_block_inverses(rows, cfg))
+    assert [s.shape for s in stacks] == [(2, 8, 8), (2, 8, 8), (1, 8, 8), (1, 4, 4)]
+    assert all(s.dtype == np.float64 for s in stacks)
+    whole = build_fisher_inverse(rows, cfg)
+    assert [b.tobytes() for s in stacks for b in s] == [b.tobytes() for b in whole.blocks]
+
+
+def test_stream_validates_every_row_at_the_call():
+    """A non-finite unused row fails when the stream is made, before any
+    block is built or drawn."""
+    rows = np.random.default_rng(9).standard_normal((6, 4))
+    rows[5, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        iter_block_inverses(rows, FisherConfig(4, 1e-8, 2))
+
+
 def test_nonfinite_rows_rejected():
     rows = np.ones((3, 4))
     rows[1, 2] = np.nan
@@ -188,6 +209,36 @@ def test_matches_sherman_morrison_reference_and_dense(n, d, block, num_grads, dt
         for other in others:
             rel = np.abs(inv.blocks[b] - other).max() / np.abs(other).max()
             assert rel < 1e-8, f"block {b}: rel err {rel:.2e}"
+
+
+def refined_inverse(rows: np.ndarray, damp: float) -> np.ndarray:
+    """Inverse of damp*I + rows'rows/N, formed in extended precision and
+    Newton-refined (X <- X (2I - F X)) from a float64 start."""
+    n, d = rows.shape
+    r = np.asarray(rows, dtype=np.longdouble)
+    f = r.T @ r / n + damp * np.eye(d, dtype=np.longdouble)
+    x = np.linalg.inv(f.astype(np.float64)).astype(np.longdouble)
+    two = 2 * np.eye(d, dtype=np.longdouble)
+    for _ in range(3):
+        x = x @ (two - f @ x)
+    return x
+
+
+@pytest.mark.parametrize("damp, tol", [(1e-8, 3e-10), (1e-6, 3e-12)])
+def test_woodbury_form_matches_refined_reference(damp, tol):
+    """Fewer rows than the block size on strongly correlated coordinates,
+    at the default dampening: the Woodbury build stays within ``tol`` of
+    an extended-precision inverse, where the float64 Fisher's condition
+    number is about 1/damp."""
+    idx = np.arange(64)
+    corr = np.linalg.cholesky(0.9 ** np.abs(idx[:, None] - idx[None, :]))
+    worst = 0.0
+    for seed in range(20):
+        rows = np.random.default_rng(seed).standard_normal((32, 64)) @ corr.T
+        (got,) = build_fisher_inverse(rows, FisherConfig(64, damp, 32)).blocks
+        ref = refined_inverse(rows, damp)
+        worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
+    assert worst < tol, f"rel err {worst:.2e}"
 
 
 def test_config_validation():

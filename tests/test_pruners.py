@@ -277,3 +277,88 @@ def test_default_spec_has_documented_defaults():
     assert spec.fisher.dampening == 1e-8
     assert spec.fisher.num_grads == 4096
     assert default_spec("wf").fisher.dampening == 1e-6
+
+
+# -- streamed inverses ---------------------------------------------------------
+
+def collected(real):
+    """``layered_inverse_stacks`` replaced by the whole collected inverse."""
+    from obsprune.fisher import collect_inverses
+
+    return lambda grads, layout, config: collect_inverses(real(grads, layout, config), config)
+
+
+@pytest.mark.parametrize("mode", ["global", "per_layer", "nm"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [5, 20])  # fewer and more rows than B=8
+def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
+    """ovit solved from the streamed stacks gives the bytes of a solve from
+    the collected whole inverse, for every build and kernel chunk budget,
+    with trailing partial blocks (60 = 7*8 + 4 and 28 = 3*8 + 4 weights)."""
+    from obsprune import fisher, pruners, solver
+
+    rng = np.random.default_rng(rows)
+    weights = {"0": rng.standard_normal((6, 10)), "1": rng.standard_normal((7, 4))}
+    grads = {k: GradientSet(k, rng.standard_normal((rows, w.size)).astype(dtype))
+             for k, w in weights.items()}
+    prunable = {k: rng.random(w.shape) > 0.2 for k, w in weights.items()}
+    flat_pr = np.concatenate([p.reshape(-1) for p in prunable.values()])
+    spec = spec_for("ovit", nm=(2, 4) if mode == "nm" else None,
+                    per_layer=mode == "per_layer")
+    target = {}
+    if mode != "nm":
+        target = {"sparsity": 0.55, "pinned": np.flatnonzero(flat_pr)[::9]}
+
+    def run():
+        res = run_pruner(spec, weights, grads, prunable=prunable, **target)
+        return (res.mask.tobytes(), res.new_weights.tobytes(),
+                res.predicted_loss_increase, res.per_layer_predicted)
+
+    streamed = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(pruners, "layered_inverse_stacks",
+                      collected(pruners.layered_inverse_stacks))
+        whole = run()
+    assert streamed == whole
+    for build_blocks, pass_blocks in [(1, 1), (2, 3), (3, 2), (5, 1000)]:
+        monkeypatch.setattr(fisher, "CHUNK_VALUES", build_blocks * 8 * max(rows, 8))
+        monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", pass_blocks * 64)
+        assert run() == whole, (build_blocks, pass_blocks)
+
+
+def test_nm_prune_never_holds_the_whole_inverse(monkeypatch):
+    """Two layers of 32,768 weights whose whole inverse takes 32 MiB at
+    B=64: with small chunks, an N:M prune peaks below a quarter of that."""
+    import tracemalloc
+
+    from obsprune import fisher, solver
+
+    rng = np.random.default_rng(11)
+    weights = {"0": rng.standard_normal((128, 256)), "1": rng.standard_normal((256, 128))}
+    grads = {k: GradientSet(k, rng.standard_normal((32, w.size))) for k, w in weights.items()}
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 1 << 16)
+    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", 1 << 16)
+    inverse_bytes = 65536 * 64 * 8
+    tracemalloc.start()
+    try:
+        res = run_pruner(spec_for("ovit", block_size=64, nm=(2, 4)), weights, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(res.mask == 0) == 65536 // 2
+    assert peak < inverse_bytes / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("per_layer", [False, True])
+def test_every_layer_is_checked_before_the_first_build(rng, monkeypatch, per_layer):
+    from obsprune import pruners
+
+    built = []
+    real = pruners.iter_block_inverses
+    monkeypatch.setattr(pruners, "iter_block_inverses",
+                        lambda *a: built.append(1) or real(*a))
+    weights, grads = toy_layers(rng)
+    grads["1"] = GradientSet("1", rng.standard_normal((40, 5)))
+    with pytest.raises(ValueError, match="width 5"):
+        run_pruner(spec_for("ovit", per_layer=per_layer), weights, grads, sparsity=0.5)
+    assert built == []

@@ -475,3 +475,51 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
     whole = run()
     monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", blocks_per_chunk * 64)
     assert run() == whole
+
+
+# -- streamed inverses ---------------------------------------------------------
+
+def test_stream_is_solved_stack_by_stack(rng, monkeypatch):
+    """A pass is solved as soon as it is full, before the next stack is
+    drawn; stacks are split at pass boundaries, the rest of one is joined
+    with the next stack of its block size, and a new size ends the pass."""
+    from obsprune import solver
+
+    events = []
+    real = solver._eliminate_stack
+
+    def counting(ids, cols0, *args):
+        events.append(("solve", ids.tolist()))
+        return real(ids, cols0, *args)
+
+    monkeypatch.setattr(solver, "_eliminate_stack", counting)
+    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", 2 * 64)  # two blocks of 8 per pass
+    rows = rng.standard_normal((6, 60))
+    whole = build_fisher_inverse(rows, FisherConfig(8, 1e-4, 6))  # 7 blocks of 8, one of 4
+    stacks = [np.stack(whole.blocks[:3]), np.stack(whole.blocks[3:6]),
+              whole.blocks[6][None], whole.blocks[7][None]]
+
+    def stream():
+        for i, stack in enumerate(stacks):
+            events.append(("draw", i))
+            yield stack
+
+    w = rng.standard_normal(60)
+    traces = eliminate_blocks(w, stream(), np.ones(60, dtype=bool))
+    assert events == [
+        ("draw", 0), ("solve", [0, 1]), ("draw", 1), ("solve", [2, 3]), ("solve", [4, 5]),
+        ("draw", 2), ("draw", 3), ("solve", [6]), ("solve", [7]),
+    ]
+    want = eliminate_blocks(w, whole, np.ones(60, dtype=bool))
+    assert [t.final.tobytes() for t in traces] == [t.final.tobytes() for t in want]
+
+
+def test_stream_coverage_and_nm_boundaries_are_checked(rng):
+    stack = np.stack([np.linalg.inv(random_spd(rng, 8)) for _ in range(2)])
+    with pytest.raises(ValueError, match="covers 16 weights, got 24"):
+        eliminate_blocks(np.ones(24), [stack], np.ones(24, dtype=bool))
+    with pytest.raises(ValueError, match="more than the 8 weights"):
+        eliminate_blocks(np.ones(8), [stack], np.ones(8, dtype=bool))
+    six = np.linalg.inv(random_spd(rng, 6))[None]
+    with pytest.raises(ValueError, match="multiples of m=4"):
+        solve_nm(np.ones(12), [six, six], 2, 4)

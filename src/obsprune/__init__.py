@@ -3,81 +3,9 @@
 Selects weights to remove by their true saliency under a block empirical
 Fisher approximation of the loss curvature, compensates the survivors in
 closed form, and supports one-shot, gradual, and n:m-structured modes.
+
+Importing the package loads none of its modules; import the one you use,
+such as ``obsprune.pruners`` or ``obsprune.cli``.
 """
 
-from .fisher import (
-    DAMPENING_DEFAULTS,
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_NUM_GRADS,
-    EPS_FLOOR,
-    DegenerateCurvatureError,
-    FisherBlockInverse,
-    FisherConfig,
-    build_fisher_inverse,
-    eliminate_index,
-    freeze_indices,
-)
-from .obs_core import (
-    NumericalError,
-    WeightUpdate,
-    loss_increase,
-    saliency_single,
-    update_single,
-)
-from .pruners import (
-    PrunerSpec,
-    default_spec,
-    prune_with_recompute,
-    run_pruner,
-    sparsity_to_k,
-)
-from .schedules import LrSchedule, SweepPlan, lr_at, plan_sweep
-from .solver import InternalSolverError, PruneResult, nm_violations, solve_global, solve_nm
-from .tensorstore import (
-    ContainerError,
-    GradientSet,
-    Tensor,
-    TensorContainer,
-    read_container,
-    write_container,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DAMPENING_DEFAULTS",
-    "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_NUM_GRADS",
-    "EPS_FLOOR",
-    "ContainerError",
-    "DegenerateCurvatureError",
-    "FisherBlockInverse",
-    "FisherConfig",
-    "GradientSet",
-    "InternalSolverError",
-    "LrSchedule",
-    "NumericalError",
-    "PruneResult",
-    "PrunerSpec",
-    "SweepPlan",
-    "Tensor",
-    "TensorContainer",
-    "WeightUpdate",
-    "build_fisher_inverse",
-    "default_spec",
-    "eliminate_index",
-    "freeze_indices",
-    "loss_increase",
-    "lr_at",
-    "nm_violations",
-    "plan_sweep",
-    "prune_with_recompute",
-    "read_container",
-    "run_pruner",
-    "saliency_single",
-    "sparsity_to_k",
-    "solve_global",
-    "solve_nm",
-    "update_single",
-    "write_container",
-]

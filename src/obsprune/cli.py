@@ -10,18 +10,26 @@ Exit codes: 0 success, 1 compliance-check failure, 2 usage error,
 3 numerical or runtime failure. Every command is deterministic given its
 flags and seed; repeated runs (and any ``--threads`` value) produce
 byte-identical reports.
+
+Start-up is most of a small command's run, so this module loads at import
+only what every command needs; each command imports its own heavy modules
+when it runs (``prune``: ``pruners``; ``toy`` and ``sweep``: ``pipeline``,
+``schedules`` and ``pruners``; ``oracle``: ``oracle``), and ``eval`` loads
+none of them. The console script ``entry`` ends the process with
+``os._exit`` once ``main`` has returned and the standard streams are
+flushed, skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
+from typing import Iterator
 
 import numpy as np
 
-from . import oracle as oracle_mod
-from . import pipeline, schedules
 from .fisher import (
     DAMPENING_DEFAULTS,
     DEFAULT_BLOCK_SIZE,
@@ -31,9 +39,6 @@ from .fisher import (
     build_fisher_inverse,
 )
 from .obs_core import NumericalError, loss_increase
-from .pipeline import _fmt
-from .pruners import PrunerSpec, run_pruner, split_by_layer
-from .solver import nm_violations, solve_global
 from .tensorstore import (
     ContainerError,
     GradientSet,
@@ -42,6 +47,7 @@ from .tensorstore import (
     grads_name,
     layer_ids,
     mask_name,
+    nm_violations,
     prunable_name,
     read_container,
     weight_name,
@@ -53,15 +59,19 @@ class UsageError(Exception):
     """A flag value that only a subcommand can check; exits 2 before any work."""
 
 
+# pipeline.DivergenceError is a NumericalError
 _RUNTIME_ERRORS = (
     ContainerError,
     NumericalError,
     DegenerateCurvatureError,
-    pipeline.DivergenceError,
     np.linalg.LinAlgError,
     ValueError,
     OSError,
 )
+
+
+def _fmt(v: float) -> str:
+    return f"{float(v):.12g}"
 
 
 def _parse_nm(text: str) -> tuple[int, int]:
@@ -130,7 +140,9 @@ def _add_toy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=("mse", "logistic"), default="mse")
 
 
-def _spec_from_args(args, method: str | None = None) -> PrunerSpec:
+def _spec_from_args(args, method: str | None = None):
+    from .pruners import PrunerSpec
+
     method = method or args.method
     damp = args.damp if args.damp is not None else DAMPENING_DEFAULTS[method]
     return PrunerSpec(
@@ -144,7 +156,9 @@ def _spec_from_args(args, method: str | None = None) -> PrunerSpec:
     )
 
 
-def _resolve_schedule(args, cfg, interval: int | None) -> schedules.LrSchedule:
+def _resolve_schedule(args, cfg, interval: int | None):
+    from . import schedules
+
     lr_max = args.lr_max if args.lr_max is not None else cfg.get("lr.max", schedules.DEFAULT_LR_MAX)
     lr_min = args.lr_min if args.lr_min is not None else cfg.get("lr.min", schedules.DEFAULT_LR_MIN)
     period = args.period if args.period is not None else cfg.get("lr.period", None)
@@ -181,6 +195,8 @@ def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
 
 
 def _write_pruned(path: str, ids, result, dtypes) -> None:
+    from .pruners import split_by_layer
+
     weights = split_by_layer(result.new_weights, result.layout)
     masks = split_by_layer(result.mask, result.layout)
     box = TensorContainer()
@@ -207,6 +223,8 @@ def _print_prune_summary(out, ids, result) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_prune(args, out) -> int:
+    from .pruners import run_pruner
+
     ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
     grads = _load_grad_layers(args.grads, ids) if args.grads else None
     result = run_pruner(_spec_from_args(args), weights, grads, sparsity=args.sparsity,
@@ -273,7 +291,44 @@ def _write_model_container(path: str, weights, masks) -> None:
     write_container(path, box)
 
 
+def _event_rows(report) -> Iterator[tuple[int, str, str]]:
+    """(step, field, formatted value) for every event of a
+    ``pipeline.RunReport``, in report order."""
+    for ev in report.events:
+        yield ev.step, "sparsity", _fmt(ev.sparsity)
+        yield ev.step, "loss_before", _fmt(ev.loss_before)
+        yield ev.step, "loss_after", _fmt(ev.loss_after)
+        yield ev.step, "predicted_increase", _fmt(ev.predicted_increase)
+        if ev.post_recovery_loss is not None:
+            yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
+
+
+def report_lines(report) -> list[str]:
+    """Line-delimited (step, field, value) records plus a summary block."""
+    lines = [f"{step}\t{name}\t{value}" for step, name, value in _event_rows(report)]
+    lines.append("summary\tevent\tstep\tsparsity\tloss_before\tloss_after\tpredicted\tpost_recovery")
+    for i, ev in enumerate(report.events):
+        post = "-" if ev.post_recovery_loss is None else _fmt(ev.post_recovery_loss)
+        lines.append(
+            f"summary\t{i}\t{ev.step}\t{_fmt(ev.sparsity)}\t{_fmt(ev.loss_before)}"
+            f"\t{_fmt(ev.loss_after)}\t{_fmt(ev.predicted_increase)}\t{post}"
+        )
+    for name, s in report.per_layer_sparsity.items():
+        lines.append(f"final\tsparsity.{name}\t{_fmt(s)}")
+    lines.append(f"final\tloss\t{_fmt(report.final_loss)}")
+    return lines
+
+
+def report_csv(report) -> str:
+    """Plot-friendly CSV: step,field,value rows, the event rows of ``report_lines``."""
+    rows = ["step,field,value"]
+    rows += [f"{step},{name},{value}" for step, name, value in _event_rows(report)]
+    return "\n".join(rows) + "\n"
+
+
 def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
+    from . import pipeline, schedules
+
     cfg = schedules.load_config(args.config) if args.config else {}
     targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
     interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
@@ -320,11 +375,11 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
             )
             report.final_loss = pipeline.model_loss(model)
             report.final_weights = model.copy_weights()
-    for line in pipeline.report_lines(report):
+    for line in report_lines(report):
         out.write(line + "\n")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(pipeline.report_csv(report))
+            fh.write(report_csv(report))
     return 0, (report, checkpoints)
 
 
@@ -345,6 +400,9 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
+    from . import oracle as oracle_mod
+    from .solver import solve_global
+
     rng = np.random.default_rng(args.seed)
     rows = rng.standard_normal((args.num_grads, args.dim))
     w = rng.standard_normal(args.dim)
@@ -419,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("oracle", help=argparse.SUPPRESS)
+    p = sub.add_parser("oracle")  # internal: no help kwarg keeps it out of --help
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--k", type=int, default=3)
@@ -475,7 +533,18 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``, then a flush of the standard streams
+    and ``os._exit``, which skips interpreter teardown. ``main`` closes
+    every file it writes before it returns; an exception escaping it takes
+    the normal path. A stream that cannot be flushed, such as a closed
+    pipe, lost output, so the exit code becomes 3."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # ValueError: the stream was closed
+            code = 3
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,11 @@ conditioned at tiny dampening.
 yields the inverses as (nb, B, B) stacks of consecutive blocks, one
 chunk of blocks at a time, so rows are widened to float64 a chunk at a
 time and a consumer that frees each stack (the greedy solver) never
-holds the whole inverse. ``build_fisher_inverse`` collects the stream
-into a ``FisherBlockInverse`` for callers that need every block at once.
+holds the whole inverse. A chunk holds at most ``CHUNK_VALUES`` widened
+gradient values and at most one lockstep pass of the solver
+(``pass_blocks``), so the solver can take each stack as it comes.
+``build_fisher_inverse`` collects the stream into a
+``FisherBlockInverse`` for callers that need every block at once.
 
 ``eliminate_index`` downdates an inverse after a coordinate is removed
 from the system (Schur complement step): the remaining entries become the
@@ -42,10 +45,12 @@ EPS_FLOOR = 1e-12
 
 DEFAULT_BLOCK_SIZE = 64
 DEFAULT_NUM_GRADS = 4096
-#: gradient values widened to float64 at a time, by the build and by
-#: ``obs_core.loss_increase``; bounds their scratch memory independently
-#: of the row count and layer width
+#: gradient values widened to float64 at a time by the build; bounds its
+#: scratch memory independently of the row count and layer width
 CHUNK_VALUES = 1 << 20
+#: float64 values of initial inverses per lockstep pass of the greedy
+#: solver (64 blocks at B=64); the pass's columns and snapshots scale with it
+PASS_VALUES = 1 << 18
 #: default dampening per method (CLI-overridable)
 DAMPENING_DEFAULTS = {"ovit": 1e-8, "wf": 1e-6, "gm": 1e-8}
 
@@ -78,6 +83,11 @@ class FisherConfig:
             raise ValueError(f"dampening must be positive and finite, got {self.dampening}")
         if int(self.num_grads) < 1:
             raise ValueError(f"num_grads must be >= 1, got {self.num_grads}")
+
+
+def pass_blocks(block_size: int) -> int:
+    """Blocks of ``block_size`` in one lockstep pass of the greedy solver."""
+    return max(1, PASS_VALUES // (block_size * block_size))
 
 
 def block_partition(dim: int, block_size: int) -> list[int]:
@@ -166,9 +176,9 @@ def iter_block_inverses(
     ValueError on an empty sample set or on non-finite values in any row,
     used or not. The returned iterator then yields (nb, B, B) float64
     stacks of consecutive blocks in weight order: the full blocks, about
-    ``CHUNK_VALUES`` widened gradient values at a time, then the trailing
-    partial block on its own. Uses the first ``min(num_grads, rows)`` rows
-    in their stored dtype.
+    ``CHUNK_VALUES`` widened gradient values and at most one solver pass
+    at a time, then the trailing partial block on its own. Uses the first
+    ``min(num_grads, rows)`` rows in their stored dtype.
     """
     samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -190,7 +200,7 @@ def _inverse_stacks(
     lam = float(config.dampening)
     bs = config.block_size
     n_main = dim // bs
-    per_chunk = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
+    per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
 
     def invert(lo: int, hi: int, width: int) -> np.ndarray:
         rows3 = used[:, lo:hi].reshape(n_used, (hi - lo) // width, width)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fisher import CHUNK_VALUES, EPS_FLOOR, FisherBlockInverse
+from .fisher import EPS_FLOOR, FisherBlockInverse
 from .tensorstore import GradientSet
 
 
@@ -140,7 +140,9 @@ def loss_increase(
 
     Evaluated from gradient rows directly, so it costs O(N*d) and never
     forms F. Uses every row it is given; callers cap rows beforehand if a
-    cap applies. Rows are widened to float64 a chunk at a time.
+    cap applies. The projection is one ``np.einsum`` over the stored rows:
+    float32 rows are widened to float64 in its small internal buffers, not
+    as a copy, and no BLAS matrix-vector product is called.
     """
     rows = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
     delta = np.asarray(w_after, dtype=np.float64) - np.asarray(w_before, dtype=np.float64)
@@ -148,9 +150,5 @@ def loss_increase(
         raise ValueError(
             f"gradient rows have width {rows.shape[-1]}, weights have {delta.size}"
         )
-    n = rows.shape[0]
-    step = max(1, CHUNK_VALUES // max(delta.size, 1))
-    proj = np.empty(n)
-    for lo in range(0, n, step):
-        proj[lo : lo + step] = np.asarray(rows[lo : lo + step], dtype=np.float64) @ delta
-    return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))
+    proj = np.einsum("ij,j->i", rows, delta)
+    return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * rows.shape[0]))

@@ -22,16 +22,17 @@ equals the true Hessian plus lambda*I with no sampling slack at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .obs_core import NumericalError
 from .pruners import PrunerSpec, prune_with_recompute, run_pruner, split_by_layer
 from .schedules import LrSchedule, SweepPlan, lr_at
 from .tensorstore import GradientSet
 
 
-class DivergenceError(Exception):
+class DivergenceError(NumericalError):
     """Training produced non-finite weights or loss."""
 
 
@@ -456,43 +457,3 @@ def run_gradual(
     report.final_loss = model_loss(model)
     report.final_weights = model.copy_weights()
     return report, checkpoints
-
-
-# -- report emission ---------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.12g}"
-
-
-def _event_rows(report: RunReport) -> Iterator[tuple[int, str, str]]:
-    """(step, field, formatted value) for every event, in report order."""
-    for ev in report.events:
-        yield ev.step, "sparsity", _fmt(ev.sparsity)
-        yield ev.step, "loss_before", _fmt(ev.loss_before)
-        yield ev.step, "loss_after", _fmt(ev.loss_after)
-        yield ev.step, "predicted_increase", _fmt(ev.predicted_increase)
-        if ev.post_recovery_loss is not None:
-            yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
-
-
-def report_lines(report: RunReport) -> list[str]:
-    """Line-delimited (step, field, value) records plus a summary block."""
-    lines = [f"{step}\t{name}\t{value}" for step, name, value in _event_rows(report)]
-    lines.append("summary\tevent\tstep\tsparsity\tloss_before\tloss_after\tpredicted\tpost_recovery")
-    for i, ev in enumerate(report.events):
-        post = "-" if ev.post_recovery_loss is None else _fmt(ev.post_recovery_loss)
-        lines.append(
-            f"summary\t{i}\t{ev.step}\t{_fmt(ev.sparsity)}\t{_fmt(ev.loss_before)}"
-            f"\t{_fmt(ev.loss_after)}\t{_fmt(ev.predicted_increase)}\t{post}"
-        )
-    for name, s in report.per_layer_sparsity.items():
-        lines.append(f"final\tsparsity.{name}\t{_fmt(s)}")
-    lines.append(f"final\tloss\t{_fmt(report.final_loss)}")
-    return lines
-
-
-def report_csv(report: RunReport) -> str:
-    """Plot-friendly CSV: step,field,value rows, the event rows of ``report_lines``."""
-    rows = ["step,field,value"]
-    rows += [f"{step},{name},{value}" for step, name, value in _event_rows(report)]
-    return "\n".join(rows) + "\n"

@@ -12,10 +12,11 @@
 ``run_pruner`` flattens the layers, validates ``pinned`` and the target,
 and resolves a sparsity into a zero count k once per call, over the whole
 model or, in per-layer mode, over each layer; ``prune_with_recompute``
-reaches a sparsity in several ``run_pruner`` calls. ``ovit`` hands each
-layer's stream of block inverses (``layered_inverse_stacks``) straight to
-the solver, so it never holds the whole inverse; ``wf`` collects it
-whole (``build_layered_inverse``). All methods share the
+reaches a sparsity in several ``run_pruner`` calls. ``run_pruner`` makes
+every pool's stream of block inverses (``layered_inverse_stacks``) before
+it builds any block, so every layer's rows are scanned first; ``ovit``
+hands each stream straight to the solver, so it never holds the whole
+inverse, and ``wf`` collects it whole. All methods share the
 weight indexing convention (layers concatenated in mapping order, each
 flattened row-major), respect prunability masks, and break score ties by
 global index. ``pinned`` indices are pruned unconditionally (used to keep
@@ -36,7 +37,6 @@ from . import obs_core
 from .fisher import (
     DAMPENING_DEFAULTS,
     EPS_FLOOR,
-    FisherBlockInverse,
     FisherConfig,
     collect_inverses,
     freeze_indices,
@@ -152,13 +152,6 @@ def layered_inverse_stacks(
     return itertools.chain.from_iterable(streams)
 
 
-def build_layered_inverse(
-    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig
-) -> FisherBlockInverse:
-    """Per-layer block inverses, concatenated into one whole inverse."""
-    return collect_inverses(layered_inverse_stacks(grads, layout, config), config)
-
-
 # -- methods -----------------------------------------------------------------
 
 def _prune_frozen(
@@ -169,13 +162,14 @@ def _prune_frozen(
     k: int,
     layout: tuple[LayerLayout, ...],
     grads: GradMap | None,
+    stacks: Iterator[np.ndarray] | None,
 ) -> PruneResult:
     """gm and wf (see the module docstring): score every weight once and
     zero the k cheapest. gm assigns no scores of its own, so its predicted
     increase is the quadratic model's when gradient rows are given, else 0."""
     inv = None
     if spec.method == "wf":
-        inv = build_layered_inverse(grads, layout, spec.fisher)
+        inv = collect_inverses(stacks, spec.fisher)
         if not pr.all():
             inv = freeze_indices(inv, np.flatnonzero(~pr))
         diag = np.maximum(inv.diagonal(), EPS_FLOOR)
@@ -226,12 +220,20 @@ def _prune_pool(
     k: int,
     layout: tuple[LayerLayout, ...],
     grads: GradMap | None,
+    stacks: Iterator[np.ndarray] | None,
 ) -> PruneResult:
-    """Prune the k cheapest weights of one pool with the spec's method."""
+    """Prune the k cheapest weights of one pool with the spec's method;
+    ``stacks`` is the pool's stream of block inverses (None for gm)."""
     if spec.method != "ovit":
-        return _prune_frozen(spec, w, pr, pin, k, layout, grads)
-    stacks = layered_inverse_stacks(grads, layout, spec.fisher)
+        return _prune_frozen(spec, w, pr, pin, k, layout, grads, stacks)
     return solve_global(w, stacks, k, prunable=pr, pinned=np.flatnonzero(pin), layout=layout)
+
+
+def _stream(
+    spec: PrunerSpec, grads: GradMap | None, layout: Sequence[LayerLayout]
+) -> Iterator[np.ndarray] | None:
+    """The pool's block-inverse stream, its rows scanned now; None for gm."""
+    return None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher)
 
 
 def _resolve_k(
@@ -267,8 +269,8 @@ def run_pruner(
     Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target;
     ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
     instead of to one global pool. Layers are flattened, and ``pinned``,
-    the target and every layer's gradient set are validated, once per
-    call and before any inverse is built.
+    the target and every layer's gradient set, its rows included, are
+    validated, once per call and before any inverse is built.
     """
     w, pr, layout = flatten_layers(_as_map(weights), prunable)
     pin = pinned_mask(pinned, pr)
@@ -299,16 +301,18 @@ def run_pruner(
 
     if not spec.per_layer:
         k = _resolve_k(sparsity, k, pr, pin)
-        return _prune_pool(spec, w, pr, pin, k, layout, grads)
+        return _prune_pool(spec, w, pr, pin, k, layout, grads, _stream(spec, grads, layout))
 
     if sparsity is None:
         raise ValueError("per-layer mode needs a sparsity target")
-    parts = []
-    for lay in layout:
-        sl = slice(lay.offset, lay.offset + lay.size)
-        own = (replace(lay, offset=0),)
-        k_l = _resolve_k(sparsity, None, pr[sl], pin[sl])
-        parts.append(_prune_pool(spec, w[sl], pr[sl], pin[sl], k_l, own, grads))
+    slices = [slice(lay.offset, lay.offset + lay.size) for lay in layout]
+    ks = [_resolve_k(sparsity, None, pr[sl], pin[sl]) for sl in slices]
+    # every layer's stream is made, so its rows are scanned, before any build
+    streams = [_stream(spec, grads, (lay,)) for lay in layout]
+    parts = [
+        _prune_pool(spec, w[sl], pr[sl], pin[sl], k_l, (replace(lay, offset=0),), grads, stacks)
+        for lay, sl, k_l, stacks in zip(layout, slices, ks, streams)
+    ]
     return PruneResult.from_mask(
         np.concatenate([p.mask for p in parts]),
         np.concatenate([p.new_weights for p in parts]),
@@ -352,9 +356,9 @@ def prune_with_recompute(
         s_t = 1.0 - (1.0 - sparsity) ** (t / r)
         if t == r:
             s_t = sparsity  # exact final target, no float drift
-        grads = grad_provider(wmap)
+        # no name holds a sub-step's rows, so they are freed before the next are made
         result = run_pruner(
-            step_spec, wmap, grads,
+            step_spec, wmap, grad_provider(wmap),
             sparsity=s_t, prunable=prunable, pinned=acc_pinned,
         )
         total_pred += result.predicted_loss_increase

@@ -25,11 +25,12 @@ The kernel consumes block inverses as a stream of (nb, B, B) stacks in
 weight order, straight from ``fisher.iter_block_inverses``, and solves
 and frees each stack before it draws the next; a whole
 ``FisherBlockInverse`` is read as the same stream. Stacks are regrouped
-into passes of ``SOLVE_CHUNK_VALUES`` values: larger ones are split into
+into passes of ``fisher.PASS_VALUES`` values: larger ones are split into
 views, and consecutive ones of one size are joined across layer
-boundaries. So an N:M solve holds one chunk of inverses and its scratch
-at a time, while a global solve also keeps its per-step snapshots, which
-take d*B values.
+boundaries. The build's stacks hold at most one pass, so a pass is a
+joined copy only where a layer's blocks do not fill whole passes. So an
+N:M solve holds one chunk of inverses and its scratch at a time, while a
+global solve also keeps its per-step snapshots, which take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -57,11 +58,8 @@ from .fisher import (
     EPS_FLOOR,
     DegenerateCurvatureWarning,
     FisherBlockInverse,
+    pass_blocks,
 )
-
-#: float64 values of initial inverses per lockstep pass (64 blocks at
-#: B=64); the pass's columns and snapshots scale with it
-SOLVE_CHUNK_VALUES = 1 << 18
 
 
 class InternalSolverError(AssertionError):
@@ -239,8 +237,8 @@ def _as_stacks(inv: InverseStacks) -> Iterable[np.ndarray]:
 
 
 def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Regroup stacks into lockstep passes of at most ``SOLVE_CHUNK_VALUES``
-    values: larger stacks are split into views, and consecutive stacks of
+    """Regroup stacks into lockstep passes of at most ``pass_blocks(B)``
+    blocks: larger stacks are split into views, and consecutive stacks of
     one block size are joined (across layer boundaries) up to the budget.
     A pass is handed on as soon as it is full, before the next stack is
     drawn."""
@@ -255,7 +253,7 @@ def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         if held and held[0].shape[1] != bs:
             yield joined(held)
             held, count = [], 0
-        per_pass = max(1, SOLVE_CHUNK_VALUES // (bs * bs))
+        per_pass = pass_blocks(bs)
         lo = 0
         while lo < len(stack):
             held.append(stack[lo : lo + per_pass - count])
@@ -491,16 +489,3 @@ def solve_nm(
     traces = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
     take = np.array([t.steps for t in traces], dtype=np.int64)
     return _assemble(w, _block_offsets(traces), traces, take, layout)
-
-
-def nm_violations(mask: np.ndarray, n: int, m: int) -> int:
-    """Count aligned m-groups whose mask keeps more than n entries.
-
-    A group with *extra* zeros still fits the hardware pattern, so only
-    under-sparse groups (fewer than m-n mask zeros) are violations.
-    """
-    mask = np.asarray(mask).reshape(-1)
-    if mask.size % m:
-        raise ValueError(f"mask size {mask.size} is not divisible by m={m}")
-    kept = (mask != 0).reshape(-1, m).sum(axis=1)
-    return int(np.count_nonzero(kept > n))

@@ -15,7 +15,8 @@ format:
         dims      ndim x u64
         data      raw row-major values, little-endian
 
-Masks are u8 with values restricted to {0, 1} (1 = kept). Round trips are
+Masks are u8 with values restricted to {0, 1} (1 = kept);
+``nm_violations`` checks one against an n:m pattern. Round trips are
 bit-exact: floats are never re-encoded, so NaN payloads and signed zeros
 survive. The row-major flattening of each tensor is the global weight
 index order every pruning module uses.
@@ -137,6 +138,19 @@ class Tensor:
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("Tensor is not hashable")
+
+
+def nm_violations(mask: np.ndarray, n: int, m: int) -> int:
+    """Count aligned m-groups whose mask keeps more than n entries.
+
+    A group with *extra* zeros still fits the hardware pattern, so only
+    under-sparse groups (fewer than m-n mask zeros) are violations.
+    """
+    mask = np.asarray(mask).reshape(-1)
+    if mask.size % m:
+        raise ValueError(f"mask size {mask.size} is not divisible by m={m}")
+    kept = (mask != 0).reshape(-1, m).sum(axis=1)
+    return int(np.count_nonzero(kept > n))
 
 
 @dataclass

@@ -26,8 +26,8 @@ from obsprune.obs_core import (
 from obsprune.oracle import exhaustive_best_subset, sparse_regression_min
 from obsprune.pruners import PrunerSpec, run_pruner, split_by_layer
 from obsprune.schedules import LrSchedule, lr_at
-from obsprune.solver import nm_violations, solve_global, solve_nm
-from obsprune.tensorstore import GradientSet, TensorContainer, write_container
+from obsprune.solver import solve_global, solve_nm
+from obsprune.tensorstore import GradientSet, TensorContainer, nm_violations, write_container
 
 from conftest import dense_fisher
 

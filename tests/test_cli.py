@@ -498,6 +498,15 @@ class TestGolden:
         assert text == golden.read_text()
 
 
+def test_help_lists_the_public_commands_only(capsys):
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command in ("prune", "eval", "toy", "sweep"):
+        assert f"    {command} " in text
+    assert "oracle" not in text
+    assert "SUPPRESS" not in text
+
+
 def test_oracle_subcommand_three_ways_agree():
     code, text = run_cli("oracle", "--seed", "2", "--dim", "6", "--k", "2",
                          "--num-grads", "24")

@@ -179,3 +179,23 @@ def test_loss_increase_zero_for_no_change():
     rows = np.ones((4, 3))
     w = np.array([1.0, 2.0, 3.0])
     assert loss_increase(w, w, GradientSet("0", rows), 1e-8) == 0.0
+
+
+def test_loss_increase_widens_no_copy_of_the_rows():
+    """float32 rows are projected in place: the scratch stays far below
+    the 8 MiB a float64 copy of these rows would take."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    rows = rng.standard_normal((256, 4096)).astype(np.float32)
+    w = rng.standard_normal(4096)
+    w2 = w * (rng.random(4096) > 0.5)
+    want = loss_increase(w, w2, rows.astype(np.float64), 1e-8)
+    tracemalloc.start()
+    try:
+        got = loss_increase(w, w2, GradientSet("0", rows), 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert got == pytest.approx(want, rel=1e-12)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obsprune import pipeline
+from obsprune import cli, pipeline
 from obsprune.fisher import FisherConfig
 from obsprune.pruners import PrunerSpec
 from obsprune.schedules import LrSchedule, plan_sweep
@@ -368,8 +368,8 @@ class TestRunModes:
         ra = pipeline.run_oneshot(a, ovit_spec(), sparsity=0.5)
         b = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)
         rb = pipeline.run_oneshot(b, ovit_spec(), sparsity=0.5)
-        assert pipeline.report_lines(ra) == pipeline.report_lines(rb)
-        assert pipeline.report_csv(ra) == pipeline.report_csv(rb)
+        assert cli.report_lines(ra) == cli.report_lines(rb)
+        assert cli.report_csv(ra) == cli.report_csv(rb)
 
 
 class TestDirectional:

@@ -141,7 +141,7 @@ class TestFullSolve:
         assert a.mask.tolist() == b.mask.tolist()
 
     def test_nm_dispatch(self, rng):
-        from obsprune.solver import nm_violations
+        from obsprune.tensorstore import nm_violations
 
         weights, grads = toy_layers(rng, sizes=((4, 8),), n=50)
         res = run_pruner(spec_for("ovit", nm=(2, 4)), weights, grads)
@@ -295,7 +295,7 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
     """ovit solved from the streamed stacks gives the bytes of a solve from
     the collected whole inverse, for every build and kernel chunk budget,
     with trailing partial blocks (60 = 7*8 + 4 and 28 = 3*8 + 4 weights)."""
-    from obsprune import fisher, pruners, solver
+    from obsprune import fisher, pruners
 
     rng = np.random.default_rng(rows)
     weights = {"0": rng.standard_normal((6, 10)), "1": rng.standard_normal((7, 4))}
@@ -322,7 +322,7 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
     assert streamed == whole
     for build_blocks, pass_blocks in [(1, 1), (2, 3), (3, 2), (5, 1000)]:
         monkeypatch.setattr(fisher, "CHUNK_VALUES", build_blocks * 8 * max(rows, 8))
-        monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", pass_blocks * 64)
+        monkeypatch.setattr(fisher, "PASS_VALUES", pass_blocks * 64)
         assert run() == whole, (build_blocks, pass_blocks)
 
 
@@ -331,13 +331,13 @@ def test_nm_prune_never_holds_the_whole_inverse(monkeypatch):
     B=64: with small chunks, an N:M prune peaks below a quarter of that."""
     import tracemalloc
 
-    from obsprune import fisher, solver
+    from obsprune import fisher
 
     rng = np.random.default_rng(11)
     weights = {"0": rng.standard_normal((128, 256)), "1": rng.standard_normal((256, 128))}
     grads = {k: GradientSet(k, rng.standard_normal((32, w.size))) for k, w in weights.items()}
     monkeypatch.setattr(fisher, "CHUNK_VALUES", 1 << 16)
-    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", 1 << 16)
+    monkeypatch.setattr(fisher, "PASS_VALUES", 1 << 16)
     inverse_bytes = 65536 * 64 * 8
     tracemalloc.start()
     try:
@@ -362,3 +362,73 @@ def test_every_layer_is_checked_before_the_first_build(rng, monkeypatch, per_lay
     with pytest.raises(ValueError, match="width 5"):
         run_pruner(spec_for("ovit", per_layer=per_layer), weights, grads, sparsity=0.5)
     assert built == []
+
+
+@pytest.mark.parametrize("method", ["ovit", "wf"])
+def test_per_layer_scans_every_layer_before_the_first_build(rng, monkeypatch, method):
+    """A non-finite row in the last layer fails before any block of the
+    first layer is built or solved."""
+    from obsprune import fisher, solver
+
+    calls = []
+    for mod, name in ((fisher, "_invert_blocks"), (solver, "_eliminate_stack")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    weights, grads = toy_layers(rng)
+    grads["1"].samples[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_pruner(spec_for(method, per_layer=True), weights, grads, sparsity=0.5)
+    assert calls == []
+
+
+def test_build_stacks_are_whole_kernel_passes(monkeypatch):
+    """On two 128x64 float32 layers at B=64 with 192 used rows (the shape of
+    a global prune in the benchmark), every lockstep pass is one stack of
+    the build, or a view of one, never a joined copy."""
+    from obsprune import fisher, solver
+
+    built, passes = [], []
+    real_invert, real_passes = fisher._invert_blocks, solver._kernel_passes
+
+    def invert(*args):
+        built.append(real_invert(*args))
+        return built[-1]
+
+    def kernel_passes(stacks):
+        for p in real_passes(stacks):
+            passes.append((p.shape, any(p is s or p.base is s for s in built)))
+            yield p
+
+    monkeypatch.setattr(fisher, "_invert_blocks", invert)
+    monkeypatch.setattr(solver, "_kernel_passes", kernel_passes)
+    rng = np.random.default_rng(31)
+    weights = {"0": rng.standard_normal((128, 64)), "1": rng.standard_normal((64, 128))}
+    grads = {k: GradientSet(k, rng.standard_normal((192, 8192)).astype(np.float32))
+             for k in weights}
+    run_pruner(spec_for("ovit", block_size=64, num_grads=192), weights, grads, sparsity=0.5)
+    assert passes == [((64, 64, 64), True)] * 4
+
+
+def test_recompute_frees_each_sub_steps_rows_before_the_next(monkeypatch):
+    """The provider's 8 MiB of rows for one sub-step are released before it
+    makes the next sub-step's, so two sets never coexist."""
+    import tracemalloc
+
+    from obsprune import fisher
+
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 1 << 14)  # small build scratch
+    rng = np.random.default_rng(12)
+    weights = {"0": rng.standard_normal((64, 64))}
+    rows_bytes = 256 * 4096 * 8
+
+    def provider(wmap):
+        return {"0": GradientSet("0", rng.standard_normal((256, 4096)))}
+
+    tracemalloc.start()
+    try:
+        prune_with_recompute(spec_for("ovit", block_size=16, recompute=2), weights,
+                             provider, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows_bytes, f"peak {peak / 2**20:.1f} MiB"

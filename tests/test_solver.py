@@ -18,11 +18,11 @@ from obsprune.fisher import (
 from obsprune.solver import (
     BlockTrace,
     eliminate_blocks,
-    nm_violations,
     solve_block,
     solve_global,
     solve_nm,
 )
+from obsprune.tensorstore import nm_violations
 
 from conftest import inverse_from_dense, random_spd
 
@@ -459,7 +459,7 @@ def test_healthy_solve_reports_no_clamps(rng):
 def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk):
     """A block's arithmetic does not depend on which blocks share its
     lockstep chunk, so chunk size never changes an output byte."""
-    from obsprune import solver
+    from obsprune import fisher
 
     grads = rng.standard_normal((6, 76))  # 9 blocks of 8 and one of 4
     inv = build_fisher_inverse(grads, FisherConfig(8, 1e-4, 6))
@@ -473,7 +473,7 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
                 for r in (a, b)]
 
     whole = run()
-    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", blocks_per_chunk * 64)
+    monkeypatch.setattr(fisher, "PASS_VALUES", blocks_per_chunk * 64)
     assert run() == whole
 
 
@@ -483,7 +483,7 @@ def test_stream_is_solved_stack_by_stack(rng, monkeypatch):
     """A pass is solved as soon as it is full, before the next stack is
     drawn; stacks are split at pass boundaries, the rest of one is joined
     with the next stack of its block size, and a new size ends the pass."""
-    from obsprune import solver
+    from obsprune import fisher, solver
 
     events = []
     real = solver._eliminate_stack
@@ -493,7 +493,7 @@ def test_stream_is_solved_stack_by_stack(rng, monkeypatch):
         return real(ids, cols0, *args)
 
     monkeypatch.setattr(solver, "_eliminate_stack", counting)
-    monkeypatch.setattr(solver, "SOLVE_CHUNK_VALUES", 2 * 64)  # two blocks of 8 per pass
+    monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)  # two blocks of 8 per pass
     rows = rng.standard_normal((6, 60))
     whole = build_fisher_inverse(rows, FisherConfig(8, 1e-4, 6))  # 7 blocks of 8, one of 4
     stacks = [np.stack(whole.blocks[:3]), np.stack(whole.blocks[3:6]),

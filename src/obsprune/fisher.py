@@ -19,7 +19,10 @@ chunk of blocks at a time, so rows are widened to float64 a chunk at a
 time and a consumer that frees each stack (the greedy solver) never
 holds the whole inverse. A chunk holds at most ``CHUNK_VALUES`` widened
 gradient values and at most one lockstep pass of the solver
-(``pass_blocks``), so the solver can take each stack as it comes.
+(``pass_blocks``), so the solver can take each stack as it comes. After
+the first pass, the solver draws the rest of a stream on a producer
+thread, which builds the next stack while the solver solves the current
+one; every block is inverted on its own, so that changes no byte.
 ``build_fisher_inverse`` collects the stream into a
 ``FisherBlockInverse`` for callers that need every block at once.
 
@@ -190,17 +193,20 @@ def iter_block_inverses(
         if not np.isfinite(samples[lo : lo + step]).all():
             raise ValueError("gradient samples contain non-finite values")
     n_used = min(int(config.num_grads), samples.shape[0])
-    return _inverse_stacks(samples[:n_used], sizes, config)
+    bs = config.block_size
+    per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
+    return _inverse_stacks(samples[:n_used], sizes, config, per_chunk)
 
 
 def _inverse_stacks(
-    used: np.ndarray, sizes: list[int], config: FisherConfig
+    used: np.ndarray, sizes: list[int], config: FisherConfig, per_chunk: int
 ) -> Iterator[np.ndarray]:
+    """The stream itself; it calls no public function, so the solver's
+    producer thread can advance it."""
     n_used, dim = used.shape
     lam = float(config.dampening)
     bs = config.block_size
     n_main = dim // bs
-    per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
 
     def invert(lo: int, hi: int, width: int) -> np.ndarray:
         rows3 = used[:, lo:hi].reshape(n_used, (hi - lo) // width, width)

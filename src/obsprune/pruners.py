@@ -35,7 +35,6 @@ import numpy as np
 
 from . import obs_core
 from .fisher import (
-    DAMPENING_DEFAULTS,
     EPS_FLOOR,
     FisherConfig,
     collect_inverses,
@@ -73,14 +72,6 @@ class PrunerSpec:
             n, m = self.nm
             if not 0 < n < m:
                 raise ValueError(f"need 0 < n < m for an n:m pattern, got {n}:{m}")
-
-
-def default_spec(method: str, **overrides) -> PrunerSpec:
-    """PrunerSpec with the method's default dampening unless overridden."""
-    fisher = overrides.pop("fisher", None)
-    if fisher is None:
-        fisher = FisherConfig(dampening=DAMPENING_DEFAULTS[method])
-    return PrunerSpec(method=method, fisher=fisher, **overrides)
 
 
 def sparsity_to_k(sparsity: float, prunable_count: int) -> int:

@@ -72,11 +72,6 @@ class SweepPlan:
         """(step, target) pairs; the first event fires at step 0."""
         return [(i * self.interval, t) for i, t in enumerate(self.targets)]
 
-    def checkpoint_steps(self) -> list[tuple[int, float]]:
-        """(step, target) where each checkpoint is emitted: one recovery
-        window after its event."""
-        return [(i * self.interval + self.interval, t) for i, t in enumerate(self.targets)]
-
     @property
     def total_steps(self) -> int:
         return len(self.targets) * self.interval
@@ -120,11 +115,3 @@ def parse_config(text: str) -> dict[str, object]:
 def load_config(path: str) -> dict[str, object]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def schedule_from_config(cfg: dict[str, object]) -> LrSchedule:
-    return LrSchedule(
-        lr_max=float(cfg.get("lr.max", DEFAULT_LR_MAX)),
-        lr_min=float(cfg.get("lr.min", DEFAULT_LR_MIN)),
-        period=int(cfg.get("lr.period", DEFAULT_PERIOD)),
-    )

@@ -22,15 +22,21 @@ exactly zero at eliminated and frozen coordinates. Per block of size B
 this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time overall.
 
 The kernel consumes block inverses as a stream of (nb, B, B) stacks in
-weight order, straight from ``fisher.iter_block_inverses``, and solves
-and frees each stack before it draws the next; a whole
+weight order, straight from ``fisher.iter_block_inverses``; a whole
 ``FisherBlockInverse`` is read as the same stream. Stacks are regrouped
 into passes of ``fisher.PASS_VALUES`` values: larger ones are split into
 views, and consecutive ones of one size are joined across layer
 boundaries. The build's stacks hold at most one pass, so a pass is a
-joined copy only where a layer's blocks do not fill whole passes. So an
-N:M solve holds one chunk of inverses and its scratch at a time, while a
-global solve also keeps its per-step snapshots, which take d*B values.
+joined copy only where a layer's blocks do not fill whole passes. When
+the stacks drawn for a stream's first pass leave weights over, the rest
+of the stream is drawn on one producer thread, one stack ahead: the
+build of the next stack (batched LAPACK and BLAS calls, which release
+the GIL) runs beside the solve of the current pass (many small,
+GIL-bound NumPy calls). Passes are still solved in weight order, and
+every block is built on its own, so the thread moves no output byte. So
+an N:M solve holds at most three stacks of inverses (one solved, one
+handed over, one being built) and one pass of scratch, while a global
+solve also keeps its per-step snapshots, which take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -48,6 +54,7 @@ clamped to it and counted; a solve that clamps warns once with the count.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -236,6 +243,81 @@ def _as_stacks(inv: InverseStacks) -> Iterable[np.ndarray]:
     return inv
 
 
+class _Prefetch:
+    """An iterator over a stream of stacks that, once ``start`` is called,
+    draws the rest of the stream on one daemon producer thread, one stack
+    ahead: the next stack is drawn only after the consumer took the last.
+
+    The producer only advances the stream; its rows were validated when
+    the stream was made. An exception it raises is handed over and
+    re-raised by ``__next__``. ``close`` stops the producer and joins it;
+    the consumer calls it on every exit. ``covered`` counts the weights of
+    the stacks drawn before ``start``.
+    """
+
+    _END = object()  # handed over after the stream's last stack
+
+    def __init__(self, stacks: Iterable[np.ndarray]) -> None:
+        self._stacks = iter(stacks)
+        self._changed = threading.Condition()
+        self._slot: list[object] = []  # the one item handed over, if any
+        self._closed = False
+        self._thread: threading.Thread | None = None
+        self.covered = 0
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._produce, daemon=True)
+        self._thread.start()
+
+    def _produce(self) -> None:
+        try:
+            for stack in self._stacks:
+                if not self._hand_over(stack):
+                    return
+                del stack  # not kept alive while the next one is built
+            self._hand_over(self._END)
+        except BaseException as exc:  # re-raised on the consumer's thread
+            self._hand_over(exc)
+
+    def _hand_over(self, item: object) -> bool:
+        """Put ``item`` in the slot and wait until it is taken; False if the
+        consumer closed first."""
+        with self._changed:
+            self._slot.append(item)
+            self._changed.notify()
+            while self._slot and not self._closed:
+                self._changed.wait()
+            return not self._closed
+
+    def __iter__(self) -> _Prefetch:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._thread is None:
+            stack = next(self._stacks)
+            self.covered += stack.shape[0] * stack.shape[1]
+            return stack
+        with self._changed:
+            while not self._slot:
+                self._changed.wait()
+            item = self._slot.pop()
+            self._changed.notify()
+        if item is self._END:
+            raise StopIteration
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def close(self) -> None:
+        if self._thread is None:
+            return
+        with self._changed:
+            self._closed = True
+            self._slot.clear()
+            self._changed.notify()
+        self._thread.join()
+
+
 def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Regroup stacks into lockstep passes of at most ``pass_blocks(B)``
     blocks: larger stacks are split into views, and consecutive stacks of
@@ -262,7 +344,7 @@ def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
             if count == per_pass:
                 yield joined(held)
                 held, count = [], 0
-        del stack  # unless a view of it is held, free it before the next is built
+        del stack  # unless a view of it is held, free it before the next is taken
     if held:
         yield joined(held)
 
@@ -280,35 +362,44 @@ def eliminate_blocks(
 
     ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
     stacks of consecutive block inverses in weight order, such as
-    ``fisher.iter_block_inverses``; each stack is solved and released
-    before the next is drawn. ``w``, ``prunable`` and ``pinned`` are
-    global flat vectors. With ``nm`` the greedy respects n:m group quotas,
-    every block boundary must be a multiple of m, and ``pinned`` must be
-    empty.
+    ``fisher.iter_block_inverses``. Passes are solved in weight order. If
+    ``inv`` is a stream and the stacks drawn for its first pass leave
+    weights over, the rest of it is drawn on one producer thread, at most
+    one stack ahead of the solve, and the thread is joined before this
+    returns or raises; an exception raised while drawing is re-raised
+    here. ``w``, ``prunable`` and ``pinned`` are global flat vectors. With
+    ``nm`` the greedy respects n:m group quotas, every block boundary must
+    be a multiple of m, and ``pinned`` must be empty.
     """
     w = np.asarray(w, dtype=np.float64)
     if pinned is None:
         pinned = np.zeros(w.size, dtype=bool)
     traces: list[BlockTrace] = []
     offset = 0
-    for stack in _kernel_passes(_as_stacks(inv)):
-        nb, bs, _ = stack.shape
-        end = offset + nb * bs
-        if end > w.size:
-            raise ValueError(f"inverse covers more than the {w.size} weights")
-        if nm is not None and (offset % nm[1] or bs % nm[1]):
-            raise ValueError(
-                f"block boundaries must be multiples of m={nm[1]}; "
-                "use a block size that m divides"
+    stacks = _Prefetch(_as_stacks(inv))
+    try:
+        for stack in _kernel_passes(stacks):
+            nb, bs, _ = stack.shape
+            end = offset + nb * bs
+            if end > w.size:
+                raise ValueError(f"inverse covers more than the {w.size} weights")
+            if nm is not None and (offset % nm[1] or bs % nm[1]):
+                raise ValueError(
+                    f"block boundaries must be multiples of m={nm[1]}; "
+                    "use a block size that m divides"
+                )
+            if not offset and stacks.covered < w.size and not isinstance(inv, FisherBlockInverse):
+                stacks.start()  # build the next stacks beside this solve
+            sl = slice(offset, end)
+            traces += _eliminate_stack(
+                np.arange(len(traces), len(traces) + nb), stack.transpose(0, 2, 1),
+                w[sl].reshape(nb, bs).copy(), prunable[sl].reshape(nb, bs),
+                pinned[sl].reshape(nb, bs), nm, keep_states,
             )
-        sl = slice(offset, end)
-        traces += _eliminate_stack(
-            np.arange(len(traces), len(traces) + nb), stack.transpose(0, 2, 1),
-            w[sl].reshape(nb, bs).copy(), prunable[sl].reshape(nb, bs),
-            pinned[sl].reshape(nb, bs), nm, keep_states,
-        )
-        offset = end
-        del stack  # free this pass before the next stack is built
+            offset = end
+            del stack  # free this pass before the next one is taken
+    finally:
+        stacks.close()
     if offset != w.size:
         raise ValueError(f"inverse covers {offset} weights, got {w.size}")
     clamped = sum(t.clamp_events for t in traces)

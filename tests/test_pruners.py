@@ -1,12 +1,13 @@
 """Method dispatch: magnitude, frozen-curvature, and full solves."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from obsprune.fisher import FisherConfig
+from obsprune.fisher import DAMPENING_DEFAULTS, FisherConfig
 from obsprune.pruners import (
     PrunerSpec,
-    default_spec,
     flatten_layers,
     prune_with_recompute,
     run_pruner,
@@ -271,6 +272,14 @@ class TestRecompute:
                                  weights, lambda w: grads, 0.5)
 
 
+def default_spec(method, **overrides):
+    """PrunerSpec with the method's default dampening unless overridden."""
+    fisher = overrides.pop("fisher", None)
+    if fisher is None:
+        fisher = FisherConfig(dampening=DAMPENING_DEFAULTS[method])
+    return PrunerSpec(method=method, fisher=fisher, **overrides)
+
+
 def test_default_spec_has_documented_defaults():
     spec = default_spec("ovit")
     assert spec.fisher.block_size == 64
@@ -288,13 +297,14 @@ def collected(real):
     return lambda grads, layout, config: collect_inverses(real(grads, layout, config), config)
 
 
-@pytest.mark.parametrize("mode", ["global", "per_layer", "nm"])
+@pytest.mark.parametrize("mode", ["global", "per_layer", "recompute", "nm"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [5, 20])  # fewer and more rows than B=8
 def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
-    """ovit solved from the streamed stacks gives the bytes of a solve from
-    the collected whole inverse, for every build and kernel chunk budget,
-    with trailing partial blocks (60 = 7*8 + 4 and 28 = 3*8 + 4 weights)."""
+    """ovit solved from the streamed stacks, built on the solver's producer
+    thread after the first pass, gives the bytes of a solve from the
+    collected whole inverse, for every build and kernel chunk budget, with
+    trailing partial blocks (60 = 7*8 + 4 and 28 = 3*8 + 4 weights)."""
     from obsprune import fisher, pruners
 
     rng = np.random.default_rng(rows)
@@ -304,13 +314,25 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
     prunable = {k: rng.random(w.shape) > 0.2 for k, w in weights.items()}
     flat_pr = np.concatenate([p.reshape(-1) for p in prunable.values()])
     spec = spec_for("ovit", nm=(2, 4) if mode == "nm" else None,
-                    per_layer=mode == "per_layer")
-    target = {}
-    if mode != "nm":
-        target = {"sparsity": 0.55, "pinned": np.flatnonzero(flat_pr)[::9]}
+                    per_layer=mode == "per_layer", recompute=2 if mode == "recompute" else 1)
+    pinned = np.flatnonzero(flat_pr)[::9]
+    built_off_main = []
+    real_invert = fisher._invert_blocks
+
+    def invert(*args):
+        built_off_main.append(threading.current_thread() is not threading.main_thread())
+        return real_invert(*args)
+
+    monkeypatch.setattr(fisher, "_invert_blocks", invert)
 
     def run():
-        res = run_pruner(spec, weights, grads, prunable=prunable, **target)
+        built_off_main.clear()
+        if mode == "recompute":  # the second sub-step pins the first one's zeros
+            res = prune_with_recompute(spec, weights, lambda w: grads, 0.55,
+                                       prunable=prunable)
+        else:
+            target = {} if mode == "nm" else {"sparsity": 0.55, "pinned": pinned}
+            res = run_pruner(spec, weights, grads, prunable=prunable, **target)
         return (res.mask.tobytes(), res.new_weights.tobytes(),
                 res.predicted_loss_increase, res.per_layer_predicted)
 
@@ -319,11 +341,15 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
         patch.setattr(pruners, "layered_inverse_stacks",
                       collected(pruners.layered_inverse_stacks))
         whole = run()
+    assert not any(built_off_main)
     assert streamed == whole
     for build_blocks, pass_blocks in [(1, 1), (2, 3), (3, 2), (5, 1000)]:
         monkeypatch.setattr(fisher, "CHUNK_VALUES", build_blocks * 8 * max(rows, 8))
         monkeypatch.setattr(fisher, "PASS_VALUES", pass_blocks * 64)
         assert run() == whole, (build_blocks, pass_blocks)
+        # every pool but per-layer ones at the widest passes has stacks left
+        # after its first pass, and so builds them on the producer thread
+        assert any(built_off_main) == (pass_blocks < 1000 or mode != "per_layer")
 
 
 def test_nm_prune_never_holds_the_whole_inverse(monkeypatch):

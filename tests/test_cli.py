@@ -480,6 +480,58 @@ class TestToyAndSweep:
         assert code == 3
 
 
+def count_gradient_rows(monkeypatch):
+    """Counts the per-sample gradient collections of a run."""
+    calls = []
+    real = pipeline.per_sample_gradients
+    monkeypatch.setattr(pipeline, "per_sample_gradients",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+class TestSkippedSubSteps:
+    """A recomputation sub-step that would prune only the zero pins is
+    skipped (see ``pruners.prune_with_recompute``)."""
+
+    def test_bench_shaped_sweep_collects_rows_four_times(self, tmp_path, monkeypatch):
+        """Sub-steps 0.5 of event 0.75 and 0.684 of event 0.9 are no-ops."""
+        calls = count_gradient_rows(monkeypatch)
+        code, _ = run_cli(
+            "sweep", "--seed", "5", "--dims", "48,96,24", "--samples", "512",
+            "--steps", "120", "--targets", "0.5,0.75,0.9", "--interval", "20",
+            "--recompute", "2", "--block-size", "16", "--num-grads", "128",
+            "--out", str(tmp_path / "cp"),
+        )
+        assert code == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("per_layer", [False, True], ids=["global", "per-layer"])
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_a_skipped_sub_step_changes_no_byte(self, tmp_path, monkeypatch, method, per_layer):
+        """Sub-step 0.5 of event 0.75 is skipped, or forced to run in full."""
+        from obsprune import pruners
+
+        prefix = tmp_path / "cp"
+        argv = ["sweep", "--seed", "3", "--dims", "6,10,4", "--steps", "40",
+                "--targets", "0.5,0.75", "--interval", "5", "--recompute", "2",
+                "--block-size", "8", "--method", method, "--out", str(prefix)]
+        if per_layer:
+            argv.append("--per-layer")
+        calls = count_gradient_rows(monkeypatch)
+        runs = []
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(pruners, "_pins_only", lambda *args: None)
+            calls.clear()
+            code, text = run_cli(*argv)
+            assert code == 0
+            files = [pathlib.Path(f"{prefix}.{t}.ovpt").read_bytes() for t in ("0.5", "0.75")]
+            runs.append((len(calls), text, files))
+        (skipped_calls, *skipped), (full_calls, *full) = runs
+        assert (skipped_calls, full_calls) == (3, 4)
+        assert skipped == full
+
+
 class TestGolden:
     def test_toy_report_matches_golden(self):
         """Full report of a pinned run. Regenerate with

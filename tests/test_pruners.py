@@ -200,6 +200,24 @@ class TestLayerHandling:
             # sparsity is counted against the prunable pool
             assert int(np.count_nonzero(res.mask == 0)) == sparsity_to_k(0.5, 12)
 
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_every_pinned_index_is_pruned(self, method):
+        """The 5 largest of 88 toy weights, pinned at sparsity 0.3, rank far
+        beyond the 26 cheapest records, yet every method prunes them, and a
+        recomputed prune given them keeps its masks monotone."""
+        from obsprune import pipeline
+
+        model = pipeline.toy_train(3, (8, 11), steps=50, lr=0.05, n_samples=64)
+        grads = pipeline.collect_grads(model, 64)
+        w, _, _ = flatten_layers(model.weights)
+        pinned = np.argsort(-np.abs(w))[:5]
+        res = run_pruner(spec_for(method), model.weights, grads, sparsity=0.3, pinned=pinned)
+        assert (res.mask[pinned] == 0).all()
+        assert int(np.count_nonzero(res.mask == 0)) == sparsity_to_k(0.3, 88)
+        res = prune_with_recompute(spec_for(method, recompute=2), model.weights,
+                                   lambda _w: grads, 0.3, pinned=pinned)
+        assert (res.mask[pinned] == 0).all()
+
     def test_per_layer_predicted_sums_to_total(self, rng):
         weights, grads = toy_layers(rng)
         res = run_pruner(spec_for("ovit"), weights, grads, sparsity=0.5)
@@ -270,6 +288,54 @@ class TestRecompute:
         with pytest.raises(ValueError):
             prune_with_recompute(spec_for("ovit", nm=(2, 4), recompute=2),
                                  weights, lambda w: grads, 0.5)
+
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_nonzero_pins_never_skip(self, rng, method):
+        """Both sub-steps to 0.5 resolve to the 32 pins. The pins still hold
+        weight at the first, so it prunes; they are zero at the second, so
+        that one is skipped."""
+        weights, grads = toy_layers(rng, sizes=((8, 8),), n=80)
+        pinned = np.argsort(np.abs(weights["0"]).reshape(-1))[:32]
+        calls = []
+        res = prune_with_recompute(spec_for(method, recompute=2), weights,
+                                   lambda w: calls.append(1) or grads, 0.5, pinned=pinned)
+        assert len(calls) == 1
+        assert (res.mask[pinned] == 0).all() and (res.new_weights[pinned] == 0.0).all()
+
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_a_final_no_op_sub_step_returns_the_pins(self, rng, monkeypatch, method):
+        """With 32 zero pins and a target of 0.5 both sub-steps are no-ops:
+        no gradient rows are made, and the result is the pins' mask and the
+        unchanged weights, byte for byte what the full sub-steps give."""
+        from obsprune import pruners
+
+        weights, grads = toy_layers(rng, sizes=((8, 8),), n=80)
+        flat = weights["0"].reshape(-1)
+        pinned = np.argsort(np.abs(flat))[:32]
+        flat[pinned] = 0.0
+        flat[pinned[0]] = -0.0  # comes out as the +0.0 a prune writes
+        spec = spec_for(method, recompute=2)
+        calls = []
+
+        def provider(w_now):
+            calls.append(1)
+            return grads
+
+        res = prune_with_recompute(spec, weights, provider, 0.5, pinned=pinned)
+        assert calls == []
+        want = flat.copy()
+        want[pinned] = 0.0
+        assert res.new_weights.tobytes() == want.tobytes()
+        assert res.mask.tolist() == np.isin(np.arange(64), pinned, invert=True).tolist()
+        assert res.predicted_loss_increase == 0.0 and res.clamp_events == 0
+
+        monkeypatch.setattr(pruners, "_pins_only", lambda *args: None)
+        full = prune_with_recompute(spec, weights, provider, 0.5, pinned=pinned)
+        assert len(calls) == 2
+        assert (full.mask.tobytes(), full.new_weights.tobytes(), full.predicted_loss_increase,
+                full.per_layer_predicted, full.per_layer_sparsity) == (
+                res.mask.tobytes(), res.new_weights.tobytes(), res.predicted_loss_increase,
+                res.per_layer_predicted, res.per_layer_sparsity)
 
 
 def default_spec(method, **overrides):

@@ -3,6 +3,7 @@
 import itertools
 import threading
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from obsprune.fisher import (
     eliminate_index_clamped,
 )
 from obsprune.solver import (
-    BlockTrace,
     eliminate_blocks,
     solve_block,
     solve_global,
@@ -27,6 +27,15 @@ from obsprune.solver import (
 from obsprune.tensorstore import nm_violations
 
 from conftest import inverse_from_dense, random_spd
+
+
+class Reference(NamedTuple):
+    order: np.ndarray
+    cumulative: np.ndarray
+    states: np.ndarray
+    final: np.ndarray
+    pinned_steps: int
+    clamp_events: int
 
 
 def reference_block(w, inv, prunable=None, pinned=(), nm=None):
@@ -80,7 +89,7 @@ def reference_block(w, inv, prunable=None, pinned=(), nm=None):
             inv = eliminate_index_clamped(inv, i)
             alive[i] = False
             counts[gid[i]] += 1
-    return BlockTrace(0, order, cumulative, states, w, len(pinned_list), clamps)
+    return Reference(order, cumulative, states, w, len(pinned_list), clamps)
 
 
 def make_inverse(rng, d, block_size, damp=1e-3, n=None):
@@ -221,10 +230,11 @@ class TestGlobalMerge:
         real = solver.eliminate_blocks
 
         def reversed_costs(*args, **kwargs):
-            traces = real(*args, **kwargs)
-            for t in traces:
-                t.cumulative = t.cumulative[::-1].copy()
-            return traces
+            passes = real(*args, **kwargs)
+            for p in passes:
+                for b, s in enumerate(p.steps):
+                    p.cumulative[b, :s] = p.cumulative[b, :s][::-1].copy()
+            return passes
 
         monkeypatch.setattr(solver, "eliminate_blocks", reversed_costs)
         rows, inv = make_inverse(rng, 8, 4)
@@ -346,21 +356,23 @@ def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
     pin = np.zeros(w.size, dtype=bool) if pinned is None else pinned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCurvatureWarning)
-        traces = eliminate_blocks(w, inv, prunable, pin, nm=nm, keep_states=nm is None)
-    assert len(traces) == inv.num_blocks
-    for b, got in enumerate(traces):
+        passes = eliminate_blocks(w, inv, prunable, pin, nm=nm, keep_states=nm is None)
+    blocks = [(p, j) for p in passes for j in range(len(p.steps))]
+    assert len(blocks) == inv.num_blocks
+    for b, (p, j) in enumerate(blocks):
         lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
         want = reference_block(w[lo:hi], inv.blocks[b], prunable[lo:hi],
                                np.flatnonzero(pin[lo:hi]), nm)
-        assert got.block_id == b
+        got = p.block(j)
+        assert p.starts[j] == lo
         np.testing.assert_array_equal(got.order, want.order)
-        assert got.pinned_steps == want.pinned_steps
-        assert got.clamp_events == want.clamp_events
+        assert p.pinned_steps[j] == want.pinned_steps
+        assert p.clamps[j] == want.clamp_events
         np.testing.assert_allclose(got.cumulative, want.cumulative, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got.final, want.final, rtol=1e-7, atol=1e-9)
         if nm is None:
             np.testing.assert_allclose(got.states, want.states, rtol=1e-7, atol=1e-9)
-            for t in range(got.steps):
+            for t in range(got.order.size):
                 assert (got.states[t, got.order[: t + 1]] == 0.0).all()
         else:
             assert got.states.shape == (0, hi - lo)
@@ -493,9 +505,10 @@ def test_stream_is_built_one_stack_ahead_of_the_solve(rng, monkeypatch):
     solves, draws = [], []
     real = solver._eliminate_stack
 
-    def counting(ids, cols0, *args):
-        solves.append((ids.tolist(), len(draws)))
-        return real(ids, cols0, *args)
+    def counting(offset, cols0, *args):
+        first = offset // 8  # every block before the last is 8 wide
+        solves.append((list(range(first, first + len(cols0))), len(draws)))
+        return real(offset, cols0, *args)
 
     monkeypatch.setattr(solver, "_eliminate_stack", counting)
     monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)  # two blocks of 8 per pass
@@ -510,14 +523,15 @@ def test_stream_is_built_one_stack_ahead_of_the_solve(rng, monkeypatch):
             yield stack
 
     w = rng.standard_normal(60)
-    traces = eliminate_blocks(w, stream(), np.ones(60, dtype=bool))
+    passes = eliminate_blocks(w, stream(), np.ones(60, dtype=bool))
     assert [ids for ids, _ in solves] == [[0, 1], [2, 3], [4, 5], [6], [7]]
     needed = [1, 2, 2, 4, 4]  # stacks drawn before each solve when drawn in turn
     assert all(n <= drawn <= n + 1 for (_, drawn), n in zip(solves, needed)), solves
     assert draws == [True, False, False, False]
     want = eliminate_blocks(w, whole, np.ones(60, dtype=bool))
-    assert [t.block_id for t in traces] == [t.block_id for t in want]
-    for got, ref in zip(traces, want):
+    assert [p.offset for p in passes] == [p.offset for p in want]
+    for got, ref in zip(passes, want):
+        assert got.steps.tobytes() == ref.steps.tobytes()
         assert got.order.tobytes() == ref.order.tobytes()
         assert got.cumulative.tobytes() == ref.cumulative.tobytes()
         assert got.states.tobytes() == ref.states.tobytes()
@@ -625,7 +639,7 @@ def test_handover_under_frequent_thread_switches(rng):
         got = eliminate_blocks(w, iter(stacks), np.ones(1600, dtype=bool))
     finally:
         sys.setswitchinterval(interval)
-    assert [t.final.tobytes() for t in got] == [t.final.tobytes() for t in want]
+    assert [p.final.tobytes() for p in got] == [p.final.tobytes() for p in want]
     assert threading.active_count() == before
 
 

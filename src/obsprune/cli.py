@@ -34,7 +34,6 @@ from .fisher import (
     DAMPENING_DEFAULTS,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_NUM_GRADS,
-    DegenerateCurvatureError,
     FisherConfig,
     build_fisher_inverse,
 )
@@ -63,7 +62,6 @@ class UsageError(Exception):
 _RUNTIME_ERRORS = (
     ContainerError,
     NumericalError,
-    DegenerateCurvatureError,
     np.linalg.LinAlgError,
     ValueError,
     OSError,

@@ -26,16 +26,24 @@ one; every block is inverted on its own, so that changes no byte.
 ``build_fisher_inverse`` collects the stream into a
 ``FisherBlockInverse`` for callers that need every block at once.
 
-``eliminate_index`` downdates an inverse after a coordinate is removed
-from the system (Schur complement step): the remaining entries become the
-inverse of F with that row/column deleted, and the removed row/column is
-zeroed with a 0.0 sentinel on the diagonal so it can never be selected
-again.
+The build takes the weights' movable mask and freezes every other
+weight: a chunk that holds a frozen weight has that weight's gradient
+column zeroed before it is inverted, which makes F block-diagonal up to
+the order of coordinates, blockdiag(F_MM, lambda*I) with M the movable
+weights, in both forms.
+Its inverse is blockdiag(F_MM^-1, I/lambda), and the build then zeroes
+the frozen diagonal entries, so every frozen row and column of the
+result is exactly zero and the rest is the inverse of the Fisher
+restricted to the movable weights. No compensation computed from it
+moves a frozen weight. A chunk is copied only when it must be: a float64
+chunk with nothing frozen goes to the Gram form as a strided view of the
+rows, which it reads once; a masked chunk, a chunk to widen and a chunk
+for the Woodbury form, which reads the rows three times, become one
+contiguous float64 copy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -56,10 +64,6 @@ CHUNK_VALUES = 1 << 20
 PASS_VALUES = 1 << 18
 #: default dampening per method (CLI-overridable)
 DAMPENING_DEFAULTS = {"ovit": 1e-8, "wf": 1e-6, "gm": 1e-8}
-
-
-class DegenerateCurvatureError(Exception):
-    """Inverse diagonal at or below the numerical floor where a pivot is needed."""
 
 
 class DegenerateCurvatureWarning(UserWarning):
@@ -141,11 +145,6 @@ class FisherBlockInverse:
         """Global inverse diagonal (unclamped)."""
         return np.concatenate([np.diagonal(b) for b in self.blocks])
 
-    def copy(self) -> "FisherBlockInverse":
-        return FisherBlockInverse(
-            [b.copy() for b in self.blocks], self.config, self.offsets.copy()
-        )
-
 
 def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
     """Inverses of lambda*I + R_b^T R_b / N for a (nblocks, N, B) float64 stack.
@@ -171,22 +170,33 @@ def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
 
 
 def iter_block_inverses(
-    grads: GradientSet | np.ndarray, config: FisherConfig
+    grads: GradientSet | np.ndarray,
+    config: FisherConfig,
+    movable: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Per-block inverses of lambda*I + (1/N) sum g g^T, as a stream.
 
     Validates the rows at the call, before any block is built: raises
-    ValueError on an empty sample set or on non-finite values in any row,
-    used or not. The returned iterator then yields (nb, B, B) float64
-    stacks of consecutive blocks in weight order: the full blocks, about
+    ValueError on an empty sample set, on non-finite values in any row,
+    used or not, or on a ``movable`` mask that is not one flag per
+    weight. The returned iterator then yields (nb, B, B) float64 stacks
+    of consecutive blocks in weight order: the full blocks, about
     ``CHUNK_VALUES`` widened gradient values and at most one solver pass
     at a time, then the trailing partial block on its own. Uses the first
-    ``min(num_grads, rows)`` rows in their stored dtype.
+    ``min(num_grads, rows)`` rows in their stored dtype. Weights outside
+    ``movable`` (default: every weight moves) come out frozen: their rows
+    and columns are exactly zero (see the module docstring).
     """
     samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ValueError("gradient samples must be a non-empty (N, d) array")
     dim = samples.shape[1]
+    frozen = np.zeros(dim, dtype=bool)
+    if movable is not None:
+        movable = np.asarray(movable, dtype=bool)
+        if movable.shape != (dim,):
+            raise ValueError(f"movable mask has shape {movable.shape}, expected ({dim},)")
+        frozen = ~movable
     sizes = block_partition(dim, config.block_size)
     step = max(1, CHUNK_VALUES // dim)
     for lo in range(0, samples.shape[0], step):
@@ -195,11 +205,15 @@ def iter_block_inverses(
     n_used = min(int(config.num_grads), samples.shape[0])
     bs = config.block_size
     per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
-    return _inverse_stacks(samples[:n_used], sizes, config, per_chunk)
+    return _inverse_stacks(samples[:n_used], sizes, config, per_chunk, frozen)
 
 
 def _inverse_stacks(
-    used: np.ndarray, sizes: list[int], config: FisherConfig, per_chunk: int
+    used: np.ndarray,
+    sizes: list[int],
+    config: FisherConfig,
+    per_chunk: int,
+    frozen: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The stream itself; it calls no public function, so the solver's
     producer thread can advance it."""
@@ -209,10 +223,14 @@ def _inverse_stacks(
     n_main = dim // bs
 
     def invert(lo: int, hi: int, width: int) -> np.ndarray:
-        rows3 = used[:, lo:hi].reshape(n_used, (hi - lo) // width, width)
-        return _invert_blocks(
-            np.ascontiguousarray(rows3.transpose(1, 0, 2), dtype=np.float64), lam
-        )
+        rows3 = used[:, lo:hi].reshape(n_used, -1, width).transpose(1, 0, 2)
+        blk, idx = np.nonzero(frozen[lo:hi].reshape(-1, width))
+        if blk.size or rows3.dtype != np.float64 or n_used < width:
+            rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
+            rows3[blk, :, idx] = 0.0  # the frozen gradient columns
+        out = _invert_blocks(rows3, lam)
+        out[blk, idx, idx] = 0.0
+        return out
 
     for b in range(0, n_main, per_chunk):
         yield invert(b * bs, min(b + per_chunk, n_main) * bs, bs)
@@ -221,69 +239,14 @@ def _inverse_stacks(
 
 
 def build_fisher_inverse(
-    grads: GradientSet | np.ndarray, config: FisherConfig
+    grads: GradientSet | np.ndarray,
+    config: FisherConfig,
+    movable: np.ndarray | None = None,
 ) -> FisherBlockInverse:
     """The whole block inverse: every stack of ``iter_block_inverses``, kept."""
-    return collect_inverses(iter_block_inverses(grads, config), config)
+    return collect_inverses(iter_block_inverses(grads, config, movable), config)
 
 
 def collect_inverses(stacks: Iterable[np.ndarray], config: FisherConfig) -> FisherBlockInverse:
     """One ``FisherBlockInverse`` holding every block of ``stacks``, in order."""
     return FisherBlockInverse([blk for stack in stacks for blk in stack], config)
-
-
-def eliminate_index(inv_block: np.ndarray, i: int, floor: float = EPS_FLOOR) -> np.ndarray:
-    """Downdate a block inverse after removing coordinate ``i``.
-
-    Returns a new matrix equal to inv - (inv e_i)(inv e_i)^T / inv[i,i]
-    with row/column ``i`` zeroed and a 0.0 diagonal sentinel. The
-    surviving entries are the inverse of the original F with row/column
-    ``i`` deleted. Raises DegenerateCurvatureError when the pivot is at or
-    below ``floor``; callers that must not abort clamp and retry.
-    """
-    pivot = float(inv_block[i, i])
-    if not np.isfinite(pivot) or pivot <= floor:
-        raise DegenerateCurvatureError(
-            f"pivot {pivot:.3e} at index {i} is at or below the {floor:.0e} floor"
-        )
-    col = inv_block[:, i].copy()
-    out = inv_block - np.outer(col, col) / pivot
-    out[i, :] = 0.0
-    out[:, i] = 0.0
-    out[i, i] = 0.0
-    return out
-
-
-def eliminate_index_clamped(inv_block: np.ndarray, i: int) -> np.ndarray:
-    """Like ``eliminate_index`` but clamps degenerate pivots with a warning."""
-    try:
-        return eliminate_index(inv_block, i)
-    except DegenerateCurvatureError:
-        warnings.warn(
-            f"clamping degenerate pivot at index {i} to {EPS_FLOOR:.0e}",
-            DegenerateCurvatureWarning,
-            stacklevel=2,
-        )
-        patched = inv_block.copy()
-        patched[i, i] = EPS_FLOOR
-        return eliminate_index(patched, i, floor=0.0)
-
-
-def freeze_indices(inv: FisherBlockInverse, frozen: Iterable[int]) -> FisherBlockInverse:
-    """Eliminate ``frozen`` global coordinates from the inverse.
-
-    The result is the inverse of the Fisher restricted to the movable
-    subspace: columns at frozen coordinates are zero, so no compensating
-    update computed from it can touch a frozen weight.
-    """
-    out = inv.copy()
-    per_block: dict[int, list[int]] = {}
-    for g in frozen:
-        b, local = out.block_of(int(g))
-        per_block.setdefault(b, []).append(local)
-    for b, locals_ in per_block.items():
-        blk = out.blocks[b]
-        for j in sorted(locals_):
-            blk = eliminate_index_clamped(blk, j)
-        out.blocks[b] = blk
-    return out

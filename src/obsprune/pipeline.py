@@ -56,10 +56,6 @@ class ToyModel:
     def num_samples(self) -> int:
         return int(self.inputs.shape[0])
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
     def copy_weights(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.weights.items()}
 
@@ -249,14 +245,6 @@ def make_quadratic_toy(
     offsets = np.tile([-1.0, 1.0], n_base)[:, None]
     Y = X @ w_star.T + offsets
     return ToyModel((d, 1), {"0": w_star}, X, Y, "mse")
-
-
-def quadratic_hessian(model: ToyModel) -> np.ndarray:
-    """True Hessian of a single-layer MSE toy with scalar output."""
-    if len(model.dims) != 2 or model.dims[1] != 1 or model.loss_kind != "mse":
-        raise ValueError("exact Hessian only available for single-output linear MSE toys")
-    X = model.inputs
-    return X.T @ X / X.shape[0]
 
 
 # -- training ----------------------------------------------------------------

@@ -13,15 +13,18 @@
 and resolves a sparsity into a zero count k once per call, over the whole
 model or, in per-layer mode, over each layer; ``prune_with_recompute``
 reaches a sparsity in several ``run_pruner`` calls, and skips a sub-step
-that would prune only pins whose weights are already zero. ``run_pruner`` makes
-every pool's stream of block inverses (``layered_inverse_stacks``) before
-it builds any block, so every layer's rows are scanned first; ``ovit``
-hands each stream straight to the solver, so it never holds the whole
-inverse, and ``wf`` collects it whole. All methods share the
-weight indexing convention (layers concatenated in mapping order, each
-flattened row-major), respect prunability masks, and break score ties by
-global index. ``pinned`` indices are pruned unconditionally (used to keep
-masks monotone across repeated pruning).
+that would prune only pins whose weights are already zero. ``run_pruner``
+makes every pool's stream of block inverses (``layered_inverse_stacks``)
+before it builds any block, so every layer's rows are scanned first.
+Each stream is built frozen at the pool's non-prunable weights (see
+``fisher``), so neither ``ovit`` nor ``wf`` eliminates them itself:
+``ovit`` hands each stream straight to the solver, so it never holds the
+whole inverse, and ``wf`` collects it whole and scores and compensates
+from it as it is. All methods share the weight indexing convention
+(layers concatenated in mapping order, each flattened row-major), respect
+prunability masks, and break score ties by global index. ``pinned``
+indices are pruned unconditionally (used to keep masks monotone across
+repeated pruning).
 """
 
 from __future__ import annotations
@@ -35,13 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import obs_core
-from .fisher import (
-    EPS_FLOOR,
-    FisherConfig,
-    collect_inverses,
-    freeze_indices,
-    iter_block_inverses,
-)
+from .fisher import EPS_FLOOR, FisherConfig, collect_inverses, iter_block_inverses
 from .solver import LayerLayout, PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
 
@@ -136,11 +133,15 @@ def _check_grads(grads: GradMap, layout: Sequence[LayerLayout]) -> None:
 
 
 def layered_inverse_stacks(
-    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig
+    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig, movable: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Every layer's block-inverse stacks, in weight order; blocks never
-    span layers. Every layer's rows are validated before any block is built."""
-    streams = [iter_block_inverses(grads[lay.name], config) for lay in layout]
+    """Every layer's block-inverse stacks, in weight order, frozen outside
+    the global flat ``movable`` mask; blocks never span layers. Every
+    layer's rows are validated before any block is built."""
+    streams = [
+        iter_block_inverses(grads[lay.name], config, movable[lay.offset : lay.offset + lay.size])
+        for lay in layout
+    ]
     return itertools.chain.from_iterable(streams)
 
 
@@ -162,8 +163,6 @@ def _prune_frozen(
     inv = None
     if spec.method == "wf":
         inv = collect_inverses(stacks, spec.fisher)
-        if not pr.all():
-            inv = freeze_indices(inv, np.flatnonzero(~pr))
         diag = np.maximum(inv.diagonal(), EPS_FLOOR)
         scores = w**2 / (2.0 * diag)
     else:
@@ -222,10 +221,11 @@ def _prune_pool(
 
 
 def _stream(
-    spec: PrunerSpec, grads: GradMap | None, layout: Sequence[LayerLayout]
+    spec: PrunerSpec, grads: GradMap | None, layout: Sequence[LayerLayout], pr: np.ndarray
 ) -> Iterator[np.ndarray] | None:
-    """The pool's block-inverse stream, its rows scanned now; None for gm."""
-    return None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher)
+    """The pool's block-inverse stream, frozen outside ``pr`` and its rows
+    scanned now; None for gm."""
+    return None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher, pr)
 
 
 def _resolve_k(
@@ -286,21 +286,21 @@ def run_pruner(
                 stacklevel=2,
             )
             cfg = replace(cfg, block_size=rounded)
-        stacks = layered_inverse_stacks(grads, layout, cfg)
+        stacks = layered_inverse_stacks(grads, layout, cfg, pr)
         return solve_nm(w, stacks, n, m, prunable=pr, layout=layout)
     if (sparsity is None) == (k is None):
         raise ValueError("exactly one of sparsity or k is required")
 
     if not spec.per_layer:
         k = _resolve_k(sparsity, k, pr, pin)
-        return _prune_pool(spec, w, pr, pin, k, layout, grads, _stream(spec, grads, layout))
+        return _prune_pool(spec, w, pr, pin, k, layout, grads, _stream(spec, grads, layout, pr))
 
     if sparsity is None:
         raise ValueError("per-layer mode needs a sparsity target")
     slices = [slice(lay.offset, lay.offset + lay.size) for lay in layout]
     ks = [_resolve_k(sparsity, None, pr[sl], pin[sl]) for sl in slices]
     # every layer's stream is made, so its rows are scanned, before any build
-    streams = [_stream(spec, grads, (lay,)) for lay in layout]
+    streams = [_stream(spec, grads, (lay,), pr) for lay in layout]
     parts = [
         _prune_pool(spec, w[sl], pr[sl], pin[sl], k_l, (replace(lay, offset=0),), grads, stacks)
         for lay, sl, k_l, stacks in zip(layout, slices, ks, streams)

@@ -54,12 +54,19 @@ has m-n zeroed entries, and stops a block when every group reached its
 quota. It keeps no snapshots: it always takes every step, so only the
 final weights are needed.
 
-Non-prunable coordinates are eliminated first, in index order, without
-touching their weights or adding cost, which freezes them: no
-compensation computed from the reduced inverse can move them, and they
-can never be selected. Pinned coordinates come next, in index order,
-with the normal update and cost. Pivots at or below ``EPS_FLOOR`` are
-clamped to it and counted; a solve that clamps warns once with the count.
+Inverses must come frozen from the build: every solver here takes
+``prunable`` to say which weights are eligible, and expects each
+non-prunable coordinate's row and column of its block's inverse to be
+exactly zero, so that the inverse is that of the Fisher restricted to
+the movable weights (``fisher.iter_block_inverses`` with the layer's
+movable mask builds it so). Then no compensation can move a frozen
+weight, and none can be selected. ``eliminate_blocks`` raises
+ValueError, naming the block, on an inverse with a nonzero entry in a
+non-prunable coordinate's row, instead of compensating through weights
+that must not move. Pinned coordinates are eliminated first, in index
+order, with the normal update and cost. Pivots at or below
+``EPS_FLOOR`` are clamped to it and counted; a solve that clamps warns
+once with the count.
 """
 
 from __future__ import annotations
@@ -185,19 +192,17 @@ def _eliminate_stack(
 ) -> PassTrace:
     """Greedy elimination on a stack of same-size blocks, in lockstep.
 
-    ``cols0[b, i]`` is column i of the initial inverse of block b, whose
-    first weight has global index ``offset + b * B``;
+    ``cols0[b, i]`` is column i of the initial (frozen) inverse of block
+    b, whose first weight has global index ``offset + b * B``;
     ``w``, ``prunable`` and ``pinned`` are (nb, B). Step t eliminates one
     coordinate in every block that still has one to eliminate: its
-    non-prunable coordinates first, then its pinned ones, then the live
-    eligible coordinate of least saliency.
+    pinned coordinates first, then the live eligible coordinate of least
+    saliency.
     """
     nb, bs = w.shape
     rows = np.arange(nb)
-    n_frozen = np.count_nonzero(~prunable, axis=1)
-    n_forced = n_frozen + np.count_nonzero(pinned, axis=1)
-    # frozen coordinates in index order, then pinned ones in index order
-    forced = np.argsort(np.where(prunable, np.where(pinned, 1, 2), 0), axis=1, kind="stable")
+    n_forced = np.count_nonzero(pinned, axis=1)
+    forced = np.argsort(~pinned, axis=1, kind="stable")  # pinned ones in index order
     if nm is None:
         n_steps = np.count_nonzero(prunable, axis=1)
     else:
@@ -206,12 +211,11 @@ def _eliminate_stack(
         quota = np.minimum(m - n, np.count_nonzero(prunable.reshape(nb, -1, m), axis=2))
         counts = np.zeros_like(quota)
         n_steps = quota.sum(axis=1)
-    n_total = n_frozen + n_steps
     max_steps = int(n_steps.max(initial=0))
 
-    scaled = np.empty((nb, int(n_total.max(initial=0)), bs))  # C, one row per step
+    scaled = np.empty((nb, max_steps, bs))  # C, one row per step
     diag = np.diagonal(cols0, axis1=1, axis2=2).copy()  # running D
-    gone = np.zeros((nb, bs), dtype=bool)  # eliminated or frozen
+    gone = ~prunable  # eliminated or frozen
     live = prunable.copy()
     err = np.zeros(nb)
     clamps = np.zeros(nb, dtype=np.int64)
@@ -219,8 +223,8 @@ def _eliminate_stack(
     cumulative = np.zeros((nb, max_steps))
     states = np.zeros((nb, max_steps if keep_states else 0, bs))
 
-    for t in range(scaled.shape[1]):
-        active = t < n_total
+    for t in range(max_steps):
+        active = t < n_steps
         eligible = live if nm is None else live & (counts < quota)[:, group]
         score = np.where(eligible, w * w / (2.0 * np.maximum(diag, EPS_FLOOR)), np.inf)
         i = np.where(t < n_forced, forced[:, t], np.argmin(score, axis=1))
@@ -237,26 +241,37 @@ def _eliminate_stack(
         c[~active] = 0.0
         scaled[:, t] = c
         diag -= c * c
-        gone[rows[active], i[active]] = True
 
-        upd = active & (t >= n_frozen)  # frozen steps move no weight
-        if not upd.any():
-            continue
-        r, iu = rows[upd], i[upd]
+        r, iu = rows[active], i[active]
+        gone[r, iu] = True
         wi = w[r, iu]
-        w[r] -= (wi / pivot[upd])[:, None] * col[r]
+        w[r] -= (wi / pivot[active])[:, None] * col[r]
         w[r, iu] = 0.0
-        err[r] += wi * wi / (2.0 * pivot[upd])
+        err[r] += wi * wi / (2.0 * pivot[active])
         live[r, iu] = False
         if nm is not None:
             counts[r, group[iu]] += 1
-        k = t - n_frozen[r]  # every step after the frozen ones is recorded
-        order[r, k] = iu
-        cumulative[r, k] = err[r]
+        order[r, t] = iu
+        cumulative[r, t] = err[r]
         if keep_states:
-            states[r, k] = w[r]
+            states[r, t] = w[r]
 
-    return PassTrace(offset, order, cumulative, states, w, n_steps, n_forced - n_frozen, clamps)
+    return PassTrace(offset, order, cumulative, states, w, n_steps, n_forced, clamps)
+
+
+def _check_frozen(offset: int, stack: np.ndarray, prunable: np.ndarray) -> None:
+    """Raise unless every non-prunable coordinate's row of its block's
+    inverse is exactly zero, as ``fisher.iter_block_inverses`` builds it."""
+    blk, idx = np.nonzero(~prunable)
+    moving = np.any(stack[blk, idx] != 0.0, axis=1)
+    if moving.any():
+        b, i = int(blk[moving][0]), int(idx[moving][0])
+        bs = stack.shape[1]
+        lo = offset + b * bs
+        raise ValueError(
+            f"inverse block [{lo}, {lo + bs}) is not frozen: its row for non-prunable "
+            f"weight {lo + i} is nonzero; build it with that layer's movable mask"
+        )
 
 
 InverseStacks = FisherBlockInverse | Iterable[np.ndarray]
@@ -395,7 +410,9 @@ def eliminate_blocks(
     returns or raises; an exception raised while drawing is re-raised
     here. ``w``, ``prunable`` and ``pinned`` are global flat vectors. With
     ``nm`` the greedy respects n:m group quotas, every block boundary must
-    be a multiple of m, and ``pinned`` must be empty.
+    be a multiple of m, and ``pinned`` must be empty. The inverse must be
+    frozen: each pass raises ValueError, naming the block, before it is
+    solved if a non-prunable coordinate's row holds a nonzero entry.
     """
     w = np.asarray(w, dtype=np.float64)
     if pinned is None:
@@ -417,9 +434,10 @@ def eliminate_blocks(
             if not offset and stacks.covered < w.size and not isinstance(inv, FisherBlockInverse):
                 stacks.start()  # build the next stacks beside this solve
             sl = slice(offset, end)
+            pr = prunable[sl].reshape(nb, bs)
+            _check_frozen(offset, stack, pr)
             passes.append(_eliminate_stack(
-                offset, stack.transpose(0, 2, 1),
-                w[sl].reshape(nb, bs).copy(), prunable[sl].reshape(nb, bs),
+                offset, stack.transpose(0, 2, 1), w[sl].reshape(nb, bs).copy(), pr,
                 pinned[sl].reshape(nb, bs), nm, keep_states,
             ))
             offset = end
@@ -454,7 +472,9 @@ def solve_block(
     ``pinned`` indices (must be prunable) are eliminated first, in index
     order, before any saliency-based selection; they exist so that a
     caller can force previously-pruned weights to stay pruned.
-    ``block_id`` is accepted for compatibility and has no effect.
+    ``inv_block`` must be frozen: zero in every non-prunable row and
+    column (a nonzero row raises ValueError). ``block_id`` is accepted
+    for compatibility and has no effect.
     """
     inv = np.asarray(inv_block, dtype=np.float64)
     size = np.size(w_block)
@@ -563,7 +583,8 @@ def solve_global(
     steps come first in every block, so the selection is still a prefix of
     each block's order, and every pinned index is pruned whenever k is at
     least the pinned count. ``inv`` is a ``FisherBlockInverse`` or a
-    stream of stacks (see ``eliminate_blocks``). ``threads`` is accepted
+    stream of stacks (see ``eliminate_blocks``), frozen at every
+    non-prunable weight (ValueError otherwise). ``threads`` is accepted
     for compatibility and has no effect.
     """
     w, pr, pin = _validate_inputs(w, prunable, pinned)
@@ -613,7 +634,8 @@ def solve_nm(
     wins). Requires every layer size and every block boundary to be a
     multiple of m so groups never straddle blocks or layers; each block
     boundary is checked before its stack is solved. ``inv`` is a
-    ``FisherBlockInverse`` or a stream of stacks (see ``eliminate_blocks``).
+    ``FisherBlockInverse`` or a stream of stacks (see ``eliminate_blocks``),
+    frozen at every non-prunable weight (ValueError otherwise).
     ``threads`` is accepted for compatibility and has no effect.
     """
     if not (0 < n < m):

@@ -12,14 +12,17 @@ from obsprune.fisher import (
     FisherConfig,
     block_partition,
     build_fisher_inverse,
-    eliminate_index,
-    eliminate_index_clamped,
-    freeze_indices,
     iter_block_inverses,
 )
 from obsprune.tensorstore import GradientSet
 
 from conftest import dense_fisher
+from reference_fisher import (
+    DegeneratePivotError,
+    eliminate_index,
+    eliminate_index_clamped,
+    freeze_indices,
+)
 
 
 def _sm_updates(inv3: np.ndarray, rows3: np.ndarray, denom_count: int) -> None:
@@ -304,10 +307,8 @@ def test_eliminate_sequence_order_independent_result():
 
 
 def test_eliminate_tiny_pivot_raises():
-    from obsprune.fisher import DegenerateCurvatureError
-
     inv = np.diag([1e-15, 1.0])
-    with pytest.raises(DegenerateCurvatureError):
+    with pytest.raises(DegeneratePivotError):
         eliminate_index(inv, 0)
 
 
@@ -346,3 +347,65 @@ def test_freeze_indices_removes_from_every_block():
     # untouched block shares no state with the original
     np.testing.assert_array_equal(frozen.blocks[0][1], np.zeros(4))
     assert inv.blocks[0][1, 1] > 0.0
+
+
+# -- the frozen build ----------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n, damp",
+    [
+        (5, 1e-4),  # every block in the Woodbury form
+        (12, 1e-4),  # full blocks of 16 in the Woodbury form, the partial 8 by LU
+        (40, 1e-6),  # every block by LU
+    ],
+)
+def test_frozen_build_equals_schur_downdated_inverse(n, damp, dtype):
+    """Blocks 0 and 2 and the partial block 3 freeze about a third of
+    their weights, block 1 all of them. The build equals the old path, the whole
+    inverse with every frozen coordinate eliminated by Schur downdates, and
+    the inverse of the Fisher restricted to the movable weights; every
+    frozen row and column is exactly zero."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 56)).astype(dtype)  # three blocks of 16 and one of 8
+    movable = rng.random(56) > 1 / 3
+    movable[16:32] = False
+    cfg = FisherConfig(16, damp, n)
+    got = build_fisher_inverse(rows, cfg, movable)
+    ref = freeze_indices(build_fisher_inverse(rows, cfg), np.flatnonzero(~movable))
+    used = rows.astype(np.float64)
+    assert [b.shape[0] for b in got.blocks] == [16, 16, 16, 8]
+    for b, (lo, hi) in enumerate(zip(got.offsets[:-1], got.offsets[1:])):
+        blk, keep = got.blocks[b], movable[lo:hi]
+        assert not blk[~keep].any() and not blk[:, ~keep].any()
+        if not keep.any():
+            continue
+        restricted = np.linalg.inv(dense_fisher(used[:, lo:hi], damp)[np.ix_(keep, keep)])
+        for other in (ref.blocks[b][np.ix_(keep, keep)], restricted):
+            rel = np.abs(blk[np.ix_(keep, keep)] - other).max() / np.abs(other).max()
+            assert rel < 1e-8, f"block {b}: rel err {rel:.2e}"
+
+
+@pytest.mark.parametrize("n", [6, 12])  # Woodbury form, Gram form from a view
+def test_a_chunk_with_nothing_frozen_is_built_as_before(monkeypatch, n):
+    """Only chunks that hold a frozen weight are masked, and never in the
+    caller's rows: with one block per chunk, every block without a frozen
+    weight keeps the unfrozen build's bytes."""
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 8 * n)
+    rows = np.random.default_rng(5).standard_normal((n, 28))
+    before = rows.tobytes()
+    movable = np.ones(28, dtype=bool)
+    movable[[9, 26]] = False  # in block 1 and in the partial block
+    cfg = FisherConfig(8, 1e-6, n)
+    got = build_fisher_inverse(rows, cfg, movable).blocks
+    assert rows.tobytes() == before
+    plain = build_fisher_inverse(rows, cfg).blocks
+    assert [got[b].tobytes() == plain[b].tobytes() for b in range(4)] == [
+        True, False, True, False]
+    assert not got[1][1].any() and not got[3][2].any()
+
+
+def test_movable_mask_must_have_one_flag_per_weight():
+    rows = np.ones((3, 8))
+    with pytest.raises(ValueError, match="movable mask"):
+        iter_block_inverses(rows, FisherConfig(4, 1e-8, 3), np.ones(7, dtype=bool))

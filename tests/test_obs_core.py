@@ -105,7 +105,7 @@ def test_group_matches_exhaustive_quadratic(seed, d, q):
 def test_group_sequential_consistency():
     """Zeroing {i, j} jointly costs the same as zeroing i, downdating, then
     zeroing j, and both orders agree to 1e-9."""
-    from obsprune.fisher import eliminate_index
+    from reference_fisher import eliminate_index
 
     rng = np.random.default_rng(2)
     fisher = random_spd(rng, 5)

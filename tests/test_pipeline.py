@@ -22,6 +22,13 @@ def ovit_spec(block_size=16, recompute=1):
     )
 
 
+def quadratic_hessian(model):
+    """True Hessian of a single-layer MSE toy with scalar output."""
+    assert len(model.dims) == 2 and model.dims[1] == 1 and model.loss_kind == "mse"
+    X = model.inputs
+    return X.T @ X / X.shape[0]
+
+
 def reference_batch_gradient(model, weights=None):
     """The mean of the per-sample gradient rows, the obvious way."""
     per = pipeline.per_sample_gradients(model, weights)
@@ -299,7 +306,7 @@ class TestQuadraticToy:
         model = pipeline.make_quadratic_toy(37, d=6, n_base=15)
         per = pipeline.per_sample_gradients(model)["0"]
         emp = per.T @ per / per.shape[0]
-        np.testing.assert_allclose(emp, pipeline.quadratic_hessian(model), atol=1e-12)
+        np.testing.assert_allclose(emp, quadratic_hessian(model), atol=1e-12)
 
     def test_predicted_increase_matches_true_increase(self):
         """On the quadratic toy the model is its own second-order expansion,

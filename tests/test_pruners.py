@@ -1,11 +1,12 @@
 """Method dispatch: magnitude, frozen-curvature, and full solves."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from obsprune.fisher import DAMPENING_DEFAULTS, FisherConfig
+from obsprune.fisher import DAMPENING_DEFAULTS, DegenerateCurvatureWarning, FisherConfig
 from obsprune.pruners import (
     PrunerSpec,
     flatten_layers,
@@ -360,7 +361,8 @@ def collected(real):
     """``layered_inverse_stacks`` replaced by the whole collected inverse."""
     from obsprune.fisher import collect_inverses
 
-    return lambda grads, layout, config: collect_inverses(real(grads, layout, config), config)
+    return lambda grads, layout, config, movable: collect_inverses(
+        real(grads, layout, config, movable), config)
 
 
 @pytest.mark.parametrize("mode", ["global", "per_layer", "recompute", "nm"])
@@ -416,6 +418,60 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
         # every pool but per-layer ones at the widest passes has stacks left
         # after its first pass, and so builds them on the producer thread
         assert any(built_off_main) == (pass_blocks < 1000 or mode != "per_layer")
+
+
+def schur_frozen(real):
+    """``layered_inverse_stacks`` replaced by the path the frozen build
+    replaced: the whole unfrozen inverse, with every non-prunable
+    coordinate eliminated afterwards by Schur downdates."""
+    from obsprune.fisher import collect_inverses
+    from reference_fisher import freeze_indices
+
+    def stacks(grads, layout, config, movable):
+        whole = collect_inverses(real(grads, layout, config, np.ones_like(movable)), config)
+        own = movable[layout[0].offset : layout[0].offset + whole.global_dim]
+        return iter([blk[None] for blk in freeze_indices(whole, np.flatnonzero(~own)).blocks])
+
+    return stacks
+
+
+@pytest.mark.parametrize("mode", ["wf", "ovit", "per_layer", "nm"])
+@pytest.mark.parametrize("rows, damp", [(5, None), (5, 1e-4), (20, None)])
+def test_frozen_build_matches_the_schur_downdate_path(monkeypatch, mode, rows, damp):
+    """With about a fifth of the weights non-prunable, wf and ovit give the
+    masks of the Schur-downdate path and leave frozen weights untouched.
+    Weights agree within 1e-9 of the largest and predicted costs to 1e-8,
+    except for ovit at the default dampening with fewer rows than B: there
+    the inverse is about 1e8 in scale, and the greedy amplifies the
+    rounding in which the two paths differ to about 1e-2."""
+    from obsprune import pruners
+
+    rng = np.random.default_rng(rows + 7)
+    weights = {"0": rng.standard_normal((6, 12)), "1": rng.standard_normal((5, 4))}
+    grads = {k: GradientSet(k, rng.standard_normal((rows, w.size))) for k, w in weights.items()}
+    prunable = {k: rng.random(w.shape) > 0.2 for k, w in weights.items()}
+    spec = spec_for("wf" if mode == "wf" else "ovit", damp=damp,
+                    nm=(2, 4) if mode == "nm" else None, per_layer=mode == "per_layer")
+    target = {} if mode == "nm" else {"sparsity": 0.5}
+
+    def run():
+        with warnings.catch_warnings():  # a rank-deficient block may clamp a pivot
+            warnings.simplefilter("ignore", DegenerateCurvatureWarning)
+            return run_pruner(spec, weights, grads, prunable=prunable, **target)
+
+    got = run()
+    monkeypatch.setattr(pruners, "layered_inverse_stacks",
+                        schur_frozen(pruners.layered_inverse_stacks))
+    want = run()
+    w, pr, _ = flatten_layers(weights, prunable)
+    assert got.mask.tobytes() == want.mask.tobytes()
+    assert 0 < np.count_nonzero(got.mask == 0) < np.count_nonzero(pr)
+    assert got.new_weights[~pr].tobytes() == w[~pr].tobytes()
+    if mode != "wf" and damp is None and rows < 8:
+        return
+    scale = np.abs(w).max()
+    np.testing.assert_allclose(got.new_weights, want.new_weights, rtol=0, atol=1e-9 * scale)
+    assert got.predicted_loss_increase == pytest.approx(want.predicted_loss_increase, rel=1e-8)
 
 
 def test_nm_prune_never_holds_the_whole_inverse(monkeypatch):

@@ -16,7 +16,6 @@ from obsprune.fisher import (
     FisherBlockInverse,
     FisherConfig,
     build_fisher_inverse,
-    eliminate_index_clamped,
 )
 from obsprune.solver import (
     eliminate_blocks,
@@ -27,6 +26,7 @@ from obsprune.solver import (
 from obsprune.tensorstore import nm_violations
 
 from conftest import inverse_from_dense, random_spd
+from reference_fisher import eliminate_index_clamped, freeze_indices
 
 
 class Reference(NamedTuple):
@@ -42,10 +42,11 @@ def reference_block(w, inv, prunable=None, pinned=(), nm=None):
     """Greedy elimination on one block with a full B x B downdate per step.
 
     The plain loop that the lockstep kernel replaces, kept as its
-    reference: non-prunable coordinates are eliminated first (no weight
-    update, no cost), then ``pinned`` in index order, then the live
-    eligible weight of least saliency, until every prunable weight (or
-    every n:m group quota) is used up. Clamped pivots are counted.
+    reference. ``inv`` comes frozen at the non-prunable coordinates, as
+    the build makes it, and they are never selected: ``pinned`` go first
+    in index order, then the live eligible weight of least saliency,
+    until every prunable weight (or every n:m group quota) is used up.
+    Clamped pivots are counted.
     """
     w = np.array(w, dtype=np.float64)
     inv = np.array(inv, dtype=np.float64)
@@ -54,9 +55,6 @@ def reference_block(w, inv, prunable=None, pinned=(), nm=None):
     clamps = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCurvatureWarning)
-        for j in np.flatnonzero(~alive):
-            clamps += bool(inv[j, j] <= EPS_FLOOR)
-            inv = eliminate_index_clamped(inv, int(j))
         gid = np.zeros(dim, dtype=np.int64)  # global mode: one group whose
         quota = np.array([dim])  # quota never binds
         if nm is not None:
@@ -92,10 +90,10 @@ def reference_block(w, inv, prunable=None, pinned=(), nm=None):
     return Reference(order, cumulative, states, w, len(pinned_list), clamps)
 
 
-def make_inverse(rng, d, block_size, damp=1e-3, n=None):
+def make_inverse(rng, d, block_size, damp=1e-3, n=None, movable=None):
     rows = rng.standard_normal((n or 3 * d, d))
     cfg = FisherConfig(block_size=block_size, dampening=damp, num_grads=rows.shape[0])
-    return rows, build_fisher_inverse(rows, cfg)
+    return rows, build_fisher_inverse(rows, cfg, movable)
 
 
 def test_two_weight_trace_by_hand():
@@ -252,10 +250,10 @@ class TestGlobalMerge:
 
 class TestConstraints:
     def test_non_prunable_weights_survive_untouched(self, rng):
-        rows, inv = make_inverse(rng, 10, 5)
-        w = rng.standard_normal(10)
         prunable = np.ones(10, dtype=bool)
         prunable[[2, 7]] = False
+        rows, inv = make_inverse(rng, 10, 5, movable=prunable)
+        w = rng.standard_normal(10)
         res = solve_global(w.copy(), inv, 6, prunable=prunable)
         assert res.mask[2] == 1 and res.mask[7] == 1
         assert res.new_weights[2] == w[2] and res.new_weights[7] == w[7]
@@ -277,6 +275,24 @@ class TestConstraints:
         zeros = list(np.flatnonzero(first.mask == 0))
         second = solve_global(w.copy(), inv, 8, pinned=zeros)
         assert (second.mask[first.mask == 0] == 0).all()
+
+    def test_an_unfrozen_inverse_is_refused(self, rng):
+        """The whole unfrozen inverse with one non-prunable weight: every
+        solver names the block instead of compensating through it."""
+        rows, inv = make_inverse(rng, 12, 4)
+        w = rng.standard_normal(12)
+        prunable = np.ones(12, dtype=bool)
+        prunable[6] = False
+        whole = r"block \[4, 8\) is not frozen: its row for non-prunable weight 6 "
+        for solve, msg in (
+            (lambda: eliminate_blocks(w, inv, prunable), whole),
+            (lambda: solve_global(w.copy(), inv, 5, prunable=prunable), whole),
+            (lambda: solve_nm(w.copy(), inv, 2, 4, prunable=prunable), whole),
+            (lambda: solve_block(w[4:8], inv.blocks[1], prunable[4:8]),
+             r"block \[0, 4\) is not frozen: its row for non-prunable weight 2 "),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                solve()
 
     def test_pinned_must_be_prunable(self, rng):
         rows, inv = make_inverse(rng, 6, 3)
@@ -312,12 +328,10 @@ class TestSemiStructured:
 
     def test_group_quota_respects_prunable(self, rng):
         d = 8
-        rows = rng.standard_normal((20, d))
-        cfg = FisherConfig(block_size=8, dampening=1e-3, num_grads=20)
-        inv = build_fisher_inverse(rows, cfg)
-        w = rng.standard_normal(d)
         prunable = np.ones(d, dtype=bool)
         prunable[:3] = False  # group 0 can lose at most one weight
+        rows, inv = make_inverse(rng, d, 8, n=20, movable=prunable)
+        w = rng.standard_normal(d)
         res = solve_nm(w.copy(), inv, 2, 4, prunable=prunable)
         assert (res.mask[:3] == 1).all()
         assert res.mask.reshape(-1, 4)[0].sum() == 3  # one zero in group 0
@@ -399,17 +413,18 @@ def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
 def test_kernel_matches_per_block_reference(seed, block, full_blocks, tail_groups,
                                             rows, frozen_share, nm, damp):
     """Global mode with pins and n:m mode with reduced quotas, with frozen
-    coordinates, a trailing partial block (a multiple of 4 weights) and
-    fewer gradient rows than the block size. Dampening stays at 1e-4 or
-    above: at 1e-8 with fewer rows than B, both implementations are only
-    good to about 1e-8 relative (checked against a long-double
-    recomputation), so 1e-9 agreement would test rounding, not logic."""
+    coordinates (the inverse built frozen at them), a trailing partial
+    block (a multiple of 4 weights) and fewer gradient rows than the
+    block size. Dampening stays at 1e-4 or above: at 1e-8 with fewer rows
+    than B, both implementations are only good to about 1e-8 relative
+    (checked against a long-double recomputation), so 1e-9 agreement
+    would test rounding, not logic."""
     rng = np.random.default_rng(seed)
     d = full_blocks * block + 4 * tail_groups
     grads = rng.standard_normal((rows, d))
-    inv = build_fisher_inverse(grads, FisherConfig(block, damp, rows))
     w = rng.standard_normal(d)
     prunable = rng.random(d) >= frozen_share
+    inv = build_fisher_inverse(grads, FisherConfig(block, damp, rows), prunable)
     pinned = None
     if nm is None:
         pinned = prunable & (rng.random(d) < 0.25)
@@ -432,7 +447,11 @@ def degenerate_inverse():
 @pytest.mark.parametrize("nm", [None, (2, 4)])
 @pytest.mark.parametrize("frozen", [(), (5,)])
 def test_kernel_matches_reference_on_degenerate_pivots(nm, frozen):
-    inv = degenerate_inverse()
+    """Freezing the zero-diagonal coordinate 5 by Schur downdates clamps
+    its pivot, which leaves entries of about -1e11 in the rest of its block."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCurvatureWarning)
+        inv = freeze_indices(degenerate_inverse(), frozen)
     w = np.array([0.3, -1.2, 0.8, 0.5, 0.7, -0.4, 1.1, 0.9])
     prunable = np.ones(8, dtype=bool)
     prunable[list(frozen)] = False
@@ -442,17 +461,19 @@ def test_kernel_matches_reference_on_degenerate_pivots(nm, frozen):
 
 def test_clamps_are_counted_and_warned_once_per_solve():
     """One warning per solve carries the count; ``PruneResult`` keeps it.
-    In n:m mode the greedy never picks the degenerate weights, so the
-    clamps come from freezing the zero-diagonal coordinate."""
+    In n:m mode the greedy picks the degenerate weights 5 and 6 only when
+    their group's quota leaves no other choice, so 4 and 7 are frozen."""
     inv = degenerate_inverse()
     w = np.array([0.3, -1.2, 0.8, 0.5, 0.7, -0.4, 1.1, 0.9])
-    frozen = np.ones(8, dtype=bool)
-    frozen[5] = False
-    for solve, prunable, nm in (
-        (lambda: solve_global(w, inv, 6), np.ones(8, dtype=bool), None),
-        (lambda: solve_nm(w, inv, 2, 4, prunable=frozen), frozen, (2, 4)),
+    movable = np.ones(8, dtype=bool)
+    movable[[4, 7]] = False
+    frozen = freeze_indices(inv, [4, 7])
+    for solve, prunable, block, nm in (
+        (lambda: solve_global(w, inv, 6), np.ones(8, dtype=bool), inv.blocks[1], None),
+        (lambda: solve_nm(w, frozen, 2, 4, prunable=movable), movable, frozen.blocks[1],
+         (2, 4)),
     ):
-        want = reference_block(w[4:], inv.blocks[1], prunable[4:], nm=nm).clamp_events
+        want = reference_block(w[4:], block, prunable[4:], nm=nm).clamp_events
         assert want >= 1
         with pytest.warns(DegenerateCurvatureWarning) as record:
             res = solve()
@@ -476,9 +497,9 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
     from obsprune import fisher
 
     grads = rng.standard_normal((6, 76))  # 9 blocks of 8 and one of 4
-    inv = build_fisher_inverse(grads, FisherConfig(8, 1e-4, 6))
     w = rng.standard_normal(76)
     prunable = rng.random(76) > 0.2
+    inv = build_fisher_inverse(grads, FisherConfig(8, 1e-4, 6), prunable)
 
     def run():
         a = solve_global(w, inv, 40, prunable=prunable, pinned=np.flatnonzero(prunable)[:5])

@@ -10,21 +10,17 @@
            optionally under an n:m pattern.
 
 ``run_pruner`` flattens the layers, validates ``pinned`` and the target,
-and resolves a sparsity into a zero count k once per call, over the whole
-model or, in per-layer mode, over each layer; ``prune_with_recompute``
+and resolves the pools once per call (see ``pools``); per-layer mode
+differs from global mode in nothing else. ``prune_with_recompute``
 reaches a sparsity in several ``run_pruner`` calls, and skips a sub-step
-that would prune only pins whose weights are already zero. ``run_pruner``
-makes every pool's stream of block inverses (``layered_inverse_stacks``)
-before it builds any block, so every layer's rows are scanned first.
-Each stream is built frozen at the pool's non-prunable weights (see
-``fisher``), so neither ``ovit`` nor ``wf`` eliminates them itself:
-``ovit`` hands each stream straight to the solver, so it never holds the
-whole inverse, and ``wf`` collects it whole and scores and compensates
-from it as it is. All methods share the weight indexing convention
-(layers concatenated in mapping order, each flattened row-major), respect
-prunability masks, and break score ties by global index. ``pinned``
-indices are pruned unconditionally (used to keep masks monotone across
-repeated pruning).
+that would prune only pins whose weights are already zero. One stream of
+block inverses covers all layers (``layered_inverse_stacks``); it scans
+every layer's rows before it builds any block, and it is frozen at the
+non-prunable weights (see ``fisher``). ``ovit`` hands it straight to the
+solver, so it never holds the whole inverse, and ``wf`` collects it
+whole and scores and compensates from it as it is. All methods respect
+prunability masks. ``pinned`` indices are pruned unconditionally (used
+to keep masks monotone across repeated pruning).
 """
 
 from __future__ import annotations
@@ -39,7 +35,8 @@ import numpy as np
 
 from . import obs_core
 from .fisher import EPS_FLOOR, FisherConfig, collect_inverses, iter_block_inverses
-from .solver import LayerLayout, PruneResult, pinned_mask, solve_global, solve_nm
+from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
+from .solver import PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
 
 METHODS = ("gm", "wf", "ovit")
@@ -148,18 +145,13 @@ def layered_inverse_stacks(
 # -- methods -----------------------------------------------------------------
 
 def _prune_frozen(
-    spec: PrunerSpec,
-    w: np.ndarray,
-    pr: np.ndarray,
-    pin: np.ndarray,
-    k: int,
-    layout: tuple[LayerLayout, ...],
-    grads: GradMap | None,
-    stacks: Iterator[np.ndarray] | None,
+    spec: PrunerSpec, w: np.ndarray, pr: np.ndarray, pin: np.ndarray, pools: Sequence[Pool],
+    layout: tuple[LayerLayout, ...], grads: GradMap | None, stacks: Iterator[np.ndarray] | None,
 ) -> PruneResult:
-    """gm and wf (see the module docstring): score every weight once and
-    zero the k cheapest. gm assigns no scores of its own, so its predicted
-    increase is the quadratic model's when gradient rows are given, else 0."""
+    """gm and wf (see the module docstring): score every prunable weight
+    once and select in every pool. wf's costs are its selected scores, each
+    pool's summed pairwise (``np.sum``); gm's cost per layer is the
+    quadratic model's when gradient rows are given, else 0."""
     inv = None
     if spec.method == "wf":
         inv = collect_inverses(stacks, spec.fisher)
@@ -167,14 +159,10 @@ def _prune_frozen(
         scores = w**2 / (2.0 * diag)
     else:
         scores = np.abs(w)
-    # every pinned index, then the cheapest other prunable ones by (score, index)
-    rest = np.flatnonzero(pr & ~pin)
-    cheapest = rest[np.lexsort((rest, scores[rest]))][: k - int(pin.sum())]
-    selected = np.sort(np.concatenate([np.flatnonzero(pin), cheapest]))
+    idx = np.flatnonzero(pr)
+    selected = np.sort(idx[select_in_pools(idx, scores[idx], pin[idx], pools)])
 
     new_w = w.copy()
-    per_layer_pred = {lay.name: 0.0 for lay in layout}
-    predicted = 0.0
     if inv is not None:
         sel_mask = np.zeros(w.size, dtype=bool)
         sel_mask[selected] = True
@@ -184,64 +172,44 @@ def _prune_frozen(
             if local.size:
                 coef = w[lo + local] / diag[lo + local]
                 new_w[lo:hi] -= inv.blocks[b][:, local] @ coef
-        predicted = float(scores[selected].sum())
-        for lay in layout:
-            inside = (selected >= lay.offset) & (selected < lay.offset + lay.size)
-            per_layer_pred[lay.name] = float(scores[selected[inside]].sum())
-    new_w[selected] = 0.0
-    if inv is None and grads is not None:
-        for lay in layout:
+        new_w[selected] = 0.0
+        per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools,
+                                           lambda v: float(v.sum()))
+    else:
+        new_w[selected] = 0.0
+        costs = np.zeros(len(layout))
+        for i, lay in enumerate(layout if grads is not None else ()):
             sl = slice(lay.offset, lay.offset + lay.size)
-            gs = grads[lay.name]
-            rows = gs.samples[: min(spec.fisher.num_grads, gs.num_samples)]
-            val = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
-            per_layer_pred[lay.name] = val
-            predicted += val
+            rows = grads[lay.name].samples[: spec.fisher.num_grads]
+            costs[i] = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
+        per_layer, predicted = pooled_sums([lay.offset for lay in layout], costs, layout, pools)
 
     mask = np.ones(w.size, dtype=np.uint8)
     mask[selected] = 0
-    return PruneResult.from_mask(mask, new_w, predicted, per_layer_pred, layout)
+    return PruneResult.from_mask(mask, new_w, predicted, per_layer, layout)
 
 
-def _prune_pool(
-    spec: PrunerSpec,
-    w: np.ndarray,
-    pr: np.ndarray,
-    pin: np.ndarray,
-    k: int,
-    layout: tuple[LayerLayout, ...],
-    grads: GradMap | None,
-    stacks: Iterator[np.ndarray] | None,
-) -> PruneResult:
-    """Prune the k cheapest weights of one pool with the spec's method;
-    ``stacks`` is the pool's stream of block inverses (None for gm)."""
-    if spec.method != "ovit":
-        return _prune_frozen(spec, w, pr, pin, k, layout, grads, stacks)
-    return solve_global(w, stacks, k, prunable=pr, pinned=np.flatnonzero(pin), layout=layout)
-
-
-def _stream(
-    spec: PrunerSpec, grads: GradMap | None, layout: Sequence[LayerLayout], pr: np.ndarray
-) -> Iterator[np.ndarray] | None:
-    """The pool's block-inverse stream, frozen outside ``pr`` and its rows
-    scanned now; None for gm."""
-    return None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher, pr)
-
-
-def _resolve_k(
-    sparsity: float | None, k: int | None, pr: np.ndarray, pin: np.ndarray
-) -> int:
-    """The zero count for one pool: ``k`` as given, or
-    max(sparsity_to_k(sparsity, P), pinned count) over its P prunable weights."""
-    total = int(pr.sum())
-    n_pinned = int(pin.sum())
-    if k is None:
-        return max(sparsity_to_k(sparsity, total), n_pinned)
-    if not 0 <= k <= total:
-        raise ValueError(f"k={k} out of range; {total} weights are prunable")
-    if n_pinned > k:
-        raise ValueError(f"{n_pinned} pinned indices exceed k={k}")
-    return k
+def _pools(
+    spec: PrunerSpec, layout: Sequence[LayerLayout], pr: np.ndarray, pin: np.ndarray,
+    sparsity: float | None, k: int | None,
+) -> list[Pool]:
+    """One pool over all weights, or one per layer in per-layer mode (which
+    needs a sparsity), each with ``k`` zeros or max(sparsity_to_k(sparsity,
+    P), pinned count) over its P prunable weights."""
+    if spec.per_layer and sparsity is None:
+        raise ValueError("per-layer mode needs a sparsity target")
+    ranges = ([(lay.offset, lay.offset + lay.size) for lay in layout] if spec.per_layer
+              else [(0, pr.size)])
+    pools = []
+    for lo, hi in ranges:
+        total, n_pinned = int(pr[lo:hi].sum()), int(pin[lo:hi].sum())
+        pool_k = max(sparsity_to_k(sparsity, total), n_pinned) if k is None else k
+        if not 0 <= pool_k <= total:
+            raise ValueError(f"k={pool_k} out of range; {total} weights are prunable")
+        if n_pinned > pool_k:
+            raise ValueError(f"{n_pinned} pinned indices exceed k={pool_k}")
+        pools.append(Pool(lo, hi, pool_k))
+    return pools
 
 
 # -- the entry ---------------------------------------------------------------
@@ -290,29 +258,12 @@ def run_pruner(
         return solve_nm(w, stacks, n, m, prunable=pr, layout=layout)
     if (sparsity is None) == (k is None):
         raise ValueError("exactly one of sparsity or k is required")
-
-    if not spec.per_layer:
-        k = _resolve_k(sparsity, k, pr, pin)
-        return _prune_pool(spec, w, pr, pin, k, layout, grads, _stream(spec, grads, layout, pr))
-
-    if sparsity is None:
-        raise ValueError("per-layer mode needs a sparsity target")
-    slices = [slice(lay.offset, lay.offset + lay.size) for lay in layout]
-    ks = [_resolve_k(sparsity, None, pr[sl], pin[sl]) for sl in slices]
-    # every layer's stream is made, so its rows are scanned, before any build
-    streams = [_stream(spec, grads, (lay,), pr) for lay in layout]
-    parts = [
-        _prune_pool(spec, w[sl], pr[sl], pin[sl], k_l, (replace(lay, offset=0),), grads, stacks)
-        for lay, sl, k_l, stacks in zip(layout, slices, ks, streams)
-    ]
-    return PruneResult.from_mask(
-        np.concatenate([p.mask for p in parts]),
-        np.concatenate([p.new_weights for p in parts]),
-        sum(p.predicted_loss_increase for p in parts),
-        {lay.name: p.predicted_loss_increase for lay, p in zip(layout, parts)},
-        layout,
-        sum(p.clamp_events for p in parts),
-    )
+    pools = _pools(spec, layout, pr, pin, sparsity, k)
+    stacks = None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher, pr)
+    if spec.method == "ovit":
+        return solve_global(w, stacks, pools, prunable=pr, pinned=np.flatnonzero(pin),
+                            layout=layout)
+    return _prune_frozen(spec, w, pr, pin, pools, layout, grads, stacks)
 
 
 GradProvider = Callable[[WeightMap], GradMap]
@@ -331,12 +282,8 @@ def _pins_only(
     when the prune would do more than that."""
     w, pr, layout = flatten_layers(weights, prunable)
     pin = pinned_mask(pinned, pr)
-    if np.any(w[pin] != 0.0):
-        return None
-    pools = ([slice(lay.offset, lay.offset + lay.size) for lay in layout] if spec.per_layer
-             else [slice(None)])
-    if any(_resolve_k(sparsity, None, pr[sl], pin[sl]) > np.count_nonzero(pin[sl])
-           for sl in pools):
+    pools = _pools(spec, layout, pr, pin, sparsity, None)
+    if np.any(w[pin] != 0.0) or any(p.k > np.count_nonzero(pin[p.lo : p.hi]) for p in pools):
         return None
     w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
     return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,

@@ -7,19 +7,19 @@ its cost into a running per-block total ``err``. In global mode ``err``
 is recorded as the weight's *global* score and the block weights are
 snapshotted after every step. Because the recorded score is cumulative,
 pruning any prefix of a block's elimination order costs exactly the last
-recorded score of that prefix, and pruning k weights globally reduces to
-sorting all recorded scores ascending (pinned records first, ties by
-global index) and reloading each block's snapshot at its selected prefix
-length.
+recorded score of that prefix. The steps are selected by the pool rule
+of every method (see ``pools``); a block's pinned steps come first, so
+the steps a pool selects are a prefix of each of its blocks' orders, and
+each block reloads its snapshot at its selected prefix length.
 
 Traces are arrays, one ``PassTrace`` per lockstep pass: (blocks, steps)
 arrays of elimination order and cumulative cost, the per-step snapshots,
 the final weights, and per-block counts of steps, pinned steps and
-clamps. ``solve_global`` selects on the recorded steps of all passes at
-once, and the result is assembled with one mask write, one snapshot
-reload per pass and a block-to-layer index. Predicted costs are summed
-one block at a time, in block order, so their bytes do not depend on how
-blocks are grouped into passes.
+clamps. ``solve_global`` selects on the recorded steps of all passes and
+pools at once, and the result is assembled with one mask write and one
+snapshot reload per pass. Predicted costs are summed one block at a
+time, in block order, so their bytes do not depend on how blocks are
+grouped into passes.
 
 One kernel, ``eliminate_blocks``, runs this greedy for every mode. It
 steps all blocks of one size in lockstep, a chunk of blocks at a time,
@@ -84,20 +84,11 @@ from .fisher import (
     FisherBlockInverse,
     pass_blocks,
 )
+from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
 
 
 class InternalSolverError(AssertionError):
     """A should-be-impossible state (e.g. non-prefix selection) was reached."""
-
-
-@dataclass(frozen=True)
-class LayerLayout:
-    """Where one layer's row-major flattened weights sit in the global vector."""
-
-    name: str
-    offset: int
-    size: int
-    shape: tuple[int, ...]
 
 
 @dataclass
@@ -519,18 +510,9 @@ def _records(passes: list[PassTrace]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(gidx), np.concatenate(cost)
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """Left-to-right sum, one addition at a time: the same bytes as a
-    running float total, unlike the pairwise ``np.sum``."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
-
-
 def _assemble(
-    w: np.ndarray,
-    passes: list[PassTrace],
-    take: np.ndarray,
-    pruned: np.ndarray,
-    layout: tuple[LayerLayout, ...],
+    w: np.ndarray, passes: list[PassTrace], take: np.ndarray, pruned: np.ndarray,
+    layout: tuple[LayerLayout, ...], pools: Sequence[Pool],
 ) -> PruneResult:
     """The result of taking the first ``take[b]`` recorded steps of every
     block b; ``pruned`` holds the global indices of those steps."""
@@ -561,36 +543,35 @@ def _assemble(
     if outside.any():
         b = int(np.argmax(outside))
         raise ValueError(f"block [{starts[b]}, {ends[b]}) does not sit inside any layer")
-    per_layer_pred = {lay.name: _sum_in_order(costs[layer == i]) for i, lay in enumerate(layout)}
-    return PruneResult.from_mask(mask, new_w, _sum_in_order(costs), per_layer_pred, layout,
+    per_layer_pred, predicted = pooled_sums(starts, costs, layout, pools)
+    return PruneResult.from_mask(mask, new_w, predicted, per_layer_pred, layout,
                                  _clamp_total(passes))
 
 
 def solve_global(
     w: np.ndarray,
     inv: InverseStacks,
-    k: int,
+    k: int | Sequence[Pool],
     prunable: np.ndarray | None = None,
     pinned: Sequence[int] | None = None,
     threads: int = 1,
     layout: tuple[LayerLayout, ...] | None = None,
 ) -> PruneResult:
-    """Prune the k globally cheapest weights by cumulative block cost.
-
-    Sorts every elimination record with the pinned ones first, then by
-    (score, global index) ascending, and marks the first k as pruned; each
-    block then reloads its snapshot at the selected prefix length. Pinned
-    steps come first in every block, so the selection is still a prefix of
-    each block's order, and every pinned index is pruned whenever k is at
-    least the pinned count. ``inv`` is a ``FisherBlockInverse`` or a
-    stream of stacks (see ``eliminate_blocks``), frozen at every
-    non-prunable weight (ValueError otherwise). ``threads`` is accepted
-    for compatibility and has no effect.
+    """Prune the cheapest weights by cumulative block cost (see the module
+    docstring): k of them over all weights, or, with ``k`` a sequence of
+    pools that partition the weights and never split a block, each pool's
+    k of its own. Every pinned index is pruned whenever its pool's k is at
+    least the pool's pinned count. ``inv`` is a ``FisherBlockInverse`` or
+    a stream of stacks (see ``eliminate_blocks``), frozen at every
+    non-prunable weight (ValueError otherwise). ``threads`` is accepted for
+    compatibility and has no effect.
     """
     w, pr, pin = _validate_inputs(w, prunable, pinned)
-    total_prunable = int(pr.sum())
-    if not 0 <= k <= total_prunable:
-        raise ValueError(f"k={k} out of range; {total_prunable} weights are prunable")
+    if np.ndim(k) == 0:
+        total_prunable = int(pr.sum())
+        if not 0 <= k <= total_prunable:
+            raise ValueError(f"k={k} out of range; {total_prunable} weights are prunable")
+        k = (Pool(0, w.size, k),)
     if layout is None:
         layout = _default_layout(w.size)
 
@@ -599,9 +580,9 @@ def solve_global(
     steps = np.concatenate([p.steps for p in passes])
     block_ids = np.repeat(np.arange(steps.size), steps)
     rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    unpinned = rank >= np.repeat(np.concatenate([p.pinned_steps for p in passes]), steps)
+    pinned_steps = rank < np.repeat(np.concatenate([p.pinned_steps for p in passes]), steps)
 
-    chosen = np.lexsort((gidx, scores, unpinned))[:k]
+    chosen = select_in_pools(gidx, scores, pinned_steps, k)
     take = np.bincount(block_ids[chosen], minlength=steps.size)
 
     # bug trap: the selected set inside each block must be a prefix of its
@@ -614,7 +595,7 @@ def solve_global(
             f"block {int(block_ids[chosen][beyond].min())}: "
             "selected set is not a prefix of the elimination order"
         )
-    return _assemble(w, passes, take, gidx[chosen], layout)
+    return _assemble(w, passes, take, gidx[chosen], layout, k)
 
 
 def solve_nm(
@@ -650,4 +631,5 @@ def solve_nm(
             )
     passes = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
     take = np.concatenate([p.steps for p in passes])
-    return _assemble(w, passes, take, _records(passes)[0], layout)
+    pruned = _records(passes)[0]
+    return _assemble(w, passes, take, pruned, layout, (Pool(0, w.size, pruned.size),))

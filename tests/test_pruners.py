@@ -220,11 +220,20 @@ class TestLayerHandling:
         assert (res.mask[pinned] == 0).all()
 
     def test_per_layer_predicted_sums_to_total(self, rng):
+        """A global total sums every block's cost, so it matches the sum of
+        the per-layer values to rounding; a per-layer total is exactly
+        their left-to-right sum."""
         weights, grads = toy_layers(rng)
-        res = run_pruner(spec_for("ovit"), weights, grads, sparsity=0.5)
-        assert sum(res.per_layer_predicted.values()) == pytest.approx(
-            res.predicted_loss_increase, rel=1e-12
-        )
+        for per_layer in (False, True):
+            res = run_pruner(spec_for("ovit", per_layer=per_layer), weights, grads,
+                             sparsity=0.5)
+            total = 0.0
+            for value in res.per_layer_predicted.values():
+                total += value
+            if per_layer:
+                assert res.predicted_loss_increase == total
+            else:
+                assert total == pytest.approx(res.predicted_loss_increase, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -415,9 +424,68 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
         monkeypatch.setattr(fisher, "CHUNK_VALUES", build_blocks * 8 * max(rows, 8))
         monkeypatch.setattr(fisher, "PASS_VALUES", pass_blocks * 64)
         assert run() == whole, (build_blocks, pass_blocks)
-        # every pool but per-layer ones at the widest passes has stacks left
-        # after its first pass, and so builds them on the producer thread
-        assert any(built_off_main) == (pass_blocks < 1000 or mode != "per_layer")
+        # one stream covers every layer, so every mode has stacks left after
+        # its first pass, and builds them on the producer thread
+        assert any(built_off_main)
+
+
+@pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+def test_per_layer_pools_equal_each_layer_pruned_alone(monkeypatch, method):
+    """Three layers with frozen weights and pins, pruned in per-layer pools
+    by one call, give the bytes of each layer pruned alone as one global
+    pool: mask, weights and per-layer predicted cost, with the total the
+    left-to-right sum of the per-layer costs. The one ovit call builds
+    every layer's stacks after its first pass on one producer thread."""
+    from obsprune import fisher, solver
+
+    monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)  # 2 blocks of 8 per pass
+    starts = []
+    real_start = solver._Prefetch.start
+    monkeypatch.setattr(solver._Prefetch, "start",
+                        lambda self: starts.append(1) or real_start(self))
+    rng = np.random.default_rng(41)
+    weights = {"a": rng.standard_normal((6, 10)), "b": rng.standard_normal((5, 4)),
+               "c": rng.standard_normal((3, 12))}
+    grads = {k: GradientSet(k, rng.standard_normal((12, w.size))) for k, w in weights.items()}
+    prunable = {k: rng.random(w.shape) > 0.2 for k, w in weights.items()}
+    _, pr, layout = flatten_layers(weights, prunable)
+    pinned = np.flatnonzero(pr)[::7]
+
+    pooled = run_pruner(spec_for(method, per_layer=True), weights, grads,
+                        sparsity=0.4, prunable=prunable, pinned=pinned)
+    assert len(starts) == (method == "ovit")
+    total = 0.0
+    for lay in layout:
+        sl = slice(lay.offset, lay.offset + lay.size)
+        inside = pinned[(pinned >= sl.start) & (pinned < sl.stop)]
+        alone = run_pruner(spec_for(method), {lay.name: weights[lay.name]}, grads,
+                           sparsity=0.4, prunable={lay.name: prunable[lay.name]},
+                           pinned=inside - lay.offset)
+        assert pooled.mask[sl].tobytes() == alone.mask.tobytes()
+        assert pooled.new_weights[sl].tobytes() == alone.new_weights.tobytes()
+        assert pooled.per_layer_predicted[lay.name] == alone.predicted_loss_increase
+        total += alone.predicted_loss_increase
+    assert pooled.predicted_loss_increase == total
+
+
+def test_per_layer_clamps_warn_once_with_the_total():
+    """Rows of scale 1e8 make every pivot of every layer fall below the
+    floor: a per-layer ovit prune warns once, with the count of all layers."""
+    rng = np.random.default_rng(43)
+    weights, grads = toy_layers(rng)
+    grads = {k: GradientSet(k, gs.samples * 1e8) for k, gs in grads.items()}
+    alone = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCurvatureWarning)
+        for name in weights:
+            alone.append(run_pruner(spec_for("ovit"), {name: weights[name]}, grads,
+                                    sparsity=0.5).clamp_events)
+    assert min(alone) > 0
+    with pytest.warns(DegenerateCurvatureWarning) as record:
+        res = run_pruner(spec_for("ovit", per_layer=True), weights, grads, sparsity=0.5)
+    assert len(record) == 1
+    assert res.clamp_events == sum(alone)
+    assert f"clamped {sum(alone)} degenerate pivot(s)" in str(record[0].message)
 
 
 def schur_frozen(real):

@@ -138,20 +138,28 @@ def _add_toy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=("mse", "logistic"), default="mse")
 
 
-def _spec_from_args(args, method: str | None = None):
+def _check_sparsity(sparsity: float | None) -> None:
+    if sparsity is not None and not 0.0 <= sparsity <= 1.0:
+        raise UsageError(f"sparsity must be in [0, 1], got {sparsity}")
+
+
+def _spec_from_args(args):
+    """The run's ``PrunerSpec``; a value it rejects is a UsageError."""
     from .pruners import PrunerSpec
 
-    method = method or args.method
-    damp = args.damp if args.damp is not None else DAMPENING_DEFAULTS[method]
-    return PrunerSpec(
-        method=method,
-        fisher=FisherConfig(block_size=args.block_size, dampening=damp,
-                            num_grads=args.num_grads),
-        nm=getattr(args, "nm", None),
-        recomputations=args.recompute,
-        per_layer=args.per_layer,
-        threads=args.threads,
-    )
+    damp = args.damp if args.damp is not None else DAMPENING_DEFAULTS[args.method]
+    try:
+        return PrunerSpec(
+            method=args.method,
+            fisher=FisherConfig(block_size=args.block_size, dampening=damp,
+                                num_grads=args.num_grads),
+            nm=getattr(args, "nm", None),
+            recomputations=args.recompute,
+            per_layer=args.per_layer,
+            threads=args.threads,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_schedule(args, cfg, interval: int | None):
@@ -223,16 +231,19 @@ def _print_prune_summary(out, ids, result) -> None:
 def cmd_prune(args, out) -> int:
     from .pruners import run_pruner
 
+    _check_sparsity(args.sparsity)
+    spec = _spec_from_args(args)
     ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
     grads = _load_grad_layers(args.grads, ids) if args.grads else None
-    result = run_pruner(_spec_from_args(args), weights, grads, sparsity=args.sparsity,
-                        prunable=prunable)
+    result = run_pruner(spec, weights, grads, sparsity=args.sparsity, prunable=prunable)
     _write_pruned(args.out, ids, result, dtypes)
     _print_prune_summary(out, ids, result)
     return 0
 
 
 def cmd_eval(args, out) -> int:
+    if not (args.damp > 0.0 and np.isfinite(args.damp)):
+        raise UsageError(f"--damp must be positive and finite, got {args.damp}")
     before_box = read_container(args.weights_before)
     after_box = read_container(args.weights_after)
     ids = layer_ids(before_box)
@@ -337,11 +348,22 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
                 raise UsageError(f"{flag} conflicts with sweep.targets in --config")
     if require_targets and targets is None:
         raise UsageError("a sweep needs --targets")
-    if targets is None and nm is None:
-        if args.sparsity is None:
-            raise UsageError("need --sparsity, --targets or --nm")
-        if not 0.0 <= args.sparsity <= 1.0:
-            raise UsageError(f"sparsity must be in [0, 1], got {args.sparsity}")
+    if targets is None and nm is None and args.sparsity is None:
+        raise UsageError("need --sparsity, --targets or --nm")
+    _check_sparsity(args.sparsity)
+    for flag, value, least in (("--steps", args.steps, 0), ("--recovery", args.recovery, 0),
+                               ("--samples", args.samples, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    spec = _spec_from_args(args)
+    plan = None
+    try:
+        if targets is not None:
+            interval = int(interval) if interval is not None else schedules.DEFAULT_PERIOD
+            plan = schedules.plan_sweep(targets, interval)
+        sched = _resolve_schedule(args, cfg, None if plan is None else plan.interval)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     model = pipeline.toy_train(
         args.seed, args.dims, args.steps, args.lr,
@@ -351,16 +373,11 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     out.write(f"train\tgrad_norm\t{_fmt(pipeline.gradient_norm(model))}\n")
 
     checkpoints = []
-    spec = _spec_from_args(args)
-    if targets is not None:
-        interval = int(interval) if interval is not None else schedules.DEFAULT_PERIOD
-        plan = schedules.plan_sweep(targets, interval)
-        sched = _resolve_schedule(args, cfg, plan.interval)
+    if plan is not None:
         report, checkpoints = pipeline.run_gradual(
             model, spec, plan, sched, acyclic=args.acyclic
         )
     else:
-        sched = _resolve_schedule(args, cfg, None)
         report = pipeline.run_oneshot_finetune(
             model, spec, args.sparsity, args.recovery, sched, acyclic=args.acyclic
         )

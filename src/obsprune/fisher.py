@@ -20,11 +20,11 @@ time and a consumer that frees each stack (the greedy solver) never
 holds the whole inverse. A chunk holds at most ``CHUNK_VALUES`` widened
 gradient values and at most one lockstep pass of the solver
 (``pass_blocks``), so the solver can take each stack as it comes. After
-the first pass, the solver draws the rest of a stream on a producer
-thread, which builds the next stack while the solver solves the current
-one; every block is inverted on its own, so that changes no byte.
-``build_fisher_inverse`` collects the stream into a
-``FisherBlockInverse`` for callers that need every block at once.
+the first pass, the solver draws each next stack on a worker thread,
+which builds it while the solver solves the current one; every block is
+inverted on its own, so that changes no byte. ``build_fisher_inverse``
+collects the stream into a ``FisherBlockInverse`` for callers that need
+every block at once.
 
 The build takes the weights' movable mask and freezes every other
 weight: a chunk that holds a frozen weight has that weight's gradient
@@ -45,7 +45,7 @@ contiguous float64 copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def _inverse_stacks(
     frozen: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The stream itself; it calls no public function, so the solver's
-    producer thread can advance it."""
+    worker threads can advance it."""
     n_used, dim = used.shape
     lam = float(config.dampening)
     bs = config.block_size
@@ -243,10 +243,6 @@ def build_fisher_inverse(
     config: FisherConfig,
     movable: np.ndarray | None = None,
 ) -> FisherBlockInverse:
-    """The whole block inverse: every stack of ``iter_block_inverses``, kept."""
-    return collect_inverses(iter_block_inverses(grads, config, movable), config)
-
-
-def collect_inverses(stacks: Iterable[np.ndarray], config: FisherConfig) -> FisherBlockInverse:
-    """One ``FisherBlockInverse`` holding every block of ``stacks``, in order."""
+    """The whole block inverse: every block of ``iter_block_inverses``, kept."""
+    stacks = iter_block_inverses(grads, config, movable)
     return FisherBlockInverse([blk for stack in stacks for blk in stack], config)

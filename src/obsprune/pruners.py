@@ -17,8 +17,9 @@ that would prune only pins whose weights are already zero. One stream of
 block inverses covers all layers (``layered_inverse_stacks``); it scans
 every layer's rows before it builds any block, and it is frozen at the
 non-prunable weights (see ``fisher``). ``ovit`` hands it straight to the
-solver, so it never holds the whole inverse, and ``wf`` collects it
-whole and scores and compensates from it as it is. All methods respect
+solver, so it never holds the whole inverse, and ``wf`` keeps every
+stack, scores from their diagonals and compensates with one batched
+product per stack. All methods respect
 prunability masks. ``pinned`` indices are pruned unconditionally (used
 to keep masks monotone across repeated pruning).
 """
@@ -34,7 +35,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import obs_core
-from .fisher import EPS_FLOOR, FisherConfig, collect_inverses, iter_block_inverses
+from .fisher import EPS_FLOOR, FisherConfig, iter_block_inverses
 from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
 from .solver import PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
@@ -49,7 +50,9 @@ GradMap = Mapping[str, GradientSet]
 class PrunerSpec:
     """What to prune with: method, Fisher hyperparameters, optional n:m
     pattern, recomputation sub-steps, and layer-local vs global selection.
-    ``threads`` is accepted for compatibility and has no effect."""
+    An n:m pattern needs ``ovit``, global selection and one sub-step;
+    ValueError otherwise. ``threads`` is accepted for compatibility and
+    has no effect."""
 
     method: str
     fisher: FisherConfig = FisherConfig()
@@ -67,6 +70,12 @@ class PrunerSpec:
             n, m = self.nm
             if not 0 < n < m:
                 raise ValueError(f"need 0 < n < m for an n:m pattern, got {n}:{m}")
+            if self.method != "ovit":
+                raise ValueError("n:m patterns are only supported by the ovit method")
+            if self.per_layer:
+                raise ValueError("an n:m pattern has no per-layer mode")
+            if self.recomputations != 1:
+                raise ValueError("an n:m pattern takes no recomputation sub-steps")
 
 
 def sparsity_to_k(sparsity: float, prunable_count: int) -> int:
@@ -152,10 +161,10 @@ def _prune_frozen(
     once and select in every pool. wf's costs are its selected scores, each
     pool's summed pairwise (``np.sum``); gm's cost per layer is the
     quadratic model's when gradient rows are given, else 0."""
-    inv = None
     if spec.method == "wf":
-        inv = collect_inverses(stacks, spec.fisher)
-        diag = np.maximum(inv.diagonal(), EPS_FLOOR)
+        stacks = list(stacks)
+        diag = np.maximum(np.concatenate([np.diagonal(s, axis1=1, axis2=2) for s in stacks],
+                                         axis=None), EPS_FLOOR)
         scores = w**2 / (2.0 * diag)
     else:
         scores = np.abs(w)
@@ -163,15 +172,17 @@ def _prune_frozen(
     selected = np.sort(idx[select_in_pools(idx, scores[idx], pin[idx], pools)])
 
     new_w = w.copy()
-    if inv is not None:
-        sel_mask = np.zeros(w.size, dtype=bool)
-        sel_mask[selected] = True
-        for b in range(inv.num_blocks):
-            lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
-            local = np.flatnonzero(sel_mask[lo:hi])
-            if local.size:
-                coef = w[lo + local] / diag[lo + local]
-                new_w[lo:hi] -= inv.blocks[b][:, local] @ coef
+    if spec.method == "wf":
+        # zero outside the selection, so one product per stack sums every
+        # block's selected updates
+        coef = np.zeros(w.size)
+        coef[selected] = w[selected] / diag[selected]
+        lo = 0
+        for stack in stacks:
+            nb, bs, _ = stack.shape
+            sl = slice(lo, lo + nb * bs)
+            new_w[sl] -= np.matmul(stack, coef[sl].reshape(nb, bs, 1)).reshape(-1)
+            lo = sl.stop
         new_w[selected] = 0.0
         per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools,
                                            lambda v: float(v.sum()))
@@ -241,8 +252,6 @@ def run_pruner(
     if spec.nm is not None:
         if sparsity is not None or k is not None:
             raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
-        if spec.method != "ovit":
-            raise ValueError("n:m patterns are only supported by the ovit method")
         if pin.any():
             raise ValueError("an n:m pattern takes no pinned indices")
         n, m = spec.nm

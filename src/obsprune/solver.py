@@ -38,15 +38,15 @@ into passes of ``fisher.PASS_VALUES`` values: larger ones are split into
 views, and consecutive ones of one size are joined across layer
 boundaries. The build's stacks hold at most one pass, so a pass is a
 joined copy only where a layer's blocks do not fill whole passes. When
-the stacks drawn for a stream's first pass leave weights over, the rest
-of the stream is drawn on one producer thread, one stack ahead: the
-build of the next stack (batched LAPACK and BLAS calls, which release
-the GIL) runs beside the solve of the current pass (many small,
-GIL-bound NumPy calls). Passes are still solved in weight order, and
-every block is built on its own, so the thread moves no output byte. So
-an N:M solve holds at most three stacks of inverses (one solved, one
-handed over, one being built) and one pass of scratch, while a global
-solve also keeps its per-step snapshots, which take d*B values.
+a stream's first pass leaves weights over, each next stack is drawn on a
+short-lived worker thread, one at a time: the build of the next stack
+(batched LAPACK and BLAS calls, which release the GIL) runs beside the
+solve of the current pass (many small, GIL-bound NumPy calls). Passes
+are still solved in weight order, and every block is built on its own,
+so the workers move no output byte. So an N:M solve holds the stacks of
+the pass it solves, at most one more stack and one pass of scratch,
+while a global solve also keeps its per-step snapshots, which take d*B
+values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -275,79 +275,52 @@ def _as_stacks(inv: InverseStacks) -> Iterable[np.ndarray]:
     return inv
 
 
-class _Prefetch:
+class _Ahead:
     """An iterator over a stream of stacks that, once ``start`` is called,
-    draws the rest of the stream on one daemon producer thread, one stack
-    ahead: the next stack is drawn only after the consumer took the last.
+    draws each next stack on a fresh daemon worker while the caller works
+    on the last one. Only one worker exists at a time, so at most one
+    stack is drawn ahead.
 
-    The producer only advances the stream; its rows were validated when
-    the stream was made. An exception it raises is handed over and
-    re-raised by ``__next__``. ``close`` stops the producer and joins it;
-    the consumer calls it on every exit. ``covered`` counts the weights of
-    the stacks drawn before ``start``.
+    A worker only advances the stream; its rows were validated when the
+    stream was made. ``__next__`` re-raises what a worker raised,
+    StopIteration included, on that call and every later one. ``close``
+    joins the worker in flight; the caller calls it on every exit.
     """
-
-    _END = object()  # handed over after the stream's last stack
 
     def __init__(self, stacks: Iterable[np.ndarray]) -> None:
         self._stacks = iter(stacks)
-        self._changed = threading.Condition()
-        self._slot: list[object] = []  # the one item handed over, if any
-        self._closed = False
-        self._thread: threading.Thread | None = None
-        self.covered = 0
+        self._worker: threading.Thread | None = None
+        self._drawn: object = None  # the worker's stack, or what it raised
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._produce, daemon=True)
-        self._thread.start()
+        self._launch()
 
-    def _produce(self) -> None:
+    def _launch(self) -> None:
+        self._worker = threading.Thread(target=self._draw, daemon=True)
+        self._worker.start()
+
+    def _draw(self) -> None:
         try:
-            for stack in self._stacks:
-                if not self._hand_over(stack):
-                    return
-                del stack  # not kept alive while the next one is built
-            self._hand_over(self._END)
-        except BaseException as exc:  # re-raised on the consumer's thread
-            self._hand_over(exc)
+            self._drawn = next(self._stacks)
+        except BaseException as exc:  # re-raised on the caller's thread
+            self._drawn = exc
 
-    def _hand_over(self, item: object) -> bool:
-        """Put ``item`` in the slot and wait until it is taken; False if the
-        consumer closed first."""
-        with self._changed:
-            self._slot.append(item)
-            self._changed.notify()
-            while self._slot and not self._closed:
-                self._changed.wait()
-            return not self._closed
-
-    def __iter__(self) -> _Prefetch:
+    def __iter__(self) -> _Ahead:
         return self
 
     def __next__(self) -> np.ndarray:
-        if self._thread is None:
-            stack = next(self._stacks)
-            self.covered += stack.shape[0] * stack.shape[1]
-            return stack
-        with self._changed:
-            while not self._slot:
-                self._changed.wait()
-            item = self._slot.pop()
-            self._changed.notify()
-        if item is self._END:
-            raise StopIteration
-        if isinstance(item, BaseException):
-            raise item
-        return item
+        if self._worker is None:
+            return next(self._stacks)
+        self._worker.join()
+        if isinstance(self._drawn, BaseException):
+            raise self._drawn
+        stack, self._drawn = self._drawn, None
+        self._launch()
+        return stack
 
     def close(self) -> None:
-        if self._thread is None:
-            return
-        with self._changed:
-            self._closed = True
-            self._slot.clear()
-            self._changed.notify()
-        self._thread.join()
+        if self._worker is not None:
+            self._worker.join()
 
 
 def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -395,13 +368,13 @@ def eliminate_blocks(
     ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
     stacks of consecutive block inverses in weight order, such as
     ``fisher.iter_block_inverses``. Passes are solved in weight order. If
-    ``inv`` is a stream and the stacks drawn for its first pass leave
-    weights over, the rest of it is drawn on one producer thread, at most
-    one stack ahead of the solve, and the thread is joined before this
-    returns or raises; an exception raised while drawing is re-raised
-    here. ``w``, ``prunable`` and ``pinned`` are global flat vectors. With
-    ``nm`` the greedy respects n:m group quotas, every block boundary must
-    be a multiple of m, and ``pinned`` must be empty. The inverse must be
+    ``inv`` is a stream and its first pass leaves weights over, the rest
+    of it is drawn on worker threads, one stack ahead of the solve, and
+    the last worker is joined before this returns or raises; an exception
+    raised while drawing is re-raised here. ``w``, ``prunable`` and
+    ``pinned`` are global flat vectors. With ``nm`` the greedy respects
+    n:m group quotas, every block boundary must be a multiple of m, and
+    ``pinned`` must be empty. The inverse must be
     frozen: each pass raises ValueError, naming the block, before it is
     solved if a non-prunable coordinate's row holds a nonzero entry.
     """
@@ -410,7 +383,7 @@ def eliminate_blocks(
         pinned = np.zeros(w.size, dtype=bool)
     passes: list[PassTrace] = []
     offset = 0
-    stacks = _Prefetch(_as_stacks(inv))
+    stacks = _Ahead(_as_stacks(inv))
     try:
         for stack in _kernel_passes(stacks):
             nb, bs, _ = stack.shape
@@ -422,7 +395,7 @@ def eliminate_blocks(
                     f"block boundaries must be multiples of m={nm[1]}; "
                     "use a block size that m divides"
                 )
-            if not offset and stacks.covered < w.size and not isinstance(inv, FisherBlockInverse):
+            if not offset and end < w.size and not isinstance(inv, FisherBlockInverse):
                 stacks.start()  # build the next stacks beside this solve
             sl = slice(offset, end)
             pr = prunable[sl].reshape(nb, bs)

@@ -108,6 +108,31 @@ class TestPrune:
         )
         assert (code, text) == (2, "")
 
+    @pytest.mark.parametrize("argv", [
+        ("prune", "--method", "ovit", "--sparsity", "1.5"),
+        ("prune", "--method", "gm", "--sparsity", "-0.1"),
+        ("prune", "--method", "ovit", "--sparsity", "0.5", "--block-size", "0"),
+        ("prune", "--method", "wf", "--sparsity", "0.5", "--damp", "-1"),
+        ("eval", "--damp", "-5"),
+        ("eval", "--damp", "inf"),
+    ], ids=["sparsity-above", "sparsity-below", "block-size", "damp", "eval-damp",
+            "eval-damp-inf"])
+    def test_bad_flag_values_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        from obsprune import cli
+
+        def no_reading(path):
+            raise AssertionError(f"read {path} before checking the flags")
+
+        monkeypatch.setattr(cli, "read_container", no_reading)
+        paths = {"prune": ("--weights", "--grads", "--out"),
+                 "eval": ("--weights-before", "--weights-after", "--grads")}[argv[0]]
+        files = [arg for flag in paths for arg in (flag, str(tmp_path / flag[2:]))]
+        code, text = run_cli(*argv, *files)
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
     def test_recompute_with_one_gradient_file_exits_two(self, tmp_path, capsys):
         # every sub-step would rebuild the identical inverse from the same rows
         code, text = run_cli(
@@ -367,7 +392,21 @@ class TestToyAndSweep:
         ("sweep", "--out", "cp", "--config", "CFG"),
         ("toy",),
         ("toy", "--sparsity", "1.5"),
-    ], ids=["sweep", "sweep-config", "toy", "toy-sparsity"])
+        ("toy", "--sparsity", "0.5", "--damp", "-1"),
+        ("toy", "--sparsity", "0.5", "--block-size", "0"),
+        ("toy", "--sparsity", "0.5", "--num-grads", "0"),
+        ("toy", "--sparsity", "0.5", "--recompute", "0"),
+        ("toy", "--sparsity", "0.5", "--steps", "-3"),
+        ("toy", "--sparsity", "0.5", "--recovery", "-1"),
+        ("toy", "--sparsity", "0.5", "--samples", "0"),
+        ("toy", "--sparsity", "0.5", "--lr-max", "1e-6", "--lr-min", "1e-3"),
+        ("sweep", "--targets", "0.5", "--out", "cp", "--interval", "0"),
+        ("sweep", "--targets", "0.5,0.3", "--out", "cp"),
+        ("sweep", "--targets", "0.5", "--out", "cp", "--damp", "-1"),
+        ("sweep", "--targets", "0.5", "--out", "cp", "--period", "0"),
+    ], ids=["sweep", "sweep-config", "toy", "toy-sparsity", "toy-damp", "toy-block-size",
+            "toy-num-grads", "toy-recompute", "toy-steps", "toy-recovery", "toy-samples",
+            "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period"])
     def test_missing_or_bad_target_exits_two_before_training(
         self, tmp_path, monkeypatch, capsys, argv
     ):
@@ -379,7 +418,9 @@ class TestToyAndSweep:
 
         monkeypatch.setattr(pipeline, "toy_train", no_training)
         argv = [str(cfg) if a == "CFG" else a for a in argv]
-        code, text = run_cli(*argv, "--seed", "7", "--dims", "6,8,4", "--steps", "40")
+        # the case's own flags come last, so they win over these
+        code, text = run_cli(argv[0], "--seed", "7", "--dims", "6,8,4", "--steps", "40",
+                             *argv[1:])
         assert (code, text) == (2, "")
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")

@@ -295,9 +295,8 @@ class TestRecompute:
 
     def test_rejects_nm(self, rng):
         weights, grads = toy_layers(rng)
-        with pytest.raises(ValueError):
-            prune_with_recompute(spec_for("ovit", nm=(2, 4), recompute=2),
-                                 weights, lambda w: grads, 0.5)
+        with pytest.raises(ValueError, match="not n:m"):
+            prune_with_recompute(spec_for("ovit", nm=(2, 4)), weights, lambda w: grads, 0.5)
 
     @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
     def test_nonzero_pins_never_skip(self, rng, method):
@@ -364,22 +363,60 @@ def test_default_spec_has_documented_defaults():
     assert default_spec("wf").fisher.dampening == 1e-6
 
 
+@pytest.mark.parametrize("overrides", [{"method": "wf"}, {"per_layer": True},
+                                       {"recompute": 3}], ids=["wf", "per_layer", "recompute"])
+def test_nm_spec_rejects_what_an_nm_prune_would_ignore(overrides):
+    with pytest.raises(ValueError, match="n:m"):
+        spec_for(**{"method": "ovit", "nm": (2, 4), **overrides})
+
+
+@pytest.mark.parametrize("per_layer", [False, True])
+def test_wf_compensation_matches_the_per_block_loop(per_layer):
+    """wf's one batched product per stack gives the weights of the loop it
+    replaced, one product of each block's selected columns with their
+    coefficients, to rounding; the trailing blocks are partial."""
+    from obsprune.fisher import EPS_FLOOR, FisherBlockInverse
+    from obsprune.pruners import layered_inverse_stacks
+
+    rng = np.random.default_rng(53)
+    weights = {"0": rng.standard_normal((9, 12)), "1": rng.standard_normal((5, 12))}
+    grads = {k: GradientSet(k, rng.standard_normal((20, w.size))) for k, w in weights.items()}
+    prunable = {k: rng.random(w.shape) > 0.1 for k, w in weights.items()}
+    spec = spec_for("wf", per_layer=per_layer)
+    res = run_pruner(spec, weights, grads, sparsity=0.6, prunable=prunable)
+
+    w, pr, layout = flatten_layers(weights, prunable)
+    stacks = layered_inverse_stacks(grads, layout, spec.fisher, pr)
+    inv = FisherBlockInverse([blk for stack in stacks for blk in stack], spec.fisher)
+    diag = np.maximum(inv.diagonal(), EPS_FLOOR)
+    pruned = res.mask == 0
+    want = w.copy()
+    for b in range(inv.num_blocks):
+        lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
+        local = np.flatnonzero(pruned[lo:hi])
+        if local.size:
+            want[lo:hi] -= inv.blocks[b][:, local] @ (w[lo + local] / diag[lo + local])
+    want[pruned] = 0.0
+    assert 0 < np.count_nonzero(pruned) < np.count_nonzero(pr)
+    np.testing.assert_allclose(res.new_weights, want, rtol=0, atol=1e-12 * np.abs(w).max())
+
+
 # -- streamed inverses ---------------------------------------------------------
 
 def collected(real):
     """``layered_inverse_stacks`` replaced by the whole collected inverse."""
-    from obsprune.fisher import collect_inverses
+    from obsprune.fisher import FisherBlockInverse
 
-    return lambda grads, layout, config, movable: collect_inverses(
-        real(grads, layout, config, movable), config)
+    return lambda grads, layout, config, movable: FisherBlockInverse(
+        [blk for stack in real(grads, layout, config, movable) for blk in stack], config)
 
 
 @pytest.mark.parametrize("mode", ["global", "per_layer", "recompute", "nm"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [5, 20])  # fewer and more rows than B=8
 def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
-    """ovit solved from the streamed stacks, built on the solver's producer
-    thread after the first pass, gives the bytes of a solve from the
+    """ovit solved from the streamed stacks, built on the solver's workers
+    after the first pass, gives the bytes of a solve from the
     collected whole inverse, for every build and kernel chunk budget, with
     trailing partial blocks (60 = 7*8 + 4 and 28 = 3*8 + 4 weights)."""
     from obsprune import fisher, pruners
@@ -425,7 +462,7 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
         monkeypatch.setattr(fisher, "PASS_VALUES", pass_blocks * 64)
         assert run() == whole, (build_blocks, pass_blocks)
         # one stream covers every layer, so every mode has stacks left after
-        # its first pass, and builds them on the producer thread
+        # its first pass, and builds them on the solver's workers
         assert any(built_off_main)
 
 
@@ -434,14 +471,14 @@ def test_per_layer_pools_equal_each_layer_pruned_alone(monkeypatch, method):
     """Three layers with frozen weights and pins, pruned in per-layer pools
     by one call, give the bytes of each layer pruned alone as one global
     pool: mask, weights and per-layer predicted cost, with the total the
-    left-to-right sum of the per-layer costs. The one ovit call builds
-    every layer's stacks after its first pass on one producer thread."""
+    left-to-right sum of the per-layer costs. The one ovit call starts
+    drawing ahead once, after its first pass, for every layer's stacks."""
     from obsprune import fisher, solver
 
     monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)  # 2 blocks of 8 per pass
     starts = []
-    real_start = solver._Prefetch.start
-    monkeypatch.setattr(solver._Prefetch, "start",
+    real_start = solver._Ahead.start
+    monkeypatch.setattr(solver._Ahead, "start",
                         lambda self: starts.append(1) or real_start(self))
     rng = np.random.default_rng(41)
     weights = {"a": rng.standard_normal((6, 10)), "b": rng.standard_normal((5, 4)),
@@ -492,11 +529,12 @@ def schur_frozen(real):
     """``layered_inverse_stacks`` replaced by the path the frozen build
     replaced: the whole unfrozen inverse, with every non-prunable
     coordinate eliminated afterwards by Schur downdates."""
-    from obsprune.fisher import collect_inverses
+    from obsprune.fisher import FisherBlockInverse
     from reference_fisher import freeze_indices
 
     def stacks(grads, layout, config, movable):
-        whole = collect_inverses(real(grads, layout, config, np.ones_like(movable)), config)
+        unfrozen = real(grads, layout, config, np.ones_like(movable))
+        whole = FisherBlockInverse([blk for stack in unfrozen for blk in stack], config)
         own = movable[layout[0].offset : layout[0].offset + whole.global_dim]
         return iter([blk[None] for blk in freeze_indices(whole, np.flatnonzero(~own)).blocks])
 

@@ -625,6 +625,9 @@ def test_abandoned_stream_stops_the_producer(rng):
 
 @pytest.mark.usefixtures("one_block_passes")
 def test_producer_starts_only_for_a_stream_of_several_passes(rng, monkeypatch):
+    """A whole inverse and a stream of one pass are solved without a worker;
+    a stream of three passes has its first stack drawn on the caller's
+    thread and the rest on workers, none of which outlives the call."""
     from obsprune import solver
 
     seen = []
@@ -634,13 +637,83 @@ def test_producer_starts_only_for_a_stream_of_several_passes(rng, monkeypatch):
     before = threading.active_count()
     stacks = one_block_stacks(rng, 3)
     inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
+    on_main = []
+
+    def stream(count):
+        for stack in stacks[:count]:
+            on_main.append(threading.current_thread() is threading.main_thread())
+            yield stack
+
     eliminate_blocks(np.ones(24), inv, np.ones(24, dtype=bool))
-    eliminate_blocks(np.ones(8), iter(stacks[:1]), np.ones(8, dtype=bool))
+    eliminate_blocks(np.ones(8), stream(1), np.ones(8, dtype=bool))
     assert seen == [before] * 4
-    seen.clear()
-    eliminate_blocks(np.ones(24), iter(stacks), np.ones(24, dtype=bool))
-    assert seen[0] == before + 1
+    assert on_main == [True]
+    on_main.clear()
+    eliminate_blocks(np.ones(24), stream(3), np.ones(24, dtype=bool))
+    assert on_main == [True, False, False]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [StopIteration, ProducerError])
+def test_stream_end_or_error_raises_on_every_later_call(error):
+    """Once a worker met the stream's end or an error, every further
+    ``next`` raises it again instead of returning a stack."""
+    from obsprune.solver import _Ahead
+
+    def stream():
+        yield np.zeros((1, 1, 1))
+        yield np.ones((1, 1, 1))
+        if error is ProducerError:
+            raise ProducerError("build failed")
+
+    ahead = _Ahead(stream())
+    try:
+        assert next(ahead)[0, 0, 0] == 0.0  # on the caller's thread
+        ahead.start()
+        assert next(ahead)[0, 0, 0] == 1.0
+        for _ in range(3):
+            with pytest.raises(error):
+                next(ahead)
+    finally:
+        ahead.close()
+
+
+def test_stream_keeps_at_most_one_stack_beyond_the_pass_alive(rng, monkeypatch):
+    """Stacks of three blocks, solved in passes of two: when a pass is
+    solved, every stack before the pass's own has been freed, and of the
+    stacks after them at most the next one has been drawn."""
+    import weakref
+
+    from obsprune import fisher, solver
+
+    monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)
+    blocks = [np.linalg.inv(random_spd(rng, 8)) for _ in range(24)]
+    refs = []
+
+    def fresh(i):
+        stack = np.stack(blocks[3 * i : 3 * i + 3])
+        refs.append(weakref.ref(stack))
+        return stack
+
+    def stream():
+        for i in range(8):
+            yield fresh(i)
+
+    alive_at_solves = []
+    real = solver._eliminate_stack
+
+    def recording(offset, cols0, *args):
+        first = offset // 8
+        own = set(range(first // 3, (first + len(cols0) - 1) // 3 + 1))
+        alive = {i for i, ref in enumerate(refs) if ref() is not None}
+        alive_at_solves.append((own, alive))
+        return real(offset, cols0, *args)
+
+    monkeypatch.setattr(solver, "_eliminate_stack", recording)
+    eliminate_blocks(rng.standard_normal(192), stream(), np.ones(192, dtype=bool))
+    assert len(alive_at_solves) == 12
+    for own, alive in alive_at_solves:
+        assert own <= alive <= own | {max(own) + 1}, (own, alive)
 
 
 @pytest.mark.usefixtures("one_block_passes")

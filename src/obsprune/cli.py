@@ -190,13 +190,17 @@ def _load_weight_layers(path: str):
 
 
 def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
+    """Read-only rows, whose pages the build and ``loss_increase`` release
+    once read (see ``tensorstore``)."""
     box = read_container(path)
     out = {}
     for lid in ids:
         name = grads_name(lid)
         if name not in box:
             raise ContainerError(f"{path}: missing {name}")
-        out[lid] = GradientSet(lid, box[name].array())
+        rows = box[name].array()
+        rows.flags.writeable = False
+        out[lid] = GradientSet(lid, rows)
     return out
 
 
@@ -338,7 +342,10 @@ def report_csv(report) -> str:
 def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     from . import pipeline, schedules
 
-    cfg = schedules.load_config(args.config) if args.config else {}
+    try:
+        cfg = schedules.load_config(args.config) if args.config else {}
+    except ValueError as exc:
+        raise UsageError(f"--config {args.config}: {exc}") from exc
     targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
     interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
     nm = getattr(args, "nm", None)
@@ -355,6 +362,10 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
                                ("--samples", args.samples, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if not 0.0 < args.lr < np.inf:
+        raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
+    if not 0.0 <= args.noise < np.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     spec = _spec_from_args(args)
     plan = None
     try:

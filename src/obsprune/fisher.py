@@ -40,6 +40,14 @@ chunk with nothing frozen goes to the Gram form as a strided view of the
 rows, which it reads once; a masked chunk, a chunk to widen and a chunk
 for the Woodbury form, which reads the rows three times, become one
 contiguous float64 copy.
+
+Rows are resident only while the build reads them. The stream's frame
+holds the only reference the build keeps to a layer's rows, so a caller
+that keeps none frees them once the layer's last stack is built. Rows
+that are a read-only view of a container mapping (as the CLI reads them)
+have their pages released from it instead: rows past ``num_grads`` as
+soon as the non-finite scan has passed them, and the used rows at the
+end of the layer's stream (see ``tensorstore``).
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensorstore import GradientSet
+from .tensorstore import GradientSet, _release_pages
 
 #: numerical floor applied to inverse diagonals before any division
 EPS_FLOOR = 1e-12
@@ -185,7 +193,9 @@ def iter_block_inverses(
     at a time, then the trailing partial block on its own. Uses the first
     ``min(num_grads, rows)`` rows in their stored dtype. Weights outside
     ``movable`` (default: every weight moves) come out frozen: their rows
-    and columns are exactly zero (see the module docstring).
+    and columns are exactly zero (see the module docstring). Read-only
+    rows in a container mapping have their pages released once read:
+    unused rows by the scan, used rows when the stream ends.
     """
     samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -198,11 +208,12 @@ def iter_block_inverses(
             raise ValueError(f"movable mask has shape {movable.shape}, expected ({dim},)")
         frozen = ~movable
     sizes = block_partition(dim, config.block_size)
+    n_used = min(int(config.num_grads), samples.shape[0])
     step = max(1, CHUNK_VALUES // dim)
     for lo in range(0, samples.shape[0], step):
         if not np.isfinite(samples[lo : lo + step]).all():
             raise ValueError("gradient samples contain non-finite values")
-    n_used = min(int(config.num_grads), samples.shape[0])
+        _release_pages(samples[max(lo, n_used) : lo + step])  # rows no block reads
     bs = config.block_size
     per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
     return _inverse_stacks(samples[:n_used], sizes, config, per_chunk, frozen)
@@ -216,7 +227,8 @@ def _inverse_stacks(
     frozen: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The stream itself; it calls no public function, so the solver's
-    worker threads can advance it."""
+    worker threads can advance it. It releases the pages of ``used`` once
+    the last stack is built (see the module docstring)."""
     n_used, dim = used.shape
     lam = float(config.dampening)
     bs = config.block_size
@@ -236,6 +248,7 @@ def _inverse_stacks(
         yield invert(b * bs, min(b + per_chunk, n_main) * bs, bs)
     if len(sizes) > n_main:  # trailing partial block
         yield invert(n_main * bs, dim, sizes[-1])
+    _release_pages(used)
 
 
 def build_fisher_inverse(

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .obs_core import NumericalError
-from .pruners import PrunerSpec, prune_with_recompute, run_pruner, split_by_layer
+from .pruners import PrunerSpec, _run_pruner, prune_with_recompute, split_by_layer
 from .schedules import LrSchedule, SweepPlan, lr_at
 from .tensorstore import GradientSet
 
@@ -343,8 +343,9 @@ def _prune_once(
 ):
     cap = min(spec.fisher.num_grads, model.num_samples)
     if spec.nm is not None:
-        grads = collect_grads(model, cap)
-        return run_pruner(spec, model.weights, grads, prunable=model.prunable)
+        # the rows are made inside the prune, so its build holds them alone
+        return _run_pruner(spec, model.weights, lambda: collect_grads(model, cap),
+                           prunable=model.prunable)
     assert sparsity is not None
     return prune_with_recompute(
         spec, model.weights, _grad_provider(model, cap), sparsity,

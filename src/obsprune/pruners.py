@@ -19,9 +19,13 @@ every layer's rows before it builds any block, and it is frozen at the
 non-prunable weights (see ``fisher``). ``ovit`` hands it straight to the
 solver, so it never holds the whole inverse, and ``wf`` keeps every
 stack, scores from their diagonals and compensates with one batched
-product per stack. All methods respect
-prunability masks. ``pinned`` indices are pruned unconditionally (used
-to keep masks monotone across repeated pruning).
+product per stack. The rows are held by those streams alone
+(``_run_pruner`` takes a provider, not the rows, and drops its reference
+once the streams are made), so rows that no caller holds are freed, and
+read-only mapped rows released, once their layer's last stack is built;
+``prune_with_recompute`` makes each sub-step's rows inside its prune.
+All methods respect prunability masks. ``pinned`` indices are pruned
+unconditionally (used to keep masks monotone across repeated pruning).
 """
 
 from __future__ import annotations
@@ -241,34 +245,60 @@ def run_pruner(
     ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
     instead of to one global pool. Layers are flattened, and ``pinned``,
     the target and every layer's gradient set, its rows included, are
-    validated, once per call and before any inverse is built.
+    validated, once per call and before any inverse is built. Read-only
+    rows in a container mapping have their pages released once the build
+    has read them (see ``tensorstore``).
     """
+    return _run_pruner(spec, weights, None if grads is None else lambda: grads,
+                       sparsity=sparsity, k=k, prunable=prunable, pinned=pinned)
+
+
+def _run_pruner(
+    spec: PrunerSpec,
+    weights,
+    provide: Callable[[], GradMap] | None,
+    *,
+    sparsity: float | None = None,
+    k: int | None = None,
+    prunable: Mapping[str, np.ndarray] | None = None,
+    pinned: Sequence[int] = (),
+) -> PruneResult:
+    """``run_pruner`` on the rows ``provide()`` makes. No frame but the
+    build's streams holds them, so a caller that keeps no reference to
+    them frees each layer's rows once its last stack is built. Passing the
+    rows themselves would not do: CPython 3.10 keeps a call's arguments
+    alive in the caller's frame until the call returns."""
     w, pr, layout = flatten_layers(_as_map(weights), prunable)
     pin = pinned_mask(pinned, pr)
+    grads = None if provide is None else provide()
     if spec.method != "gm":
         if grads is None:
             raise ValueError(f"method {spec.method!r} needs gradient rows")
         _check_grads(grads, layout)
+    cfg = spec.fisher
     if spec.nm is not None:
         if sparsity is not None or k is not None:
             raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
         if pin.any():
             raise ValueError("an n:m pattern takes no pinned indices")
-        n, m = spec.nm
-        cfg = spec.fisher
+        m = spec.nm[1]
         if cfg.block_size % m:
             rounded = max(m, (cfg.block_size // m) * m)
             warnings.warn(
                 f"block size {cfg.block_size} is not a multiple of m={m}; using {rounded}",
-                stacklevel=2,
+                stacklevel=3,
             )
             cfg = replace(cfg, block_size=rounded)
-        stacks = layered_inverse_stacks(grads, layout, cfg, pr)
-        return solve_nm(w, stacks, n, m, prunable=pr, layout=layout)
-    if (sparsity is None) == (k is None):
+    elif (sparsity is None) == (k is None):
         raise ValueError("exactly one of sparsity or k is required")
-    pools = _pools(spec, layout, pr, pin, sparsity, k)
-    stacks = None if spec.method == "gm" else layered_inverse_stacks(grads, layout, spec.fisher, pr)
+    else:
+        pools = _pools(spec, layout, pr, pin, sparsity, k)
+    stacks = None
+    if spec.method != "gm":
+        stacks = layered_inverse_stacks(grads, layout, cfg, pr)
+        grads = None  # the streams hold the rows from here on
+    if spec.nm is not None:
+        return solve_nm(w, stacks, *spec.nm, prunable=pr, layout=layout)
     if spec.method == "ovit":
         return solve_global(w, stacks, pools, prunable=pr, pinned=np.flatnonzero(pin),
                             layout=layout)
@@ -337,9 +367,9 @@ def prune_with_recompute(
             s_t = sparsity  # exact final target, no float drift
         result = _pins_only(step_spec, wmap, prunable, acc_pinned, s_t)
         if result is None:
-            # no name holds a sub-step's rows, so they are freed before the next are made
-            result = run_pruner(
-                step_spec, wmap, grad_provider(wmap),
+            # the rows are made inside the prune, so its build holds them alone
+            result = _run_pruner(
+                step_spec, wmap, lambda: grad_provider(wmap),
                 sparsity=s_t, prunable=prunable, pinned=acc_pinned,
             )
         total_pred += result.predicted_loss_increase

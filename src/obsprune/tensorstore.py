@@ -32,6 +32,15 @@ truncates a file in place, because touching a mapping of a truncated file
 kills the process with SIGBUS: the bytes go to a sibling temporary file
 that then atomically replaces the destination, so readers that still map
 the old file keep its old bytes.
+
+Pages of the mapping that were read once stay resident until the mapping
+goes. The private helper ``_release_pages`` drops the whole pages of a
+view's bytes from it again (``madvise(MADV_DONTNEED)``), so that a
+consumer which reads gradient rows once can keep its memory to the rows
+it is reading; a later read maps them in again from the file. On a
+private mapping that also discards what was written to a page, so it
+releases only read-only views, which is how the CLI hands gradient rows
+out; a writable view or an in-memory array is never released.
 """
 
 from __future__ import annotations
@@ -299,6 +308,32 @@ def read_container(path: str) -> TensorContainer:
             f"{len(buf) - cur.pos} trailing bytes after the last tensor"
         )
     return out
+
+
+def _release_pages(view: np.ndarray) -> None:
+    """Drop the whole pages of ``view``'s bytes from its file mapping.
+
+    Does nothing unless ``view`` is read-only, C-contiguous and a view
+    into a ``read_container`` mapping, or where ``madvise`` is missing.
+    Edge pages that the view shares with other bytes are kept. It calls no
+    public function, so a stream on a worker thread may call it.
+    """
+    if view.flags.writeable or not view.flags.c_contiguous or not view.nbytes:
+        return
+    owner = view
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    import mmap  # loaded already if ``view`` is in a mapping
+
+    owner = owner.obj if isinstance(owner, memoryview) else owner
+    if not isinstance(owner, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    origin = np.frombuffer(owner, dtype=np.uint8).__array_interface__["data"][0]
+    start = view.__array_interface__["data"][0] - origin
+    page = mmap.PAGESIZE
+    lo, hi = -(-start // page) * page, (start + view.nbytes) // page * page
+    if hi > lo:
+        owner.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 @dataclass

@@ -404,9 +404,18 @@ class TestToyAndSweep:
         ("sweep", "--targets", "0.5,0.3", "--out", "cp"),
         ("sweep", "--targets", "0.5", "--out", "cp", "--damp", "-1"),
         ("sweep", "--targets", "0.5", "--out", "cp", "--period", "0"),
+        ("toy", "--sparsity", "0.5", "--lr", "-1"),
+        ("toy", "--sparsity", "0.5", "--lr", "0"),
+        ("toy", "--sparsity", "0.5", "--lr", "nan"),
+        ("toy", "--sparsity", "0.5", "--lr", "inf"),
+        ("toy", "--sparsity", "0.5", "--noise", "-0.1"),
+        ("toy", "--sparsity", "0.5", "--noise", "nan"),
+        ("sweep", "--targets", "0.5", "--out", "cp", "--noise", "inf"),
     ], ids=["sweep", "sweep-config", "toy", "toy-sparsity", "toy-damp", "toy-block-size",
             "toy-num-grads", "toy-recompute", "toy-steps", "toy-recovery", "toy-samples",
-            "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period"])
+            "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period",
+            "toy-train-lr-negative", "toy-train-lr-zero", "toy-train-lr-nan",
+            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf"])
     def test_missing_or_bad_target_exits_two_before_training(
         self, tmp_path, monkeypatch, capsys, argv
     ):
@@ -424,6 +433,25 @@ class TestToyAndSweep:
         assert (code, text) == (2, "")
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("line", [
+        "lr.max = abc", "lr.period = 2.5", "sweep.targets = 0.5, x", "sweep.interval = ten",
+        "lr.maximum = 1", "lr.max 1",
+    ], ids=["float", "int", "targets", "interval", "unknown-key", "no-equals"])
+    def test_malformed_config_exits_two_before_training(self, tmp_path, monkeypatch, capsys,
+                                                        line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lr.min = 1e-5\n{line}\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before reading the config")
+
+        monkeypatch.setattr(pipeline, "toy_train", no_training)
+        code, text = run_cli("toy", "--seed", "7", "--dims", "6,8,4", "--sparsity", "0.5",
+                             "--config", str(cfg))
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: --config {cfg}: ")
 
     @pytest.mark.parametrize("argv", [
         ("toy", "--sparsity", "0.9"),

@@ -1,0 +1,130 @@
+"""Gradient rows stay resident only while a stage reads them.
+
+Toy rows are held by the build's streams alone, so a layer's rows are
+freed with its last stack; rows read from a container have their pages
+released from the mapping once read. The peaks here are each CLI child's
+own ``ru_maxrss`` from ``os.wait4``, taken above an import-only child.
+"""
+
+import os
+import subprocess
+import sys
+import weakref
+
+import numpy as np
+import pytest
+
+import obsprune
+from obsprune import pipeline, schedules, solver
+from obsprune.fisher import FisherConfig
+from obsprune.pruners import PrunerSpec
+from obsprune.tensorstore import TensorContainer, write_container
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(obsprune.__file__)))
+ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+CLI = "from obsprune.cli import entry; entry()"
+
+
+# A child's ru_maxrss starts at the high-water mark of the process it was
+# started from, so each child is started from a small launcher that loads
+# no NumPy and prints the child's own peak in KiB.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdin=subprocess.DEVNULL,
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def peak_mib(*argv) -> float:
+    """Own peak RSS of a fresh interpreter running ``argv``."""
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, *map(str, argv)], env=ENV,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    code, kib = map(int, out.split())
+    assert code == 0, argv
+    return kib / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+@pytest.fixture(scope="module")
+def big_rows(tmp_path_factory):
+    """A 64x64 layer and a 64 MiB file of 4,096 float32 gradient rows; a
+    prune uses 512 of them (one eighth)."""
+    tmp = tmp_path_factory.mktemp("rows")
+    rng = np.random.default_rng(3)
+    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox.add("layer.0.weight", rng.standard_normal((64, 64)))
+    gbox.add("layer.0.grads", rng.standard_normal((4096, 64 * 64), dtype=np.float32))
+    paths = tmp / "w.ovpt", tmp / "g.ovpt", tmp / "out.ovpt"
+    write_container(paths[0], wbox)
+    write_container(paths[1], gbox)
+    return paths
+
+
+def test_prune_peak_follows_num_grads_not_the_file(big_rows):
+    weights, grads, out = big_rows
+    base = peak_mib("-c", "import obsprune.cli")
+    peak = peak_mib("-c", CLI, "prune", "--weights", weights, "--grads", grads,
+                    "--method", "ovit", "--sparsity", "0.5", "--block-size", "64",
+                    "--num-grads", "512", "--out", out)
+    file_mib = os.path.getsize(grads) / 2**20
+    assert peak - base < file_mib / 2, f"{peak - base:.1f} MiB above import"
+
+
+def test_eval_holds_one_chunk_of_rows_at_a_time(big_rows):
+    weights, grads, _ = big_rows
+    base = peak_mib("-c", "import obsprune.cli")
+    peak = peak_mib("-c", CLI, "eval", "--weights-before", weights, "--weights-after", weights,
+                    "--grads", grads)
+    file_mib = os.path.getsize(grads) / 2**20
+    assert peak - base < file_mib / 2, f"{peak - base:.1f} MiB above import"
+
+
+def record_rows(monkeypatch) -> list[list[weakref.ref]]:
+    """Weak references, one list per collection, to every per-sample
+    gradient array a run makes and to the array each one views."""
+    calls = []
+    real = pipeline.per_sample_gradients
+
+    def recording(*args, **kwargs):
+        per = real(*args, **kwargs)
+        calls.append([weakref.ref(a) for rows in per.values()
+                      for a in (rows, rows.base) if a is not None])
+        return per
+
+    monkeypatch.setattr(pipeline, "per_sample_gradients", recording)
+    return calls
+
+
+def alive_at_each_pass(monkeypatch, calls) -> list[int]:
+    """How many recorded arrays are alive as each lockstep pass starts."""
+    alive = []
+    real = solver._eliminate_stack
+
+    def counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for refs in calls for ref in refs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_eliminate_stack", counting)
+    return alive
+
+
+def test_sweep_frees_each_sub_steps_rows_before_its_solve(monkeypatch):
+    """Each sub-step's solve is one lockstep pass, and no rows array of any
+    sub-step is alive when it starts."""
+    calls = record_rows(monkeypatch)
+    alive = alive_at_each_pass(monkeypatch, calls)
+    model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
+    spec = PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), recomputations=2)
+    pipeline.run_gradual(model, spec, schedules.plan_sweep((0.5, 0.75, 0.9), 5))
+    assert len(calls) >= 3 and all(len(refs) == 4 for refs in calls)
+    assert alive == [0] * len(calls)
+
+
+def test_toy_nm_prune_frees_its_rows_before_its_solve(monkeypatch):
+    calls = record_rows(monkeypatch)
+    alive = alive_at_each_pass(monkeypatch, calls)
+    model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
+    pipeline.run_oneshot(model, PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), nm=(2, 4)))
+    assert len(calls) == 1 and alive == [0]

@@ -199,3 +199,23 @@ def test_loss_increase_widens_no_copy_of_the_rows():
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, chunk_rows", [(1, 2), (5, 2), (7, 2), (7, 3), (9, 3), (11, 10)])
+def test_chunked_projection_equals_one_einsum(monkeypatch, dtype, n, chunk_rows):
+    """Rows are projected a chunk at a time, and a chunk never holds a lone
+    row unless there is only one; at a width the chunk does not divide,
+    the result has the bytes of one ``einsum`` over every row."""
+    from obsprune import obs_core
+
+    d = 100_003
+    rng = np.random.default_rng(n * chunk_rows)
+    rows = rng.standard_normal((n, d)).astype(dtype)
+    w = rng.standard_normal(d)
+    w2 = w * (rng.random(d) > 0.5)
+    delta = w2 - w
+    proj = np.einsum("ij,j->i", rows, delta)
+    want = float(0.5 * 1e-8 * (delta @ delta) + (proj @ proj) / (2.0 * n))
+    monkeypatch.setattr(obs_core, "CHUNK_VALUES", chunk_rows * d + d // 2)
+    assert loss_increase(w, w2, GradientSet("0", rows), 1e-8) == want

@@ -1,5 +1,6 @@
 """Container format: round trips, error taxonomy, naming helpers."""
 
+import mmap
 import os
 import pathlib
 import stat
@@ -24,6 +25,7 @@ from obsprune.tensorstore import (
     TruncatedError,
     UnknownDtypeError,
     UnsupportedVersionError,
+    _release_pages,
     grads_name,
     layer_ids,
     mask_name,
@@ -336,3 +338,63 @@ def test_write_follows_symlinks_and_keeps_the_open_mode(tmp_path):
     assert link.is_symlink()
     assert read_container(target) == box2
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+# -- releasing the pages of read-only views --------------------------------------
+
+def written_container(tmp_path):
+    """Tensors "a" (3 values) and "b" (many pages), read back from a file,
+    with -1.0 written to both through their writable views: copy-on-write
+    gives every page they touch a private copy."""
+    box = TensorContainer()
+    box.add("a", np.arange(3, dtype=np.float64))
+    box.add("b", np.arange(8 * mmap.PAGESIZE // 8, dtype=np.float64))  # 8 pages
+    write_container(tmp_path / "t.ovpt", box)
+    out = read_container(tmp_path / "t.ovpt")
+    a, b = out["a"].array(), out["b"].array()
+    a[:] = -1.0
+    b[:] = -1.0
+    return a, b
+
+
+def read_only(arr):
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="MADV_DONTNEED drops private pages only on Linux")
+def test_release_drops_the_whole_pages_inside_a_read_only_view(tmp_path):
+    """Dropped pages are read again from the file, so the writes on them
+    are gone (which is why only read-only views are released); the edge
+    pages, which "b" shares with "a" and the end of the file, keep them."""
+    a, b = written_container(tmp_path)
+    _release_pages(read_only(b))
+    assert (a == -1.0).all()
+    fresh = np.flatnonzero(b != -1.0)
+    assert fresh.size >= b.size - 2 * mmap.PAGESIZE // 8
+    assert fresh.size % (mmap.PAGESIZE // 8) == 0
+    assert np.array_equal(b[fresh], fresh.astype(np.float64))
+    assert np.array_equal(fresh, np.arange(fresh[0], fresh[-1] + 1))
+    assert b[0] == b[-1] == -1.0
+
+
+def test_release_leaves_writable_views_alone(tmp_path):
+    a, b = written_container(tmp_path)
+    _release_pages(b)
+    _release_pages(b[8:-8])
+    assert (a == -1.0).all() and (b == -1.0).all()
+
+
+def test_release_leaves_in_memory_arrays_alone():
+    arr = read_only(np.arange(4 * mmap.PAGESIZE, dtype=np.float64))
+    _release_pages(arr)
+    assert np.array_equal(arr, np.arange(arr.size, dtype=np.float64))
+
+
+def test_release_does_nothing_without_madvise(tmp_path, monkeypatch):
+    monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+    _, b = written_container(tmp_path)
+    _release_pages(read_only(b))
+    assert (b == -1.0).all()

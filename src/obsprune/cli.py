@@ -54,6 +54,9 @@ from .tensorstore import (
 )
 
 
+DEFAULT_RECOVERY = 20
+
+
 class UsageError(Exception):
     """A flag value that only a subcommand can check; exits 2 before any work."""
 
@@ -355,10 +358,16 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
                 raise UsageError(f"{flag} conflicts with sweep.targets in --config")
     if require_targets and targets is None:
         raise UsageError("a sweep needs --targets")
+    recovery = getattr(args, "recovery", None)  # sweep has no such flag
+    if targets is not None and recovery is not None:
+        source = "--targets" if args.targets is not None else "sweep.targets in --config"
+        raise UsageError(f"--recovery conflicts with {source}: a sweep recovers for "
+                         "--interval steps after each event")
+    recovery = DEFAULT_RECOVERY if recovery is None else recovery
     if targets is None and nm is None and args.sparsity is None:
         raise UsageError("need --sparsity, --targets or --nm")
     _check_sparsity(args.sparsity)
-    for flag, value, least in (("--steps", args.steps, 0), ("--recovery", args.recovery, 0),
+    for flag, value, least in (("--steps", args.steps, 0), ("--recovery", recovery, 0),
                                ("--samples", args.samples, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
@@ -390,7 +399,7 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
         )
     else:
         report = pipeline.run_oneshot_finetune(
-            model, spec, args.sparsity, args.recovery, sched, acyclic=args.acyclic
+            model, spec, args.sparsity, recovery, sched, acyclic=args.acyclic
         )
     if args.extra_recovery:
         extra = (args.steps * 100) // 300
@@ -488,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--targets", type=_parse_targets, default=None)
         p.add_argument("--interval", type=int, default=None,
                        help="steps between sweep events (default 20)")
-        p.add_argument("--recovery", type=int, default=20,
-                       help="recovery steps after a one-shot prune")
         if name == "toy":
+            p.add_argument("--recovery", type=int, default=None,
+                           help=f"recovery steps after a one-shot prune "
+                                f"(default {DEFAULT_RECOVERY})")
             p.add_argument("--nm", type=_parse_nm, default=None, metavar="N:M")
         p.add_argument("--extra-recovery", action="store_true",
                        help="append steps*100/300 extra recovery steps")
@@ -531,13 +541,6 @@ def main(argv=None, out=None) -> int:
             ]
             if sum(chosen) > 1:
                 parser.error("--sparsity, --targets and --nm are mutually exclusive")
-        if args.command in ("prune", "toy") and args.nm is not None:
-            if args.method != "ovit":
-                parser.error("--nm needs --method ovit")
-            if args.per_layer:
-                parser.error("--nm and --per-layer are mutually exclusive")
-            if args.recompute > 1:
-                parser.error("--nm does not support --recompute above 1")
         if args.command == "prune" and args.recompute > 1:
             parser.error("prune reads one fixed gradient file, so --recompute above 1 "
                          "would rebuild the same inverse; use toy or sweep")

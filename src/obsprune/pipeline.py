@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .obs_core import NumericalError
-from .pruners import PrunerSpec, _run_pruner, prune_with_recompute, split_by_layer
+from .pruners import PrunerSpec, run_pruner, split_by_layer
 from .schedules import LrSchedule, SweepPlan, lr_at
 from .tensorstore import GradientSet
 
@@ -50,7 +50,6 @@ class ToyModel:
     inputs: np.ndarray
     targets: np.ndarray
     loss_kind: str = "mse"
-    prunable: dict[str, np.ndarray] | None = None
 
     @property
     def num_samples(self) -> int:
@@ -174,9 +173,12 @@ def gradient_norm(model: ToyModel) -> float:
     return float(np.sqrt(sum(float(np.sum(v * v)) for v in g.values())))
 
 
-def collect_grads(model: ToyModel, n: int) -> dict[str, GradientSet]:
-    """Per-sample gradient rows for each layer, rows in dataset order."""
-    per = per_sample_gradients(model, n=n)
+def collect_grads(
+    model: ToyModel, n: int, weights: Mapping[str, np.ndarray] | None = None
+) -> dict[str, GradientSet]:
+    """Per-sample gradient rows for each layer at ``weights`` (default the
+    model's), the first ``n`` samples in dataset order."""
+    per = per_sample_gradients(model, weights, n)
     return {k: GradientSet(k, v) for k, v in per.items()}
 
 
@@ -329,28 +331,14 @@ class RunReport:
     per_layer_sparsity: dict[str, float] = field(default_factory=dict)
 
 
-def _grad_provider(model: ToyModel, cap: int):
-    def provider(weights: Mapping[str, np.ndarray]) -> dict[str, GradientSet]:
-        per = per_sample_gradients(model, weights=weights, n=cap)
-        return {k: GradientSet(k, v) for k, v in per.items()}
-
-    return provider
-
-
 def _prune_once(
     model: ToyModel, spec: PrunerSpec, sparsity: float | None,
     pinned: Sequence[int],
 ):
     cap = min(spec.fisher.num_grads, model.num_samples)
-    if spec.nm is not None:
-        # the rows are made inside the prune, so its build holds them alone
-        return _run_pruner(spec, model.weights, lambda: collect_grads(model, cap),
-                           prunable=model.prunable)
-    assert sparsity is not None
-    return prune_with_recompute(
-        spec, model.weights, _grad_provider(model, cap), sparsity,
-        prunable=model.prunable, pinned=pinned,
-    )
+    # the rows are made inside the prune, so its build holds them alone
+    return run_pruner(spec, model.weights, lambda w: collect_grads(model, cap, w),
+                      sparsity=sparsity, pinned=pinned)
 
 
 def run_oneshot(model: ToyModel, spec: PrunerSpec, sparsity: float | None = None) -> RunReport:

@@ -9,21 +9,22 @@
            with cumulative scores and a global merge (see ``solver``),
            optionally under an n:m pattern.
 
-``run_pruner`` flattens the layers, validates ``pinned`` and the target,
-and resolves the pools once per call (see ``pools``); per-layer mode
-differs from global mode in nothing else. ``prune_with_recompute``
-reaches a sparsity in several ``run_pruner`` calls, and skips a sub-step
-that would prune only pins whose weights are already zero. One stream of
-block inverses covers all layers (``layered_inverse_stacks``); it scans
-every layer's rows before it builds any block, and it is frozen at the
-non-prunable weights (see ``fisher``). ``ovit`` hands it straight to the
-solver, so it never holds the whole inverse, and ``wf`` keeps every
+``run_pruner`` is the one entry for every method, target and pool. It
+reaches its target in ``spec.recomputations`` sub-steps, each pinning the
+zeros of the one before, and skips a sub-step that would prune only pins
+whose weights are already zero. Every sub-step flattens the layers,
+validates ``pinned`` and the target, and resolves the pools (see
+``pools``); per-layer mode differs from global mode in nothing else. One
+stream of block inverses covers all layers (``layered_inverse_stacks``);
+it scans every layer's rows before it builds any block, and it is frozen
+at the non-prunable weights (see ``fisher``). ``ovit`` hands it straight
+to the solver, so it never holds the whole inverse, and ``wf`` keeps every
 stack, scores from their diagonals and compensates with one batched
-product per stack. The rows are held by those streams alone
-(``_run_pruner`` takes a provider, not the rows, and drops its reference
-once the streams are made), so rows that no caller holds are freed, and
-read-only mapped rows released, once their layer's last stack is built;
-``prune_with_recompute`` makes each sub-step's rows inside its prune.
+product per stack. The rows are held by those streams alone: given a
+provider, a sub-step makes its rows inside the prune and drops its
+reference once the streams are made, so rows that no caller holds are
+freed, and read-only mapped rows released, once their layer's last stack
+is built.
 All methods respect prunability masks. ``pinned`` indices are pruned
 unconditionally (used to keep masks monotone across repeated pruning).
 """
@@ -90,12 +91,6 @@ def sparsity_to_k(sparsity: float, prunable_count: int) -> int:
 
 
 # -- layer plumbing ----------------------------------------------------------
-
-def _as_map(weights) -> WeightMap:
-    if isinstance(weights, np.ndarray):
-        return {"weights": weights}
-    return weights
-
 
 def flatten_layers(
     weights: WeightMap, prunable: Mapping[str, np.ndarray] | None = None
@@ -229,10 +224,13 @@ def _pools(
 
 # -- the entry ---------------------------------------------------------------
 
+GradProvider = Callable[[WeightMap], GradMap]
+
+
 def run_pruner(
     spec: PrunerSpec,
     weights,
-    grads: GradMap | None = None,
+    grads: GradMap | GradProvider | None = None,
     *,
     sparsity: float | None = None,
     k: int | None = None,
@@ -243,42 +241,72 @@ def run_pruner(
 
     Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target;
     ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
-    instead of to one global pool. Layers are flattened, and ``pinned``,
-    the target and every layer's gradient set, its rows included, are
-    validated, once per call and before any inverse is built. Read-only
-    rows in a container mapping have their pages released once the build
-    has read them (see ``tensorstore``).
+    instead of to one global pool. ``grads`` maps every layer to its
+    gradient set, or is a provider that makes that map from the weights
+    a sub-step starts at.
+
+    The target is reached in R = ``spec.recomputations`` sub-steps, so R > 1
+    needs a sparsity (ValueError otherwise). Sub-step t targets
+    s_t = 1 - (1-s)^(t/R) (geometric keep-ratio decay), counted from zero
+    rather than from the sparsity the pins already reach; it pins the zeros
+    of the sub-step before it and builds its inverse from the rows
+    ``grads`` gives at its weights. Predicted increases and clamp counts
+    are summed over sub-steps. Every sub-step validates ``pinned``, the
+    target and every layer's gradient set, its rows included, before any
+    inverse is built, and read-only rows in a container mapping have their
+    pages released once the build has read them (see ``tensorstore``).
+    A sub-step with at least one pin whose target resolves to the pinned
+    count in every pool, while every pinned weight is already exactly 0,
+    is skipped: no provider call, no inverse, no solve and so no clamp
+    warning, and its result is the pins' mask and the unchanged weights.
     """
-    return _run_pruner(spec, weights, None if grads is None else lambda: grads,
-                       sparsity=sparsity, k=k, prunable=prunable, pinned=pinned)
-
-
-def _run_pruner(
-    spec: PrunerSpec,
-    weights,
-    provide: Callable[[], GradMap] | None,
-    *,
-    sparsity: float | None = None,
-    k: int | None = None,
-    prunable: Mapping[str, np.ndarray] | None = None,
-    pinned: Sequence[int] = (),
-) -> PruneResult:
-    """``run_pruner`` on the rows ``provide()`` makes. No frame but the
-    build's streams holds them, so a caller that keeps no reference to
-    them frees each layer's rows once its last stack is built. Passing the
-    rows themselves would not do: CPython 3.10 keeps a call's arguments
-    alive in the caller's frame until the call returns."""
-    w, pr, layout = flatten_layers(_as_map(weights), prunable)
-    pin = pinned_mask(pinned, pr)
-    grads = None if provide is None else provide()
-    if spec.method != "gm":
-        if grads is None:
-            raise ValueError(f"method {spec.method!r} needs gradient rows")
-        _check_grads(grads, layout)
-    cfg = spec.fisher
+    r = spec.recomputations
     if spec.nm is not None:
         if sparsity is not None or k is not None:
             raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
+    elif (sparsity is None) == (k is None):
+        raise ValueError("exactly one of sparsity or k is required")
+    elif r > 1 and sparsity is None:
+        raise ValueError(f"{r} recomputation sub-steps need a sparsity target, not k")
+    provide = grads if callable(grads) else lambda _w: grads
+    wmap = {"weights": weights} if isinstance(weights, np.ndarray) else weights
+    pinned = np.asarray(pinned, dtype=np.int64)
+    result: PruneResult | None = None
+    for t in range(1, r + 1):
+        if result is not None:  # the sub-step starts from the last one's weights and zeros
+            wmap = split_by_layer(result.new_weights, result.layout)
+            pinned = np.flatnonzero(result.mask == 0)
+        s_t = sparsity if t == r else 1.0 - (1.0 - sparsity) ** (t / r)
+        step = None
+        if pinned.size and sparsity is not None:
+            step = _pins_only(spec, wmap, prunable, pinned, s_t)
+        if step is None:
+            step = _prune_step(spec, wmap, provide, s_t, k, prunable, pinned)
+        if step.mask[pinned].any():
+            raise AssertionError("mask monotonicity violated across sub-steps")
+        if result is not None:
+            step.predicted_loss_increase += result.predicted_loss_increase
+            step.clamp_events += result.clamp_events
+            for name, val in result.per_layer_predicted.items():
+                step.per_layer_predicted[name] += val
+        result = step
+    return result
+
+
+def _prune_step(
+    spec: PrunerSpec, weights: WeightMap, provide: GradProvider, sparsity: float | None,
+    k: int | None, prunable: Mapping[str, np.ndarray] | None, pinned: np.ndarray,
+) -> PruneResult:
+    """One sub-step of ``run_pruner``, on the rows ``provide(weights)``
+    makes once the target and the pools are resolved. No frame but the
+    build's streams holds them, so a provider's rows are freed once their
+    layer's last stack is built. Passing the rows themselves would not do:
+    CPython 3.10 keeps a call's arguments alive in the caller's frame until
+    the call returns."""
+    w, pr, layout = flatten_layers(weights, prunable)
+    pin = pinned_mask(pinned, pr)
+    cfg = spec.fisher
+    if spec.nm is not None:
         if pin.any():
             raise ValueError("an n:m pattern takes no pinned indices")
         m = spec.nm[1]
@@ -289,12 +317,14 @@ def _run_pruner(
                 stacklevel=3,
             )
             cfg = replace(cfg, block_size=rounded)
-    elif (sparsity is None) == (k is None):
-        raise ValueError("exactly one of sparsity or k is required")
     else:
         pools = _pools(spec, layout, pr, pin, sparsity, k)
+    grads = provide(weights)
     stacks = None
     if spec.method != "gm":
+        if grads is None:
+            raise ValueError(f"method {spec.method!r} needs gradient rows")
+        _check_grads(grads, layout)
         stacks = layered_inverse_stacks(grads, layout, cfg, pr)
         grads = None  # the streams hold the rows from here on
     if spec.nm is not None:
@@ -305,83 +335,21 @@ def _run_pruner(
     return _prune_frozen(spec, w, pr, pin, pools, layout, grads, stacks)
 
 
-GradProvider = Callable[[WeightMap], GradMap]
-
-
 def _pins_only(
-    spec: PrunerSpec,
-    weights: WeightMap,
-    prunable: Mapping[str, np.ndarray] | None,
-    pinned: np.ndarray,
-    sparsity: float,
+    spec: PrunerSpec, weights: WeightMap, prunable: Mapping[str, np.ndarray] | None,
+    pinned: np.ndarray, sparsity: float,
 ) -> PruneResult | None:
-    """What ``run_pruner`` returns when ``sparsity`` resolves to the pinned
-    count in every pool and every pinned weight is already exactly 0: the
-    pins' mask, the weights unchanged and a predicted increase of 0.0. None
-    when the prune would do more than that."""
+    """What a sub-step to ``sparsity`` returns when it resolves to the
+    pinned count in every pool and every pinned weight is already exactly
+    0: the pins' mask, the weights unchanged and a predicted increase of
+    0.0. None when the prune would do more than that. Needs at least one
+    pin: a sub-step without pins always runs, so its rows are validated."""
     w, pr, layout = flatten_layers(weights, prunable)
     pin = pinned_mask(pinned, pr)
+    assert pin.any(), "a pins-only probe needs at least one pinned weight"
     pools = _pools(spec, layout, pr, pin, sparsity, None)
     if np.any(w[pin] != 0.0) or any(p.k > np.count_nonzero(pin[p.lo : p.hi]) for p in pools):
         return None
     w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
     return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
                                  dict.fromkeys((lay.name for lay in layout), 0.0), layout)
-
-
-def prune_with_recompute(
-    spec: PrunerSpec,
-    weights,
-    grad_provider: GradProvider,
-    sparsity: float,
-    prunable: Mapping[str, np.ndarray] | None = None,
-    pinned: Sequence[int] = (),
-) -> PruneResult:
-    """Reach ``sparsity`` in ``spec.recomputations`` sub-steps.
-
-    Sub-step t of R targets s_t = 1 - (1-s)^(t/R) (geometric keep-ratio
-    decay), counted from zero rather than from the sparsity the pins
-    already reach, and rebuilds the Fisher inverse from gradients the
-    provider produces at the current weights. Masks are monotone: every
-    sub-step pins the zeros of the previous one. A sub-step whose target
-    resolves to the pinned count in every pool while every pinned weight is
-    already exactly 0 would prune only the pins and move no weight, so it
-    is skipped: no provider call, no inverse and no solve, and so no clamp
-    warning; if it is the last one, the result is the pins' mask and the
-    unchanged weights. The reported predicted increase is the sum over
-    sub-steps.
-    """
-    if spec.nm is not None:
-        raise ValueError("recomputation sub-steps apply to sparsity targets, not n:m")
-    wmap = {k_: np.asarray(v, dtype=np.float64).copy() for k_, v in _as_map(weights).items()}
-    r = spec.recomputations
-    step_spec = replace(spec, recomputations=1)
-    acc_pinned = np.asarray(pinned, dtype=np.int64)
-    total_pred = 0.0
-    total_clamps = 0
-    per_layer_pred = dict.fromkeys(wmap, 0.0)
-    result: PruneResult | None = None
-    for t in range(1, r + 1):
-        s_t = 1.0 - (1.0 - sparsity) ** (t / r)
-        if t == r:
-            s_t = sparsity  # exact final target, no float drift
-        result = _pins_only(step_spec, wmap, prunable, acc_pinned, s_t)
-        if result is None:
-            # the rows are made inside the prune, so its build holds them alone
-            result = _run_pruner(
-                step_spec, wmap, lambda: grad_provider(wmap),
-                sparsity=s_t, prunable=prunable, pinned=acc_pinned,
-            )
-        total_pred += result.predicted_loss_increase
-        total_clamps += result.clamp_events
-        for name, val in result.per_layer_predicted.items():
-            per_layer_pred[name] += val
-        if result.mask[acc_pinned].any():
-            raise AssertionError("mask monotonicity violated across sub-steps")
-        acc_pinned = np.flatnonzero(result.mask == 0)
-        wmap = split_by_layer(result.new_weights, result.layout)
-    assert result is not None
-    result.predicted_loss_increase = total_pred
-    result.per_layer_predicted = per_layer_pred
-    result.clamp_events = total_clamps
-    return result

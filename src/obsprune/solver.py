@@ -527,7 +527,6 @@ def solve_global(
     k: int | Sequence[Pool],
     prunable: np.ndarray | None = None,
     pinned: Sequence[int] | None = None,
-    threads: int = 1,
     layout: tuple[LayerLayout, ...] | None = None,
 ) -> PruneResult:
     """Prune the cheapest weights by cumulative block cost (see the module
@@ -536,8 +535,7 @@ def solve_global(
     k of its own. Every pinned index is pruned whenever its pool's k is at
     least the pool's pinned count. ``inv`` is a ``FisherBlockInverse`` or
     a stream of stacks (see ``eliminate_blocks``), frozen at every
-    non-prunable weight (ValueError otherwise). ``threads`` is accepted for
-    compatibility and has no effect.
+    non-prunable weight (ValueError otherwise).
     """
     w, pr, pin = _validate_inputs(w, prunable, pinned)
     if np.ndim(k) == 0:
@@ -577,7 +575,6 @@ def solve_nm(
     n: int,
     m: int,
     prunable: np.ndarray | None = None,
-    threads: int = 1,
     layout: tuple[LayerLayout, ...] | None = None,
 ) -> PruneResult:
     """Greedy elimination under an n-of-m pattern: every aligned group of m
@@ -590,7 +587,6 @@ def solve_nm(
     boundary is checked before its stack is solved. ``inv`` is a
     ``FisherBlockInverse`` or a stream of stacks (see ``eliminate_blocks``),
     frozen at every non-prunable weight (ValueError otherwise).
-    ``threads`` is accepted for compatibility and has no effect.
     """
     if not (0 < n < m):
         raise ValueError(f"need 0 < n < m, got {n}:{m}")

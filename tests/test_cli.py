@@ -93,20 +93,36 @@ class TestPrune:
                           "--sparsity", "0.5", "--nm", "2:4", "--out", "x")
         assert code == 2
 
-    @pytest.mark.parametrize("extra", [
-        ("--method", "gm"),
-        ("--method", "wf"),
-        ("--method", "ovit", "--per-layer"),
-        ("--method", "ovit", "--recompute", "2"),
-    ])
-    def test_nm_combinations_that_would_be_ignored_exit_two(self, tmp_path, extra):
-        # the inputs do not exist: a check made after loading them would exit 3
-        code, text = run_cli(
-            "prune", "--weights", str(tmp_path / "w.ovpt"),
-            "--grads", str(tmp_path / "g.ovpt"), "--nm", "2:4", *extra,
-            "--out", str(tmp_path / "x.ovpt"),
+    @pytest.mark.parametrize("command, extra", [
+        (command, extra) for command in ("prune", "toy") for extra in (
+            ("--method", "gm"),
+            ("--method", "wf"),
+            ("--method", "ovit", "--per-layer"),
+            ("--method", "ovit", "--recompute", "2"),
         )
+    ], ids=[f"{prefix}extra{i}" for prefix in ("", "toy-") for i in range(4)])
+    def test_nm_combinations_that_would_be_ignored_exit_two(self, tmp_path, monkeypatch,
+                                                            capsys, command, extra):
+        """The spec refuses each combination, before ``prune`` reads a file
+        and before ``toy`` trains; for ``prune --recompute 2`` the CLI's own
+        one-gradient-file rule answers first."""
+        from obsprune import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("read or trained before checking the flags")
+
+        monkeypatch.setattr(cli, "read_container", no_work)
+        monkeypatch.setattr(pipeline, "toy_train", no_work)
+        if command == "prune":
+            argv = ("prune", "--weights", str(tmp_path / "w.ovpt"),
+                    "--grads", str(tmp_path / "g.ovpt"), "--out", str(tmp_path / "x.ovpt"))
+        else:
+            argv = ("toy", "--seed", "7", "--dims", "8,8,4", "--steps", "40",
+                    "--block-size", "8")
+        code, text = run_cli(*argv, "--nm", "2:4", *extra)
         assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "error:" in line]) == 1
 
     @pytest.mark.parametrize("argv", [
         ("prune", "--method", "ovit", "--sparsity", "1.5"),
@@ -375,18 +391,6 @@ class TestToyAndSweep:
         assert code == 0
         assert "final\tloss\t" in text
 
-    @pytest.mark.parametrize("extra", [
-        ("--recompute", "3"),
-        ("--per-layer",),
-        ("--method", "wf"),
-    ])
-    def test_toy_nm_combinations_that_would_be_ignored_exit_two(self, extra):
-        code, text = run_cli(
-            "toy", "--seed", "7", "--dims", "8,8,4", "--steps", "40",
-            "--nm", "2:4", "--block-size", "8", *extra,
-        )
-        assert (code, text) == (2, "")  # rejected before training starts
-
     @pytest.mark.parametrize("argv", [
         ("sweep", "--out", "cp"),
         ("sweep", "--out", "cp", "--config", "CFG"),
@@ -411,11 +415,13 @@ class TestToyAndSweep:
         ("toy", "--sparsity", "0.5", "--noise", "-0.1"),
         ("toy", "--sparsity", "0.5", "--noise", "nan"),
         ("sweep", "--targets", "0.5", "--out", "cp", "--noise", "inf"),
+        ("toy", "--targets", "0.25,0.5", "--recovery", "5"),
     ], ids=["sweep", "sweep-config", "toy", "toy-sparsity", "toy-damp", "toy-block-size",
             "toy-num-grads", "toy-recompute", "toy-steps", "toy-recovery", "toy-samples",
             "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period",
             "toy-train-lr-negative", "toy-train-lr-zero", "toy-train-lr-nan",
-            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf"])
+            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf",
+            "toy-targets-recovery"])
     def test_missing_or_bad_target_exits_two_before_training(
         self, tmp_path, monkeypatch, capsys, argv
     ):
@@ -457,7 +463,8 @@ class TestToyAndSweep:
         ("toy", "--sparsity", "0.9"),
         ("toy", "--nm", "2:4"),
         ("sweep", "--sparsity", "0.9", "--out", "cp"),
-    ], ids=["toy-sparsity", "toy-nm", "sweep-sparsity"])
+        ("toy", "--recovery", "20"),
+    ], ids=["toy-sparsity", "toy-nm", "sweep-sparsity", "toy-recovery"])
     def test_target_flag_next_to_config_targets_exits_two_before_training(
         self, tmp_path, monkeypatch, capsys, argv
     ):
@@ -510,6 +517,13 @@ class TestToyAndSweep:
                     assert (prev[lid] <= z).all()  # nothing comes back
             prev = zero
 
+    def test_sweep_has_no_recovery_flag(self, tmp_path, capsys):
+        # a sweep recovers for --interval steps after each event
+        code, text = run_cli("sweep", "--targets", "0.5", "--recovery", "5",
+                             "--out", str(tmp_path / "cp"))
+        assert (code, text) == (2, "")
+        assert "unrecognized arguments: --recovery 5" in capsys.readouterr().err
+
     def test_sweep_event_reports_the_reached_sparsity(self, tmp_path):
         # 18 + 11 of 56 weights: the per-layer rounding overshoots the target
         common = ("--seed", "3", "--dims", "5,7,3", "--steps", "40",
@@ -560,7 +574,7 @@ def count_gradient_rows(monkeypatch):
 
 class TestSkippedSubSteps:
     """A recomputation sub-step that would prune only the zero pins is
-    skipped (see ``pruners.prune_with_recompute``)."""
+    skipped (see ``pruners.run_pruner``)."""
 
     def test_bench_shaped_sweep_collects_rows_four_times(self, tmp_path, monkeypatch):
         """Sub-steps 0.5 of event 0.75 and 0.684 of event 0.9 are no-ops."""

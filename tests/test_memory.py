@@ -123,8 +123,15 @@ def test_sweep_frees_each_sub_steps_rows_before_its_solve(monkeypatch):
 
 
 def test_toy_nm_prune_frees_its_rows_before_its_solve(monkeypatch):
+    """The toy's N:M prune goes through ``run_pruner`` like every other
+    prune, and no rows array is alive when its one lockstep pass starts."""
     calls = record_rows(monkeypatch)
     alive = alive_at_each_pass(monkeypatch, calls)
+    entries = []
+    real = pipeline.run_pruner
+    monkeypatch.setattr(pipeline, "run_pruner",
+                        lambda *args, **kwargs: entries.append(1) or real(*args, **kwargs))
     model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
     pipeline.run_oneshot(model, PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), nm=(2, 4)))
+    assert entries == [1]
     assert len(calls) == 1 and alive == [0]

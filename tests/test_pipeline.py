@@ -388,7 +388,7 @@ class TestDirectional:
         """90% one-shot on the tanh toy: four Fisher recomputations track
         the moving curvature and beat a single computation on nearly every
         seed (50/50 in the pinning run)."""
-        from obsprune.pruners import prune_with_recompute, split_by_layer
+        from obsprune.pruners import run_pruner, split_by_layer
 
         def final_loss(seed, recompute):
             m = pipeline.toy_train(seed, (16, 24, 8), steps=150, lr=0.05)
@@ -399,7 +399,7 @@ class TestDirectional:
                 return pipeline.collect_grads(m, m.num_samples)
 
             spec = ovit_spec(recompute=recompute)
-            res = prune_with_recompute(spec, m.weights, provider, 0.9)
+            res = run_pruner(spec, m.weights, provider, sparsity=0.9)
             new = split_by_layer(res.new_weights, res.layout)
             for k in m.weights:
                 m.weights[k] = new[k].reshape(m.weights[k].shape)

@@ -10,7 +10,6 @@ from obsprune.fisher import DAMPENING_DEFAULTS, DegenerateCurvatureWarning, Fish
 from obsprune.pruners import (
     PrunerSpec,
     flatten_layers,
-    prune_with_recompute,
     run_pruner,
     sparsity_to_k,
     split_by_layer,
@@ -215,8 +214,8 @@ class TestLayerHandling:
         res = run_pruner(spec_for(method), model.weights, grads, sparsity=0.3, pinned=pinned)
         assert (res.mask[pinned] == 0).all()
         assert int(np.count_nonzero(res.mask == 0)) == sparsity_to_k(0.3, 88)
-        res = prune_with_recompute(spec_for(method, recompute=2), model.weights,
-                                   lambda _w: grads, 0.3, pinned=pinned)
+        res = run_pruner(spec_for(method, recompute=2), model.weights, lambda _w: grads,
+                         sparsity=0.3, pinned=pinned)
         assert (res.mask[pinned] == 0).all()
 
     def test_per_layer_predicted_sums_to_total(self, rng):
@@ -263,8 +262,7 @@ class TestRecompute:
             seen.append({k: v.copy() for k, v in w_now.items()})
             return grads
 
-        res = prune_with_recompute(spec_for("ovit", recompute=2), weights,
-                                   provider, 0.5)
+        res = run_pruner(spec_for("ovit", recompute=2), weights, provider, sparsity=0.5)
         assert len(seen) == 2
         k_mid = sparsity_to_k(1.0 - (1.0 - 0.5) ** 0.5, 64)
         mid_zeros = int(np.count_nonzero(
@@ -281,22 +279,59 @@ class TestRecompute:
                 [(v.reshape(-1) != 0) for v in w_now.values()]))
             return grads
 
-        res = prune_with_recompute(spec_for("ovit", recompute=4), weights,
-                                   provider, 0.75)
+        res = run_pruner(spec_for("ovit", recompute=4), weights, provider, sparsity=0.75)
         for early, late in zip(masks, masks[1:]):
             assert not (late & ~early).any()  # nothing comes back to life
 
     def test_single_recomputation_equals_plain_call(self, rng):
         weights, grads = toy_layers(rng)
-        a = prune_with_recompute(spec_for("ovit"), weights, lambda w: grads, 0.5)
+        a = run_pruner(spec_for("ovit"), weights, lambda w: grads, sparsity=0.5)
         b = run_pruner(spec_for("ovit"), weights, grads, sparsity=0.5)
         assert a.mask.tobytes() == b.mask.tobytes()
         assert a.new_weights.tobytes() == b.new_weights.tobytes()
 
     def test_rejects_nm(self, rng):
         weights, grads = toy_layers(rng)
-        with pytest.raises(ValueError, match="not n:m"):
-            prune_with_recompute(spec_for("ovit", nm=(2, 4)), weights, lambda w: grads, 0.5)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            run_pruner(spec_for("ovit", nm=(2, 4)), weights, lambda w: grads, sparsity=0.5)
+
+    @pytest.mark.parametrize("method", ["wf", "ovit"])
+    def test_a_map_runs_every_sub_step(self, rng, method):
+        """Two sub-steps on a map give the bytes of a provider that returns
+        the map, not those of one sub-step."""
+        weights, grads = toy_layers(rng, sizes=((8, 8),), n=80)
+        calls = []
+        spec = spec_for(method, recompute=2)
+        mapped = run_pruner(spec, weights, grads, sparsity=0.5)
+        provided = run_pruner(spec, weights, lambda w: calls.append(1) or grads, sparsity=0.5)
+        once = run_pruner(spec_for(method), weights, grads, sparsity=0.5)
+        assert len(calls) == 2
+        assert (mapped.mask.tobytes(), mapped.new_weights.tobytes(),
+                mapped.predicted_loss_increase, mapped.per_layer_predicted) == (
+                provided.mask.tobytes(), provided.new_weights.tobytes(),
+                provided.predicted_loss_increase, provided.per_layer_predicted)
+        assert mapped.new_weights.tobytes() != once.new_weights.tobytes()
+
+    def test_sub_steps_refuse_a_k_target(self, rng):
+        weights, grads = toy_layers(rng)
+        with pytest.raises(ValueError, match="need a sparsity target"):
+            run_pruner(spec_for("ovit", recompute=3), weights, grads, k=10)
+
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_a_sub_step_without_pins_is_never_skipped(self, rng, method):
+        """Both sub-steps to sparsity 0 resolve to no zeros, but with no pin
+        each one calls the provider; the result is byte for byte the
+        unchanged weights, no zero and no cost, as a skip would give."""
+        weights, grads = toy_layers(rng)
+        calls = []
+        res = run_pruner(spec_for(method, recompute=2), weights,
+                         lambda w: calls.append(1) or grads, sparsity=0.0)
+        assert len(calls) == 2
+        flat, _, _ = flatten_layers(weights)
+        assert res.new_weights.tobytes() == flat.tobytes()
+        assert res.mask.tolist() == [1] * flat.size
+        assert repr((res.predicted_loss_increase, res.per_layer_predicted,
+                     res.clamp_events)) == repr((0.0, {"0": 0.0, "1": 0.0}, 0))
 
     @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
     def test_nonzero_pins_never_skip(self, rng, method):
@@ -306,8 +341,8 @@ class TestRecompute:
         weights, grads = toy_layers(rng, sizes=((8, 8),), n=80)
         pinned = np.argsort(np.abs(weights["0"]).reshape(-1))[:32]
         calls = []
-        res = prune_with_recompute(spec_for(method, recompute=2), weights,
-                                   lambda w: calls.append(1) or grads, 0.5, pinned=pinned)
+        res = run_pruner(spec_for(method, recompute=2), weights,
+                         lambda w: calls.append(1) or grads, sparsity=0.5, pinned=pinned)
         assert len(calls) == 1
         assert (res.mask[pinned] == 0).all() and (res.new_weights[pinned] == 0.0).all()
 
@@ -330,7 +365,7 @@ class TestRecompute:
             calls.append(1)
             return grads
 
-        res = prune_with_recompute(spec, weights, provider, 0.5, pinned=pinned)
+        res = run_pruner(spec, weights, provider, sparsity=0.5, pinned=pinned)
         assert calls == []
         want = flat.copy()
         want[pinned] = 0.0
@@ -339,7 +374,7 @@ class TestRecompute:
         assert res.predicted_loss_increase == 0.0 and res.clamp_events == 0
 
         monkeypatch.setattr(pruners, "_pins_only", lambda *args: None)
-        full = prune_with_recompute(spec, weights, provider, 0.5, pinned=pinned)
+        full = run_pruner(spec, weights, provider, sparsity=0.5, pinned=pinned)
         assert len(calls) == 2
         assert (full.mask.tobytes(), full.new_weights.tobytes(), full.predicted_loss_increase,
                 full.per_layer_predicted, full.per_layer_sparsity) == (
@@ -442,8 +477,8 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
     def run():
         built_off_main.clear()
         if mode == "recompute":  # the second sub-step pins the first one's zeros
-            res = prune_with_recompute(spec, weights, lambda w: grads, 0.55,
-                                       prunable=prunable)
+            res = run_pruner(spec, weights, lambda w: grads, sparsity=0.55,
+                             prunable=prunable)
         else:
             target = {} if mode == "nm" else {"sparsity": 0.55, "pinned": pinned}
             res = run_pruner(spec, weights, grads, prunable=prunable, **target)
@@ -680,8 +715,8 @@ def test_recompute_frees_each_sub_steps_rows_before_the_next(monkeypatch):
 
     tracemalloc.start()
     try:
-        prune_with_recompute(spec_for("ovit", block_size=16, recompute=2), weights,
-                             provider, 0.5)
+        run_pruner(spec_for("ovit", block_size=16, recompute=2), weights, provider,
+                   sparsity=0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -208,17 +208,6 @@ class TestGlobalMerge:
         keep = res.mask == 1
         np.testing.assert_array_equal(res.new_weights[keep], w[keep])
 
-    def test_thread_count_does_not_change_bytes(self, rng):
-        rows = rng.standard_normal((40, 24))
-        cfg = FisherConfig(block_size=6, dampening=1e-4, num_grads=40)
-        inv = build_fisher_inverse(rows, cfg)
-        w = rng.standard_normal(24)
-        a = solve_global(w.copy(), inv, 13, threads=1)
-        b = solve_global(w.copy(), inv, 13, threads=4)
-        assert a.mask.tobytes() == b.mask.tobytes()
-        assert a.new_weights.tobytes() == b.new_weights.tobytes()
-        assert a.predicted_loss_increase == b.predicted_loss_increase
-
     def test_non_prefix_selection_trips_the_bug_trap(self, rng, monkeypatch):
         """Costs that fall along a block's order would make the merge pick
         a mid-order subset; the solver must refuse instead of reloading a

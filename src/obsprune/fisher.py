@@ -15,19 +15,33 @@ conditioned at tiny dampening.
 
 ``iter_block_inverses`` is the one build: it validates the rows, then
 yields the inverses as (nb, B, B) stacks of consecutive blocks, one
-chunk of blocks at a time, so rows are widened to float64 a chunk at a
-time and a consumer that frees each stack (the greedy solver) never
-holds the whole inverse. A chunk holds at most ``CHUNK_VALUES`` widened
-gradient values and at most one lockstep pass of the solver
-(``pass_blocks``), so the solver can take each stack as it comes. After
-the first pass, the solver draws each next stack on a worker thread,
-which builds it while the solver solves the current one; every block is
-inverted on its own, so that changes no byte. ``build_fisher_inverse``
-collects the stream into a ``FisherBlockInverse`` for callers that need
-every block at once.
+lockstep pass of the solver (``pass_blocks``) at a time, so the solver
+takes each stack as it comes and, freeing each, never holds the whole
+inverse. A stack is filled a sub-batch of blocks at a time: rows are
+widened to float64, or formed from factors, only for one sub-batch,
+whose columns hold at most ``CHUNK_VALUES`` values, and so does its
+Woodbury scratch. ``CHUNK_VALUES`` bounds the build's scratch, not the
+stacks. A Woodbury sub-batch writes its inverses into the stack; a Gram
+sub-batch writes its dampened Gram matrices, and the stack is then
+inverted by one batched LU call, whose result is the stack yielded (an
+LU call per sub-batch, on the worker thread described next, slowed the
+solve beside it by about 5% on the benchmark's float32 prune). After the
+first pass, the solver draws each next stack on a worker thread, which
+builds it while the solver solves the current one; every block is
+inverted on its own, so neither the sub-batches nor the threads change a
+byte. ``build_fisher_inverse`` collects the stream into a
+``FisherBlockInverse`` for callers that need every block at once.
+
+The toy's rows come factored (see ``tensorstore.GradientSet``): a
+sub-batch's columns are formed from the layer's output residual and
+input, and the rows never exist whole. Its non-finite scan checks the
+factors instead of formed rows. Rounding is monotone, so a row's
+largest product is the product of its largest factors, and a
+non-finite factor makes a non-finite product: the scan raises exactly
+when a formed row would hold a non-finite value.
 
 The build takes the weights' movable mask and freezes every other
-weight: a chunk that holds a frozen weight has that weight's gradient
+weight: a sub-batch that holds a frozen weight has that weight's gradient
 column zeroed before it is inverted, which makes F block-diagonal up to
 the order of coordinates, blockdiag(F_MM, lambda*I) with M the movable
 weights, in both forms.
@@ -35,19 +49,19 @@ Its inverse is blockdiag(F_MM^-1, I/lambda), and the build then zeroes
 the frozen diagonal entries, so every frozen row and column of the
 result is exactly zero and the rest is the inverse of the Fisher
 restricted to the movable weights. No compensation computed from it
-moves a frozen weight. A chunk is copied only when it must be: a float64
-chunk with nothing frozen goes to the Gram form as a strided view of the
-rows, which it reads once; a masked chunk, a chunk to widen and a chunk
-for the Woodbury form, which reads the rows three times, become one
-contiguous float64 copy.
+moves a frozen weight. A sub-batch is copied only when it must be: a
+float64 sub-batch with nothing frozen goes to the Gram form as a strided
+view of the rows (or of its formed columns), which it reads once; a
+masked sub-batch, one to widen and one for the Woodbury form, which
+reads the rows three times, become one contiguous float64 copy.
 
 Rows are resident only while the build reads them. The stream's frame
-holds the only reference the build keeps to a layer's rows, so a caller
-that keeps none frees them once the layer's last stack is built. Rows
-that are a read-only view of a container mapping (as the CLI reads them)
-have their pages released from it instead: rows past ``num_grads`` as
-soon as the non-finite scan has passed them, and the used rows at the
-end of the layer's stream (see ``tensorstore``).
+holds the only reference the build keeps to a layer's rows or factors,
+so a caller that keeps none frees them once the layer's last stack is
+built. Rows that are a read-only view of a container mapping (as the
+CLI reads them) have their pages released from it instead: rows past
+``num_grads`` as soon as the non-finite scan has passed them, and the
+used rows at the end of the layer's stream (see ``tensorstore``).
 """
 
 from __future__ import annotations
@@ -64,9 +78,10 @@ EPS_FLOOR = 1e-12
 
 DEFAULT_BLOCK_SIZE = 64
 DEFAULT_NUM_GRADS = 4096
-#: gradient values widened to float64 at a time by the build; bounds its
-#: scratch memory independently of the row count and layer width
-CHUNK_VALUES = 1 << 20
+#: gradient values widened or formed at a time by the build and by
+#: ``obs_core.loss_increase``; bounds their scratch memory independently of
+#: the row count and layer width
+CHUNK_VALUES = 1 << 17
 #: float64 values of initial inverses per lockstep pass of the greedy
 #: solver (64 blocks at B=64); the pass's columns and snapshots scale with it
 PASS_VALUES = 1 << 18
@@ -154,8 +169,11 @@ class FisherBlockInverse:
         return np.concatenate([np.diagonal(b) for b in self.blocks])
 
 
-def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
-    """Inverses of lambda*I + R_b^T R_b / N for a (nblocks, N, B) float64 stack.
+def _fill_blocks(rows3: np.ndarray, lam: float, out: np.ndarray) -> None:
+    """Writes to ``out``, for a (nblocks, N, B) float64 stack of rows, the
+    dampened Gram matrices lambda*I + R_b^T R_b / N when N >= B (the build
+    inverts them a whole stack at a time), else their inverses in the
+    Woodbury form.
 
     Every block is computed on its own (per-matrix BLAS and LAPACK calls),
     so a block's bytes do not depend on which other blocks share its batch.
@@ -164,17 +182,16 @@ def _invert_blocks(rows3: np.ndarray, lam: float) -> np.ndarray:
     rows_t = rows3.transpose(0, 2, 1)
     diag = np.arange(bs)
     if n >= bs:
-        gram = rows_t @ rows3
-        gram /= n
-        gram[:, diag, diag] += lam
-        return np.linalg.inv(gram)
+        np.matmul(rows_t, rows3, out=out)
+        out /= n
+        out[:, diag, diag] += lam
+        return
     small = rows3 @ rows_t
     small[:, diag[:n], diag[:n]] += n * lam
-    out = rows_t @ (np.linalg.inv(small) @ rows3)
+    np.matmul(rows_t, np.linalg.inv(small) @ rows3, out=out)
     np.negative(out, out=out)
     out[:, diag, diag] += 1.0
     out /= lam
-    return out
 
 
 def iter_block_inverses(
@@ -188,67 +205,88 @@ def iter_block_inverses(
     ValueError on an empty sample set, on non-finite values in any row,
     used or not, or on a ``movable`` mask that is not one flag per
     weight. The returned iterator then yields (nb, B, B) float64 stacks
-    of consecutive blocks in weight order: the full blocks, about
-    ``CHUNK_VALUES`` widened gradient values and at most one solver pass
-    at a time, then the trailing partial block on its own. Uses the first
-    ``min(num_grads, rows)`` rows in their stored dtype. Weights outside
-    ``movable`` (default: every weight moves) come out frozen: their rows
-    and columns are exactly zero (see the module docstring). Read-only
-    rows in a container mapping have their pages released once read:
-    unused rows by the scan, used rows when the stream ends.
+    of consecutive blocks in weight order: the full blocks, one solver
+    pass (``pass_blocks``) at a time, then the trailing partial block on
+    its own. Uses the first ``min(num_grads, rows)`` rows in their stored
+    dtype. Weights outside ``movable`` (default: every weight moves) come
+    out frozen: their rows and columns are exactly zero (see the module
+    docstring). Read-only rows in a container mapping have their pages
+    released once read: unused rows by the scan, used rows when the
+    stream ends.
     """
-    samples = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ValueError("gradient samples must be a non-empty (N, d) array")
-    dim = samples.shape[1]
+    if not isinstance(grads, GradientSet):
+        grads = GradientSet("", grads)
+    dim, n_rows = grads.dim, grads.num_samples
     frozen = np.zeros(dim, dtype=bool)
     if movable is not None:
         movable = np.asarray(movable, dtype=bool)
         if movable.shape != (dim,):
             raise ValueError(f"movable mask has shape {movable.shape}, expected ({dim},)")
         frozen = ~movable
-    sizes = block_partition(dim, config.block_size)
-    n_used = min(int(config.num_grads), samples.shape[0])
-    step = max(1, CHUNK_VALUES // dim)
-    for lo in range(0, samples.shape[0], step):
-        if not np.isfinite(samples[lo : lo + step]).all():
-            raise ValueError("gradient samples contain non-finite values")
-        _release_pages(samples[max(lo, n_used) : lo + step])  # rows no block reads
+    n_used = min(int(config.num_grads), n_rows)
+    if grads.factors is not None:
+        # a row's largest product is the product of its largest factors, and
+        # a non-finite factor makes a non-finite product
+        r, x = grads.factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.abs(r).max(axis=1) * np.abs(x).max(axis=1)).all():
+                raise ValueError("gradient samples contain non-finite values")
+    else:
+        step = max(1, 8 * CHUNK_VALUES // dim)  # its bools take the bytes of CHUNK_VALUES floats
+        for lo in range(0, n_rows, step):
+            rows = grads.rows(lo, lo + step)
+            if not np.isfinite(rows).all():
+                raise ValueError("gradient samples contain non-finite values")
+            _release_pages(rows[max(0, n_used - lo) :])  # rows no block reads
     bs = config.block_size
-    per_chunk = min(max(1, CHUNK_VALUES // (bs * max(n_used, bs))), pass_blocks(bs))
-    return _inverse_stacks(samples[:n_used], sizes, config, per_chunk, frozen)
+    per_batch = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
+    sizes = block_partition(dim, bs)
+    return _inverse_stacks(grads.head(n_used), sizes, config, pass_blocks(bs), per_batch,
+                           frozen)
 
 
 def _inverse_stacks(
-    used: np.ndarray,
+    used: GradientSet,
     sizes: list[int],
     config: FisherConfig,
-    per_chunk: int,
+    per_stack: int,
+    per_batch: int,
     frozen: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The stream itself; it calls no public function, so the solver's
-    worker threads can advance it. It releases the pages of ``used`` once
-    the last stack is built (see the module docstring)."""
-    n_used, dim = used.shape
+    worker threads can advance it. Each stack is filled ``per_batch``
+    blocks at a time, so the rows it widens or forms at once never exceed
+    ``CHUNK_VALUES`` values (see the module docstring). It releases the
+    pages of ``used`` once the last stack is built."""
+    n_used, dim = used.num_samples, used.dim
     lam = float(config.dampening)
     bs = config.block_size
     n_main = dim // bs
 
-    def invert(lo: int, hi: int, width: int) -> np.ndarray:
-        rows3 = used[:, lo:hi].reshape(n_used, -1, width).transpose(1, 0, 2)
-        blk, idx = np.nonzero(frozen[lo:hi].reshape(-1, width))
-        if blk.size or rows3.dtype != np.float64 or n_used < width:
-            rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
-            rows3[blk, :, idx] = 0.0  # the frozen gradient columns
-        out = _invert_blocks(rows3, lam)
-        out[blk, idx, idx] = 0.0
-        return out
+    def build(lo: int, count: int, width: int) -> np.ndarray:
+        """The inverses of ``count`` blocks of ``width`` from weight ``lo``."""
+        stack = np.empty((count, width, width))
+        for b in range(0, count, per_batch):
+            out = stack[b : b + per_batch]
+            start = lo + b * width
+            hi = start + len(out) * width
+            rows3 = used.columns(start, hi).reshape(n_used, -1, width).transpose(1, 0, 2)
+            blk, idx = np.nonzero(frozen[start:hi].reshape(-1, width))
+            if blk.size or rows3.dtype != np.float64 or n_used < width:
+                rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
+                rows3[blk, :, idx] = 0.0  # the frozen gradient columns
+            _fill_blocks(rows3, lam, out)
+        if n_used >= width:  # one LU call per stack, whose result is the stack
+            stack = np.linalg.inv(stack)
+        blk, idx = np.nonzero(frozen[lo : lo + count * width].reshape(-1, width))
+        stack[blk, idx, idx] = 0.0
+        return stack
 
-    for b in range(0, n_main, per_chunk):
-        yield invert(b * bs, min(b + per_chunk, n_main) * bs, bs)
+    for first in range(0, n_main, per_stack):
+        yield build(first * bs, min(per_stack, n_main - first), bs)
     if len(sizes) > n_main:  # trailing partial block
-        yield invert(n_main * bs, dim, sizes[-1])
-    _release_pages(used)
+        yield build(n_main * bs, 1, sizes[-1])
+    used.release()
 
 
 def build_fisher_inverse(

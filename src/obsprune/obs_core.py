@@ -21,8 +21,9 @@ weight change directly from gradient rows, without materializing F:
 
     0.5 * lambda * ||dw||^2 + (1/2N) * sum_i (g_i^T dw)^2
 
-one chunk of rows at a time, releasing each chunk's pages from a
-read-only container mapping once it is projected.
+one chunk of rows at a time, formed from the factors of a factored
+gradient set, and released from a read-only container mapping once it
+is projected.
 """
 
 from __future__ import annotations
@@ -143,30 +144,32 @@ def loss_increase(
 
     Evaluated from gradient rows directly, so it costs O(N*d) and never
     forms F. Uses every row it is given; callers cap rows beforehand if a
-    cap applies. The projection is an ``np.einsum`` over the stored rows,
-    one chunk of about ``CHUNK_VALUES`` values at a time: float32 rows are
-    widened to float64 in its small internal buffers, not as a copy, and no
-    BLAS matrix-vector product is called. A chunk's pages are released
-    from a read-only file mapping once it is projected (see
-    ``tensorstore``), so rows read from a container stay resident one
-    chunk at a time. A chunk holds at least two rows unless there is only
-    one: a lone row takes NumPy's one-dimensional reduction, whose float64
-    sum can differ in the last bit, and with two or more rows every row's
-    projection has the bytes of the one-shot ``einsum``.
+    cap applies (``GradientSet.head``). The projection is an ``np.einsum``
+    over the rows, one chunk of at most ``CHUNK_VALUES`` values at a time
+    (three rows at least): stored float32 rows are widened to float64 in
+    its small internal buffers, not as a copy, factored rows are formed
+    one chunk at a time, and no BLAS matrix-vector product is called. A
+    chunk's pages are released from a read-only file mapping once it is
+    projected (see ``tensorstore``), so rows read from a container stay
+    resident one chunk at a time. A chunk holds at least two rows unless
+    there is only one: a lone row takes NumPy's one-dimensional
+    reduction, whose float64 sum can differ in the last bit, and with two
+    or more rows every row's projection has the bytes of the one-shot
+    ``einsum``.
     """
-    rows = grads.samples if isinstance(grads, GradientSet) else np.asarray(grads)
+    if not isinstance(grads, GradientSet):
+        grads = GradientSet("", grads)
     delta = np.asarray(w_after, dtype=np.float64) - np.asarray(w_before, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != delta.size:
-        raise ValueError(
-            f"gradient rows have width {rows.shape[-1]}, weights have {delta.size}"
-        )
-    n = rows.shape[0]
-    step = max(2, CHUNK_VALUES // max(delta.size, 1))
+    n, width = grads.num_samples, grads.dim
+    if width != delta.size:
+        raise ValueError(f"gradient rows have width {width}, weights have {delta.size}")
+    step = max(3, CHUNK_VALUES // max(width, 1))
     proj = np.empty(n)
     lo = 0
     while lo < n:
-        hi = lo + step if n - lo - step >= 2 else n  # never a lone last row
-        np.einsum("ij,j->i", rows[lo:hi], delta, out=proj[lo:hi])
-        _release_pages(rows[lo:hi])
+        hi = n if n - lo <= step else lo + min(step, n - lo - 2)  # never a lone last row
+        rows = grads.rows(lo, hi)
+        np.einsum("ij,j->i", rows, delta, out=proj[lo:hi])
+        _release_pages(rows)
         lo = hi
     return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))

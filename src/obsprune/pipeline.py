@@ -12,6 +12,12 @@ and computes into them with ``out=`` operations. ``train_model`` builds
 one workspace per call and reuses it for every step; it copies the
 weights once on entry and then updates the copies in place.
 
+A dense layer's per-sample gradient is the outer product of its output
+residual and its input, so ``collect_grads`` runs one forward pass and
+hands each layer copies of those two factors, never its (n, d) rows:
+the Fisher build and ``loss_increase`` form the products they read one
+small range at a time (see ``tensorstore.GradientSet``).
+
 ``make_quadratic_toy`` builds the special least-squares instance used by
 the predicted-vs-true agreement tests: inputs come in +/- residual pairs
 around a planted optimum, so the per-sample gradients at the optimum are
@@ -138,28 +144,6 @@ def model_loss(model: ToyModel, weights: Mapping[str, np.ndarray] | None = None)
     return _Workspace(model).loss(model.weights if weights is None else weights)
 
 
-def per_sample_gradients(
-    model: ToyModel,
-    weights: Mapping[str, np.ndarray] | None = None,
-    n: int | None = None,
-) -> dict[str, np.ndarray]:
-    """Row-major flattened gradient of the per-sample loss, one row per
-    sample, first ``n`` samples in dataset order."""
-    weights = model.weights if weights is None else weights
-    n = model.num_samples if n is None else n
-    if not 1 <= n <= model.num_samples:
-        raise ValueError(f"n={n} out of range, dataset has {model.num_samples} samples")
-    ws = _Workspace(model, n)
-    ws.forward(weights)
-    r, X, a = ws.residual(), ws.X, ws.a
-    if a is None:
-        g0 = np.einsum("no,ni->noi", r, X).reshape(n, -1)
-        return {"0": g0}
-    g1 = np.einsum("no,nh->noh", r, a).reshape(n, -1)
-    g0 = np.einsum("nh,ni->nhi", ws.backprop(r, weights), X).reshape(n, -1)
-    return {"0": g0, "1": g1}
-
-
 def batch_gradient(
     model: ToyModel, weights: Mapping[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
@@ -177,9 +161,21 @@ def collect_grads(
     model: ToyModel, n: int, weights: Mapping[str, np.ndarray] | None = None
 ) -> dict[str, GradientSet]:
     """Per-sample gradient rows for each layer at ``weights`` (default the
-    model's), the first ``n`` samples in dataset order."""
-    per = per_sample_gradients(model, weights, n)
-    return {k: GradientSet(k, v) for k, v in per.items()}
+    model's), the first ``n`` samples in dataset order, as factored sets
+    (see ``GradientSet``) that own their factors: the output residual and
+    the input of each layer. Layer "0" takes the residual carried back to
+    it (its own, for a lone layer) and the inputs; layer "1" takes the
+    residual and the hidden activations. No (n, d) rows are formed."""
+    weights = model.weights if weights is None else weights
+    if not 1 <= n <= model.num_samples:
+        raise ValueError(f"n={n} out of range, dataset has {model.num_samples} samples")
+    ws = _Workspace(model, n)
+    ws.forward(weights)
+    r = ws.residual()
+    if ws.a is None:
+        return {"0": GradientSet("0", factors=(r.copy(), ws.X.copy()))}
+    return {"0": GradientSet("0", factors=(ws.backprop(r, weights).copy(), ws.X.copy())),
+            "1": GradientSet("1", factors=(r.copy(), ws.a.copy()))}
 
 
 # -- construction ------------------------------------------------------------

@@ -24,7 +24,9 @@ product per stack. The rows are held by those streams alone: given a
 provider, a sub-step makes its rows inside the prune and drops its
 reference once the streams are made, so rows that no caller holds are
 freed, and read-only mapped rows released, once their layer's last stack
-is built.
+is built. Factored rows (the toy's) are formed only a sub-batch at a
+time by the build, on the solver's workers for ``ovit``, and a chunk of
+rows at a time by ``gm``'s ``loss_increase``.
 All methods respect prunability masks. ``pinned`` indices are pruned
 unconditionally (used to keep masks monotone across repeated pruning).
 """
@@ -190,7 +192,7 @@ def _prune_frozen(
         costs = np.zeros(len(layout))
         for i, lay in enumerate(layout if grads is not None else ()):
             sl = slice(lay.offset, lay.offset + lay.size)
-            rows = grads[lay.name].samples[: spec.fisher.num_grads]
+            rows = grads[lay.name].head(spec.fisher.num_grads)
             costs[i] = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
         per_layer, predicted = pooled_sums([lay.offset for lay in layout], costs, layout, pools)
 

@@ -336,35 +336,88 @@ def _release_pages(view: np.ndarray) -> None:
         owner.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-@dataclass
 class GradientSet:
     """Per-sample gradient rows for one layer: shape (N, d), one row per sample.
 
-    float32 and float64 rows keep their dtype (and their memory: a container
-    view stays a view); anything else is converted to float64. Consumers
-    widen rows to float64 chunk by chunk.
+    The rows are either stored or factored. Stored float32 and float64
+    rows keep their dtype (and their memory: a container view stays a
+    view); anything else is converted to float64. A factored set holds a
+    dense layer's output residual r (N, O) and input x (N, I), float64,
+    and row n is the row-major flattening of the outer product of r[n]
+    and x[n], so d = O*I. Its rows are never held: ``columns`` and
+    ``rows`` form the range asked for with ``np.einsum``, each value with
+    the bytes of the same entry of the whole outer product (an einsum
+    writes r[n, o] * x[n, i] + 0.0, so a -0.0 product comes out +0.0),
+    and ``samples`` forms them all. Consumers read rows a range at a time
+    and widen them to float64 as they go.
     """
 
-    layer: str
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples)
-        if s.dtype not in (np.float32, np.float64):
-            s = s.astype(np.float64)
-        if s.ndim != 2:
-            raise ValueError(f"gradient samples for {self.layer!r} must be 2-D")
-        if s.shape[0] < 1:
-            raise ValueError(f"gradient set for {self.layer!r} needs at least one row")
-        self.samples = s
+    def __init__(self, layer: str, samples=None, factors=None) -> None:
+        if (samples is None) == (factors is None):
+            raise ValueError(f"gradient set for {layer!r} needs either rows or factors")
+        self.layer, self.factors, self._stored = layer, None, None
+        if factors is not None:
+            r, x = (np.asarray(f, dtype=np.float64) for f in factors)
+            if r.ndim != 2 or x.ndim != 2 or r.shape[0] != x.shape[0]:
+                raise ValueError(f"factors for {layer!r} must be (N, O) and (N, I)")
+            self.factors, shape = (r, x), (r.shape[0], r.shape[1] * x.shape[1])
+        else:
+            s = np.asarray(samples)
+            if s.dtype not in (np.float32, np.float64):
+                s = s.astype(np.float64)
+            if s.ndim != 2:
+                raise ValueError(f"gradient samples for {layer!r} must be 2-D")
+            self._stored, shape = s, s.shape
+        if shape[0] < 1:
+            raise ValueError(f"gradient set for {layer!r} needs at least one row")
+        self.num_samples, self.dim = int(shape[0]), int(shape[1])
 
     @property
-    def num_samples(self) -> int:
-        return int(self.samples.shape[0])
+    def samples(self) -> np.ndarray:
+        """Every row: the stored array, or all of them formed."""
+        return self._stored if self.factors is None else self.rows(0, self.num_samples)
 
-    @property
-    def dim(self) -> int:
-        return int(self.samples.shape[1])
+    def head(self, n: int) -> GradientSet:
+        """The first ``n`` rows, sharing this set's memory."""
+        if self.factors is None:
+            return GradientSet(self.layer, self._stored[:n])
+        return GradientSet(self.layer, factors=[f[:n] for f in self.factors])
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi``: a view of stored rows, or a formed array."""
+        if self.factors is None:
+            return self._stored[lo:hi]
+        r, x = self.factors
+        return np.einsum("no,ni->noi", r[lo:hi], x[lo:hi]).reshape(-1, self.dim)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Columns ``lo:hi`` of every row: a view of stored rows, or a
+        formed C-contiguous array, filled a run of whole weight rows (one
+        outer product) or a part of one weight row at a time."""
+        if self.factors is None:
+            return self._stored[:, lo:hi]
+        r, x = self.factors
+        width = x.shape[1]
+        out = np.empty((len(r), hi - lo))
+        pos = 0
+        while pos < hi - lo:
+            o, i = divmod(lo + pos, width)
+            k = (hi - lo - pos) // width if i == 0 else 0
+            if k:
+                part = out[:, pos : pos + k * width].reshape(-1, k, width)  # a view
+                np.einsum("no,ni->noi", r[:, o : o + k], x, out=part)
+                pos += k * width
+            else:
+                k = min(width - i, hi - lo - pos)
+                np.einsum("n,ni->ni", r[:, o], x[:, i : i + k], out=out[:, pos : pos + k])
+                pos += k
+        return out
+
+    def release(self) -> None:
+        """Drop the pages of stored read-only mapped rows (see
+        ``_release_pages``); a factored set holds no such pages."""
+        if self.factors is None:
+            _release_pages(self._stored)
 
 
 # -- layer naming helpers ----------------------------------------------------

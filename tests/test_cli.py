@@ -566,8 +566,8 @@ class TestToyAndSweep:
 def count_gradient_rows(monkeypatch):
     """Counts the per-sample gradient collections of a run."""
     calls = []
-    real = pipeline.per_sample_gradients
-    monkeypatch.setattr(pipeline, "per_sample_gradients",
+    real = pipeline.collect_grads
+    monkeypatch.setattr(pipeline, "collect_grads",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
 

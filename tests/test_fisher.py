@@ -147,14 +147,24 @@ def test_chunking_leaves_every_byte_unchanged(monkeypatch, block):
     assert [b.tobytes() for b in chunked.blocks] == [b.tobytes() for b in whole.blocks]
 
 
-def test_stream_yields_chunks_then_the_partial_block(monkeypatch):
+def test_stream_yields_passes_then_the_partial_block(monkeypatch):
+    """Stacks are one solver pass each, then the partial block on its own;
+    each is filled in sub-batches whose rows hold at most ``CHUNK_VALUES``
+    values, and neither grouping changes a byte."""
     rows = np.random.default_rng(3).standard_normal((6, 44))  # 5 blocks of 8, one of 4
     cfg = FisherConfig(block_size=8, dampening=1e-6, num_grads=6)
-    monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * 8)  # two blocks per stack
-    stacks = list(iter_block_inverses(rows, cfg))
-    assert [s.shape for s in stacks] == [(2, 8, 8), (2, 8, 8), (1, 8, 8), (1, 4, 4)]
-    assert all(s.dtype == np.float64 for s in stacks)
     whole = build_fisher_inverse(rows, cfg)
+    batches = []
+    real = fisher._fill_blocks
+    monkeypatch.setattr(fisher, "_fill_blocks",
+                        lambda rows3, *args: batches.append(rows3.shape) or real(rows3, *args))
+    monkeypatch.setattr(fisher, "PASS_VALUES", 3 * 8 * 8)  # three blocks per stack
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * 8)  # two blocks per sub-batch
+    stacks = list(iter_block_inverses(rows, cfg))
+    assert [s.shape for s in stacks] == [(3, 8, 8), (2, 8, 8), (1, 4, 4)]
+    assert batches == [(2, 6, 8), (1, 6, 8), (2, 6, 8), (1, 6, 4)]
+    assert all(np.prod(b) <= fisher.CHUNK_VALUES for b in batches)
+    assert all(s.dtype == np.float64 for s in stacks)
     assert [b.tobytes() for s in stacks for b in s] == [b.tobytes() for b in whole.blocks]
 
 

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import obsprune
-from obsprune import pipeline, schedules, solver
+from obsprune import fisher, pipeline, schedules, solver
 from obsprune.fisher import FisherConfig
 from obsprune.pruners import PrunerSpec
-from obsprune.tensorstore import TensorContainer, write_container
+from obsprune.tensorstore import GradientSet, TensorContainer, write_container
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(obsprune.__file__)))
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -82,19 +82,35 @@ def test_eval_holds_one_chunk_of_rows_at_a_time(big_rows):
 
 
 def record_rows(monkeypatch) -> list[list[weakref.ref]]:
-    """Weak references, one list per collection, to every per-sample
-    gradient array a run makes and to the array each one views."""
+    """Weak references, one list per collection, to the factor arrays of
+    every gradient set a run collects and to every array formed from them
+    until the next collection."""
     calls = []
-    real = pipeline.per_sample_gradients
+    real = pipeline.collect_grads
 
     def recording(*args, **kwargs):
-        per = real(*args, **kwargs)
-        calls.append([weakref.ref(a) for rows in per.values()
-                      for a in (rows, rows.base) if a is not None])
-        return per
+        grads = real(*args, **kwargs)
+        calls.append([weakref.ref(f) for gs in grads.values() for f in gs.factors])
+        return grads
 
-    monkeypatch.setattr(pipeline, "per_sample_gradients", recording)
+    monkeypatch.setattr(pipeline, "collect_grads", recording)
+    on_formed(monkeypatch, lambda out: calls[-1].append(weakref.ref(out)))
     return calls
+
+
+def on_formed(monkeypatch, record) -> None:
+    """Passes every array that ``GradientSet.rows`` or ``.columns`` returns
+    to ``record``."""
+
+    def forming(method):
+        def formed(self, *args):
+            out = method(self, *args)
+            record(out)
+            return out
+        return formed
+
+    for name in ("rows", "columns"):
+        monkeypatch.setattr(GradientSet, name, forming(getattr(GradientSet, name)))
 
 
 def alive_at_each_pass(monkeypatch, calls) -> list[int]:
@@ -118,7 +134,7 @@ def test_sweep_frees_each_sub_steps_rows_before_its_solve(monkeypatch):
     model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
     spec = PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), recomputations=2)
     pipeline.run_gradual(model, spec, schedules.plan_sweep((0.5, 0.75, 0.9), 5))
-    assert len(calls) >= 3 and all(len(refs) == 4 for refs in calls)
+    assert len(calls) >= 3 and all(len(refs) > 4 for refs in calls)  # 4 factors, then formed
     assert alive == [0] * len(calls)
 
 
@@ -134,4 +150,26 @@ def test_toy_nm_prune_frees_its_rows_before_its_solve(monkeypatch):
     model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
     pipeline.run_oneshot(model, PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), nm=(2, 4)))
     assert entries == [1]
-    assert len(calls) == 1 and alive == [0]
+    assert len(calls) == 1 and len(calls[0]) > 4 and alive == [0]
+
+
+def test_toy_rows_are_formed_one_sub_batch_at_a_time(monkeypatch):
+    """A toy layer of 1024x256 weights with 256 rows, whose dense rows
+    would take 512 MiB, prunes 2:4 in a child that peaks less than a
+    quarter of that above an import-only child; and in gradual runs no
+    array formed from the factors holds more than ``CHUNK_VALUES`` values,
+    in the build or in ``loss_increase``."""
+    base = peak_mib("-c", "import obsprune.cli")
+    peak = peak_mib("-c", CLI, "toy", "--seed", "1", "--dims", "256,1024", "--samples", "256",
+                    "--steps", "1", "--nm", "2:4", "--recovery", "0")
+    rows_mib = 256 * (1024 * 256) * 8 / 2**20
+    assert peak - base < rows_mib / 4, f"{peak - base:.1f} MiB above import"
+
+    sizes = []
+    on_formed(monkeypatch, lambda out: sizes.append(out.size))
+    for method in ("ovit", "gm"):  # gm prices its prune with loss_increase
+        model = pipeline.toy_train(5, (48, 96, 24), steps=20, lr=0.05)
+        spec = PrunerSpec(method, FisherConfig(16, 1e-6, 128), recomputations=2)
+        pipeline.run_gradual(model, spec, schedules.plan_sweep((0.5, 0.75), 5))
+    assert sizes and max(sizes) <= fisher.CHUNK_VALUES
+    assert sum(sizes) > 128 * 96 * 48  # more than layer 0's rows, formed

@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsprune import cli, pipeline
-from obsprune.fisher import FisherConfig
+from obsprune.fisher import FisherConfig, iter_block_inverses
 from obsprune.pruners import PrunerSpec
 from obsprune.schedules import LrSchedule, plan_sweep
+from obsprune.tensorstore import GradientSet
+from reference_rows import per_sample_gradients
 
 
 def ovit_spec(block_size=16, recompute=1):
@@ -31,7 +35,7 @@ def quadratic_hessian(model):
 
 def reference_batch_gradient(model, weights=None):
     """The mean of the per-sample gradient rows, the obvious way."""
-    per = pipeline.per_sample_gradients(model, weights)
+    per = per_sample_gradients(model, weights)
     weights = model.weights if weights is None else weights
     return {k: per[k].mean(axis=0).reshape(weights[k].shape) for k in per}
 
@@ -165,7 +169,7 @@ class TestGradients:
 
     def test_per_sample_rows_average_to_the_batch(self):
         model = pipeline.make_toy(3, (5, 7, 2), n_samples=17)
-        per = pipeline.per_sample_gradients(model)
+        per = per_sample_gradients(model)
         batch = pipeline.batch_gradient(model)
         for key in per:
             mean = per[key].mean(axis=0).reshape(model.weights[key].shape)
@@ -175,7 +179,7 @@ class TestGradients:
         """Row j of the collected matrix must be sample j's gradient,
         flattened the same way the weights are."""
         model = pipeline.make_toy(5, (4, 3), n_samples=6)
-        per = pipeline.per_sample_gradients(model)["0"]
+        per = per_sample_gradients(model)["0"]
         assert per.shape == (6, 12)
         # single-sample model replays each row exactly
         for j in range(6):
@@ -191,6 +195,67 @@ class TestGradients:
         model = pipeline.make_toy(1, (4, 3), n_samples=32)
         grads = pipeline.collect_grads(model, 10)
         assert grads["0"].num_samples == 10
+
+
+class TestFactoredRows:
+    """``collect_grads`` keeps every layer's rows as residual x input
+    factors and forms only the range a reader asks for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_range_has_the_reference_bytes(self, data):
+        """Columns, rows, heads and ``samples`` of each factored set are the
+        bytes of the same slice of the dense reference rows, signed zeros
+        included: a one-class logistic residual is exactly 0, and a hidden
+        unit whose outgoing weights are all pruned backpropagates 0."""
+        loss = data.draw(st.sampled_from(["mse", "logistic"]), label="loss")
+        dims = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=3),
+                               label="dims"))
+        samples = data.draw(st.integers(1, 12), label="samples")
+        n = data.draw(st.integers(1, samples), label="n")
+        model = pipeline.make_toy(data.draw(st.integers(0, 2**16), label="seed"), dims,
+                                  n_samples=samples, loss=loss)
+        if len(dims) == 3 and data.draw(st.booleans(), label="prune a hidden unit"):
+            model.weights["1"][:, 0] = 0.0
+        want = per_sample_gradients(model, n=n)
+        got = pipeline.collect_grads(model, n)
+        assert list(got) == list(want)
+        for key, rows in want.items():
+            gs = got[key]
+            assert gs.factors is not None and (gs.num_samples, gs.dim) == rows.shape
+            d = rows.shape[1]
+            lo = data.draw(st.integers(0, d), label="column lo")
+            hi = data.draw(st.integers(lo, d), label="column hi")
+            head = data.draw(st.integers(1, n), label="head")
+            assert gs.columns(lo, hi).tobytes() == rows[:, lo:hi].tobytes()
+            assert gs.head(head).columns(lo, hi).tobytes() == rows[:head, lo:hi].tobytes()
+            lo = data.draw(st.integers(0, n), label="row lo")
+            hi = data.draw(st.integers(lo, n), label="row hi")
+            assert gs.rows(lo, hi).tobytes() == rows[lo:hi].tobytes()
+            assert gs.samples.tobytes() == rows.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), o=st.integers(1, 4),
+           i=st.integers(1, 4), special=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_the_factor_scan_raises_exactly_on_non_finite_rows(self, seed, n, o, i, special):
+        """Factors near 1e154 overflow in some products and not in others;
+        the build's scan of the factors raises exactly when the dense rows
+        hold an inf or a NaN."""
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-1.5, 1.5, (n, o)) * 10.0 ** rng.integers(150, 156, (n, o))
+        x = rng.uniform(-1.5, 1.5, (n, i)) * 10.0 ** rng.integers(150, 156, (n, i))
+        if special is not None:
+            f = (r, x)[rng.integers(2)]
+            f[rng.integers(n), rng.integers(f.shape[1])] = special
+        with np.errstate(all="ignore"):
+            rows = np.einsum("no,ni->noi", r, x).reshape(n, -1)
+        gs = GradientSet("0", factors=(r, x))
+        cfg = FisherConfig(4, 1e-8, n)
+        if np.isfinite(rows).all():
+            iter_block_inverses(gs, cfg)
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                iter_block_inverses(gs, cfg)
 
 
 class TestTraining:
@@ -304,7 +369,7 @@ class TestQuadraticToy:
         """With +-1 paired residuals each per-sample gradient is +-x_i, so
         the empirical second-moment matrix is exactly the data Hessian."""
         model = pipeline.make_quadratic_toy(37, d=6, n_base=15)
-        per = pipeline.per_sample_gradients(model)["0"]
+        per = per_sample_gradients(model)["0"]
         emp = per.T @ per / per.shape[0]
         np.testing.assert_allclose(emp, quadratic_hessian(model), atol=1e-12)
 

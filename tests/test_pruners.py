@@ -466,13 +466,13 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
                     per_layer=mode == "per_layer", recompute=2 if mode == "recompute" else 1)
     pinned = np.flatnonzero(flat_pr)[::9]
     built_off_main = []
-    real_invert = fisher._invert_blocks
+    real_invert = fisher._fill_blocks
 
     def invert(*args):
         built_off_main.append(threading.current_thread() is not threading.main_thread())
         return real_invert(*args)
 
-    monkeypatch.setattr(fisher, "_invert_blocks", invert)
+    monkeypatch.setattr(fisher, "_fill_blocks", invert)
 
     def run():
         built_off_main.clear()
@@ -499,6 +499,45 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
         # one stream covers every layer, so every mode has stacks left after
         # its first pass, and builds them on the solver's workers
         assert any(built_off_main)
+
+
+@pytest.mark.parametrize("mode", ["gm", "wf", "ovit", "per_layer", "recompute", "nm"])
+@pytest.mark.parametrize("n", [5, 40])  # fewer and more rows than B=8
+def test_factored_rows_stream_the_bytes_of_stored_rows(monkeypatch, mode, n):
+    """Toy rows kept as residual x input factors, whose products the build
+    forms one sub-batch at a time (on the solver's workers, for ovit) and
+    ``loss_increase`` one chunk of rows at a time (for gm), prune to the
+    bytes of the same rows stored whole, with frozen weights and small
+    passes and sub-batches."""
+    from obsprune import fisher, pipeline
+
+    monkeypatch.setattr(fisher, "PASS_VALUES", 3 * 64)
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * max(n, 8))
+    model = pipeline.toy_train(7, (6, 10, 4), steps=30, lr=0.05, n_samples=48)
+    factored = pipeline.collect_grads(model, n)
+    stored = {k: GradientSet(k, gs.samples) for k, gs in factored.items()}
+    rng = np.random.default_rng(n)
+    prunable = {k: rng.random(w.shape) > 0.2 for k, w in model.weights.items()}
+    method = mode if mode in ("gm", "wf") else "ovit"
+    spec = spec_for(method, nm=(2, 4) if mode == "nm" else None,
+                    per_layer=mode == "per_layer", recompute=2 if mode == "recompute" else 1)
+    target = {} if mode == "nm" else {"sparsity": 0.6}
+    formed_off_main = []
+    real = GradientSet.columns
+
+    def columns(self, *args):
+        formed_off_main.append(threading.current_thread() is not threading.main_thread())
+        return real(self, *args)
+
+    monkeypatch.setattr(GradientSet, "columns", columns)
+
+    def run(grads):
+        res = run_pruner(spec, model.weights, grads, prunable=prunable, **target)
+        return (res.mask.tobytes(), res.new_weights.tobytes(), res.predicted_loss_increase,
+                res.per_layer_predicted)
+
+    assert run(factored) == run(stored)
+    assert any(formed_off_main) == (method == "ovit")
 
 
 @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
@@ -660,7 +699,7 @@ def test_per_layer_scans_every_layer_before_the_first_build(rng, monkeypatch, me
     from obsprune import fisher, solver
 
     calls = []
-    for mod, name in ((fisher, "_invert_blocks"), (solver, "_eliminate_stack")):
+    for mod, name in ((fisher, "_fill_blocks"), (solver, "_eliminate_stack")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     weights, grads = toy_layers(rng)
@@ -673,22 +712,23 @@ def test_per_layer_scans_every_layer_before_the_first_build(rng, monkeypatch, me
 def test_build_stacks_are_whole_kernel_passes(monkeypatch):
     """On two 128x64 float32 layers at B=64 with 192 used rows (the shape of
     a global prune in the benchmark), every lockstep pass is one stack of
-    the build, or a view of one, never a joined copy."""
+    the build's stream, or a view of one, never a joined copy."""
     from obsprune import fisher, solver
 
     built, passes = [], []
-    real_invert, real_passes = fisher._invert_blocks, solver._kernel_passes
+    real_stacks, real_passes = fisher._inverse_stacks, solver._kernel_passes
 
-    def invert(*args):
-        built.append(real_invert(*args))
-        return built[-1]
+    def inverse_stacks(*args):
+        for s in real_stacks(*args):
+            built.append(s)
+            yield s
 
     def kernel_passes(stacks):
         for p in real_passes(stacks):
             passes.append((p.shape, any(p is s or p.base is s for s in built)))
             yield p
 
-    monkeypatch.setattr(fisher, "_invert_blocks", invert)
+    monkeypatch.setattr(fisher, "_inverse_stacks", inverse_stacks)
     monkeypatch.setattr(solver, "_kernel_passes", kernel_passes)
     rng = np.random.default_rng(31)
     weights = {"0": rng.standard_normal((128, 64)), "1": rng.standard_normal((64, 128))}

@@ -20,12 +20,13 @@ takes each stack as it comes and, freeing each, never holds the whole
 inverse. A stack is filled a sub-batch of blocks at a time: rows are
 widened to float64, or formed from factors, only for one sub-batch,
 whose columns hold at most ``CHUNK_VALUES`` values, and so does its
-Woodbury scratch. ``CHUNK_VALUES`` bounds the build's scratch, not the
-stacks. A Woodbury sub-batch writes its inverses into the stack; a Gram
-sub-batch writes its dampened Gram matrices, and the stack is then
-inverted by one batched LU call, whose result is the stack yielded (an
-LU call per sub-batch, on the worker thread described next, slowed the
-solve beside it by about 5% on the benchmark's float32 prune). After the
+Woodbury scratch; each sub-batch is freed before the next is formed.
+``CHUNK_VALUES`` bounds the build's scratch, not the stacks. A Woodbury
+sub-batch writes its inverses into the stack; a Gram sub-batch writes
+its dampened Gram matrices, and the stack is then inverted by one
+batched LU call, whose result is the stack yielded (an LU call per
+sub-batch, on the worker thread described next, slowed the solve beside
+it by about 5% on the benchmark's float32 prune). After the
 first pass, the solver draws each next stack on a worker thread, which
 builds it while the solver solves the current one; every block is
 inverted on its own, so neither the sub-batches nor the threads change a
@@ -276,6 +277,7 @@ def _inverse_stacks(
                 rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
                 rows3[blk, :, idx] = 0.0  # the frozen gradient columns
             _fill_blocks(rows3, lam, out)
+            del rows3  # free this sub-batch before the next one is formed
         if n_used >= width:  # one LU call per stack, whose result is the stack
             stack = np.linalg.inv(stack)
         blk, idx = np.nonzero(frozen[lo : lo + count * width].reshape(-1, width))

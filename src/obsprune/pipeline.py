@@ -8,7 +8,9 @@ order is fixed, so every run is reproducible from (seed, config).
 Training and the batch gradient run through one private workspace that
 holds every forward/backward buffer of a model shape (activations,
 outputs, residual, backpropagated residual and the per-layer gradients)
-and computes into them with ``out=`` operations. ``train_model`` builds
+and computes into them with ``out=`` operations. It allocates the
+backward buffers on its first backward pass, so a workspace that only
+evaluates a loss holds the forward buffers alone. ``train_model`` builds
 one workspace per call and reuses it for every step; it copies the
 weights once on entry and then updates the copies in place.
 
@@ -67,7 +69,10 @@ class ToyModel:
 
 class _Workspace:
     """Every buffer one forward/backward pass over the first ``n`` samples
-    of ``model`` needs, allocated once and reused by each pass.
+    of ``model`` needs, allocated once and reused by each pass. The
+    forward buffers are allocated with the workspace, the backward ones by
+    the first ``residual`` call, so a workspace that only evaluates
+    ``loss`` holds none of them.
 
     ``gradient`` returns the workspace's own gradient buffers, which the
     next pass overwrites.
@@ -82,13 +87,9 @@ class _Workspace:
         self.targets = model.targets[:n]
         self.labels = self.targets.astype(np.int64) if self.logistic else None
         self.out = np.empty((n, model.dims[-1]))
-        self.r = np.empty_like(self.out)
-        self.a = None
-        if len(model.dims) == 3:
-            self.a = np.empty((n, model.dims[1]))
-            self.back = np.empty_like(self.a)
-            self.scratch = np.empty_like(self.a)
-        self.grads = {k: np.empty(np.shape(w)) for k, w in model.weights.items()}
+        self.a = np.empty((n, model.dims[1])) if len(model.dims) == 3 else None
+        self.shapes = {k: np.shape(w) for k, w in model.weights.items()}
+        self.r = self.back = self.scratch = self.grads = None  # backward buffers
 
     def forward(self, weights: Mapping[str, np.ndarray]) -> np.ndarray:
         if self.a is None:
@@ -99,6 +100,11 @@ class _Workspace:
 
     def residual(self) -> np.ndarray:
         """d(loss)/d(out) per sample, for the last forward pass."""
+        if self.r is None:
+            self.r = np.empty_like(self.out)
+            if self.a is not None:
+                self.back, self.scratch = np.empty_like(self.a), np.empty_like(self.a)
+            self.grads = {k: np.empty(shape) for k, shape in self.shapes.items()}
         out, r = self.out, self.r
         if not self.logistic:
             return np.subtract(out, self.targets, out=r)
@@ -399,7 +405,8 @@ def run_gradual(
     Prunes to ``plan.targets[i]`` at step ``i * interval``, recovers for
     ``interval`` steps, then emits a checkpoint (target, weights, masks).
     Each event records the sparsity the prune reached, which per-layer
-    rounding can put above the target. Masks are monotone across events.
+    rounding can put above the target, and starts from the loss the last
+    one ended at, evaluated once. Masks are monotone across events.
     Returns (report, checkpoints).
     """
     schedule = schedule or LrSchedule(period=plan.interval)
@@ -407,8 +414,8 @@ def run_gradual(
     checkpoints = []
     pinned = np.empty(0, dtype=np.int64)
     lr_fn = _make_lr_fn(schedule, acyclic, plan.total_steps)
-    for i, (estep, target) in enumerate(plan.events()):
-        loss_before = model_loss(model)
+    loss = model_loss(model)
+    for estep, target in plan.events():
         result = _prune_once(model, spec, target, pinned=pinned)
         if result.mask[pinned].any():
             raise AssertionError("gradual masks must be monotone")
@@ -419,13 +426,14 @@ def run_gradual(
         train_model(model, plan.interval, lr_fn, masks=masks, start_step=estep)
         post = model_loss(model)
         report.events.append(
-            EventRecord(estep, pinned.size / result.mask.size, loss_before, loss_after,
+            EventRecord(estep, pinned.size / result.mask.size, loss, loss_after,
                         result.predicted_loss_increase, post)
         )
+        loss = post
         checkpoints.append((target, model.copy_weights(),
                             {k: v.copy() for k, v in masks.items()}))
         report.per_layer_sparsity = dict(result.per_layer_sparsity)
         report.final_masks = masks
-    report.final_loss = model_loss(model)
+    report.final_loss = loss
     report.final_weights = model.copy_weights()
     return report, checkpoints

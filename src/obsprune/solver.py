@@ -43,10 +43,11 @@ short-lived worker thread, one at a time: the build of the next stack
 (batched LAPACK and BLAS calls, which release the GIL) runs beside the
 solve of the current pass (many small, GIL-bound NumPy calls). Passes
 are still solved in weight order, and every block is built on its own,
-so the workers move no output byte. So an N:M solve holds the stacks of
-the pass it solves, at most one more stack and one pass of scratch,
-while a global solve also keeps its per-step snapshots, which take d*B
-values.
+so the workers move no output byte. So an N:M solve holds the pass it
+solves, the stacks whose blocks a later pass still reads, at most one
+more stack and one pass of scratch (a joined pass is a copy, and the
+stacks it was joined from are freed before it is solved), while a
+global solve also keeps its per-step snapshots, which take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -328,30 +329,33 @@ def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     blocks: larger stacks are split into views, and consecutive stacks of
     one block size are joined (across layer boundaries) up to the budget.
     A pass is handed on as soon as it is full, before the next stack is
-    drawn."""
-
-    def joined(held: list[np.ndarray]) -> np.ndarray:
-        return held[0] if len(held) == 1 else np.concatenate(held)
-
-    held: list[np.ndarray] = []
+    drawn. A stack is referenced here only through the pieces of it that
+    no pass has taken yet, so once a pass is handed on, only its own
+    blocks keep the stacks they came from alive."""
+    held: list[np.ndarray] = []  # pieces of the next pass
     count = 0
+
+    def joined() -> np.ndarray:
+        nonlocal count
+        full = held[0] if len(held) == 1 else np.concatenate(held)
+        held.clear()
+        count = 0
+        return full
+
     for stack in stacks:
         bs = stack.shape[1]
         if held and held[0].shape[1] != bs:
-            yield joined(held)
-            held, count = [], 0
+            yield joined()
         per_pass = pass_blocks(bs)
-        lo = 0
-        while lo < len(stack):
-            held.append(stack[lo : lo + per_pass - count])
+        pieces = np.split(stack, range(per_pass - count, len(stack), per_pass))
+        del stack
+        while pieces:
+            held.append(pieces.pop(0))
             count += len(held[-1])
-            lo += len(held[-1])
             if count == per_pass:
-                yield joined(held)
-                held, count = [], 0
-        del stack  # unless a view of it is held, free it before the next is taken
+                yield joined()
     if held:
-        yield joined(held)
+        yield joined()
 
 
 def eliminate_blocks(

@@ -113,6 +113,34 @@ def on_formed(monkeypatch, record) -> None:
         monkeypatch.setattr(GradientSet, name, forming(getattr(GradientSet, name)))
 
 
+@pytest.mark.parametrize("n, frozen", [(32, False), (32, True), (4, False)])
+def test_build_frees_each_sub_batch_before_forming_the_next(monkeypatch, n, frozen):
+    """Factored rows of a 16x24 layer, built in sub-batches of two blocks
+    of 8: when a sub-batch's columns are formed, neither the columns of
+    any earlier one nor the array the build filled from them is alive, in
+    the Gram form as a view, with frozen weights as a copy, and in the
+    Woodbury form."""
+    monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * max(n, 8))
+    earlier, alive = [], []
+
+    def formed(out):
+        alive.append(sum(ref() is not None for ref in earlier))
+        earlier.append(weakref.ref(out))
+
+    on_formed(monkeypatch, formed)
+    real = fisher._fill_blocks
+    monkeypatch.setattr(fisher, "_fill_blocks",
+                        lambda rows3, *args: earlier.append(weakref.ref(rows3))
+                        or real(rows3, *args))
+    rng = np.random.default_rng(4)
+    rows = GradientSet("0", factors=(rng.standard_normal((n, 16)),
+                                     rng.standard_normal((n, 24))))
+    movable = rng.random(16 * 24) > 0.2 if frozen else None
+    stacks = list(fisher.iter_block_inverses(rows, FisherConfig(8, 1e-4, n), movable))
+    assert [s.shape for s in stacks] == [(48, 8, 8)]
+    assert len(earlier) == 2 * 24 and alive == [0] * 24
+
+
 def alive_at_each_pass(monkeypatch, calls) -> list[int]:
     """How many recorded arrays are alive as each lockstep pass starts."""
     alive = []

@@ -342,6 +342,19 @@ class TestTraining:
             assert np.shares_memory(second[k], ws.grads[k])
             assert np.array_equal(second[k], want[k])
 
+    @pytest.mark.parametrize("dims, loss", [((5, 8, 3), "mse"), ((5, 3), "logistic")])
+    def test_loss_only_workspace_holds_no_backward_buffer(self, dims, loss):
+        """A workspace that only evaluates the loss, as ``model_loss`` uses
+        it, allocates no backward buffer; its first gradient allocates them
+        and matches a fresh workspace's bytes."""
+        model = pipeline.make_toy(97, dims, n_samples=30, loss=loss)
+        ws = pipeline._Workspace(model)
+        assert ws.loss(model.weights) == pipeline.model_loss(model)
+        assert ws.r is None and ws.back is None and ws.scratch is None and ws.grads is None
+        got, want = ws.gradient(model.weights), pipeline.batch_gradient(model)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        assert ws.r is not None and ws.grads is not None
+
     def test_divergence_raises(self):
         model = pipeline.make_toy(17, (6, 8, 2), n_samples=16)
         with pytest.raises(pipeline.DivergenceError):

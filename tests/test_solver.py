@@ -667,15 +667,18 @@ def test_stream_end_or_error_raises_on_every_later_call(error):
         ahead.close()
 
 
-def test_stream_keeps_at_most_one_stack_beyond_the_pass_alive(rng, monkeypatch):
-    """Stacks of three blocks, solved in passes of two: when a pass is
-    solved, every stack before the pass's own has been freed, and of the
-    stacks after them at most the next one has been drawn."""
+@pytest.mark.parametrize("per_pass", [2, 4, 6])
+def test_stream_keeps_alive_only_the_stacks_a_pass_still_reads(rng, monkeypatch, per_pass):
+    """Stacks of three blocks, solved in passes of ``per_pass``: when a
+    pass is solved, the only stacks alive are the one the pass is a view
+    of, if it is not joined, the drawn ones whose blocks a later pass
+    still reads, and at most one stack drawn beyond them. A joined pass
+    keeps none of its sources alive."""
     import weakref
 
     from obsprune import fisher, solver
 
-    monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)
+    monkeypatch.setattr(fisher, "PASS_VALUES", per_pass * 64)
     blocks = [np.linalg.inv(random_spd(rng, 8)) for _ in range(24)]
     refs = []
 
@@ -693,16 +696,21 @@ def test_stream_keeps_at_most_one_stack_beyond_the_pass_alive(rng, monkeypatch):
 
     def recording(offset, cols0, *args):
         first = offset // 8
-        own = set(range(first // 3, (first + len(cols0) - 1) // 3 + 1))
         alive = {i for i, ref in enumerate(refs) if ref() is not None}
-        alive_at_solves.append((own, alive))
+        alive_at_solves.append((first, len(cols0), alive))
         return real(offset, cols0, *args)
 
     monkeypatch.setattr(solver, "_eliminate_stack", recording)
     eliminate_blocks(rng.standard_normal(192), stream(), np.ones(192, dtype=bool))
-    assert len(alive_at_solves) == 12
-    for own, alive in alive_at_solves:
-        assert own <= alive <= own | {max(own) + 1}, (own, alive)
+    assert [(first, nb) for first, nb, _ in alive_at_solves] == [
+        (first, per_pass) for first in range(0, 24, per_pass)]
+    for first, nb, alive in alive_at_solves:
+        own = set(range(first // 3, (first + nb - 1) // 3 + 1))
+        view = own if len(own) == 1 else set()
+        after = (first + nb) // 3  # the stack of the next pass's first block
+        unread = {after} & own  # drawn, with blocks a later pass still reads
+        assert view | unread <= alive <= view | set(range(after, max(own) + 2)), (
+            first, alive)
 
 
 @pytest.mark.usefixtures("one_block_passes")

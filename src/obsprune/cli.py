@@ -315,8 +315,7 @@ def _event_rows(report) -> Iterator[tuple[int, str, str]]:
         yield ev.step, "loss_before", _fmt(ev.loss_before)
         yield ev.step, "loss_after", _fmt(ev.loss_after)
         yield ev.step, "predicted_increase", _fmt(ev.predicted_increase)
-        if ev.post_recovery_loss is not None:
-            yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
+        yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
 
 
 def report_lines(report) -> list[str]:
@@ -324,10 +323,10 @@ def report_lines(report) -> list[str]:
     lines = [f"{step}\t{name}\t{value}" for step, name, value in _event_rows(report)]
     lines.append("summary\tevent\tstep\tsparsity\tloss_before\tloss_after\tpredicted\tpost_recovery")
     for i, ev in enumerate(report.events):
-        post = "-" if ev.post_recovery_loss is None else _fmt(ev.post_recovery_loss)
         lines.append(
             f"summary\t{i}\t{ev.step}\t{_fmt(ev.sparsity)}\t{_fmt(ev.loss_before)}"
-            f"\t{_fmt(ev.loss_after)}\t{_fmt(ev.predicted_increase)}\t{post}"
+            f"\t{_fmt(ev.loss_after)}\t{_fmt(ev.predicted_increase)}"
+            f"\t{_fmt(ev.post_recovery_loss)}"
         )
     for name, s in report.per_layer_sparsity.items():
         lines.append(f"final\tsparsity.{name}\t{_fmt(s)}")
@@ -376,12 +375,15 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     if not 0.0 <= args.noise < np.inf:
         raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     spec = _spec_from_args(args)
-    plan = None
+    one_shot = targets is None
     try:
-        if targets is not None:
-            interval = int(interval) if interval is not None else schedules.DEFAULT_PERIOD
-            plan = schedules.plan_sweep(targets, interval)
-        sched = _resolve_schedule(args, cfg, None if plan is None else plan.interval)
+        if one_shot:  # one event, to the sparsity or the n:m pattern
+            targets, interval = (args.sparsity,), recovery
+        else:
+            plan = schedules.plan_sweep(
+                targets, schedules.DEFAULT_PERIOD if interval is None else interval)
+            targets, interval = plan.targets, plan.interval
+        sched = _resolve_schedule(args, cfg, None if one_shot else interval)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -392,23 +394,16 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     out.write(f"train\tloss\t{_fmt(pipeline.model_loss(model))}\n")
     out.write(f"train\tgrad_norm\t{_fmt(pipeline.gradient_norm(model))}\n")
 
-    checkpoints = []
-    if plan is not None:
-        report, checkpoints = pipeline.run_gradual(
-            model, spec, plan, sched, acyclic=args.acyclic
-        )
-    else:
-        report = pipeline.run_oneshot_finetune(
-            model, spec, args.sparsity, recovery, sched, acyclic=args.acyclic
-        )
+    report, checkpoints = pipeline.run_gradual(
+        model, spec, targets, interval, sched, acyclic=args.acyclic
+    )
     if args.extra_recovery:
         extra = (args.steps * 100) // 300
         if extra > 0:
-            pipeline.train_model(
+            report.final_loss = pipeline.train_model(
                 model, extra, lambda t: schedules.lr_at(sched, t),
                 masks=report.final_masks,
             )
-            report.final_loss = pipeline.model_loss(model)
             report.final_weights = model.copy_weights()
     for line in report_lines(report):
         out.write(line + "\n")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .obs_core import NumericalError
 from .pruners import PrunerSpec, run_pruner, split_by_layer
-from .schedules import LrSchedule, SweepPlan, lr_at
+from .schedules import LrSchedule, lr_at
 from .tensorstore import GradientSet
 
 
@@ -321,7 +321,7 @@ class EventRecord:
     loss_before: float
     loss_after: float
     predicted_increase: float
-    post_recovery_loss: float | None = None
+    post_recovery_loss: float
 
 
 @dataclass
@@ -331,59 +331,6 @@ class RunReport:
     final_weights: dict[str, np.ndarray] = field(default_factory=dict)
     final_masks: dict[str, np.ndarray] = field(default_factory=dict)
     per_layer_sparsity: dict[str, float] = field(default_factory=dict)
-
-
-def _prune_once(
-    model: ToyModel, spec: PrunerSpec, sparsity: float | None,
-    pinned: Sequence[int],
-):
-    cap = min(spec.fisher.num_grads, model.num_samples)
-    # the rows are made inside the prune, so its build holds them alone
-    return run_pruner(spec, model.weights, lambda w: collect_grads(model, cap, w),
-                      sparsity=sparsity, pinned=pinned)
-
-
-def run_oneshot(model: ToyModel, spec: PrunerSpec, sparsity: float | None = None) -> RunReport:
-    """Single prune event, no recovery; the model is left pruned."""
-    loss_before = model_loss(model)
-    result = _prune_once(model, spec, sparsity, pinned=[])
-    model.weights = split_by_layer(result.new_weights, result.layout)
-    loss_after = model_loss(model)
-    masks = split_by_layer(result.mask, result.layout)
-    zeros = int(np.count_nonzero(result.mask == 0))
-    report = RunReport(
-        events=[EventRecord(0, zeros / result.mask.size, loss_before, loss_after,
-                            result.predicted_loss_increase)],
-        final_loss=loss_after,
-        final_weights=model.copy_weights(),
-        final_masks=masks,
-        per_layer_sparsity=dict(result.per_layer_sparsity),
-    )
-    return report
-
-
-def run_oneshot_finetune(
-    model: ToyModel,
-    spec: PrunerSpec,
-    sparsity: float | None,
-    recovery_steps: int,
-    schedule: LrSchedule | None = None,
-    acyclic: bool = False,
-) -> RunReport:
-    """Prune once, then recover with the mask frozen.
-
-    With zero recovery steps this reduces to ``run_oneshot``.
-    """
-    schedule = schedule or LrSchedule()
-    report = run_oneshot(model, spec, sparsity)
-    ev = report.events[0]
-    if recovery_steps > 0:
-        lr_fn = _make_lr_fn(schedule, acyclic, recovery_steps)
-        train_model(model, recovery_steps, lr_fn, masks=report.final_masks)
-    ev.post_recovery_loss = model_loss(model)
-    report.final_loss = ev.post_recovery_loss
-    report.final_weights = model.copy_weights()
-    return report
 
 
 def _make_lr_fn(schedule: LrSchedule, acyclic: bool, total_steps: int):
@@ -396,37 +343,43 @@ def _make_lr_fn(schedule: LrSchedule, acyclic: bool, total_steps: int):
 def run_gradual(
     model: ToyModel,
     spec: PrunerSpec,
-    plan: SweepPlan,
+    targets: Sequence[float | None],
+    interval: int,
     schedule: LrSchedule | None = None,
     acyclic: bool = False,
-) -> tuple[RunReport, list[tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]]]:
+) -> tuple[RunReport, list[tuple[float | None, dict[str, np.ndarray], dict[str, np.ndarray]]]]:
     """Alternate pruning events and mask-frozen recovery windows.
 
-    Prunes to ``plan.targets[i]`` at step ``i * interval``, recovers for
+    Prunes to ``targets[i]`` at step ``i * interval``, recovers for
     ``interval`` steps, then emits a checkpoint (target, weights, masks).
-    Each event records the sparsity the prune reached, which per-layer
-    rounding can put above the target, and starts from the loss the last
-    one ended at, evaluated once. Masks are monotone across events.
+    A target of None prunes to ``spec.nm``'s pattern, and an interval of 0
+    keeps the pruned weights, so a one-shot prune and its recovery are
+    the one-event case. Each event records the sparsity the prune reached,
+    which per-layer rounding can put above the target, starts from the
+    loss the last one ended at and ends at the loss its recovery returns,
+    so each loss is evaluated once. Masks are monotone across events.
     Returns (report, checkpoints).
     """
-    schedule = schedule or LrSchedule(period=plan.interval)
+    schedule = schedule or LrSchedule(period=max(interval, 1))
     report = RunReport()
     checkpoints = []
     pinned = np.empty(0, dtype=np.int64)
-    lr_fn = _make_lr_fn(schedule, acyclic, plan.total_steps)
+    cap = min(spec.fisher.num_grads, model.num_samples)
+    lr_fn = _make_lr_fn(schedule, acyclic, len(targets) * interval)
     loss = model_loss(model)
-    for estep, target in plan.events():
-        result = _prune_once(model, spec, target, pinned=pinned)
+    for i, target in enumerate(targets):
+        # the rows are made inside the prune, so its build holds them alone
+        result = run_pruner(spec, model.weights, lambda w: collect_grads(model, cap, w),
+                            sparsity=target, pinned=pinned)
         if result.mask[pinned].any():
             raise AssertionError("gradual masks must be monotone")
         pinned = np.flatnonzero(result.mask == 0)
         model.weights = split_by_layer(result.new_weights, result.layout)
         loss_after = model_loss(model)
         masks = split_by_layer(result.mask, result.layout)
-        train_model(model, plan.interval, lr_fn, masks=masks, start_step=estep)
-        post = model_loss(model)
+        post = train_model(model, interval, lr_fn, masks=masks, start_step=i * interval)
         report.events.append(
-            EventRecord(estep, pinned.size / result.mask.size, loss, loss_after,
+            EventRecord(i * interval, pinned.size / result.mask.size, loss, loss_after,
                         result.predicted_loss_increase, post)
         )
         loss = post

@@ -11,13 +11,14 @@
 
 ``run_pruner`` is the one entry for every method, target and pool. It
 reaches its target in ``spec.recomputations`` sub-steps, each pinning the
-zeros of the one before, and skips a sub-step that would prune only pins
-whose weights are already zero. Every sub-step flattens the layers,
-validates ``pinned`` and the target, and resolves the pools (see
-``pools``); per-layer mode differs from global mode in nothing else. One
-stream of block inverses covers all layers (``layered_inverse_stacks``);
-it scans every layer's rows before it builds any block, and it is frozen
-at the non-prunable weights (see ``fisher``). ``ovit`` hands it straight
+zeros of the one before. Every sub-step flattens the layers, validates
+``pinned`` and the target, and resolves the pools (see ``pools``) once;
+per-layer mode differs from global mode in nothing else. A sub-step that
+would prune only pins whose weights are already zero returns the pins
+there, before any rows are made. One stream of block inverses covers
+all layers (``layered_inverse_stacks``); it scans every layer's rows
+before it builds any block, and it is frozen at the non-prunable
+weights (see ``fisher``). ``ovit`` hands it straight
 to the solver, so it never holds the whole inverse, and ``wf`` keeps every
 stack, scores from their diagonals and compensates with one batched
 product per stack. The rows are held by those streams alone: given a
@@ -259,8 +260,9 @@ def run_pruner(
     pages released once the build has read them (see ``tensorstore``).
     A sub-step with at least one pin whose target resolves to the pinned
     count in every pool, while every pinned weight is already exactly 0,
-    is skipped: no provider call, no inverse, no solve and so no clamp
-    warning, and its result is the pins' mask and the unchanged weights.
+    stops once its pools are resolved: no provider call, no inverse, no
+    solve and so no clamp warning, and its result is the pins' mask and
+    the weights, each pin written as +0.0.
     """
     r = spec.recomputations
     if spec.nm is not None:
@@ -279,11 +281,7 @@ def run_pruner(
             wmap = split_by_layer(result.new_weights, result.layout)
             pinned = np.flatnonzero(result.mask == 0)
         s_t = sparsity if t == r else 1.0 - (1.0 - sparsity) ** (t / r)
-        step = None
-        if pinned.size and sparsity is not None:
-            step = _pins_only(spec, wmap, prunable, pinned, s_t)
-        if step is None:
-            step = _prune_step(spec, wmap, provide, s_t, k, prunable, pinned)
+        step = _prune_step(spec, wmap, provide, s_t, k, prunable, pinned)
         if step.mask[pinned].any():
             raise AssertionError("mask monotonicity violated across sub-steps")
         if result is not None:
@@ -304,7 +302,8 @@ def _prune_step(
     build's streams holds them, so a provider's rows are freed once their
     layer's last stack is built. Passing the rows themselves would not do:
     CPython 3.10 keeps a call's arguments alive in the caller's frame until
-    the call returns."""
+    the call returns. A sparsity sub-step that would prune only its pins
+    (``_pins_only``) returns them before ``provide`` is called."""
     w, pr, layout = flatten_layers(weights, prunable)
     pin = pinned_mask(pinned, pr)
     cfg = spec.fisher
@@ -321,6 +320,10 @@ def _prune_step(
             cfg = replace(cfg, block_size=rounded)
     else:
         pools = _pools(spec, layout, pr, pin, sparsity, k)
+        if sparsity is not None and pin.any() and _pins_only(w, pin, pools):
+            w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
+            return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
+                                         dict.fromkeys((lay.name for lay in layout), 0.0), layout)
     grads = provide(weights)
     stacks = None
     if spec.method != "gm":
@@ -337,21 +340,8 @@ def _prune_step(
     return _prune_frozen(spec, w, pr, pin, pools, layout, grads, stacks)
 
 
-def _pins_only(
-    spec: PrunerSpec, weights: WeightMap, prunable: Mapping[str, np.ndarray] | None,
-    pinned: np.ndarray, sparsity: float,
-) -> PruneResult | None:
-    """What a sub-step to ``sparsity`` returns when it resolves to the
-    pinned count in every pool and every pinned weight is already exactly
-    0: the pins' mask, the weights unchanged and a predicted increase of
-    0.0. None when the prune would do more than that. Needs at least one
-    pin: a sub-step without pins always runs, so its rows are validated."""
-    w, pr, layout = flatten_layers(weights, prunable)
-    pin = pinned_mask(pinned, pr)
-    assert pin.any(), "a pins-only probe needs at least one pinned weight"
-    pools = _pools(spec, layout, pr, pin, sparsity, None)
-    if np.any(w[pin] != 0.0) or any(p.k > np.count_nonzero(pin[p.lo : p.hi]) for p in pools):
-        return None
-    w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
-    return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
-                                 dict.fromkeys((lay.name for lay in layout), 0.0), layout)
+def _pins_only(w: np.ndarray, pin: np.ndarray, pools: Sequence[Pool]) -> bool:
+    """Whether a sub-step would prune only its pins: every pool's k is its
+    pinned count and every pinned weight is already exactly 0."""
+    return not np.any(w[pin] != 0.0) and all(
+        p.k == np.count_nonzero(pin[p.lo : p.hi]) for p in pools)

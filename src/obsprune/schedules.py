@@ -68,14 +68,6 @@ class SweepPlan:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
 
-    def events(self) -> list[tuple[int, float]]:
-        """(step, target) pairs; the first event fires at step 0."""
-        return [(i * self.interval, t) for i, t in enumerate(self.targets)]
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.targets) * self.interval
-
 
 def plan_sweep(targets: tuple[float, ...] | list[float], interval: int) -> SweepPlan:
     return SweepPlan(tuple(float(t) for t in targets), int(interval))

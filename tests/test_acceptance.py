@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obsprune import pipeline, schedules
+from obsprune import pipeline
 from obsprune.cli import main as cli_main
 from obsprune.fisher import FisherConfig, build_fisher_inverse
 from obsprune.obs_core import (
@@ -240,9 +240,8 @@ def test_criterion_09_sweep_emits_exact_monotone_checkpoints():
         fisher=FisherConfig(block_size=16, dampening=1e-8, num_grads=4096),
         nm=None, recomputations=1, per_layer=False, threads=1,
     )
-    plan = schedules.plan_sweep([0.5, 0.6, 0.75, 0.8, 0.9], 10)
     report, checkpoints = pipeline.run_gradual(
-        model, spec, plan, LrSchedule(5e-3, 1e-4, 10)
+        model, spec, (0.5, 0.6, 0.75, 0.8, 0.9), 10, LrSchedule(5e-3, 1e-4, 10)
     )
     assert len(checkpoints) == 5
     prev_zero = np.zeros(total, dtype=bool)

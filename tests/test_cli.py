@@ -554,6 +554,27 @@ class TestToyAndSweep:
         assert len(events) >= 5
         assert csv_path.read_text() == "\n".join(["step,field,value", *events]) + "\n"
 
+    @pytest.mark.parametrize("extra", [(), ("--per-layer",), ("--recompute", "2"),
+                                       ("--loss", "logistic")],
+                             ids=["global", "per-layer", "recompute", "logistic"])
+    @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
+    def test_a_one_shot_toy_is_a_one_target_sweep(self, tmp_path, method, extra):
+        """``toy --sparsity s --recovery r`` and ``sweep --targets s
+        --interval r`` at one period print the same report, and the toy's
+        container is the sweep's checkpoint byte for byte."""
+        common = ["--seed", "6", "--dims", "6,10,4", "--steps", "40", "--method", method,
+                  "--block-size", "8", "--period", "5", *extra]
+        toy_out, prefix = tmp_path / "toy.ovpt", tmp_path / "cp"
+        code, toy = run_cli("toy", *common, "--sparsity", "0.6", "--recovery", "7",
+                            "--out", str(toy_out))
+        assert code == 0
+        code, sweep = run_cli("sweep", *common, "--targets", "0.6", "--interval", "7",
+                              "--out", str(prefix))
+        assert code == 0
+        report, checkpoint = sweep.rsplit("\n", 2)[:2]
+        assert (report + "\n", checkpoint) == (toy, f"checkpoint\t0.6\t{prefix}.0.6.ovpt")
+        assert toy_out.read_bytes() == pathlib.Path(f"{prefix}.0.6.ovpt").read_bytes()
+
     def test_divergent_learning_rate_exits_three(self):
         code, _ = run_cli(
             "toy", "--seed", "7", "--dims", "6,8,4", "--steps", "60",
@@ -563,13 +584,18 @@ class TestToyAndSweep:
         assert code == 3
 
 
-def count_gradient_rows(monkeypatch):
-    """Counts the per-sample gradient collections of a run."""
+def count_calls(monkeypatch, module, name):
+    """Counts the calls of ``module.name`` during a run."""
     calls = []
-    real = pipeline.collect_grads
-    monkeypatch.setattr(pipeline, "collect_grads",
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
+
+
+def count_gradient_rows(monkeypatch):
+    """Counts the per-sample gradient collections of a run."""
+    return count_calls(monkeypatch, pipeline, "collect_grads")
 
 
 class TestSkippedSubSteps:
@@ -613,6 +639,32 @@ class TestSkippedSubSteps:
         (skipped_calls, *skipped), (full_calls, *full) = runs
         assert (skipped_calls, full_calls) == (3, 4)
         assert skipped == full
+
+    def test_each_sub_step_flattens_and_resolves_pools_once(self, tmp_path, monkeypatch):
+        """Four sub-steps, the third skipped: four flattens and four pool
+        resolutions, rows made three times."""
+        from obsprune import pruners
+
+        flattens = count_calls(monkeypatch, pruners, "flatten_layers")
+        pools = count_calls(monkeypatch, pruners, "_pools")
+        rows = count_gradient_rows(monkeypatch)
+        code, _ = run_cli("sweep", "--seed", "3", "--dims", "6,10,4", "--steps", "40",
+                          "--targets", "0.5,0.75", "--interval", "5", "--recompute", "2",
+                          "--block-size", "8", "--out", str(tmp_path / "cp"))
+        assert code == 0
+        assert (len(flattens), len(pools), len(rows)) == (4, 4, 3)
+
+
+def test_a_sweep_evaluates_each_loss_once(tmp_path, monkeypatch):
+    """A three-event sweep evaluates the trained model's loss twice (the
+    ``train`` line and the first event's loss before) and each event's
+    pruned loss once; an event's post-recovery loss is its recovery's."""
+    calls = count_calls(monkeypatch, pipeline, "model_loss")
+    code, _ = run_cli("sweep", "--seed", "3", "--dims", "6,10,4", "--steps", "40",
+                      "--targets", "0.25,0.5,0.75", "--interval", "5", "--block-size", "8",
+                      "--out", str(tmp_path / "cp"))
+    assert code == 0
+    assert len(calls) == 5
 
 
 class TestGolden:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import obsprune
-from obsprune import fisher, pipeline, schedules, solver
+from obsprune import fisher, pipeline, solver
 from obsprune.fisher import FisherConfig
 from obsprune.pruners import PrunerSpec
 from obsprune.tensorstore import GradientSet, TensorContainer, write_container
@@ -161,7 +161,7 @@ def test_sweep_frees_each_sub_steps_rows_before_its_solve(monkeypatch):
     alive = alive_at_each_pass(monkeypatch, calls)
     model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
     spec = PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), recomputations=2)
-    pipeline.run_gradual(model, spec, schedules.plan_sweep((0.5, 0.75, 0.9), 5))
+    pipeline.run_gradual(model, spec, (0.5, 0.75, 0.9), 5)
     assert len(calls) >= 3 and all(len(refs) > 4 for refs in calls)  # 4 factors, then formed
     assert alive == [0] * len(calls)
 
@@ -176,7 +176,8 @@ def test_toy_nm_prune_frees_its_rows_before_its_solve(monkeypatch):
     monkeypatch.setattr(pipeline, "run_pruner",
                         lambda *args, **kwargs: entries.append(1) or real(*args, **kwargs))
     model = pipeline.toy_train(5, (12, 16, 6), steps=30, lr=0.05)
-    pipeline.run_oneshot(model, PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), nm=(2, 4)))
+    pipeline.run_gradual(model, PrunerSpec("ovit", FisherConfig(16, 1e-6, 64), nm=(2, 4)),
+                         (None,), 0)
     assert entries == [1]
     assert len(calls) == 1 and len(calls[0]) > 4 and alive == [0]
 
@@ -198,6 +199,6 @@ def test_toy_rows_are_formed_one_sub_batch_at_a_time(monkeypatch):
     for method in ("ovit", "gm"):  # gm prices its prune with loss_increase
         model = pipeline.toy_train(5, (48, 96, 24), steps=20, lr=0.05)
         spec = PrunerSpec(method, FisherConfig(16, 1e-6, 128), recomputations=2)
-        pipeline.run_gradual(model, spec, schedules.plan_sweep((0.5, 0.75), 5))
+        pipeline.run_gradual(model, spec, (0.5, 0.75), 5)
     assert sizes and max(sizes) <= fisher.CHUNK_VALUES
     assert sum(sizes) > 128 * 96 * 48  # more than layer 0's rows, formed

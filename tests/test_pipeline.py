@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from obsprune import cli, pipeline
 from obsprune.fisher import FisherConfig, iter_block_inverses
-from obsprune.pruners import PrunerSpec
-from obsprune.schedules import LrSchedule, plan_sweep
+from obsprune.pruners import PrunerSpec, run_pruner
+from obsprune.schedules import LrSchedule
 from obsprune.tensorstore import GradientSet
 from reference_rows import per_sample_gradients
 
@@ -393,7 +393,7 @@ class TestQuadraticToy:
             model = pipeline.make_quadratic_toy(seed, d=16, n_base=40)
             base = pipeline.model_loss(model)
             spec = ovit_spec(block_size=16)
-            report = pipeline.run_oneshot(model, spec, sparsity=0.5)
+            report, _ = pipeline.run_gradual(model, spec, (0.5,), 0)
             true_inc = pipeline.model_loss(model) - base
             assert report.events[0].predicted_increase == pytest.approx(
                 true_inc, abs=1e-6, rel=1e-6
@@ -403,7 +403,7 @@ class TestQuadraticToy:
 class TestRunModes:
     def test_oneshot_reports_sparsity_and_masks(self):
         model = pipeline.toy_train(53, (6, 8, 4), steps=80, lr=0.05)
-        report = pipeline.run_oneshot(model, ovit_spec(), sparsity=0.5)
+        report, _ = pipeline.run_gradual(model, ovit_spec(), (0.5,), 0)
         ev = report.events[0]
         total = sum(v.size for v in report.final_masks.values())
         zeros = sum(int((v == 0).sum()) for v in report.final_masks.values())
@@ -416,7 +416,7 @@ class TestRunModes:
     def test_recovery_lowers_the_post_prune_loss(self):
         model = pipeline.toy_train(59, (8, 12, 4), steps=150, lr=0.05)
         schedule = LrSchedule(5e-3, 1e-4, 20)
-        report = pipeline.run_oneshot_finetune(model, ovit_spec(), 0.5, 40, schedule)
+        report, _ = pipeline.run_gradual(model, ovit_spec(), (0.5,), 40, schedule)
         ev = report.events[0]
         assert ev.post_recovery_loss < ev.loss_after
         # recovery must not resurrect pruned weights
@@ -424,18 +424,22 @@ class TestRunModes:
             assert (model.weights[k][m.reshape(model.weights[k].shape) == 0] == 0).all()
 
     def test_zero_recovery_steps_reduces_to_oneshot(self):
-        a = pipeline.toy_train(61, (5, 6, 2), steps=50, lr=0.05)
-        b = pipeline.toy_train(61, (5, 6, 2), steps=50, lr=0.05)
-        ra = pipeline.run_oneshot(a, ovit_spec(), sparsity=0.4)
-        rb = pipeline.run_oneshot_finetune(b, ovit_spec(), 0.4, 0, LrSchedule())
-        for k in ra.final_weights:
-            assert ra.final_weights[k].tobytes() == rb.final_weights[k].tobytes()
+        """An event with no recovery leaves the prune's weights byte for
+        byte, and its post-recovery loss is its post-prune loss."""
+        model = pipeline.toy_train(61, (5, 6, 2), steps=50, lr=0.05)
+        spec = ovit_spec()
+        rows = pipeline.collect_grads(model, model.num_samples)
+        pruned = run_pruner(spec, model.weights, rows, sparsity=0.4)
+        report, _ = pipeline.run_gradual(model, spec, (0.4,), 0)
+        flat = np.concatenate([w.reshape(-1) for w in report.final_weights.values()])
+        assert flat.tobytes() == pruned.new_weights.tobytes()
+        ev = report.events[0]
+        assert ev.post_recovery_loss == ev.loss_after == report.final_loss
 
     def test_gradual_masks_grow_and_checkpoints_match_targets(self):
         model = pipeline.toy_train(67, (10, 16, 5), steps=120, lr=0.05)
-        plan = plan_sweep([0.25, 0.5, 0.75], 10)
         report, checkpoints = pipeline.run_gradual(
-            model, ovit_spec(), plan, LrSchedule(5e-3, 1e-4, 10)
+            model, ovit_spec(), (0.25, 0.5, 0.75), 10, LrSchedule(5e-3, 1e-4, 10)
         )
         assert [t for t, _, _ in checkpoints] == [0.25, 0.5, 0.75]
         prev_zero = None
@@ -450,9 +454,9 @@ class TestRunModes:
 
     def test_report_lines_are_deterministic(self):
         a = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)
-        ra = pipeline.run_oneshot(a, ovit_spec(), sparsity=0.5)
+        ra, _ = pipeline.run_gradual(a, ovit_spec(), (0.5,), 0)
         b = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)
-        rb = pipeline.run_oneshot(b, ovit_spec(), sparsity=0.5)
+        rb, _ = pipeline.run_gradual(b, ovit_spec(), (0.5,), 0)
         assert cli.report_lines(ra) == cli.report_lines(rb)
         assert cli.report_csv(ra) == cli.report_csv(rb)
 
@@ -466,7 +470,7 @@ class TestDirectional:
         """90% one-shot on the tanh toy: four Fisher recomputations track
         the moving curvature and beat a single computation on nearly every
         seed (50/50 in the pinning run)."""
-        from obsprune.pruners import run_pruner, split_by_layer
+        from obsprune.pruners import split_by_layer
 
         def final_loss(seed, recompute):
             m = pipeline.toy_train(seed, (16, 24, 8), steps=150, lr=0.05)
@@ -499,11 +503,10 @@ class TestDirectional:
         wins = 0
         for seed in range(n):
             mg = pipeline.toy_train(seed, (16, 24, 8), steps=200, lr=0.05)
-            plan = plan_sweep(list(targets), interval)
-            rg, _ = pipeline.run_gradual(mg, ovit_spec(), plan, sched)
+            rg, _ = pipeline.run_gradual(mg, ovit_spec(), targets, interval, sched)
             mo = pipeline.toy_train(seed, (16, 24, 8), steps=200, lr=0.05)
-            ro = pipeline.run_oneshot_finetune(
-                mo, ovit_spec(), targets[-1], len(targets) * interval, sched
+            ro, _ = pipeline.run_gradual(
+                mo, ovit_spec(), targets[-1:], len(targets) * interval, sched
             )
             wins += rg.final_loss <= ro.final_loss + 1e-12
         assert wins >= int(n * 0.7)

@@ -25,7 +25,7 @@ def schedule_from_config(cfg):
 def checkpoint_steps(plan):
     """(step, target) where each checkpoint is emitted: one recovery window
     after its event."""
-    return [(step + plan.interval, t) for step, t in plan.events()]
+    return [((i + 1) * plan.interval, t) for i, t in enumerate(plan.targets)]
 
 
 class TestCyclicLr:
@@ -66,9 +66,8 @@ class TestCyclicLr:
 class TestSweepPlan:
     def test_events_and_checkpoints(self):
         plan = plan_sweep([0.5, 0.75, 0.9], 20)
-        assert plan.events() == [(0, 0.5), (20, 0.75), (40, 0.9)]
+        assert (plan.targets, plan.interval) == ((0.5, 0.75, 0.9), 20)
         assert checkpoint_steps(plan) == [(20, 0.5), (40, 0.75), (60, 0.9)]
-        assert plan.total_steps == 60
 
     def test_targets_must_increase(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ import argparse
 import os
 import sys
 import warnings
-from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .tensorstore import (
     ContainerError,
     GradientSet,
     TensorContainer,
-    Tensor,
     grads_name,
     layer_ids,
     mask_name,
@@ -77,8 +75,7 @@ def _fmt(v: float) -> str:
 
 def _parse_nm(text: str) -> tuple[int, int]:
     try:
-        n_s, m_s = text.split(":")
-        n, m = int(n_s), int(m_s)
+        n, m = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N:M like 2:4, got {text!r}")
     if not 0 < n < m:
@@ -106,7 +103,7 @@ def _parse_targets(text: str) -> tuple[float, ...]:
 def _add_fisher_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                    help=f"Fisher block size (default {DEFAULT_BLOCK_SIZE})")
-    p.add_argument("--damp", type=float, default=None,
+    p.add_argument("--damp", type=float,
                    help="dampening lambda (default 1e-8; 1e-6 for wf)")
     p.add_argument("--num-grads", type=int, default=DEFAULT_NUM_GRADS,
                    help=f"cap on gradient rows used (default {DEFAULT_NUM_GRADS})")
@@ -119,13 +116,13 @@ def _add_fisher_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr-max", type=float, default=None)
-    p.add_argument("--lr-min", type=float, default=None)
-    p.add_argument("--period", type=int, default=None,
+    p.add_argument("--lr-max", type=float)
+    p.add_argument("--lr-min", type=float)
+    p.add_argument("--period", type=int,
                    help="cycle length T (default: the sweep interval)")
     p.add_argument("--acyclic", action="store_true",
                    help="single linear decay instead of cycling")
-    p.add_argument("--config", default=None,
+    p.add_argument("--config",
                    help="key-value config file (lr.*, sweep.*); flags win, but "
                         "--sparsity or --nm next to sweep.targets is an error")
 
@@ -185,7 +182,7 @@ def _load_weight_layers(path: str):
     for lid in ids:
         t = box[weight_name(lid)]
         weights[lid] = t.array().astype(np.float64)
-        dtypes[lid] = t.dtype
+        dtypes[lid] = t.data.dtype
         pname = prunable_name(lid)
         if pname in box:
             prunable[lid] = box[pname].array().astype(bool)
@@ -207,63 +204,54 @@ def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
     return out
 
 
-def _write_pruned(path: str, ids, result, dtypes) -> None:
-    from .pruners import split_by_layer
-
-    weights = split_by_layer(result.new_weights, result.layout)
-    masks = split_by_layer(result.mask, result.layout)
+def _write_model(path: str, weights, masks) -> None:
+    """One container of every layer's weights, at their own dtype, each
+    followed by the layer's u8 mask if ``masks`` has one."""
     box = TensorContainer()
-    np_dtype = {"f32": np.float32, "f64": np.float64}
-    for lid in ids:
-        box.add(weight_name(lid), weights[lid].astype(np_dtype[dtypes[lid]]))
-        box.add(mask_name(lid), Tensor.from_array(masks[lid].astype(np.uint8)))
+    for lid, w in weights.items():
+        box.add(weight_name(lid), w)
+        if lid in masks:
+            box.add(mask_name(lid), masks[lid])
     write_container(path, box)
-
-
-def _print_prune_summary(out, ids, result) -> None:
-    total_zeros = int(np.count_nonzero(result.mask == 0))
-    for lid in ids:
-        out.write(
-            f"{weight_name(lid)}\tsparsity\t{_fmt(result.per_layer_sparsity[lid])}"
-            f"\tpredicted\t{_fmt(result.per_layer_predicted.get(lid, 0.0))}\n"
-        )
-    out.write(
-        f"total\tsparsity\t{_fmt(total_zeros / result.mask.size)}"
-        f"\tpredicted\t{_fmt(result.predicted_loss_increase)}\n"
-    )
 
 
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_prune(args, out) -> int:
-    from .pruners import run_pruner
+    from .pruners import run_pruner, split_by_layer
 
     _check_sparsity(args.sparsity)
     spec = _spec_from_args(args)
     ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
     grads = _load_grad_layers(args.grads, ids) if args.grads else None
     result = run_pruner(spec, weights, grads, sparsity=args.sparsity, prunable=prunable)
-    _write_pruned(args.out, ids, result, dtypes)
-    _print_prune_summary(out, ids, result)
+    pruned = split_by_layer(result.new_weights, result.layout)
+    _write_model(args.out, {lid: pruned[lid].astype(dtypes[lid]) for lid in ids},
+                 split_by_layer(result.mask, result.layout))
+    for lid in ids:
+        out.write(
+            f"{weight_name(lid)}\tsparsity\t{_fmt(result.per_layer_sparsity[lid])}"
+            f"\tpredicted\t{_fmt(result.per_layer_predicted.get(lid, 0.0))}\n"
+        )
+    out.write(
+        f"total\tsparsity\t{_fmt(np.count_nonzero(result.mask == 0) / result.mask.size)}"
+        f"\tpredicted\t{_fmt(result.predicted_loss_increase)}\n"
+    )
     return 0
 
 
 def cmd_eval(args, out) -> int:
     if not (args.damp > 0.0 and np.isfinite(args.damp)):
         raise UsageError(f"--damp must be positive and finite, got {args.damp}")
-    before_box = read_container(args.weights_before)
+    ids, before, _, _ = _load_weight_layers(args.weights_before)
     after_box = read_container(args.weights_after)
-    ids = layer_ids(before_box)
-    if not ids:
-        raise ContainerError(f"{args.weights_before}: no layer.<id>.weight entries")
     grads = _load_grad_layers(args.grads, ids)
     total_pred = 0.0
     total_zeros = 0
     total_size = 0
     violations = 0
     csv_rows = ["layer,predicted,sparsity"]
-    for lid in ids:
-        wb = before_box[weight_name(lid)].array().astype(np.float64)
+    for lid, wb in before.items():
         wname = weight_name(lid)
         if wname not in after_box:
             raise ContainerError(f"{args.weights_after}: missing {wname}")
@@ -281,7 +269,7 @@ def cmd_eval(args, out) -> int:
         zeros = int(np.count_nonzero(mask == 0))
         sparsity = zeros / mask.size
         if args.nm is not None:
-            violations += nm_violations(mask, args.nm[0], args.nm[1])
+            violations += nm_violations(mask, *args.nm)
         out.write(f"{wname}\tpredicted\t{_fmt(pred)}\tsparsity\t{_fmt(sparsity)}\n")
         csv_rows.append(f"{wname},{_fmt(pred)},{_fmt(sparsity)}")
         total_pred += pred
@@ -298,24 +286,13 @@ def cmd_eval(args, out) -> int:
     return 1 if violations else 0
 
 
-def _write_model_container(path: str, weights, masks) -> None:
-    box = TensorContainer()
-    for lid, w in weights.items():
-        box.add(weight_name(lid), w.astype(np.float64))
-        if masks and lid in masks:
-            box.add(mask_name(lid), masks[lid].astype(np.uint8))
-    write_container(path, box)
-
-
-def _event_rows(report) -> Iterator[tuple[int, str, str]]:
+def _event_rows(report) -> list[tuple[int, str, str]]:
     """(step, field, formatted value) for every event of a
-    ``pipeline.RunReport``, in report order."""
-    for ev in report.events:
-        yield ev.step, "sparsity", _fmt(ev.sparsity)
-        yield ev.step, "loss_before", _fmt(ev.loss_before)
-        yield ev.step, "loss_after", _fmt(ev.loss_after)
-        yield ev.step, "predicted_increase", _fmt(ev.predicted_increase)
-        yield ev.step, "post_recovery_loss", _fmt(ev.post_recovery_loss)
+    ``pipeline.RunReport``, in report order; each field is named as the
+    ``pipeline.EventRecord`` attribute it reports."""
+    fields = ("sparsity", "loss_before", "loss_after", "predicted_increase",
+              "post_recovery_loss")
+    return [(ev.step, name, _fmt(getattr(ev, name))) for ev in report.events for name in fields]
 
 
 def report_lines(report) -> list[str]:
@@ -341,7 +318,10 @@ def report_csv(report) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
+def cmd_toy(args, out) -> int:
+    """``toy`` and ``sweep``: train the toy, run its one-shot prune or
+    sweep, print the report, and write the final model (``toy --out``) or
+    every checkpoint (``sweep``)."""
     from . import pipeline, schedules
 
     try:
@@ -355,7 +335,7 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
         for flag, value in (("--sparsity", args.sparsity), ("--nm", nm)):
             if value is not None:
                 raise UsageError(f"{flag} conflicts with sweep.targets in --config")
-    if require_targets and targets is None:
+    if args.command == "sweep" and targets is None:
         raise UsageError("a sweep needs --targets")
     recovery = getattr(args, "recovery", None)  # sweep has no such flag
     if targets is not None and recovery is not None:
@@ -397,36 +377,29 @@ def _run_toy(args, out, require_targets: bool) -> tuple[int, object]:
     report, checkpoints = pipeline.run_gradual(
         model, spec, targets, interval, sched, acyclic=args.acyclic
     )
-    if args.extra_recovery:
-        extra = (args.steps * 100) // 300
-        if extra > 0:
-            report.final_loss = pipeline.train_model(
-                model, extra, lambda t: schedules.lr_at(sched, t),
-                masks=report.final_masks,
-            )
-            report.final_weights = model.copy_weights()
+    extra = (args.steps * 100) // 300 if args.extra_recovery else 0
+    if extra:  # the last window, longer on the run's own clock, ends in the last checkpoint
+        span = len(targets) * interval
+        target, _, masks = checkpoints[-1]
+        report.final_loss = pipeline.train_model(
+            model, extra, schedules.recovery_lr(sched, args.acyclic, span),
+            masks=masks, start_step=span,
+        )
+        checkpoints[-1] = (target, model.copy_weights(), masks)
     for line in report_lines(report):
         out.write(line + "\n")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report_csv(report))
-    return 0, (report, checkpoints)
-
-
-def cmd_toy(args, out) -> int:
-    code, (report, _) = _run_toy(args, out, require_targets=False)
-    if args.out:
-        _write_model_container(args.out, report.final_weights, report.final_masks)
-    return code
-
-
-def cmd_sweep(args, out) -> int:
-    code, (report, checkpoints) = _run_toy(args, out, require_targets=True)
+    if args.command == "toy":
+        if args.out:
+            _write_model(args.out, *checkpoints[-1][1:])
+        return 0
     for target, weights, masks in checkpoints:
         path = f"{args.out}.{target:g}.ovpt"
-        _write_model_container(path, weights, masks)
+        _write_model(path, weights, masks)
         out.write(f"checkpoint\t{_fmt(target)}\t{path}\n")
-    return code
+    return 0
 
 
 def cmd_oracle(args, out) -> int:
@@ -461,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="prune a weight container against gradient rows")
     p.add_argument("--weights", required=True, help="container with layer.<id>.weight")
-    p.add_argument("--grads", default=None, help="container with layer.<id>.grads")
+    p.add_argument("--grads", help="container with layer.<id>.grads")
     p.add_argument("--method", choices=("gm", "wf", "ovit"), required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sparsity", type=float, default=None)
-    group.add_argument("--nm", type=_parse_nm, default=None, metavar="N:M")
+    group.add_argument("--sparsity", type=float)
+    group.add_argument("--nm", type=_parse_nm, metavar="N:M")
     _add_fisher_flags(p)
     p.add_argument("--out", required=True, help="output container path")
     p.set_defaults(fn=cmd_prune)
@@ -475,38 +448,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-after", required=True)
     p.add_argument("--grads", required=True)
     p.add_argument("--damp", type=float, default=DAMPENING_DEFAULTS["ovit"])
-    p.add_argument("--nm", type=_parse_nm, default=None, metavar="N:M",
+    p.add_argument("--nm", type=_parse_nm, metavar="N:M",
                    help="also check n:m mask compliance")
-    p.add_argument("--csv", default=None)
+    p.add_argument("--csv")
     p.set_defaults(fn=cmd_eval)
 
-    for name, help_text, fn, need_out in (
-        ("toy", "train a toy, prune it, recover", cmd_toy, False),
-        ("sweep", "gradual sparsity sweep on the toy; one checkpoint per target",
-         cmd_sweep, True),
+    for name, help_text, need_out in (
+        ("toy", "train a toy, prune it, recover", False),
+        ("sweep", "gradual sparsity sweep on the toy; one checkpoint per target", True),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_toy_flags(p)
         p.add_argument("--method", choices=("gm", "wf", "ovit"), default="ovit")
-        p.add_argument("--sparsity", type=float, default=None)
-        p.add_argument("--targets", type=_parse_targets, default=None)
-        p.add_argument("--interval", type=int, default=None,
+        p.add_argument("--sparsity", type=float)
+        p.add_argument("--targets", type=_parse_targets)
+        p.add_argument("--interval", type=int,
                        help="steps between sweep events (default 20)")
         if name == "toy":
-            p.add_argument("--recovery", type=int, default=None,
+            p.add_argument("--recovery", type=int,
                            help=f"recovery steps after a one-shot prune "
                                 f"(default {DEFAULT_RECOVERY})")
-            p.add_argument("--nm", type=_parse_nm, default=None, metavar="N:M")
+            p.add_argument("--nm", type=_parse_nm, metavar="N:M")
         p.add_argument("--extra-recovery", action="store_true",
                        help="append steps*100/300 extra recovery steps")
         _add_fisher_flags(p)
         _add_schedule_flags(p)
         p.add_argument("--out", required=need_out,
-                       default=None if not need_out else None,
                        help="output container path prefix" if need_out
                        else "write final weights+masks here")
-        p.add_argument("--csv", default=None)
-        p.set_defaults(fn=fn)
+        p.add_argument("--csv")
+        p.set_defaults(fn=cmd_toy)
 
     p = sub.add_parser("oracle")  # internal: no help kwarg keeps it out of --help
     p.add_argument("--seed", type=int, default=0)
@@ -530,11 +501,8 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
         # cross-flag validation that argparse groups cannot express
         if args.command in ("toy", "sweep"):
-            chosen = [
-                x is not None
-                for x in (args.sparsity, args.targets, getattr(args, "nm", None))
-            ]
-            if sum(chosen) > 1:
+            chosen = (args.sparsity, args.targets, getattr(args, "nm", None))
+            if sum(x is not None for x in chosen) > 1:
                 parser.error("--sparsity, --targets and --nm are mutually exclusive")
         if args.command == "prune" and args.recompute > 1:
             parser.error("prune reads one fixed gradient file, so --recompute above 1 "
@@ -544,7 +512,7 @@ def main(argv=None, out=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            return int(args.fn(args, out))
+            return args.fn(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

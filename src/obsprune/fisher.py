@@ -154,20 +154,12 @@ class FisherBlockInverse:
     def global_dim(self) -> int:
         return int(self.offsets[-1])
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_of(self, i: int) -> tuple[int, int]:
         """Map a global index to (block id, index within block)."""
         if not 0 <= i < self.global_dim:
             raise IndexError(f"index {i} out of range for dim {self.global_dim}")
         b = int(np.searchsorted(self.offsets, i, side="right") - 1)
         return b, int(i - self.offsets[b])
-
-    def diagonal(self) -> np.ndarray:
-        """Global inverse diagonal (unclamped)."""
-        return np.concatenate([np.diagonal(b) for b in self.blocks])
 
 
 def _fill_blocks(rows3: np.ndarray, lam: float, out: np.ndarray) -> None:

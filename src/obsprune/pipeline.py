@@ -36,7 +36,7 @@ import numpy as np
 
 from .obs_core import NumericalError
 from .pruners import PrunerSpec, run_pruner, split_by_layer
-from .schedules import LrSchedule, lr_at
+from .schedules import LrSchedule, recovery_lr
 from .tensorstore import GradientSet
 
 
@@ -303,11 +303,9 @@ def toy_train(
     n_samples: int = 256,
     noise: float = 0.1,
     loss: str = "mse",
-    input_corr: float = 0.0,
 ) -> ToyModel:
     """Build a seeded toy and train it; deterministic given the arguments."""
-    model = make_toy(seed, dims, n_samples=n_samples, noise=noise, loss=loss,
-                     input_corr=input_corr)
+    model = make_toy(seed, dims, n_samples=n_samples, noise=noise, loss=loss)
     train_model(model, steps, lr)
     return model
 
@@ -326,18 +324,12 @@ class EventRecord:
 
 @dataclass
 class RunReport:
+    """A run's events, final loss and per-layer sparsity; its final weights
+    and masks are its last checkpoint's."""
+
     events: list[EventRecord] = field(default_factory=list)
     final_loss: float = float("nan")
-    final_weights: dict[str, np.ndarray] = field(default_factory=dict)
-    final_masks: dict[str, np.ndarray] = field(default_factory=dict)
     per_layer_sparsity: dict[str, float] = field(default_factory=dict)
-
-
-def _make_lr_fn(schedule: LrSchedule, acyclic: bool, total_steps: int):
-    if not acyclic:
-        return lambda t: lr_at(schedule, t)
-    span = max(total_steps, 1)
-    return lambda t: schedule.lr_max - (schedule.lr_max - schedule.lr_min) * min(t, span) / span
 
 
 def run_gradual(
@@ -365,7 +357,7 @@ def run_gradual(
     checkpoints = []
     pinned = np.empty(0, dtype=np.int64)
     cap = min(spec.fisher.num_grads, model.num_samples)
-    lr_fn = _make_lr_fn(schedule, acyclic, len(targets) * interval)
+    lr_fn = recovery_lr(schedule, acyclic, len(targets) * interval)
     loss = model_loss(model)
     for i, target in enumerate(targets):
         # the rows are made inside the prune, so its build holds them alone
@@ -386,7 +378,5 @@ def run_gradual(
         checkpoints.append((target, model.copy_weights(),
                             {k: v.copy() for k, v in masks.items()}))
         report.per_layer_sparsity = dict(result.per_layer_sparsity)
-        report.final_masks = masks
     report.final_loss = loss
-    report.final_weights = model.copy_weights()
     return report, checkpoints

@@ -5,8 +5,9 @@ flattened row-major. A pool is a weight range [lo, hi) with its own zero
 count k: one over all weights, or one per layer in per-layer mode. Every
 method chooses what it prunes with ``select_in_pools``, from records of
 (global index, score, pinned): ``ovit``'s elimination steps and
-``gm``/``wf``'s per-weight scores. A result's predicted total is the
-left-to-right sum of its pools' costs (``pooled_sums``).
+``gm``/``wf``'s per-weight scores. Every method sums each layer's and
+each pool's costs, and then the pools' sums, left to right
+(``pooled_sums``).
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 def pooled_sums(
     starts: np.ndarray, costs: np.ndarray, layout: Sequence[LayerLayout], pools: Sequence[Pool],
-    add=_sum_in_order,
 ) -> tuple[dict[str, float], float]:
     """Per-layer and total cost of ``costs`` at ascending global indices
-    ``starts``: each layer's and each pool's costs are summed by ``add``,
-    and the total is the left-to-right sum of the pools' sums."""
+    ``starts``: each layer's and each pool's costs, and then the pools'
+    sums, are added left to right."""
     ranges = [(lay.offset, lay.offset + lay.size) for lay in layout] + [(p.lo, p.hi) for p in pools]
-    sums = [add(costs[lo:hi]) for lo, hi in np.searchsorted(starts, ranges)]
+    sums = [_sum_in_order(costs[lo:hi]) for lo, hi in np.searchsorted(starts, ranges)]
     per_layer = dict(zip((lay.name for lay in layout), sums))
     return per_layer, _sum_in_order(np.array(sums[len(layout) :]))

@@ -160,9 +160,9 @@ def _prune_frozen(
     layout: tuple[LayerLayout, ...], grads: GradMap | None, stacks: Iterator[np.ndarray] | None,
 ) -> PruneResult:
     """gm and wf (see the module docstring): score every prunable weight
-    once and select in every pool. wf's costs are its selected scores, each
-    pool's summed pairwise (``np.sum``); gm's cost per layer is the
-    quadratic model's when gradient rows are given, else 0."""
+    once and select in every pool. wf's costs are its selected scores; gm's
+    cost per layer is the quadratic model's when gradient rows are given,
+    else 0."""
     if spec.method == "wf":
         stacks = list(stacks)
         diag = np.maximum(np.concatenate([np.diagonal(s, axis1=1, axis2=2) for s in stacks],
@@ -186,8 +186,7 @@ def _prune_frozen(
             new_w[sl] -= np.matmul(stack, coef[sl].reshape(nb, bs, 1)).reshape(-1)
             lo = sl.stop
         new_w[selected] = 0.0
-        per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools,
-                                           lambda v: float(v.sum()))
+        per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools)
     else:
         new_w[selected] = 0.0
         costs = np.zeros(len(layout))
@@ -204,25 +203,16 @@ def _prune_frozen(
 
 def _pools(
     spec: PrunerSpec, layout: Sequence[LayerLayout], pr: np.ndarray, pin: np.ndarray,
-    sparsity: float | None, k: int | None,
+    sparsity: float,
 ) -> list[Pool]:
-    """One pool over all weights, or one per layer in per-layer mode (which
-    needs a sparsity), each with ``k`` zeros or max(sparsity_to_k(sparsity,
-    P), pinned count) over its P prunable weights."""
-    if spec.per_layer and sparsity is None:
-        raise ValueError("per-layer mode needs a sparsity target")
+    """One pool over all weights, or one per layer in per-layer mode, each
+    with max(sparsity_to_k(sparsity, P), pinned count) zeros over its P
+    prunable weights."""
     ranges = ([(lay.offset, lay.offset + lay.size) for lay in layout] if spec.per_layer
               else [(0, pr.size)])
-    pools = []
-    for lo, hi in ranges:
-        total, n_pinned = int(pr[lo:hi].sum()), int(pin[lo:hi].sum())
-        pool_k = max(sparsity_to_k(sparsity, total), n_pinned) if k is None else k
-        if not 0 <= pool_k <= total:
-            raise ValueError(f"k={pool_k} out of range; {total} weights are prunable")
-        if n_pinned > pool_k:
-            raise ValueError(f"{n_pinned} pinned indices exceed k={pool_k}")
-        pools.append(Pool(lo, hi, pool_k))
-    return pools
+    return [Pool(lo, hi, max(sparsity_to_k(sparsity, int(pr[lo:hi].sum())),
+                             int(pin[lo:hi].sum())))
+            for lo, hi in ranges]
 
 
 # -- the entry ---------------------------------------------------------------
@@ -236,20 +226,19 @@ def run_pruner(
     grads: GradMap | GradProvider | None = None,
     *,
     sparsity: float | None = None,
-    k: int | None = None,
     prunable: Mapping[str, np.ndarray] | None = None,
     pinned: Sequence[int] = (),
 ) -> PruneResult:
     """Prune ``weights`` with the configured method.
 
-    Exactly one of ``sparsity``, ``k`` or ``spec.nm`` chooses the target;
+    Exactly one of ``sparsity`` or ``spec.nm`` chooses the target;
     ``spec.per_layer`` applies ``sparsity`` to every layer as its own pool
     instead of to one global pool. ``grads`` maps every layer to its
     gradient set, or is a provider that makes that map from the weights
     a sub-step starts at.
 
-    The target is reached in R = ``spec.recomputations`` sub-steps, so R > 1
-    needs a sparsity (ValueError otherwise). Sub-step t targets
+    The target is reached in R = ``spec.recomputations`` sub-steps (an n:m
+    pattern takes one; see ``PrunerSpec``). Sub-step t targets
     s_t = 1 - (1-s)^(t/R) (geometric keep-ratio decay), counted from zero
     rather than from the sparsity the pins already reach; it pins the zeros
     of the sub-step before it and builds its inverse from the rows
@@ -264,14 +253,9 @@ def run_pruner(
     solve and so no clamp warning, and its result is the pins' mask and
     the weights, each pin written as +0.0.
     """
+    if (sparsity is None) == (spec.nm is None):
+        raise ValueError("need one target: a sparsity and an n:m pattern are mutually exclusive")
     r = spec.recomputations
-    if spec.nm is not None:
-        if sparsity is not None or k is not None:
-            raise ValueError("an n:m pattern and a sparsity/k target are mutually exclusive")
-    elif (sparsity is None) == (k is None):
-        raise ValueError("exactly one of sparsity or k is required")
-    elif r > 1 and sparsity is None:
-        raise ValueError(f"{r} recomputation sub-steps need a sparsity target, not k")
     provide = grads if callable(grads) else lambda _w: grads
     wmap = {"weights": weights} if isinstance(weights, np.ndarray) else weights
     pinned = np.asarray(pinned, dtype=np.int64)
@@ -281,7 +265,7 @@ def run_pruner(
             wmap = split_by_layer(result.new_weights, result.layout)
             pinned = np.flatnonzero(result.mask == 0)
         s_t = sparsity if t == r else 1.0 - (1.0 - sparsity) ** (t / r)
-        step = _prune_step(spec, wmap, provide, s_t, k, prunable, pinned)
+        step = _prune_step(spec, wmap, provide, s_t, prunable, pinned)
         if step.mask[pinned].any():
             raise AssertionError("mask monotonicity violated across sub-steps")
         if result is not None:
@@ -295,14 +279,14 @@ def run_pruner(
 
 def _prune_step(
     spec: PrunerSpec, weights: WeightMap, provide: GradProvider, sparsity: float | None,
-    k: int | None, prunable: Mapping[str, np.ndarray] | None, pinned: np.ndarray,
+    prunable: Mapping[str, np.ndarray] | None, pinned: np.ndarray,
 ) -> PruneResult:
     """One sub-step of ``run_pruner``, on the rows ``provide(weights)``
     makes once the target and the pools are resolved. No frame but the
     build's streams holds them, so a provider's rows are freed once their
     layer's last stack is built. Passing the rows themselves would not do:
     CPython 3.10 keeps a call's arguments alive in the caller's frame until
-    the call returns. A sparsity sub-step that would prune only its pins
+    the call returns. A sub-step that would prune only its pins
     (``_pins_only``) returns them before ``provide`` is called."""
     w, pr, layout = flatten_layers(weights, prunable)
     pin = pinned_mask(pinned, pr)
@@ -319,8 +303,8 @@ def _prune_step(
             )
             cfg = replace(cfg, block_size=rounded)
     else:
-        pools = _pools(spec, layout, pr, pin, sparsity, k)
-        if sparsity is not None and pin.any() and _pins_only(w, pin, pools):
+        pools = _pools(spec, layout, pr, pin, sparsity)
+        if pin.any() and _pins_only(w, pin, pools):
             w[pin] = 0.0  # a -0.0 pin comes out as the +0.0 that a prune writes
             return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
                                          dict.fromkeys((lay.name for lay in layout), 0.0), layout)

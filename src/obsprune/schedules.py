@@ -20,6 +20,7 @@ and sweep.interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 DEFAULT_LR_MAX = 5e-4
 DEFAULT_LR_MIN = 1e-5
@@ -49,6 +50,16 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
         raise ValueError(f"step must be >= 0, got {step}")
     frac = (step % schedule.period) / schedule.period
     return schedule.lr_max - (schedule.lr_max - schedule.lr_min) * frac
+
+
+def recovery_lr(schedule: LrSchedule, acyclic: bool, total_steps: int) -> Callable[[int], float]:
+    """The learning rate of step t of a run's recovery: ``lr_at``'s cycle,
+    or with ``acyclic`` one linear decay from lr_max that reaches lr_min at
+    step ``total_steps`` and stays there."""
+    if not acyclic:
+        return lambda t: lr_at(schedule, t)
+    span = max(total_steps, 1)
+    return lambda t: schedule.lr_max - (schedule.lr_max - schedule.lr_min) * min(t, span) / span
 
 
 @dataclass(frozen=True)

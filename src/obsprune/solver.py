@@ -100,7 +100,7 @@ class PassTrace:
     Row b of ``order``, ``cumulative`` and ``states`` describes block b's
     first ``steps[b]`` recorded steps, which are its pinned and greedy
     ones; later entries are padding. ``states`` holds the block weights
-    after each step, or no steps when snapshots were not kept.
+    after each step, or no steps in an n:m pass.
     """
 
     offset: int
@@ -180,7 +180,6 @@ def _eliminate_stack(
     prunable: np.ndarray,
     pinned: np.ndarray,
     nm: tuple[int, int] | None,
-    keep_states: bool,
 ) -> PassTrace:
     """Greedy elimination on a stack of same-size blocks, in lockstep.
 
@@ -189,7 +188,8 @@ def _eliminate_stack(
     ``w``, ``prunable`` and ``pinned`` are (nb, B). Step t eliminates one
     coordinate in every block that still has one to eliminate: its
     pinned coordinates first, then the live eligible coordinate of least
-    saliency.
+    saliency. Without ``nm`` it snapshots the block weights after every
+    step; an n:m solve takes every step, so it needs only the final ones.
     """
     nb, bs = w.shape
     rows = np.arange(nb)
@@ -213,7 +213,7 @@ def _eliminate_stack(
     clamps = np.zeros(nb, dtype=np.int64)
     order = np.zeros((nb, max_steps), dtype=np.int64)
     cumulative = np.zeros((nb, max_steps))
-    states = np.zeros((nb, max_steps if keep_states else 0, bs))
+    states = np.zeros((nb, max_steps if nm is None else 0, bs))
 
     for t in range(max_steps):
         active = t < n_steps
@@ -241,12 +241,12 @@ def _eliminate_stack(
         w[r, iu] = 0.0
         err[r] += wi * wi / (2.0 * pivot[active])
         live[r, iu] = False
-        if nm is not None:
-            counts[r, group[iu]] += 1
         order[r, t] = iu
         cumulative[r, t] = err[r]
-        if keep_states:
+        if nm is None:
             states[r, t] = w[r]
+        else:
+            counts[r, group[iu]] += 1
 
     return PassTrace(offset, order, cumulative, states, w, n_steps, n_forced, clamps)
 
@@ -364,7 +364,6 @@ def eliminate_blocks(
     prunable: np.ndarray,
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
-    keep_states: bool = True,
 ) -> list[PassTrace]:
     """Greedy traces of every block, one ``PassTrace`` per lockstep pass of
     consecutive same-size blocks; warns once if any pivot was clamped.
@@ -406,7 +405,7 @@ def eliminate_blocks(
             _check_frozen(offset, stack, pr)
             passes.append(_eliminate_stack(
                 offset, stack.transpose(0, 2, 1), w[sl].reshape(nb, bs).copy(), pr,
-                pinned[sl].reshape(nb, bs), nm, keep_states,
+                pinned[sl].reshape(nb, bs), nm,
             ))
             offset = end
             del stack  # free this pass before the next one is taken
@@ -602,7 +601,7 @@ def solve_nm(
             raise ValueError(
                 f"layer {lay.name!r} has {lay.size} weights, not divisible by m={m}"
             )
-    passes = eliminate_blocks(w, inv, pr, nm=(n, m), keep_states=False)
+    passes = eliminate_blocks(w, inv, pr, nm=(n, m))
     take = np.concatenate([p.steps for p in passes])
     pruned = _records(passes)[0]
     return _assemble(w, passes, take, pruned, layout, (Pool(0, w.size, pruned.size),))

@@ -176,9 +176,6 @@ class TensorContainer:
             tensor = Tensor.from_array(tensor)
         self.entries[name] = tensor
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name]
 

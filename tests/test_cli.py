@@ -355,7 +355,7 @@ class TestToyAndSweep:
         for target in (0.25, 0.5, 0.75):
             box = read_container(f"{prefix}.{target:g}.ovpt")
             masks = np.concatenate([
-                box[n].array().reshape(-1) for n in box.names() if n.endswith(".mask")
+                box[n].array().reshape(-1) for n in box if n.endswith(".mask")
             ])
             assert (masks == 0).mean() == pytest.approx(target)
 
@@ -574,6 +574,46 @@ class TestToyAndSweep:
         report, checkpoint = sweep.rsplit("\n", 2)[:2]
         assert (report + "\n", checkpoint) == (toy, f"checkpoint\t0.6\t{prefix}.0.6.ovpt")
         assert toy_out.read_bytes() == pathlib.Path(f"{prefix}.0.6.ovpt").read_bytes()
+
+    EXTRA_SWEEP = ("sweep", "--seed", "5", "--dims", "16,32,8", "--steps", "60",
+                   "--targets", "0.5,0.8", "--interval", "10", "--block-size", "16",
+                   "--extra-recovery")
+
+    @pytest.mark.parametrize("acyclic", [(), ("--acyclic",)], ids=["cyclic", "acyclic"])
+    def test_extra_recovery_final_loss_is_the_last_checkpoints(self, tmp_path, acyclic):
+        """The extra steps go into the last checkpoint, so ``final loss``
+        is the loss of the weights that file holds."""
+        prefix = tmp_path / "cp"
+        code, text = run_cli(*self.EXTRA_SWEEP, *acyclic, "--out", str(prefix))
+        assert code == 0
+        final = float(text.split("final\tloss\t")[1].split("\n")[0])
+        box = read_container(f"{prefix}.0.8.ovpt")
+        model = pipeline.make_toy(5, (16, 32, 8))
+        model.weights = {lid: box[f"layer.{lid}.weight"].array() for lid in ("0", "1")}
+        assert abs(pipeline.model_loss(model) - final) < 1e-9
+
+    @pytest.mark.parametrize("acyclic", [False, True], ids=["cyclic", "acyclic"])
+    def test_extra_recovery_goes_on_with_the_runs_learning_rate(self, tmp_path, monkeypatch,
+                                                               acyclic):
+        """Recovery steps t = 0..39 (two windows of 10, then 20 extra) take
+        the cycle of period 10 or, with ``--acyclic``, one decay over the
+        20 sweep steps that then stays at lr_min."""
+        rates = []
+        real = pipeline.train_model
+
+        def recording(model, steps, lr, masks=None, start_step=0):
+            if callable(lr):  # recovery, not the toy's training
+                rates.extend(lr(start_step + t) for t in range(steps))
+            return real(model, steps, lr, masks=masks, start_step=start_step)
+
+        monkeypatch.setattr(pipeline, "train_model", recording)
+        flag = ("--acyclic",) if acyclic else ()
+        code, _ = run_cli(*self.EXTRA_SWEEP, *flag, "--out", str(tmp_path / "cp"))
+        assert code == 0
+        lr_max, lr_min = 5e-4, 1e-5
+        share = [min(t, 20) / 20 if acyclic else (t % 10) / 10 for t in range(40)]
+        assert rates == pytest.approx([lr_max - (lr_max - lr_min) * f for f in share],
+                                      rel=1e-12)
 
     def test_divergent_learning_rate_exits_three(self):
         code, _ = run_cli(

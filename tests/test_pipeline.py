@@ -403,24 +403,25 @@ class TestQuadraticToy:
 class TestRunModes:
     def test_oneshot_reports_sparsity_and_masks(self):
         model = pipeline.toy_train(53, (6, 8, 4), steps=80, lr=0.05)
-        report, _ = pipeline.run_gradual(model, ovit_spec(), (0.5,), 0)
+        report, checkpoints = pipeline.run_gradual(model, ovit_spec(), (0.5,), 0)
         ev = report.events[0]
-        total = sum(v.size for v in report.final_masks.values())
-        zeros = sum(int((v == 0).sum()) for v in report.final_masks.values())
+        masks = checkpoints[-1][2]
+        total = sum(v.size for v in masks.values())
+        zeros = sum(int((v == 0).sum()) for v in masks.values())
         assert ev.sparsity == pytest.approx(zeros / total)
         assert ev.loss_after >= ev.loss_before - 1e-12
         # masked weights really are zero in the model
-        for k, m in report.final_masks.items():
+        for k, m in masks.items():
             assert (model.weights[k][m.reshape(model.weights[k].shape) == 0] == 0).all()
 
     def test_recovery_lowers_the_post_prune_loss(self):
         model = pipeline.toy_train(59, (8, 12, 4), steps=150, lr=0.05)
         schedule = LrSchedule(5e-3, 1e-4, 20)
-        report, _ = pipeline.run_gradual(model, ovit_spec(), (0.5,), 40, schedule)
+        report, checkpoints = pipeline.run_gradual(model, ovit_spec(), (0.5,), 40, schedule)
         ev = report.events[0]
         assert ev.post_recovery_loss < ev.loss_after
         # recovery must not resurrect pruned weights
-        for k, m in report.final_masks.items():
+        for k, m in checkpoints[-1][2].items():
             assert (model.weights[k][m.reshape(model.weights[k].shape) == 0] == 0).all()
 
     def test_zero_recovery_steps_reduces_to_oneshot(self):
@@ -430,8 +431,8 @@ class TestRunModes:
         spec = ovit_spec()
         rows = pipeline.collect_grads(model, model.num_samples)
         pruned = run_pruner(spec, model.weights, rows, sparsity=0.4)
-        report, _ = pipeline.run_gradual(model, spec, (0.4,), 0)
-        flat = np.concatenate([w.reshape(-1) for w in report.final_weights.values()])
+        report, checkpoints = pipeline.run_gradual(model, spec, (0.4,), 0)
+        flat = np.concatenate([w.reshape(-1) for w in checkpoints[-1][1].values()])
         assert flat.tobytes() == pruned.new_weights.tobytes()
         ev = report.events[0]
         assert ev.post_recovery_loss == ev.loss_after == report.final_loss

@@ -95,7 +95,8 @@ class TestFrozenCurvature:
 
         weights, grads = toy_layers(rng, sizes=((6, 6),), n=60)
         flat, _, layout = flatten_layers(weights)
-        res = run_pruner(spec_for("wf", block_size=36), weights, grads, k=1)
+        # one removal: sparsity 1/36 of 36 weights rounds to k = 1
+        res = run_pruner(spec_for("wf", block_size=36), weights, grads, sparsity=1 / 36)
         bare = flat.copy()
         bare[res.mask == 0] = 0.0
         damp = 1e-6
@@ -312,10 +313,17 @@ class TestRecompute:
                 provided.predicted_loss_increase, provided.per_layer_predicted)
         assert mapped.new_weights.tobytes() != once.new_weights.tobytes()
 
-    def test_sub_steps_refuse_a_k_target(self, rng):
+    @pytest.mark.parametrize("provided", [False, True])
+    @pytest.mark.parametrize("nm, sparsity", [(None, None), ((2, 4), 0.5)])
+    def test_needs_exactly_one_target(self, rng, provided, nm, sparsity):
+        """No target, or a sparsity next to an n:m pattern, raises before
+        any rows are asked for."""
         weights, grads = toy_layers(rng)
-        with pytest.raises(ValueError, match="need a sparsity target"):
-            run_pruner(spec_for("ovit", recompute=3), weights, grads, k=10)
+        calls = []
+        given = (lambda w: calls.append(1) or grads) if provided else grads
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            run_pruner(spec_for("ovit", nm=nm), weights, given, sparsity=sparsity)
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["gm", "wf", "ovit"])
     def test_a_sub_step_without_pins_is_never_skipped(self, rng, method):
@@ -423,10 +431,10 @@ def test_wf_compensation_matches_the_per_block_loop(per_layer):
     w, pr, layout = flatten_layers(weights, prunable)
     stacks = layered_inverse_stacks(grads, layout, spec.fisher, pr)
     inv = FisherBlockInverse([blk for stack in stacks for blk in stack], spec.fisher)
-    diag = np.maximum(inv.diagonal(), EPS_FLOOR)
+    diag = np.maximum(np.concatenate([np.diag(b) for b in inv.blocks]), EPS_FLOOR)
     pruned = res.mask == 0
     want = w.copy()
-    for b in range(inv.num_blocks):
+    for b in range(len(inv.blocks)):
         lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
         local = np.flatnonzero(pruned[lo:hi])
         if local.size:

@@ -175,7 +175,7 @@ class TestGlobalMerge:
             w = rng.standard_normal(16)
             res = solve_global(w.copy(), inv, 9)
             zeros = np.flatnonzero(res.mask == 0)
-            for b in range(inv.num_blocks):
+            for b in range(len(inv.blocks)):
                 lo, hi = inv.offsets[b], inv.offsets[b + 1]
                 trace = solve_block(w[lo:hi].copy(), inv.blocks[b], block_id=b)
                 chosen = {int(i - lo) for i in zeros if lo <= i < hi}
@@ -187,7 +187,7 @@ class TestGlobalMerge:
         res = solve_global(w.copy(), inv, 5)
         zeros = np.flatnonzero(res.mask == 0)
         total = 0.0
-        for b in range(inv.num_blocks):
+        for b in range(len(inv.blocks)):
             lo, hi = inv.offsets[b], inv.offsets[b + 1]
             trace = solve_block(w[lo:hi].copy(), inv.blocks[b], block_id=b)
             t = sum(1 for i in zeros if lo <= i < hi)
@@ -201,7 +201,7 @@ class TestGlobalMerge:
         rows, inv = make_inverse(rng, 9, 1)
         w = rng.standard_normal(9)
         res = solve_global(w.copy(), inv, 4)
-        rho = w**2 / (2.0 * inv.diagonal())
+        rho = w**2 / (2.0 * np.concatenate([np.diag(b) for b in inv.blocks]))
         expect = set(np.argsort(rho, kind="stable")[:4])
         assert set(np.flatnonzero(res.mask == 0)) == expect
         # survivors keep their exact original values
@@ -359,9 +359,9 @@ def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
     pin = np.zeros(w.size, dtype=bool) if pinned is None else pinned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCurvatureWarning)
-        passes = eliminate_blocks(w, inv, prunable, pin, nm=nm, keep_states=nm is None)
+        passes = eliminate_blocks(w, inv, prunable, pin, nm=nm)
     blocks = [(p, j) for p in passes for j in range(len(p.steps))]
-    assert len(blocks) == inv.num_blocks
+    assert len(blocks) == len(inv.blocks)
     for b, (p, j) in enumerate(blocks):
         lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
         want = reference_block(w[lo:hi], inv.blocks[b], prunable[lo:hi],

@@ -47,7 +47,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     box.add("layer.0.mask", np.array([0, 1, 1], dtype=np.uint8))
     box.add("layer.1.weight", np.float32([[1.5, -2.5]]))
     out = roundtrip(tmp_path, box)
-    assert out.names() == ["layer.0.weight", "layer.0.mask", "layer.1.weight"]
+    assert list(out) == ["layer.0.weight", "layer.0.mask", "layer.1.weight"]
     assert out == box
     assert out["layer.1.weight"].dtype == "f32"
     assert out["layer.0.weight"].dims == (3, 4)

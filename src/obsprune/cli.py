@@ -39,14 +39,13 @@ from .fisher import (
 from .obs_core import NumericalError, loss_increase
 from .tensorstore import (
     ContainerError,
-    GradientSet,
     TensorContainer,
-    grads_name,
     layer_ids,
     mask_name,
     nm_violations,
     prunable_name,
     read_container,
+    read_gradients,
     weight_name,
     write_container,
 )
@@ -189,21 +188,6 @@ def _load_weight_layers(path: str):
     return ids, weights, (prunable or None), dtypes
 
 
-def _load_grad_layers(path: str, ids) -> dict[str, GradientSet]:
-    """Read-only rows, whose pages the build and ``loss_increase`` release
-    once read (see ``tensorstore``)."""
-    box = read_container(path)
-    out = {}
-    for lid in ids:
-        name = grads_name(lid)
-        if name not in box:
-            raise ContainerError(f"{path}: missing {name}")
-        rows = box[name].array()
-        rows.flags.writeable = False
-        out[lid] = GradientSet(lid, rows)
-    return out
-
-
 def _write_model(path: str, weights, masks) -> None:
     """One container of every layer's weights, at their own dtype, each
     followed by the layer's u8 mask if ``masks`` has one."""
@@ -223,7 +207,7 @@ def cmd_prune(args, out) -> int:
     _check_sparsity(args.sparsity)
     spec = _spec_from_args(args)
     ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
-    grads = _load_grad_layers(args.grads, ids) if args.grads else None
+    grads = read_gradients(args.grads, ids) if args.grads else None
     result = run_pruner(spec, weights, grads, sparsity=args.sparsity, prunable=prunable)
     pruned = split_by_layer(result.new_weights, result.layout)
     _write_model(args.out, {lid: pruned[lid].astype(dtypes[lid]) for lid in ids},
@@ -245,7 +229,7 @@ def cmd_eval(args, out) -> int:
         raise UsageError(f"--damp must be positive and finite, got {args.damp}")
     ids, before, _, _ = _load_weight_layers(args.weights_before)
     after_box = read_container(args.weights_after)
-    grads = _load_grad_layers(args.grads, ids)
+    grads = read_gradients(args.grads, ids)
     total_pred = 0.0
     total_zeros = 0
     total_size = 0
@@ -371,12 +355,12 @@ def cmd_toy(args, out) -> int:
         args.seed, args.dims, args.steps, args.lr,
         n_samples=args.samples, noise=args.noise, loss=args.loss,
     )
-    out.write(f"train\tloss\t{_fmt(pipeline.model_loss(model))}\n")
-    out.write(f"train\tgrad_norm\t{_fmt(pipeline.gradient_norm(model))}\n")
-
+    grad_norm = pipeline.gradient_norm(model)
     report, checkpoints = pipeline.run_gradual(
         model, spec, targets, interval, sched, acyclic=args.acyclic
     )
+    out.write(f"train\tloss\t{_fmt(report.events[0].loss_before)}\n")
+    out.write(f"train\tgrad_norm\t{_fmt(grad_norm)}\n")
     extra = (args.steps * 100) // 300 if args.extra_recovery else 0
     if extra:  # the last window, longer on the run's own clock, ends in the last checkpoint
         span = len(targets) * interval

@@ -59,10 +59,7 @@ reads the rows three times, become one contiguous float64 copy.
 Rows are resident only while the build reads them. The stream's frame
 holds the only reference the build keeps to a layer's rows or factors,
 so a caller that keeps none frees them once the layer's last stack is
-built. Rows that are a read-only view of a container mapping (as the
-CLI reads them) have their pages released from it instead: rows past
-``num_grads`` as soon as the non-finite scan has passed them, and the
-used rows at the end of the layer's stream (see ``tensorstore``).
+built.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensorstore import GradientSet, _release_pages
+from .tensorstore import GradientSet
 
 #: numerical floor applied to inverse diagonals before any division
 EPS_FLOOR = 1e-12
@@ -203,9 +200,7 @@ def iter_block_inverses(
     its own. Uses the first ``min(num_grads, rows)`` rows in their stored
     dtype. Weights outside ``movable`` (default: every weight moves) come
     out frozen: their rows and columns are exactly zero (see the module
-    docstring). Read-only rows in a container mapping have their pages
-    released once read: unused rows by the scan, used rows when the
-    stream ends.
+    docstring).
     """
     if not isinstance(grads, GradientSet):
         grads = GradientSet("", grads)
@@ -230,7 +225,6 @@ def iter_block_inverses(
             rows = grads.rows(lo, lo + step)
             if not np.isfinite(rows).all():
                 raise ValueError("gradient samples contain non-finite values")
-            _release_pages(rows[max(0, n_used - lo) :])  # rows no block reads
     bs = config.block_size
     per_batch = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
     sizes = block_partition(dim, bs)
@@ -249,8 +243,7 @@ def _inverse_stacks(
     """The stream itself; it calls no public function, so the solver's
     worker threads can advance it. Each stack is filled ``per_batch``
     blocks at a time, so the rows it widens or forms at once never exceed
-    ``CHUNK_VALUES`` values (see the module docstring). It releases the
-    pages of ``used`` once the last stack is built."""
+    ``CHUNK_VALUES`` values (see the module docstring)."""
     n_used, dim = used.num_samples, used.dim
     lam = float(config.dampening)
     bs = config.block_size
@@ -280,7 +273,6 @@ def _inverse_stacks(
         yield build(first * bs, min(per_stack, n_main - first), bs)
     if len(sizes) > n_main:  # trailing partial block
         yield build(n_main * bs, 1, sizes[-1])
-    used.release()
 
 
 def build_fisher_inverse(

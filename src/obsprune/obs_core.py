@@ -22,8 +22,7 @@ weight change directly from gradient rows, without materializing F:
     0.5 * lambda * ||dw||^2 + (1/2N) * sum_i (g_i^T dw)^2
 
 one chunk of rows at a time, formed from the factors of a factored
-gradient set, and released from a read-only container mapping once it
-is projected.
+gradient set.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .fisher import CHUNK_VALUES, EPS_FLOOR, FisherBlockInverse
-from .tensorstore import GradientSet, _release_pages
+from .tensorstore import GradientSet
 
 
 class NumericalError(Exception):
@@ -149,13 +148,10 @@ def loss_increase(
     (three rows at least): stored float32 rows are widened to float64 in
     its small internal buffers, not as a copy, factored rows are formed
     one chunk at a time, and no BLAS matrix-vector product is called. A
-    chunk's pages are released from a read-only file mapping once it is
-    projected (see ``tensorstore``), so rows read from a container stay
-    resident one chunk at a time. A chunk holds at least two rows unless
-    there is only one: a lone row takes NumPy's one-dimensional
-    reduction, whose float64 sum can differ in the last bit, and with two
-    or more rows every row's projection has the bytes of the one-shot
-    ``einsum``.
+    chunk holds at least two rows unless there is only one: a lone row
+    takes NumPy's one-dimensional reduction, whose float64 sum can differ
+    in the last bit, and with two or more rows every row's projection has
+    the bytes of the one-shot ``einsum``.
     """
     if not isinstance(grads, GradientSet):
         grads = GradientSet("", grads)
@@ -170,6 +166,5 @@ def loss_increase(
         hi = n if n - lo <= step else lo + min(step, n - lo - 2)  # never a lone last row
         rows = grads.rows(lo, hi)
         np.einsum("ij,j->i", rows, delta, out=proj[lo:hi])
-        _release_pages(rows)
         lo = hi
     return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))

@@ -24,10 +24,10 @@ stack, scores from their diagonals and compensates with one batched
 product per stack. The rows are held by those streams alone: given a
 provider, a sub-step makes its rows inside the prune and drops its
 reference once the streams are made, so rows that no caller holds are
-freed, and read-only mapped rows released, once their layer's last stack
-is built. Factored rows (the toy's) are formed only a sub-batch at a
-time by the build, on the solver's workers for ``ovit``, and a chunk of
-rows at a time by ``gm``'s ``loss_increase``.
+freed once their layer's last stack is built. Factored rows (the toy's)
+are formed only a sub-batch at a time by the build, on the solver's
+workers for ``ovit``, and a chunk of rows at a time by ``gm``'s
+``loss_increase``.
 All methods respect prunability masks. ``pinned`` indices are pruned
 unconditionally (used to keep masks monotone across repeated pruning).
 """
@@ -245,8 +245,7 @@ def run_pruner(
     ``grads`` gives at its weights. Predicted increases and clamp counts
     are summed over sub-steps. Every sub-step validates ``pinned``, the
     target and every layer's gradient set, its rows included, before any
-    inverse is built, and read-only rows in a container mapping have their
-    pages released once the build has read them (see ``tensorstore``).
+    inverse is built.
     A sub-step with at least one pin whose target resolves to the pinned
     count in every pool, while every pinned weight is already exactly 0,
     stops once its pools are resolved: no provider call, no inverse, no

@@ -33,14 +33,11 @@ kills the process with SIGBUS: the bytes go to a sibling temporary file
 that then atomically replaces the destination, so readers that still map
 the old file keep its old bytes.
 
-Pages of the mapping that were read once stay resident until the mapping
-goes. The private helper ``_release_pages`` drops the whole pages of a
-view's bytes from it again (``madvise(MADV_DONTNEED)``), so that a
-consumer which reads gradient rows once can keep its memory to the rows
-it is reading; a later read maps them in again from the file. On a
-private mapping that also discards what was written to a page, so it
-releases only read-only views, which is how the CLI hands gradient rows
-out; a writable view or an in-memory array is never released.
+Gradient rows are never mapped: ``read_gradients`` parses the headers
+and keeps the file open, and its sets copy the rows asked for into new
+arrays with positioned reads (``os.preadv``). A file replaced by
+``write_container`` is still read as it was opened; one that shrank
+raises TruncatedError, never SIGBUS, and hands out no unread bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +67,8 @@ GRADS_SUFFIX = ".grads"
 MASK_SUFFIX = ".mask"
 PRUNABLE_SUFFIX = ".prunable"
 _LAYER_PREFIX = "layer."
+#: bytes of a gradient file's columns that a set holds at once (``_FileRows``)
+STRIPE_BYTES = 16 << 20
 
 
 class ContainerError(Exception):
@@ -238,99 +237,61 @@ def write_container(path: str, container: TensorContainer) -> None:
         raise
 
 
-class _Cursor:
-    def __init__(self, buf: memoryview):
-        self.buf = buf
-        self.pos = 0
+def _parse(read, size: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]:
+    """(name, dtype, dims, byte range of the data) of each tensor, in order,
+    of a container of ``size`` bytes whose bytes ``pos:pos + n`` are
+    ``read(pos, n)``. Reads only the headers. Raises a distinct error per
+    failure mode, trailing bytes once the last tensor is yielded."""
+    pos = 0
 
-    def view(self, n: int, what: str) -> memoryview:
-        end = self.pos + n
-        if end > len(self.buf):
+    def skip(n: int, what: str) -> int:  # the start of the next n bytes
+        nonlocal pos
+        if pos + n > size:
             raise TruncatedError(f"file truncated while reading {what}")
-        out = self.buf[self.pos : end]
-        self.pos = end
-        return out
+        pos += n
+        return pos - n
 
-    def take(self, n: int, what: str) -> bytes:
-        return bytes(self.view(n, what))
+    def take(n: int, what: str) -> bytes:
+        return bytes(read(skip(n, what), n))
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
+    magic = take(4, "magic")
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    version = u32("version")
+    if version != VERSION:
+        raise UnsupportedVersionError(f"unsupported container version {version}")
+    for _ in range(u32("tensor count")):
+        name = take(u32("name length"), "tensor name").decode("utf-8")
+        code = take(1, f"dtype of tensor {name!r}")[0]
+        if code not in _CODE_TO_NAME:
+            raise UnknownDtypeError(f"tensor {name!r} has unknown dtype code {code}")
+        dtype = _CODE_TO_NAME[code]
+        ndim = u32(f"ndim of tensor {name!r}")
+        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"dims of tensor {name!r}"))
+        nbytes = int(np.prod(dims, dtype=np.int64)) * _NAME_TO_NP[dtype].itemsize if ndim else 0
+        offset = skip(nbytes, f"data of tensor {name!r}")
+        yield name, dtype, tuple(int(d) for d in dims), slice(offset, offset + nbytes)
+    if pos != size:
+        raise ContainerError(f"{size - pos} trailing bytes after the last tensor")
 
 
 def read_container(path: str) -> TensorContainer:
     """Parse a container file; raises a distinct error per failure mode.
-
-    The file is mapped once, copy-on-write (``mmap.ACCESS_COPY``); every
-    tensor's data is a writable view into that one mapping, never a copy.
-    Pages are read from the file only when touched, and writes to a view
-    stay private to this process. ``write_container`` replaces files
-    instead of truncating them, so rewriting ``path`` leaves these views
-    valid.
-    """
+    Every tensor's data is a writable view into one copy-on-write mapping
+    of the file (``mmap.ACCESS_COPY``; see the module docstring)."""
     import mmap  # here, so that commands which read no container never load it
 
     with open(path, "rb") as fh:
         empty = os.fstat(fh.fileno()).st_size == 0  # mmap rejects empty files
         buf = b"" if empty else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    cur = _Cursor(memoryview(buf))
-    magic = cur.take(4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = cur.u32("version")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported container version {version}")
-    count = cur.u32("tensor count")
-    out = TensorContainer(version=version)
-    for _ in range(count):
-        name_len = cur.u32("name length")
-        name = cur.take(name_len, "tensor name").decode("utf-8")
-        code = cur.u8(f"dtype of tensor {name!r}")
-        if code not in _CODE_TO_NAME:
-            raise UnknownDtypeError(f"tensor {name!r} has unknown dtype code {code}")
-        dtype = _CODE_TO_NAME[code]
-        ndim = cur.u32(f"ndim of tensor {name!r}")
-        dims_raw = cur.take(8 * ndim, f"dims of tensor {name!r}")
-        dims = struct.unpack(f"<{ndim}Q", dims_raw)
-        np_dtype = _NAME_TO_NP[dtype]
-        n_elem = int(np.prod(dims, dtype=np.int64)) if ndim else 0
-        raw = cur.view(n_elem * np_dtype.itemsize, f"data of tensor {name!r}")
-        data = np.frombuffer(raw, dtype=np_dtype)
-        out.add(name, Tensor(dtype, tuple(int(d) for d in dims), data))
-    if cur.pos != len(buf):
-        raise ContainerError(
-            f"{len(buf) - cur.pos} trailing bytes after the last tensor"
-        )
+    view = memoryview(buf)
+    out = TensorContainer()
+    for name, dtype, dims, data in _parse(lambda pos, n: view[pos : pos + n], len(view)):
+        out.add(name, Tensor(dtype, dims, np.frombuffer(view[data], dtype=_NAME_TO_NP[dtype])))
     return out
-
-
-def _release_pages(view: np.ndarray) -> None:
-    """Drop the whole pages of ``view``'s bytes from its file mapping.
-
-    Does nothing unless ``view`` is read-only, C-contiguous and a view
-    into a ``read_container`` mapping, or where ``madvise`` is missing.
-    Edge pages that the view shares with other bytes are kept. It calls no
-    public function, so a stream on a worker thread may call it.
-    """
-    if view.flags.writeable or not view.flags.c_contiguous or not view.nbytes:
-        return
-    owner = view
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    import mmap  # loaded already if ``view`` is in a mapping
-
-    owner = owner.obj if isinstance(owner, memoryview) else owner
-    if not isinstance(owner, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
-        return
-    origin = np.frombuffer(owner, dtype=np.uint8).__array_interface__["data"][0]
-    start = view.__array_interface__["data"][0] - origin
-    page = mmap.PAGESIZE
-    lo, hi = -(-start // page) * page, (start + view.nbytes) // page * page
-    if hi > lo:
-        owner.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 class GradientSet:
@@ -345,8 +306,9 @@ class GradientSet:
     ``rows`` form the range asked for with ``np.einsum``, each value with
     the bytes of the same entry of the whole outer product (an einsum
     writes r[n, o] * x[n, i] + 0.0, so a -0.0 product comes out +0.0),
-    and ``samples`` forms them all. Consumers read rows a range at a time
-    and widen them to float64 as they go.
+    and ``samples`` forms them all. A set from ``read_gradients`` reads
+    its rows from the file as they are asked for. Consumers read rows a
+    range at a time and widen them to float64 as they go.
     """
 
     def __init__(self, layer: str, samples=None, factors=None) -> None:
@@ -371,8 +333,8 @@ class GradientSet:
 
     @property
     def samples(self) -> np.ndarray:
-        """Every row: the stored array, or all of them formed."""
-        return self._stored if self.factors is None else self.rows(0, self.num_samples)
+        """Every row: the stored array, or all of them formed or read."""
+        return self.rows(0, self.num_samples) if self._stored is None else self._stored
 
     def head(self, n: int) -> GradientSet:
         """The first ``n`` rows, sharing this set's memory."""
@@ -410,11 +372,79 @@ class GradientSet:
                 pos += k
         return out
 
-    def release(self) -> None:
-        """Drop the pages of stored read-only mapped rows (see
-        ``_release_pages``); a factored set holds no such pages."""
-        if self.factors is None:
-            _release_pages(self._stored)
+
+class _Descriptor(int):
+    """A file descriptor, closed when the last set reading it goes."""
+
+    def __del__(self) -> None:
+        os.close(self)
+
+
+class _FileRows(GradientSet):
+    """The rows of a ``.grads`` tensor at byte ``offset`` of an open file.
+
+    ``rows`` reads its range into a new array with one positioned read.
+    ``columns`` returns a view of a stripe of ``STRIPE_BYTES`` of columns
+    (or the range, if wider) that starts at the first range outside the
+    last one, read one positioned read per row. The build asks for columns
+    in increasing order, so it reads each byte once. Calls no public
+    function, so a stream on a worker thread may call it.
+    """
+
+    def __init__(self, layer: str, fd: _Descriptor, offset: int, shape, dtype) -> None:
+        self.layer, self.factors, self._stored = layer, None, None
+        self.num_samples, self.dim = shape
+        self._fd, self._offset, self._dtype = fd, offset, dtype
+        self._stripe = (0, None)  # its first column and its array
+
+    def head(self, n: int) -> GradientSet:
+        return _FileRows(self.layer, self._fd, self._offset,
+                         (min(n, self.num_samples), self.dim), self._dtype)
+
+    def _read(self, out: np.ndarray, pos: int) -> None:
+        """Fill ``out`` from byte ``pos`` on; a short read is a file that shrank."""
+        done = os.preadv(self._fd, [out], pos)
+        while done < out.nbytes:  # cut short, as at the file's end
+            got = os.preadv(self._fd, [out.reshape(-1).view(np.uint8)[done:]], pos + done)
+            if not got:
+                raise TruncatedError(f"layer {self.layer!r}: gradient file truncated")
+            done += got
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        out = np.empty((max(0, min(hi, self.num_samples) - lo), self.dim), self._dtype)
+        self._read(out, self._offset + lo * self.dim * out.itemsize)
+        return out
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        first, stripe = self._stripe
+        if stripe is None or not first <= lo <= hi <= first + stripe.shape[1]:
+            self._stripe = first, stripe = lo, None  # free the last stripe first
+            width = max(hi - lo, STRIPE_BYTES // (self.num_samples * self._dtype.itemsize))
+            stripe = np.empty((self.num_samples, min(width, self.dim - lo)), self._dtype)
+            for n, part in enumerate(stripe):
+                self._read(part, self._offset + (n * self.dim + lo) * stripe.itemsize)
+            self._stripe = lo, stripe
+        return stripe[:, lo - first : hi - first]
+
+
+def read_gradients(path: str, ids) -> dict[str, GradientSet]:
+    """The ``layer.<id>.grads`` rows of each layer in ``ids`` in the
+    container at ``path``, as sets that read them from the file by
+    position (see the module docstring). Reads only the headers: the rows'
+    values are checked by whoever reads them."""
+    fd = _Descriptor(os.open(path, os.O_RDONLY))
+    found = {name: (dtype, dims, data.start) for name, dtype, dims, data
+             in _parse(lambda pos, n: os.pread(fd, n, pos), os.fstat(fd).st_size)}
+    out = {}
+    for lid in ids:
+        name = grads_name(lid)
+        if name not in found:
+            raise ContainerError(f"{path}: missing {name}")
+        dtype, dims, offset = found[name]
+        if dtype == "u8" or len(dims) != 2 or 0 in dims:
+            raise ContainerError(f"{path}: {name} is not a non-empty 2-D float tensor")
+        out[lid] = _FileRows(lid, fd, offset, dims, _NAME_TO_NP[dtype])
+    return out
 
 
 # -- layer naming helpers ----------------------------------------------------

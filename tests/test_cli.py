@@ -3,6 +3,8 @@
 import io
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,23 @@ from obsprune.tensorstore import (
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+# ``main`` in a child whose gradient file loses its second half once its
+# rows are loaded
+_SHRINK_SCRIPT = """
+import os, sys
+from obsprune import cli
+
+real = cli.read_gradients
+
+def read_then_shrink(path, ids):
+    sets = real(path, ids)
+    os.truncate(path, os.path.getsize(path) // 2)
+    return sets
+
+cli.read_gradients = read_then_shrink
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def run_cli(*argv):
@@ -189,6 +208,41 @@ class TestPrune:
         assert (code, text) == (3, "")
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp / "x.ovpt").exists()
+
+    @pytest.mark.parametrize("command", ["prune", "eval"])
+    def test_a_gradient_file_that_shrinks_once_loaded_exits_three(self, fixture_files,
+                                                                  command):
+        """Rows are read by position and every read's byte count checked: the
+        run ends with one error line and writes nothing. It runs in a child,
+        so that a reader which maps the rows and dies of SIGBUS fails this
+        test, not the test run."""
+        wpath, gpath, tmp = fixture_files
+        argv = {"prune": ("prune", "--weights", wpath, "--grads", gpath, "--method", "ovit",
+                          "--sparsity", "0.5", "--out", tmp / "x.ovpt"),
+                "eval": ("eval", "--weights-before", wpath, "--weights-after", wpath,
+                         "--grads", gpath, "--csv", tmp / "x.csv")}[command]
+        src = str(pathlib.Path(pipeline.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", _SHRINK_SCRIPT, *map(str, argv)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "truncated" in proc.stderr
+        assert not (tmp / "x.ovpt").exists() and not (tmp / "x.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_runs_leave_no_descriptor_open(self, fixture_files):
+        wpath, gpath, tmp = fixture_files
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            code, _ = run_cli("prune", "--weights", str(wpath), "--grads", str(gpath),
+                              "--method", "ovit", "--sparsity", "0.5", "--block-size", "8",
+                              "--out", str(tmp / "x.ovpt"))
+            assert code == 0
+            code, _ = run_cli("eval", "--weights-before", str(wpath),
+                              "--weights-after", str(tmp / "x.ovpt"), "--grads", str(gpath))
+            assert code == 0
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_nm_block_size_rounding_warns_on_stderr_only(self, fixture_files, capsys):
         wpath, gpath, tmp = fixture_files
@@ -696,15 +750,16 @@ class TestSkippedSubSteps:
 
 
 def test_a_sweep_evaluates_each_loss_once(tmp_path, monkeypatch):
-    """A three-event sweep evaluates the trained model's loss twice (the
-    ``train`` line and the first event's loss before) and each event's
-    pruned loss once; an event's post-recovery loss is its recovery's."""
+    """A three-event sweep evaluates the trained model's loss once (the
+    first event's loss before, which the ``train`` line prints) and each
+    event's pruned loss once; an event's post-recovery loss is its
+    recovery's."""
     calls = count_calls(monkeypatch, pipeline, "model_loss")
     code, _ = run_cli("sweep", "--seed", "3", "--dims", "6,10,4", "--steps", "40",
                       "--targets", "0.25,0.5,0.75", "--interval", "5", "--block-size", "8",
                       "--out", str(tmp_path / "cp"))
     assert code == 0
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 class TestGolden:

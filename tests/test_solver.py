@@ -1,6 +1,11 @@
 """Greedy block solver: traces, global merge, n:m mode, determinism."""
 
+import io
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import warnings
 from typing import NamedTuple
@@ -717,8 +722,6 @@ def test_stream_keeps_alive_only_the_stacks_a_pass_still_reads(rng, monkeypatch,
 def test_handover_under_frequent_thread_switches(rng):
     """With the interpreter switching threads every microsecond, 200 stacks
     handed over one at a time arrive whole and in order."""
-    import sys
-
     before = threading.active_count()
     stacks = one_block_stacks(rng, 200)
     inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
@@ -743,3 +746,81 @@ def test_stream_coverage_and_nm_boundaries_are_checked(rng):
     six = np.linalg.inv(random_spd(rng, 6))[None]
     with pytest.raises(ValueError, match="multiples of m=4"):
         solve_nm(np.ones(12), [six, six], 2, 4)
+
+
+# The CLI in a child, with stripes narrower than a layer's rows, so that a
+# worker reads rows by position as well as building stacks.
+_CLI_NARROW_STRIPES = """
+import sys
+from obsprune import tensorstore
+from obsprune.cli import main
+
+tensorstore.STRIPE_BYTES = 1 << 20
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_no_output_byte_depends_on_the_threads_that_exist(tmp_path, monkeypatch):
+    """A global, a 2:4 and a ``wf`` prune from a gradient file, and a
+    two-event sweep, write the same stdout and output bytes at one and two
+    BLAS threads, each run in a child, and in-process with no stream worker
+    at all. Every layer takes more than one solver pass, so the ``ovit``
+    runs with workers draw stacks, and read rows, on them."""
+    from obsprune import solver, tensorstore
+    from obsprune.cli import main
+    from obsprune.tensorstore import TensorContainer, write_container
+
+    rng = np.random.default_rng(8)
+    wbox, gbox = TensorContainer(), TensorContainer()
+    for lid, shape in (("0", (128, 64)), ("1", (96, 64))):  # 2 and 1.5 passes at B=64
+        wbox.add(f"layer.{lid}.weight", rng.standard_normal(shape))
+        gbox.add(f"layer.{lid}.grads",
+                 rng.standard_normal((80, shape[0] * shape[1]), dtype=np.float32))
+    write_container(tmp_path / "w.ovpt", wbox)
+    write_container(tmp_path / "g.ovpt", gbox)
+    prune = ("prune", "--weights", str(tmp_path / "w.ovpt"), "--grads",
+             str(tmp_path / "g.ovpt"), "--num-grads", "72")
+    commands = {
+        "global": (*prune, "--method", "ovit", "--sparsity", "0.6", "--out", "global.ovpt"),
+        "nm": (*prune, "--method", "ovit", "--nm", "2:4", "--out", "nm.ovpt"),
+        "wf": (*prune, "--method", "wf", "--sparsity", "0.6", "--out", "wf.ovpt"),
+        "sweep": ("sweep", "--seed", "2", "--dims", "48,96,24", "--steps", "20",
+                  "--targets", "0.5,0.75", "--interval", "5", "--out", "cp"),
+    }  # at the default block size of 64, 4,096 weights fill a pass
+
+    def outputs(run_dir):
+        return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+    src = str(pathlib.Path(solver.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"blas{threads}"
+        run_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        stdouts = []
+        for argv in commands.values():
+            proc = subprocess.run([sys.executable, "-c", _CLI_NARROW_STRIPES, *argv],
+                                  cwd=run_dir, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        runs[threads] = stdouts, outputs(run_dir)
+
+    started = []
+    monkeypatch.setattr(solver._Ahead, "start", lambda self: started.append(True))
+    monkeypatch.setattr(tensorstore, "STRIPE_BYTES", 1 << 20)
+    run_dir = tmp_path / "no-worker"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    stdouts, workers = [], {}
+    for name, argv in commands.items():
+        out = io.StringIO()
+        assert main(list(argv), out=out) == 0
+        stdouts.append(out.getvalue())
+        workers[name], started[:] = len(started), []
+    runs["none"] = stdouts, outputs(run_dir)
+
+    assert workers["global"] == workers["nm"] == 1 and workers["sweep"] == 2
+    assert len(runs["1"][1]) == 5
+    assert runs["1"] == runs["2"] == runs["none"]

@@ -1,6 +1,5 @@
 """Container format: round trips, error taxonomy, naming helpers."""
 
-import mmap
 import os
 import pathlib
 import stat
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obsprune
+from obsprune import tensorstore
 from obsprune.tensorstore import (
     BadMagicError,
     ContainerError,
@@ -25,11 +25,11 @@ from obsprune.tensorstore import (
     TruncatedError,
     UnknownDtypeError,
     UnsupportedVersionError,
-    _release_pages,
     grads_name,
     layer_ids,
     mask_name,
     read_container,
+    read_gradients,
     weight_name,
     write_container,
 )
@@ -199,6 +199,84 @@ def test_gradient_set_keeps_float_rows_as_stored():
     assert GradientSet("0", np.ones((4, 3), dtype=np.int64)).samples.dtype == np.float64
 
 
+# -- gradient rows read by position ---------------------------------------------
+
+def grads_file(tmp_path, rows, name="g.ovpt"):
+    """A container of a weight, layer "0"'s rows and layer "1"'s rows
+    reversed, so the rows sit at an offset that is no multiple of a page."""
+    box = TensorContainer()
+    box.add(weight_name("0"), np.zeros(3))
+    box.add(grads_name("0"), rows)
+    box.add(grads_name("1"), rows[::-1])
+    write_container(tmp_path / name, box)
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_file_rows_and_columns_have_the_stored_bytes(tmp_path, monkeypatch, dtype):
+    """Every range of rows and of columns, read in any order, in stripes of
+    several columns, of one column and of whole rows, has the bytes of the
+    stored rows; ``head`` clamps to the file's row count."""
+    rows = np.random.default_rng(5).standard_normal((7, 40)).astype(dtype)
+    rows[2, 3] = -0.0
+    sets = read_gradients(grads_file(tmp_path, rows), ["1", "0"])
+    assert list(sets) == ["1", "0"]
+    for stripe in (3 * 7 * rows.itemsize, 1, 1 << 20):
+        monkeypatch.setattr(tensorstore, "STRIPE_BYTES", stripe)
+        for lid, want in (("0", rows), ("1", rows[::-1])):
+            g = sets[lid].head(5)
+            assert (g.num_samples, g.dim) == (5, 40)
+            assert sets[lid].head(100).num_samples == 7
+            assert sets[lid].samples.tobytes() == want.tobytes()
+            for lo, hi in ((0, 5), (3, 9), (6, 7), (4, 4)):
+                assert g.rows(lo, hi).tobytes() == want[:5][lo:hi].tobytes()
+            for lo, hi in ((0, 8), (8, 12), (12, 40), (5, 6), (0, 40), (39, 40)):
+                got = g.columns(lo, hi)
+                assert got.dtype == dtype and got.tobytes() == want[:5, lo:hi].tobytes()
+
+
+def test_file_rows_keep_the_bytes_they_were_opened_on(tmp_path):
+    """``write_container`` replaces the path, so a set reads the old file."""
+    rows = np.arange(12.0).reshape(3, 4)
+    path = grads_file(tmp_path, rows)
+    g = read_gradients(path, ["0"])["0"]
+    grads_file(tmp_path, -rows)
+    assert g.samples.tobytes() == rows.tobytes()
+    assert g.columns(1, 3).tobytes() == rows[:, 1:3].tobytes()
+    assert read_gradients(path, ["0"])["0"].samples.tobytes() == (-rows).tobytes()
+
+
+def test_file_rows_of_a_shrunk_file_raise_truncated(tmp_path):
+    """Every read checks its byte count, so no read hands out the unread
+    contents of a fresh array."""
+    rows = np.ones((4, 1024))
+    path = grads_file(tmp_path, rows)
+    g = read_gradients(path, ["1"])["1"]  # the last tensor: its rows end the file
+    os.truncate(path, path.stat().st_size - 8)
+    assert g.rows(0, 3).tobytes() == rows[:3].tobytes()
+    with pytest.raises(TruncatedError):
+        g.rows(2, 4)
+    with pytest.raises(TruncatedError):
+        g.columns(0, 1024)
+
+
+@pytest.mark.parametrize("rows, ids", [
+    (np.zeros((2, 3)), ["2"]),
+    (np.zeros((2, 3, 1)), ["0"]),
+    (np.zeros((2, 3), dtype=np.uint8), ["0"]),
+], ids=["missing", "3-d", "u8"])
+def test_read_gradients_rejects_what_is_no_set_of_float_rows(tmp_path, rows, ids):
+    with pytest.raises(ContainerError):
+        read_gradients(grads_file(tmp_path, rows), ids)
+
+
+def test_read_gradients_checks_the_headers(tmp_path):
+    path = grads_file(tmp_path, np.zeros((2, 3)))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedError):
+        read_gradients(path, ["0"])
+
+
 def test_read_gives_views_into_one_buffer_and_round_trips(tmp_path):
     box = TensorContainer()
     box.add(grads_name("0"), np.float32([[0.1, -0.0], [np.nan, np.inf]]))
@@ -338,63 +416,3 @@ def test_write_follows_symlinks_and_keeps_the_open_mode(tmp_path):
     assert link.is_symlink()
     assert read_container(target) == box2
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
-
-
-# -- releasing the pages of read-only views --------------------------------------
-
-def written_container(tmp_path):
-    """Tensors "a" (3 values) and "b" (many pages), read back from a file,
-    with -1.0 written to both through their writable views: copy-on-write
-    gives every page they touch a private copy."""
-    box = TensorContainer()
-    box.add("a", np.arange(3, dtype=np.float64))
-    box.add("b", np.arange(8 * mmap.PAGESIZE // 8, dtype=np.float64))  # 8 pages
-    write_container(tmp_path / "t.ovpt", box)
-    out = read_container(tmp_path / "t.ovpt")
-    a, b = out["a"].array(), out["b"].array()
-    a[:] = -1.0
-    b[:] = -1.0
-    return a, b
-
-
-def read_only(arr):
-    view = arr.view()
-    view.flags.writeable = False
-    return view
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="MADV_DONTNEED drops private pages only on Linux")
-def test_release_drops_the_whole_pages_inside_a_read_only_view(tmp_path):
-    """Dropped pages are read again from the file, so the writes on them
-    are gone (which is why only read-only views are released); the edge
-    pages, which "b" shares with "a" and the end of the file, keep them."""
-    a, b = written_container(tmp_path)
-    _release_pages(read_only(b))
-    assert (a == -1.0).all()
-    fresh = np.flatnonzero(b != -1.0)
-    assert fresh.size >= b.size - 2 * mmap.PAGESIZE // 8
-    assert fresh.size % (mmap.PAGESIZE // 8) == 0
-    assert np.array_equal(b[fresh], fresh.astype(np.float64))
-    assert np.array_equal(fresh, np.arange(fresh[0], fresh[-1] + 1))
-    assert b[0] == b[-1] == -1.0
-
-
-def test_release_leaves_writable_views_alone(tmp_path):
-    a, b = written_container(tmp_path)
-    _release_pages(b)
-    _release_pages(b[8:-8])
-    assert (a == -1.0).all() and (b == -1.0).all()
-
-
-def test_release_leaves_in_memory_arrays_alone():
-    arr = read_only(np.arange(4 * mmap.PAGESIZE, dtype=np.float64))
-    _release_pages(arr)
-    assert np.array_equal(arr, np.arange(arr.size, dtype=np.float64))
-
-
-def test_release_does_nothing_without_madvise(tmp_path, monkeypatch):
-    monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
-    _, b = written_container(tmp_path)
-    _release_pages(read_only(b))
-    assert (b == -1.0).all()

@@ -58,11 +58,10 @@ class UsageError(Exception):
     """A flag value that only a subcommand can check; exits 2 before any work."""
 
 
-# pipeline.DivergenceError is a NumericalError
+# pipeline.DivergenceError is a NumericalError; np.linalg.LinAlgError a ValueError
 _RUNTIME_ERRORS = (
     ContainerError,
     NumericalError,
-    np.linalg.LinAlgError,
     ValueError,
     OSError,
 )
@@ -347,6 +346,10 @@ def cmd_toy(args, out) -> int:
             plan = schedules.plan_sweep(
                 targets, schedules.DEFAULT_PERIOD if interval is None else interval)
             targets, interval = plan.targets, plan.interval
+        for a, b in zip(targets, targets[1:]):  # increasing, so like names are adjacent
+            if args.command == "sweep" and f"{a:g}" == f"{b:g}":
+                raise UsageError(f"targets {_fmt(a)} and {_fmt(b)} would both write "
+                                 f"{args.out}.{a:g}.ovpt")
         sched = _resolve_schedule(args, cfg, None if one_shot else interval)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -491,6 +494,8 @@ def main(argv=None, out=None) -> int:
         if args.command == "prune" and args.recompute > 1:
             parser.error("prune reads one fixed gradient file, so --recompute above 1 "
                          "would rebuild the same inverse; use toy or sweep")
+        if args.command == "prune" and args.method != "gm" and not args.grads:
+            parser.error(f"method {args.method!r} needs --grads")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -33,21 +33,22 @@ this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time overall.
 
 The kernel consumes block inverses as a stream of (nb, B, B) stacks in
 weight order, straight from ``fisher.iter_block_inverses``; a whole
-``FisherBlockInverse`` is read as the same stream. Stacks are regrouped
-into passes of ``fisher.PASS_VALUES`` values: larger ones are split into
-views, and consecutive ones of one size are joined across layer
-boundaries. The build's stacks hold at most one pass, so a pass is a
-joined copy only where a layer's blocks do not fill whole passes. When
-a stream's first pass leaves weights over, each next stack is drawn on a
-short-lived worker thread, one at a time: the build of the next stack
-(batched LAPACK and BLAS calls, which release the GIL) runs beside the
-solve of the current pass (many small, GIL-bound NumPy calls). Passes
-are still solved in weight order, and every block is built on its own,
-so the workers move no output byte. So an N:M solve holds the pass it
-solves, the stacks whose blocks a later pass still reads, at most one
-more stack and one pass of scratch (a joined pass is a copy, and the
-stacks it was joined from are freed before it is solved), while a
-global solve also keeps its per-step snapshots, which take d*B values.
+``FisherBlockInverse`` is read as the same stream. A pass is one stack,
+or consecutive stacks of one block size joined (across layer
+boundaries) while they fit in ``fisher.PASS_VALUES`` values; no stack
+is split. So a layer's short last stack ends its pass unless the next
+stacks fit beside it, which can cost a multi-layer solve one more pass
+per layer boundary, and no output byte. When a stream's first pass
+leaves weights over, each next stack is drawn on a short-lived worker
+thread, one at a time: the build of the next stack (batched LAPACK and
+BLAS calls, which release the GIL) runs beside the solve of the current
+pass (many small, GIL-bound NumPy calls). Passes are still solved in
+weight order, and every block is built on its own, so the workers move
+no output byte. So an N:M solve holds the pass it solves, the stack that
+did not fit in it, at most one more stack and one pass of scratch (a
+joined pass is a copy, and the stacks it was joined from are freed
+before it is solved), while a global solve also keeps its per-step
+snapshots, which take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -325,35 +326,28 @@ class _Ahead:
 
 
 def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Regroup stacks into lockstep passes of at most ``pass_blocks(B)``
-    blocks: larger stacks are split into views, and consecutive stacks of
-    one block size are joined (across layer boundaries) up to the budget.
-    A pass is handed on as soon as it is full, before the next stack is
-    drawn. A stack is referenced here only through the pieces of it that
-    no pass has taken yet, so once a pass is handed on, only its own
-    blocks keep the stacks they came from alive."""
-    held: list[np.ndarray] = []  # pieces of the next pass
-    count = 0
+    """Group stacks into lockstep passes: each pass is one stack, or
+    consecutive stacks of one block size (across layer boundaries) joined
+    while together they fit in ``pass_blocks(B)`` blocks. No stack is
+    split; a stack larger than a pass is a pass of its own. A full pass
+    is handed on before the next stack is drawn; a joined pass is a copy,
+    and no stack it was joined from is referenced here once it is handed
+    on."""
+    held: list[np.ndarray] = []  # whole stacks of the next pass
 
     def joined() -> np.ndarray:
-        nonlocal count
         full = held[0] if len(held) == 1 else np.concatenate(held)
         held.clear()
-        count = 0
         return full
 
     for stack in stacks:
         bs = stack.shape[1]
-        if held and held[0].shape[1] != bs:
+        if held and (held[0].shape[1] != bs or sum(map(len, held)) + len(stack) > pass_blocks(bs)):
             yield joined()
-        per_pass = pass_blocks(bs)
-        pieces = np.split(stack, range(per_pass - count, len(stack), per_pass))
+        held.append(stack)
         del stack
-        while pieces:
-            held.append(pieces.pop(0))
-            count += len(held[-1])
-            if count == per_pass:
-                yield joined()
+        if sum(map(len, held)) >= pass_blocks(bs):
+            yield joined()
     if held:
         yield joined()
 
@@ -365,8 +359,8 @@ def eliminate_blocks(
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
 ) -> list[PassTrace]:
-    """Greedy traces of every block, one ``PassTrace`` per lockstep pass of
-    consecutive same-size blocks; warns once if any pivot was clamped.
+    """Greedy traces of every block, one ``PassTrace`` per lockstep pass
+    (see ``_kernel_passes``); warns once if any pivot was clamped.
 
     ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
     stacks of consecutive block inverses in weight order, such as

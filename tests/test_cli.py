@@ -85,14 +85,6 @@ class TestPrune:
         assert code == 0
         assert "predicted\t0\n" in text
 
-    def test_wf_without_grads_is_a_runtime_failure(self, fixture_files):
-        wpath, _, tmp = fixture_files
-        code, _ = run_cli(
-            "prune", "--weights", str(wpath), "--method", "wf",
-            "--sparsity", "0.25", "--out", str(tmp / "x.ovpt"),
-        )
-        assert code == 3
-
     def test_missing_file_is_a_runtime_failure(self, tmp_path):
         code, _ = run_cli(
             "prune", "--weights", str(tmp_path / "nope.ovpt"),
@@ -167,6 +159,21 @@ class TestPrune:
         assert (code, text) == (2, "")
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["wf", "ovit"])
+    def test_wf_or_ovit_without_grads_exits_two_before_reading(self, tmp_path, monkeypatch,
+                                                               capsys, method):
+        from obsprune import cli
+
+        def no_reading(path):
+            raise AssertionError(f"read {path} before checking the flags")
+
+        monkeypatch.setattr(cli, "read_container", no_reading)
+        code, text = run_cli("prune", "--weights", str(tmp_path / "w.ovpt"), "--method", method,
+                             "--sparsity", "0.25", "--out", str(tmp_path / "x.ovpt"))
+        assert (code, text) == (2, "")
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert err_lines == [f"obsprune: error: method {method!r} needs --grads"]
 
     def test_recompute_with_one_gradient_file_exits_two(self, tmp_path, capsys):
         # every sub-step would rebuild the identical inverse from the same rows
@@ -570,6 +577,29 @@ class TestToyAndSweep:
                 if prev is not None:
                     assert (prev[lid] <= z).all()  # nothing comes back
             prev = zero
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_targets_that_name_one_checkpoint_exit_two_before_training(
+        self, tmp_path, monkeypatch, capsys, source
+    ):
+        """Checkpoints are named by ``{target:g}``, so two targets that
+        agree in six significant digits would write one file."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the targets")
+
+        monkeypatch.setattr(pipeline, "toy_train", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep.targets = 0.25, 0.5, 0.5000001\n")
+        targets = (("--targets", "0.25,0.5,0.5000001") if source == "flag"
+                   else ("--config", str(cfg)))
+        prefix = tmp_path / "P"
+        code, text = run_cli("sweep", "--seed", "3", "--dims", "8,12,4", "--steps", "40",
+                             *targets, "--interval", "5", "--out", str(prefix))
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [
+            f"error: targets 0.5 and 0.5000001 would both write {prefix}.0.5.ovpt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_sweep_has_no_recovery_flag(self, tmp_path, capsys):
         # a sweep recovers for --interval steps after each event

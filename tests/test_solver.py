@@ -508,49 +508,85 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
 
 # -- streamed inverses ---------------------------------------------------------
 
-def test_stream_is_built_one_stack_ahead_of_the_solve(rng, monkeypatch):
-    """Passes are solved in weight order: stacks are split at pass
-    boundaries, the rest of one is joined with the next stack of its block
-    size, and a new size ends the pass. After the first pass the stream is
-    drawn on a producer thread, and when a solve starts at most one stack
-    beyond those its pass needed has been drawn. Bytes equal the whole
-    inverse's."""
+@pytest.mark.parametrize("per_pass, shapes, want", [
+    # a layer's short last stack, then full stacks: no stack is split to top
+    # up a pass, so the tail is a pass of its own
+    (4, [(4, 8), (4, 8), (2, 8), (4, 8), (4, 8), (1, 4)], [[0], [1], [2], [3], [4], [5]]),
+    # stacks are joined while they fit; a full join is handed on at once, a
+    # stack that does not fit or a new block size ends a join
+    (4, [(1, 8), (2, 8), (1, 8), (1, 8), (1, 8), (3, 8), (2, 8), (1, 8), (1, 4)],
+     [[0, 1, 2], [3, 4], [5], [6, 7], [8]]),
+    # a stack larger than a pass is solved whole
+    (2, [(1, 8), (5, 8), (1, 8), (1, 8)], [[0], [1], [2, 3]]),
+    # every stack fits one pass, as the toy's layers do
+    (8, [(3, 8), (2, 8), (3, 8)], [[0, 1, 2]]),
+], ids=["layer-tail", "joins", "larger-than-a-pass", "one-pass"])
+def test_stream_passes_are_whole_stacks_joined_while_they_fit(rng, monkeypatch, per_pass,
+                                                              shapes, want):
+    """Each pass is whole stacks, in order: one stack, or consecutive
+    stacks of one block size joined while they fit in a pass. When a pass
+    is solved, at most one stack beyond those it took from the stream has
+    been drawn, and after the first pass every stack is drawn on a worker.
+    A pass of one stack keeps that stack alive; a joined pass keeps none of
+    its sources. The stacks alive beside it are the one that ended it, if
+    any, and the one a worker draws. Bytes equal the whole inverse's."""
+    import weakref
+
     from obsprune import fisher, solver
 
-    solves, draws = [], []
+    monkeypatch.setattr(fisher, "PASS_VALUES", per_pass * 64)  # per_pass blocks of 8
+    blocks = [np.linalg.inv(random_spd(rng, size)) for count, size in shapes
+              for _ in range(count)]
+    firsts = np.cumsum([0] + [count for count, _ in shapes])  # each stack's first block
+    starts = np.cumsum([0] + [b.shape[0] for b in blocks])  # each block's first weight
+    refs, draws, solves = [], [], []
+
+    def fresh(i):
+        stack = np.stack(blocks[firsts[i] : firsts[i + 1]])
+        refs.append(weakref.ref(stack))
+        draws.append(threading.current_thread() is threading.main_thread())
+        return stack
+
+    def stream():  # holds no stack while it waits
+        for i in range(len(shapes)):
+            yield fresh(i)
+
     real = solver._eliminate_stack
 
-    def counting(offset, cols0, *args):
-        first = offset // 8  # every block before the last is 8 wide
-        solves.append((list(range(first, first + len(cols0))), len(draws)))
+    def recording(offset, cols0, *args):
+        first = int(np.searchsorted(starts, offset))
+        alive = {i for i, ref in enumerate(refs) if ref() is not None}
+        solves.append((first, len(cols0), len(draws), alive))
         return real(offset, cols0, *args)
 
-    monkeypatch.setattr(solver, "_eliminate_stack", counting)
-    monkeypatch.setattr(fisher, "PASS_VALUES", 2 * 64)  # two blocks of 8 per pass
-    rows = rng.standard_normal((6, 60))
-    whole = build_fisher_inverse(rows, FisherConfig(8, 1e-4, 6))  # 7 blocks of 8, one of 4
-    stacks = [np.stack(whole.blocks[:3]), np.stack(whole.blocks[3:6]),
-              whole.blocks[6][None], whole.blocks[7][None]]
+    monkeypatch.setattr(solver, "_eliminate_stack", recording)
+    dim = int(starts[-1])
+    w = rng.standard_normal(dim)
+    passes = eliminate_blocks(w, stream(), np.ones(dim, dtype=bool))
 
-    def stream():
-        for stack in stacks:
-            draws.append(threading.current_thread() is threading.main_thread())
-            yield stack
+    assert [(first, nb) for first, nb, _, _ in solves] == [
+        (firsts[ids[0]], firsts[ids[-1] + 1] - firsts[ids[0]]) for ids in want]
+    needed_at = []
+    for ids, (first, nb, drawn, alive) in zip(want, solves):
+        end = ids[-1] + 1
+        # stacks drawn in turn before this pass is handed on: its own, and
+        # the one that did not fit in it, unless it is full or the last
+        needed = end if nb >= per_pass or end == len(shapes) else end + 1
+        needed_at.append(needed)
+        assert needed <= drawn <= needed + 1, (ids, drawn)
+        held = set(ids) if len(ids) == 1 else set()
+        assert held | set(range(end, needed)) <= alive <= held | set(range(end, needed + 1)), (
+            ids, alive)
+    ahead = len(want) > 1  # a worker draws only if the first pass leaves weights over
+    assert draws == [True] * needed_at[0] + [not ahead] * (len(shapes) - needed_at[0])
 
-    w = rng.standard_normal(60)
-    passes = eliminate_blocks(w, stream(), np.ones(60, dtype=bool))
-    assert [ids for ids, _ in solves] == [[0, 1], [2, 3], [4, 5], [6], [7]]
-    needed = [1, 2, 2, 4, 4]  # stacks drawn before each solve when drawn in turn
-    assert all(n <= drawn <= n + 1 for (_, drawn), n in zip(solves, needed)), solves
-    assert draws == [True, False, False, False]
-    want = eliminate_blocks(w, whole, np.ones(60, dtype=bool))
-    assert [p.offset for p in passes] == [p.offset for p in want]
-    for got, ref in zip(passes, want):
-        assert got.steps.tobytes() == ref.steps.tobytes()
-        assert got.order.tobytes() == ref.order.tobytes()
-        assert got.cumulative.tobytes() == ref.cumulative.tobytes()
-        assert got.states.tobytes() == ref.states.tobytes()
-        assert got.final.tobytes() == ref.final.tobytes()
+    whole = eliminate_blocks(w, FisherBlockInverse(blocks, FisherConfig(8, 1e-4, 6)),
+                             np.ones(dim, dtype=bool))
+    got = [p.block(b) for p in passes for b in range(len(p.steps))]
+    ref = [p.block(b) for p in whole for b in range(len(p.steps))]
+    assert len(got) == len(ref) == len(blocks)
+    for g, r in zip(got, ref):
+        assert [a.tobytes() for a in g] == [a.tobytes() for a in r]
 
 
 class ProducerError(Exception):
@@ -670,52 +706,6 @@ def test_stream_end_or_error_raises_on_every_later_call(error):
                 next(ahead)
     finally:
         ahead.close()
-
-
-@pytest.mark.parametrize("per_pass", [2, 4, 6])
-def test_stream_keeps_alive_only_the_stacks_a_pass_still_reads(rng, monkeypatch, per_pass):
-    """Stacks of three blocks, solved in passes of ``per_pass``: when a
-    pass is solved, the only stacks alive are the one the pass is a view
-    of, if it is not joined, the drawn ones whose blocks a later pass
-    still reads, and at most one stack drawn beyond them. A joined pass
-    keeps none of its sources alive."""
-    import weakref
-
-    from obsprune import fisher, solver
-
-    monkeypatch.setattr(fisher, "PASS_VALUES", per_pass * 64)
-    blocks = [np.linalg.inv(random_spd(rng, 8)) for _ in range(24)]
-    refs = []
-
-    def fresh(i):
-        stack = np.stack(blocks[3 * i : 3 * i + 3])
-        refs.append(weakref.ref(stack))
-        return stack
-
-    def stream():
-        for i in range(8):
-            yield fresh(i)
-
-    alive_at_solves = []
-    real = solver._eliminate_stack
-
-    def recording(offset, cols0, *args):
-        first = offset // 8
-        alive = {i for i, ref in enumerate(refs) if ref() is not None}
-        alive_at_solves.append((first, len(cols0), alive))
-        return real(offset, cols0, *args)
-
-    monkeypatch.setattr(solver, "_eliminate_stack", recording)
-    eliminate_blocks(rng.standard_normal(192), stream(), np.ones(192, dtype=bool))
-    assert [(first, nb) for first, nb, _ in alive_at_solves] == [
-        (first, per_pass) for first in range(0, 24, per_pass)]
-    for first, nb, alive in alive_at_solves:
-        own = set(range(first // 3, (first + nb - 1) // 3 + 1))
-        view = own if len(own) == 1 else set()
-        after = (first + nb) // 3  # the stack of the next pass's first block
-        unread = {after} & own  # drawn, with blocks a later pass still reads
-        assert view | unread <= alive <= view | set(range(after, max(own) + 2)), (
-            first, alive)
 
 
 @pytest.mark.usefixtures("one_block_passes")

@@ -2,9 +2,11 @@
 
 Subcommands: ``prune`` (file to file), ``sweep`` (gradual schedule on the
 built-in toy, one checkpoint per target), ``eval`` (quadratic-model
-scoring and pattern compliance of a before/after pair), ``toy`` (full
-train-prune-recover loop), plus an internal ``oracle`` helper for
-reproducing brute-force reference numbers.
+scoring and pattern compliance of a before/after pair), ``toy`` (train
+the toy, prune it once, recover), plus an internal ``oracle`` helper for
+reproducing brute-force reference numbers. Each flag belongs to the
+commands it acts on; a combination argparse cannot refuse is a
+``UsageError``, one ``error:`` line and exit 2 before any work.
 
 Exit codes: 0 success, 1 compliance-check failure, 2 usage error,
 3 numerical or runtime failure. Every command is deterministic given its
@@ -51,11 +53,8 @@ from .tensorstore import (
 )
 
 
-DEFAULT_RECOVERY = 20
-
-
 class UsageError(Exception):
-    """A flag value that only a subcommand can check; exits 2 before any work."""
+    """A flag value or combination argparse cannot check; exits 2 before any work."""
 
 
 # pipeline.DivergenceError is a NumericalError; np.linalg.LinAlgError a ValueError
@@ -98,6 +97,12 @@ def _parse_targets(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
+def _add_target_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--sparsity", type=float)
+    group.add_argument("--nm", type=_parse_nm, metavar="N:M")
+
+
 def _add_fisher_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                    help=f"Fisher block size (default {DEFAULT_BLOCK_SIZE})")
@@ -105,8 +110,6 @@ def _add_fisher_flags(p: argparse.ArgumentParser) -> None:
                    help="dampening lambda (default 1e-8; 1e-6 for wf)")
     p.add_argument("--num-grads", type=int, default=DEFAULT_NUM_GRADS,
                    help=f"cap on gradient rows used (default {DEFAULT_NUM_GRADS})")
-    p.add_argument("--recompute", type=int, default=1,
-                   help="number of Fisher recomputation sub-steps per event")
     p.add_argument("--per-layer", action="store_true",
                    help="uniform per-layer sparsity instead of a global pool")
     p.add_argument("--threads", type=int, default=1,
@@ -117,12 +120,11 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-max", type=float)
     p.add_argument("--lr-min", type=float)
     p.add_argument("--period", type=int,
-                   help="cycle length T (default: the sweep interval)")
+                   help="cycle length T (default: the sweep interval, else 20)")
     p.add_argument("--acyclic", action="store_true",
-                   help="single linear decay instead of cycling")
+                   help="single linear decay instead of cycling; takes no period")
     p.add_argument("--config",
-                   help="key-value config file (lr.*, sweep.*); flags win, but "
-                        "--sparsity or --nm next to sweep.targets is an error")
+                   help="key-value config file (lr.*, and sweep.* for sweep); flags win")
 
 
 def _add_toy_flags(p: argparse.ArgumentParser) -> None:
@@ -152,23 +154,12 @@ def _spec_from_args(args):
             fisher=FisherConfig(block_size=args.block_size, dampening=damp,
                                 num_grads=args.num_grads),
             nm=getattr(args, "nm", None),
-            recomputations=args.recompute,
+            recomputations=getattr(args, "recompute", 1),  # prune has no such flag
             per_layer=args.per_layer,
             threads=args.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _resolve_schedule(args, cfg, interval: int | None):
-    from . import schedules
-
-    lr_max = args.lr_max if args.lr_max is not None else cfg.get("lr.max", schedules.DEFAULT_LR_MAX)
-    lr_min = args.lr_min if args.lr_min is not None else cfg.get("lr.min", schedules.DEFAULT_LR_MIN)
-    period = args.period if args.period is not None else cfg.get("lr.period", None)
-    if period is None:
-        period = interval if interval is not None else schedules.DEFAULT_PERIOD
-    return schedules.LrSchedule(float(lr_max), float(lr_min), int(period))
 
 
 def _load_weight_layers(path: str):
@@ -203,6 +194,8 @@ def _write_model(path: str, weights, masks) -> None:
 def cmd_prune(args, out) -> int:
     from .pruners import run_pruner, split_by_layer
 
+    if args.method != "gm" and not args.grads:
+        raise UsageError(f"method {args.method!r} needs --grads")
     _check_sparsity(args.sparsity)
     spec = _spec_from_args(args)
     ids, weights, prunable, dtypes = _load_weight_layers(args.weights)
@@ -311,26 +304,30 @@ def cmd_toy(args, out) -> int:
         cfg = schedules.load_config(args.config) if args.config else {}
     except ValueError as exc:
         raise UsageError(f"--config {args.config}: {exc}") from exc
-    targets = args.targets if args.targets is not None else cfg.get("sweep.targets")
-    interval = args.interval if args.interval is not None else cfg.get("sweep.interval")
-    nm = getattr(args, "nm", None)
-    if args.targets is None and targets is not None:
-        for flag, value in (("--sparsity", args.sparsity), ("--nm", nm)):
-            if value is not None:
-                raise UsageError(f"{flag} conflicts with sweep.targets in --config")
-    if args.command == "sweep" and targets is None:
-        raise UsageError("a sweep needs --targets")
-    recovery = getattr(args, "recovery", None)  # sweep has no such flag
-    if targets is not None and recovery is not None:
-        source = "--targets" if args.targets is not None else "sweep.targets in --config"
-        raise UsageError(f"--recovery conflicts with {source}: a sweep recovers for "
-                         "--interval steps after each event")
-    recovery = DEFAULT_RECOVERY if recovery is None else recovery
-    if targets is None and nm is None and args.sparsity is None:
-        raise UsageError("need --sparsity, --targets or --nm")
-    _check_sparsity(args.sparsity)
-    for flag, value, least in (("--steps", args.steps, 0), ("--recovery", recovery, 0),
-                               ("--samples", args.samples, 1)):
+    sweep = args.command == "sweep"
+    for key in cfg:
+        if key.startswith("sweep.") and not sweep:
+            raise UsageError(f"{key} in --config is for sweep: toy prunes once")
+    if args.acyclic and (args.period is not None or "lr.period" in cfg):
+        raise UsageError("--acyclic decays once, so it takes no --period or lr.period")
+    for key, dest in (("lr.max", "lr_max"), ("lr.min", "lr_min"), ("lr.period", "period"),
+                      ("sweep.targets", "targets"), ("sweep.interval", "interval")):
+        if getattr(args, dest, None) is not None:  # the flag wins over the config file
+            cfg[key] = getattr(args, dest)
+    if sweep:
+        targets = cfg.get("sweep.targets")
+        if targets is None:
+            raise UsageError("a sweep needs --targets")
+        interval = cfg.get("sweep.interval", schedules.DEFAULT_PERIOD)
+        named = ("--interval", interval, 1)
+    else:  # one event, to the sparsity or the n:m pattern
+        if args.sparsity is None and args.nm is None:
+            raise UsageError("need --sparsity or --nm")
+        _check_sparsity(args.sparsity)
+        targets, interval = (args.sparsity,), args.recovery
+        named = ("--recovery", interval, 0)
+    for flag, value, least in (("--steps", args.steps, 0), ("--samples", args.samples, 1),
+                               named):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
     if not 0.0 < args.lr < np.inf:
@@ -338,19 +335,18 @@ def cmd_toy(args, out) -> int:
     if not 0.0 <= args.noise < np.inf:
         raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     spec = _spec_from_args(args)
-    one_shot = targets is None
     try:
-        if one_shot:  # one event, to the sparsity or the n:m pattern
-            targets, interval = (args.sparsity,), recovery
-        else:
-            plan = schedules.plan_sweep(
-                targets, schedules.DEFAULT_PERIOD if interval is None else interval)
-            targets, interval = plan.targets, plan.interval
+        if sweep:
+            targets = schedules.plan_sweep(targets, interval).targets
         for a, b in zip(targets, targets[1:]):  # increasing, so like names are adjacent
-            if args.command == "sweep" and f"{a:g}" == f"{b:g}":
+            if f"{a:g}" == f"{b:g}":
                 raise UsageError(f"targets {_fmt(a)} and {_fmt(b)} would both write "
                                  f"{args.out}.{a:g}.ovpt")
-        sched = _resolve_schedule(args, cfg, None if one_shot else interval)
+        sched = schedules.LrSchedule(
+            float(cfg.get("lr.max", schedules.DEFAULT_LR_MAX)),
+            float(cfg.get("lr.min", schedules.DEFAULT_LR_MIN)),
+            int(cfg.get("lr.period", interval if sweep else schedules.DEFAULT_PERIOD)),
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -378,7 +374,7 @@ def cmd_toy(args, out) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report_csv(report))
-    if args.command == "toy":
+    if not sweep:
         if args.out:
             _write_model(args.out, *checkpoints[-1][1:])
         return 0
@@ -423,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="container with layer.<id>.weight")
     p.add_argument("--grads", help="container with layer.<id>.grads")
     p.add_argument("--method", choices=("gm", "wf", "ovit"), required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sparsity", type=float)
-    group.add_argument("--nm", type=_parse_nm, metavar="N:M")
+    _add_target_flags(p, required=True)
     _add_fisher_flags(p)
     p.add_argument("--out", required=True, help="output container path")
     p.set_defaults(fn=cmd_prune)
@@ -440,28 +434,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(fn=cmd_eval)
 
-    for name, help_text, need_out in (
-        ("toy", "train a toy, prune it, recover", False),
-        ("sweep", "gradual sparsity sweep on the toy; one checkpoint per target", True),
+    for name, help_text in (
+        ("toy", "train a toy, prune it once, recover"),
+        ("sweep", "gradual sparsity sweep on the toy; one checkpoint per target"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_toy_flags(p)
         p.add_argument("--method", choices=("gm", "wf", "ovit"), default="ovit")
-        p.add_argument("--sparsity", type=float)
-        p.add_argument("--targets", type=_parse_targets)
-        p.add_argument("--interval", type=int,
-                       help="steps between sweep events (default 20)")
         if name == "toy":
-            p.add_argument("--recovery", type=int,
-                           help=f"recovery steps after a one-shot prune "
-                                f"(default {DEFAULT_RECOVERY})")
-            p.add_argument("--nm", type=_parse_nm, metavar="N:M")
+            _add_target_flags(p, required=False)
+            p.add_argument("--recovery", type=int, default=20,
+                           help="recovery steps after the prune (default %(default)s)")
+        else:
+            p.add_argument("--targets", type=_parse_targets)
+            p.add_argument("--interval", type=int,
+                           help="recovery steps after each event (default 20)")
         p.add_argument("--extra-recovery", action="store_true",
                        help="append steps*100/300 extra recovery steps")
         _add_fisher_flags(p)
+        p.add_argument("--recompute", type=int, default=1,
+                       help="number of Fisher recomputation sub-steps per event")
         _add_schedule_flags(p)
-        p.add_argument("--out", required=need_out,
-                       help="output container path prefix" if need_out
+        p.add_argument("--out", required=name == "sweep",
+                       help="output container path prefix" if name == "sweep"
                        else "write final weights+masks here")
         p.add_argument("--csv")
         p.set_defaults(fn=cmd_toy)
@@ -483,19 +478,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        # cross-flag validation that argparse groups cannot express
-        if args.command in ("toy", "sweep"):
-            chosen = (args.sparsity, args.targets, getattr(args, "nm", None))
-            if sum(x is not None for x in chosen) > 1:
-                parser.error("--sparsity, --targets and --nm are mutually exclusive")
-        if args.command == "prune" and args.recompute > 1:
-            parser.error("prune reads one fixed gradient file, so --recompute above 1 "
-                         "would rebuild the same inverse; use toy or sweep")
-        if args.command == "prune" and args.method != "gm" and not args.grads:
-            parser.error(f"method {args.method!r} needs --grads")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -115,8 +115,8 @@ class TestPrune:
     def test_nm_combinations_that_would_be_ignored_exit_two(self, tmp_path, monkeypatch,
                                                             capsys, command, extra):
         """The spec refuses each combination, before ``prune`` reads a file
-        and before ``toy`` trains; for ``prune --recompute 2`` the CLI's own
-        one-gradient-file rule answers first."""
+        and before ``toy`` trains; ``prune`` has no ``--recompute`` flag, so
+        argparse refuses ``prune --recompute 2``."""
         from obsprune import cli
 
         def no_work(*args, **kwargs):
@@ -172,11 +172,11 @@ class TestPrune:
         code, text = run_cli("prune", "--weights", str(tmp_path / "w.ovpt"), "--method", method,
                              "--sparsity", "0.25", "--out", str(tmp_path / "x.ovpt"))
         assert (code, text) == (2, "")
-        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert err_lines == [f"obsprune: error: method {method!r} needs --grads"]
+        assert capsys.readouterr().err == f"error: method {method!r} needs --grads\n"
 
     def test_recompute_with_one_gradient_file_exits_two(self, tmp_path, capsys):
-        # every sub-step would rebuild the identical inverse from the same rows
+        # prune has no --recompute: every sub-step would rebuild the identical
+        # inverse from the one gradient file, so argparse refuses the flag
         code, text = run_cli(
             "prune", "--weights", str(tmp_path / "w.ovpt"),
             "--grads", str(tmp_path / "g.ovpt"), "--method", "ovit",
@@ -427,8 +427,8 @@ class TestToyAndSweep:
             "sweep.targets = 0.3, 0.6\nsweep.interval = 10\n"
         )
         code, text = run_cli(
-            "toy", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
-            "--config", str(cfg),
+            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
+            "--config", str(cfg), "--out", str(tmp_path / "cp"),
         )
         assert code == 0
         assert "10\tsparsity\t0.6" in text
@@ -437,8 +437,9 @@ class TestToyAndSweep:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sweep.targets = 0.3, 0.6\nsweep.interval = 10\n")
         code, text = run_cli(
-            "toy", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
+            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
             "--config", str(cfg), "--targets", "0.4", "--interval", "5",
+            "--out", str(tmp_path / "cp"),
         )
         assert code == 0
         assert "0\tsparsity\t0.4" in text
@@ -476,13 +477,11 @@ class TestToyAndSweep:
         ("toy", "--sparsity", "0.5", "--noise", "-0.1"),
         ("toy", "--sparsity", "0.5", "--noise", "nan"),
         ("sweep", "--targets", "0.5", "--out", "cp", "--noise", "inf"),
-        ("toy", "--targets", "0.25,0.5", "--recovery", "5"),
     ], ids=["sweep", "sweep-config", "toy", "toy-sparsity", "toy-damp", "toy-block-size",
             "toy-num-grads", "toy-recompute", "toy-steps", "toy-recovery", "toy-samples",
             "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period",
             "toy-train-lr-negative", "toy-train-lr-zero", "toy-train-lr-nan",
-            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf",
-            "toy-targets-recovery"])
+            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf"])
     def test_missing_or_bad_target_exits_two_before_training(
         self, tmp_path, monkeypatch, capsys, argv
     ):
@@ -520,28 +519,52 @@ class TestToyAndSweep:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: --config {cfg}: ")
 
-    @pytest.mark.parametrize("argv", [
-        ("toy", "--sparsity", "0.9"),
-        ("toy", "--nm", "2:4"),
-        ("sweep", "--sparsity", "0.9", "--out", "cp"),
-        ("toy", "--recovery", "20"),
-    ], ids=["toy-sparsity", "toy-nm", "sweep-sparsity", "toy-recovery"])
-    def test_target_flag_next_to_config_targets_exits_two_before_training(
-        self, tmp_path, monkeypatch, capsys, argv
+    @pytest.mark.parametrize("argv, line", [
+        (("--sparsity", "0.9"), "sweep.targets = 0.3, 0.6"),
+        (("--nm", "2:4"), "sweep.targets = 0.3, 0.6"),
+        (("--recovery", "20"), "sweep.targets = 0.3, 0.6"),
+        (("--sparsity", "0.9"), "sweep.interval = 10"),
+    ], ids=["toy-sparsity", "toy-nm", "toy-recovery", "toy-interval"])
+    def test_toy_with_a_sweep_config_key_exits_two_before_training(
+        self, tmp_path, monkeypatch, capsys, argv, line
     ):
+        """``toy`` prunes once, so a ``sweep.*`` key would be ignored."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sweep.targets = 0.3, 0.6\nsweep.interval = 10\n")
+        cfg.write_text(f"lr.max = 1e-3\n{line}\n")
 
         def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the target")
+            raise AssertionError("trained before checking the config")
 
         monkeypatch.setattr(pipeline, "toy_train", no_training)
-        code, text = run_cli(*argv, "--config", str(cfg), "--seed", "5",
+        code, text = run_cli("toy", *argv, "--config", str(cfg), "--seed", "5",
                              "--dims", "6,8,4", "--steps", "50")
         assert (code, text) == (2, "")
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-        assert "sweep.targets" in err_lines[0] and argv[1] in err_lines[0]
+        assert line.split(" =")[0] in err_lines[0]
+
+    @pytest.mark.parametrize("command", ["toy", "sweep"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_period_next_to_acyclic_exits_two_before_training(
+        self, tmp_path, monkeypatch, capsys, command, source
+    ):
+        """``--acyclic`` decays once over the whole recovery, so a period,
+        from ``--period`` or from ``lr.period`` in ``--config``, would be
+        ignored."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the period")
+
+        monkeypatch.setattr(pipeline, "toy_train", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr.period = 7\n")
+        period = ("--period", "7") if source == "flag" else ("--config", str(cfg))
+        target = (("--sparsity", "0.5") if command == "toy"
+                  else ("--targets", "0.5", "--out", str(tmp_path / "cp")))
+        code, text = run_cli(command, "--seed", "5", "--dims", "6,8,4", "--steps", "50",
+                             *target, "--acyclic", *period)
+        assert (code, text) == (2, "")
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: --acyclic ")
 
     @pytest.mark.parametrize("recompute", ["1", "3"])
     def test_toy_per_layer_prunes_every_layer_to_the_target(self, recompute):

@@ -356,19 +356,11 @@ def cmd_toy(args, out) -> int:
     )
     grad_norm = pipeline.gradient_norm(model)
     report, checkpoints = pipeline.run_gradual(
-        model, spec, targets, interval, sched, acyclic=args.acyclic
+        model, spec, targets, interval, sched, acyclic=args.acyclic,
+        extra_steps=(args.steps * 100) // 300 if args.extra_recovery else 0,
     )
     out.write(f"train\tloss\t{_fmt(report.events[0].loss_before)}\n")
     out.write(f"train\tgrad_norm\t{_fmt(grad_norm)}\n")
-    extra = (args.steps * 100) // 300 if args.extra_recovery else 0
-    if extra:  # the last window, longer on the run's own clock, ends in the last checkpoint
-        span = len(targets) * interval
-        target, _, masks = checkpoints[-1]
-        report.final_loss = pipeline.train_model(
-            model, extra, schedules.recovery_lr(sched, args.acyclic, span),
-            masks=masks, start_step=span,
-        )
-        checkpoints[-1] = (target, model.copy_weights(), masks)
     for line in report_lines(report):
         out.write(line + "\n")
     if args.csv:
@@ -483,6 +475,10 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("out", "csv"):  # a path with no directory fails before any work
+            folder = os.path.dirname(getattr(args, flag, None) or ".") or "."
+            if not os.path.isdir(folder):
+                raise FileNotFoundError(f"--{flag}: no directory {folder}")
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return args.fn(args, out)

@@ -339,6 +339,7 @@ def run_gradual(
     interval: int,
     schedule: LrSchedule | None = None,
     acyclic: bool = False,
+    extra_steps: int = 0,
 ) -> tuple[RunReport, list[tuple[float | None, dict[str, np.ndarray], dict[str, np.ndarray]]]]:
     """Alternate pruning events and mask-frozen recovery windows.
 
@@ -350,6 +351,9 @@ def run_gradual(
     which per-layer rounding can put above the target, starts from the
     loss the last one ended at and ends at the loss its recovery returns,
     so each loss is evaluated once. Masks are monotone across events.
+    ``extra_steps`` more steps on the same clock and masks follow the last
+    window; the last checkpoint and ``final_loss`` hold their result, and
+    the last event's ``post_recovery_loss`` stays that of its own window.
     Returns (report, checkpoints).
     """
     schedule = schedule or LrSchedule(period=max(interval, 1))
@@ -357,7 +361,8 @@ def run_gradual(
     checkpoints = []
     pinned = np.empty(0, dtype=np.int64)
     cap = min(spec.fisher.num_grads, model.num_samples)
-    lr_fn = recovery_lr(schedule, acyclic, len(targets) * interval)
+    span = len(targets) * interval
+    lr_fn = recovery_lr(schedule, acyclic, span)
     loss = model_loss(model)
     for i, target in enumerate(targets):
         # the rows are made inside the prune, so its build holds them alone
@@ -375,6 +380,8 @@ def run_gradual(
                         result.predicted_loss_increase, post)
         )
         loss = post
+        if extra_steps and i == len(targets) - 1:
+            loss = train_model(model, extra_steps, lr_fn, masks=masks, start_step=span)
         checkpoints.append((target, model.copy_weights(),
                             {k: v.copy() for k, v in masks.items()}))
         report.per_layer_sparsity = dict(result.per_layer_sparsity)

@@ -8,15 +8,16 @@ is recorded as the weight's *global* score and the block weights are
 snapshotted after every step. Because the recorded score is cumulative,
 pruning any prefix of a block's elimination order costs exactly the last
 recorded score of that prefix. The steps are selected by the pool rule
-of every method (see ``pools``); a block's pinned steps come first, so
-the steps a pool selects are a prefix of each of its blocks' orders, and
-each block reloads its snapshot at its selected prefix length.
+of every method (see ``pools``). A block eliminates exactly its pinned
+weights first, so a recorded step is pinned iff its weight is, the steps
+a pool selects are a prefix of each of its blocks' orders, and each
+block reloads its snapshot at its selected prefix length.
 
 Traces are arrays, one ``PassTrace`` per lockstep pass: (blocks, steps)
 arrays of elimination order and cumulative cost, the per-step snapshots,
-the final weights, and per-block counts of steps, pinned steps and
-clamps. ``solve_global`` selects on the recorded steps of all passes and
-pools at once, and the result is assembled with one mask write and one
+the final weights, and per-block counts of steps and clamps.
+``solve_global`` selects on the recorded steps of all passes and pools
+at once, and the result is assembled with one mask write and one
 snapshot reload per pass. Predicted costs are summed one block at a
 time, in block order, so their bytes do not depend on how blocks are
 grouped into passes.
@@ -99,9 +100,9 @@ class PassTrace:
     weights each, starting at global index ``offset``.
 
     Row b of ``order``, ``cumulative`` and ``states`` describes block b's
-    first ``steps[b]`` recorded steps, which are its pinned and greedy
-    ones; later entries are padding. ``states`` holds the block weights
-    after each step, or no steps in an n:m pass.
+    first ``steps[b]`` recorded steps: its pinned coordinates in index
+    order, then its greedy ones; later entries are padding. ``states``
+    holds the block weights after each step, or no steps in an n:m pass.
     """
 
     offset: int
@@ -110,7 +111,6 @@ class PassTrace:
     states: np.ndarray  # (nb, S, B) or (nb, 0, B) block weights after each step
     final: np.ndarray  # (nb, B) block weights after the last step
     steps: np.ndarray  # (nb,) recorded steps
-    pinned_steps: np.ndarray  # (nb,) leading recorded steps that were pinned
     clamps: np.ndarray  # (nb,) pivots clamped to the floor
 
     @property
@@ -209,7 +209,6 @@ def _eliminate_stack(
     scaled = np.empty((nb, max_steps, bs))  # C, one row per step
     diag = np.diagonal(cols0, axis1=1, axis2=2).copy()  # running D
     gone = ~prunable  # eliminated or frozen
-    live = prunable.copy()
     err = np.zeros(nb)
     clamps = np.zeros(nb, dtype=np.int64)
     order = np.zeros((nb, max_steps), dtype=np.int64)
@@ -218,8 +217,8 @@ def _eliminate_stack(
 
     for t in range(max_steps):
         active = t < n_steps
-        eligible = live if nm is None else live & (counts < quota)[:, group]
-        score = np.where(eligible, w * w / (2.0 * np.maximum(diag, EPS_FLOOR)), np.inf)
+        barred = gone if nm is None else gone | (counts >= quota)[:, group]
+        score = np.where(barred, np.inf, w * w / (2.0 * np.maximum(diag, EPS_FLOOR)))
         i = np.where(t < n_forced, forced[:, t], np.argmin(score, axis=1))
         col = cols0[rows, i]
         if t:
@@ -241,7 +240,6 @@ def _eliminate_stack(
         w[r] -= (wi / pivot[active])[:, None] * col[r]
         w[r, iu] = 0.0
         err[r] += wi * wi / (2.0 * pivot[active])
-        live[r, iu] = False
         order[r, t] = iu
         cumulative[r, t] = err[r]
         if nm is None:
@@ -249,7 +247,7 @@ def _eliminate_stack(
         else:
             counts[r, group[iu]] += 1
 
-    return PassTrace(offset, order, cumulative, states, w, n_steps, n_forced, clamps)
+    return PassTrace(offset, order, cumulative, states, w, n_steps, clamps)
 
 
 def _check_frozen(offset: int, stack: np.ndarray, prunable: np.ndarray) -> None:
@@ -548,9 +546,8 @@ def solve_global(
     steps = np.concatenate([p.steps for p in passes])
     block_ids = np.repeat(np.arange(steps.size), steps)
     rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    pinned_steps = rank < np.repeat(np.concatenate([p.pinned_steps for p in passes]), steps)
 
-    chosen = select_in_pools(gidx, scores, pinned_steps, k)
+    chosen = select_in_pools(gidx, scores, pin[gidx], k)
     take = np.bincount(block_ids[chosen], minlength=steps.size)
 
     # bug trap: the selected set inside each block must be a prefix of its

@@ -104,76 +104,6 @@ class TestPrune:
                           "--sparsity", "0.5", "--nm", "2:4", "--out", "x")
         assert code == 2
 
-    @pytest.mark.parametrize("command, extra", [
-        (command, extra) for command in ("prune", "toy") for extra in (
-            ("--method", "gm"),
-            ("--method", "wf"),
-            ("--method", "ovit", "--per-layer"),
-            ("--method", "ovit", "--recompute", "2"),
-        )
-    ], ids=[f"{prefix}extra{i}" for prefix in ("", "toy-") for i in range(4)])
-    def test_nm_combinations_that_would_be_ignored_exit_two(self, tmp_path, monkeypatch,
-                                                            capsys, command, extra):
-        """The spec refuses each combination, before ``prune`` reads a file
-        and before ``toy`` trains; ``prune`` has no ``--recompute`` flag, so
-        argparse refuses ``prune --recompute 2``."""
-        from obsprune import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("read or trained before checking the flags")
-
-        monkeypatch.setattr(cli, "read_container", no_work)
-        monkeypatch.setattr(pipeline, "toy_train", no_work)
-        if command == "prune":
-            argv = ("prune", "--weights", str(tmp_path / "w.ovpt"),
-                    "--grads", str(tmp_path / "g.ovpt"), "--out", str(tmp_path / "x.ovpt"))
-        else:
-            argv = ("toy", "--seed", "7", "--dims", "8,8,4", "--steps", "40",
-                    "--block-size", "8")
-        code, text = run_cli(*argv, "--nm", "2:4", *extra)
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len([line for line in err_lines if "error:" in line]) == 1
-
-    @pytest.mark.parametrize("argv", [
-        ("prune", "--method", "ovit", "--sparsity", "1.5"),
-        ("prune", "--method", "gm", "--sparsity", "-0.1"),
-        ("prune", "--method", "ovit", "--sparsity", "0.5", "--block-size", "0"),
-        ("prune", "--method", "wf", "--sparsity", "0.5", "--damp", "-1"),
-        ("eval", "--damp", "-5"),
-        ("eval", "--damp", "inf"),
-    ], ids=["sparsity-above", "sparsity-below", "block-size", "damp", "eval-damp",
-            "eval-damp-inf"])
-    def test_bad_flag_values_exit_two_before_reading(self, tmp_path, monkeypatch, capsys,
-                                                      argv):
-        from obsprune import cli
-
-        def no_reading(path):
-            raise AssertionError(f"read {path} before checking the flags")
-
-        monkeypatch.setattr(cli, "read_container", no_reading)
-        paths = {"prune": ("--weights", "--grads", "--out"),
-                 "eval": ("--weights-before", "--weights-after", "--grads")}[argv[0]]
-        files = [arg for flag in paths for arg in (flag, str(tmp_path / flag[2:]))]
-        code, text = run_cli(*argv, *files)
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-
-    @pytest.mark.parametrize("method", ["wf", "ovit"])
-    def test_wf_or_ovit_without_grads_exits_two_before_reading(self, tmp_path, monkeypatch,
-                                                               capsys, method):
-        from obsprune import cli
-
-        def no_reading(path):
-            raise AssertionError(f"read {path} before checking the flags")
-
-        monkeypatch.setattr(cli, "read_container", no_reading)
-        code, text = run_cli("prune", "--weights", str(tmp_path / "w.ovpt"), "--method", method,
-                             "--sparsity", "0.25", "--out", str(tmp_path / "x.ovpt"))
-        assert (code, text) == (2, "")
-        assert capsys.readouterr().err == f"error: method {method!r} needs --grads\n"
-
     def test_recompute_with_one_gradient_file_exits_two(self, tmp_path, capsys):
         # prune has no --recompute: every sub-step would rebuild the identical
         # inverse from the one gradient file, so argparse refuses the flag
@@ -453,119 +383,6 @@ class TestToyAndSweep:
         assert code == 0
         assert "final\tloss\t" in text
 
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--out", "cp"),
-        ("sweep", "--out", "cp", "--config", "CFG"),
-        ("toy",),
-        ("toy", "--sparsity", "1.5"),
-        ("toy", "--sparsity", "0.5", "--damp", "-1"),
-        ("toy", "--sparsity", "0.5", "--block-size", "0"),
-        ("toy", "--sparsity", "0.5", "--num-grads", "0"),
-        ("toy", "--sparsity", "0.5", "--recompute", "0"),
-        ("toy", "--sparsity", "0.5", "--steps", "-3"),
-        ("toy", "--sparsity", "0.5", "--recovery", "-1"),
-        ("toy", "--sparsity", "0.5", "--samples", "0"),
-        ("toy", "--sparsity", "0.5", "--lr-max", "1e-6", "--lr-min", "1e-3"),
-        ("sweep", "--targets", "0.5", "--out", "cp", "--interval", "0"),
-        ("sweep", "--targets", "0.5,0.3", "--out", "cp"),
-        ("sweep", "--targets", "0.5", "--out", "cp", "--damp", "-1"),
-        ("sweep", "--targets", "0.5", "--out", "cp", "--period", "0"),
-        ("toy", "--sparsity", "0.5", "--lr", "-1"),
-        ("toy", "--sparsity", "0.5", "--lr", "0"),
-        ("toy", "--sparsity", "0.5", "--lr", "nan"),
-        ("toy", "--sparsity", "0.5", "--lr", "inf"),
-        ("toy", "--sparsity", "0.5", "--noise", "-0.1"),
-        ("toy", "--sparsity", "0.5", "--noise", "nan"),
-        ("sweep", "--targets", "0.5", "--out", "cp", "--noise", "inf"),
-    ], ids=["sweep", "sweep-config", "toy", "toy-sparsity", "toy-damp", "toy-block-size",
-            "toy-num-grads", "toy-recompute", "toy-steps", "toy-recovery", "toy-samples",
-            "toy-lr", "sweep-interval", "sweep-targets", "sweep-damp", "sweep-period",
-            "toy-train-lr-negative", "toy-train-lr-zero", "toy-train-lr-nan",
-            "toy-train-lr-inf", "toy-noise-negative", "toy-noise-nan", "sweep-noise-inf"])
-    def test_missing_or_bad_target_exits_two_before_training(
-        self, tmp_path, monkeypatch, capsys, argv
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lr.max = 1e-3\nsweep.interval = 10\n")  # no sweep.targets
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the target")
-
-        monkeypatch.setattr(pipeline, "toy_train", no_training)
-        argv = [str(cfg) if a == "CFG" else a for a in argv]
-        # the case's own flags come last, so they win over these
-        code, text = run_cli(argv[0], "--seed", "7", "--dims", "6,8,4", "--steps", "40",
-                             *argv[1:])
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-
-    @pytest.mark.parametrize("line", [
-        "lr.max = abc", "lr.period = 2.5", "sweep.targets = 0.5, x", "sweep.interval = ten",
-        "lr.maximum = 1", "lr.max 1",
-    ], ids=["float", "int", "targets", "interval", "unknown-key", "no-equals"])
-    def test_malformed_config_exits_two_before_training(self, tmp_path, monkeypatch, capsys,
-                                                        line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"lr.min = 1e-5\n{line}\n")
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before reading the config")
-
-        monkeypatch.setattr(pipeline, "toy_train", no_training)
-        code, text = run_cli("toy", "--seed", "7", "--dims", "6,8,4", "--sparsity", "0.5",
-                             "--config", str(cfg))
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: --config {cfg}: ")
-
-    @pytest.mark.parametrize("argv, line", [
-        (("--sparsity", "0.9"), "sweep.targets = 0.3, 0.6"),
-        (("--nm", "2:4"), "sweep.targets = 0.3, 0.6"),
-        (("--recovery", "20"), "sweep.targets = 0.3, 0.6"),
-        (("--sparsity", "0.9"), "sweep.interval = 10"),
-    ], ids=["toy-sparsity", "toy-nm", "toy-recovery", "toy-interval"])
-    def test_toy_with_a_sweep_config_key_exits_two_before_training(
-        self, tmp_path, monkeypatch, capsys, argv, line
-    ):
-        """``toy`` prunes once, so a ``sweep.*`` key would be ignored."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"lr.max = 1e-3\n{line}\n")
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the config")
-
-        monkeypatch.setattr(pipeline, "toy_train", no_training)
-        code, text = run_cli("toy", *argv, "--config", str(cfg), "--seed", "5",
-                             "--dims", "6,8,4", "--steps", "50")
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-        assert line.split(" =")[0] in err_lines[0]
-
-    @pytest.mark.parametrize("command", ["toy", "sweep"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_a_period_next_to_acyclic_exits_two_before_training(
-        self, tmp_path, monkeypatch, capsys, command, source
-    ):
-        """``--acyclic`` decays once over the whole recovery, so a period,
-        from ``--period`` or from ``lr.period`` in ``--config``, would be
-        ignored."""
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the period")
-
-        monkeypatch.setattr(pipeline, "toy_train", no_training)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lr.period = 7\n")
-        period = ("--period", "7") if source == "flag" else ("--config", str(cfg))
-        target = (("--sparsity", "0.5") if command == "toy"
-                  else ("--targets", "0.5", "--out", str(tmp_path / "cp")))
-        code, text = run_cli(command, "--seed", "5", "--dims", "6,8,4", "--steps", "50",
-                             *target, "--acyclic", *period)
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and err_lines[0].startswith("error: --acyclic ")
-
     @pytest.mark.parametrize("recompute", ["1", "3"])
     def test_toy_per_layer_prunes_every_layer_to_the_target(self, recompute):
         # layers of 35 and 21 weights: 0.5 rounds half-up to 18 and 11 zeros
@@ -600,29 +417,6 @@ class TestToyAndSweep:
                 if prev is not None:
                     assert (prev[lid] <= z).all()  # nothing comes back
             prev = zero
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_targets_that_name_one_checkpoint_exit_two_before_training(
-        self, tmp_path, monkeypatch, capsys, source
-    ):
-        """Checkpoints are named by ``{target:g}``, so two targets that
-        agree in six significant digits would write one file."""
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the targets")
-
-        monkeypatch.setattr(pipeline, "toy_train", no_training)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sweep.targets = 0.25, 0.5, 0.5000001\n")
-        targets = (("--targets", "0.25,0.5,0.5000001") if source == "flag"
-                   else ("--config", str(cfg)))
-        prefix = tmp_path / "P"
-        code, text = run_cli("sweep", "--seed", "3", "--dims", "8,12,4", "--steps", "40",
-                             *targets, "--interval", "5", "--out", str(prefix))
-        assert (code, text) == (2, "")
-        err_lines = capsys.readouterr().err.splitlines()
-        assert err_lines == [
-            f"error: targets 0.5 and 0.5000001 would both write {prefix}.0.5.ovpt"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_sweep_has_no_recovery_flag(self, tmp_path, capsys):
         # a sweep recovers for --interval steps after each event
@@ -729,6 +523,186 @@ class TestToyAndSweep:
             "--lr-min", "1e5",
         )
         assert code == 3
+
+
+# -- refusals before any work --------------------------------------------------
+#
+# One table per guard. "{tmp}" in a row stands for the test's tmp_path. A
+# row's stderr check is either the whole of stderr, as a list of lines, or
+# the prefix of its one line.
+
+def no_work(*args, **kwargs):
+    pytest.fail("read a file or trained before checking the flags")
+
+
+def assert_stderr(err, check, tmp_path):
+    lines = err.replace(str(tmp_path), "{tmp}").splitlines()
+    if isinstance(check, list):
+        assert lines == check
+    else:
+        assert len(lines) == 1 and lines[0].startswith(check)
+
+
+PRUNE_FILES = ("--weights", "{tmp}/w.ovpt", "--grads", "{tmp}/g.ovpt", "--out", "{tmp}/x.ovpt")
+EVAL_FILES = ("--weights-before", "{tmp}/weights-before", "--weights-after",
+              "{tmp}/weights-after", "--grads", "{tmp}/grads")
+NM_ONLY_OVIT = ["error: n:m patterns are only supported by the ovit method"]
+
+# (argv, stderr check); the run must read no file
+PRUNE_REFUSALS = [
+    pytest.param(("prune", *PRUNE_FILES, "--nm", "2:4", "--method", "gm"), NM_ONLY_OVIT,
+                 id="nm-gm"),
+    pytest.param(("prune", *PRUNE_FILES, "--nm", "2:4", "--method", "wf"), NM_ONLY_OVIT,
+                 id="nm-wf"),
+    pytest.param(("prune", *PRUNE_FILES, "--nm", "2:4", "--method", "ovit", "--per-layer"),
+                 ["error: an n:m pattern has no per-layer mode"], id="nm-per-layer"),
+    # prune has no --recompute: argparse refuses it
+    pytest.param(("prune", *PRUNE_FILES, "--nm", "2:4", "--method", "ovit", "--recompute", "2"),
+                 ["usage: obsprune [-h] command ...",
+                  "obsprune: error: unrecognized arguments: --recompute 2"], id="nm-recompute"),
+    pytest.param(("prune", "--method", "ovit", "--sparsity", "1.5", *PRUNE_FILES), "error: ",
+                 id="sparsity-above"),
+    pytest.param(("prune", "--method", "gm", "--sparsity", "-0.1", *PRUNE_FILES), "error: ",
+                 id="sparsity-below"),
+    pytest.param(("prune", "--method", "ovit", "--sparsity", "0.5", "--block-size", "0",
+                  *PRUNE_FILES), "error: ", id="block-size"),
+    pytest.param(("prune", "--method", "wf", "--sparsity", "0.5", "--damp", "-1",
+                  *PRUNE_FILES), "error: ", id="damp"),
+    pytest.param(("eval", "--damp", "-5", *EVAL_FILES), "error: ", id="eval-damp"),
+    pytest.param(("eval", "--damp", "inf", *EVAL_FILES), "error: ", id="eval-damp-inf"),
+] + [
+    pytest.param(("prune", "--weights", "{tmp}/w.ovpt", "--method", method, "--sparsity",
+                  "0.25", "--out", "{tmp}/x.ovpt"),
+                 [f"error: method {method!r} needs --grads"], id=f"{method}-without-grads")
+    for method in ("wf", "ovit")
+]
+
+
+@pytest.mark.parametrize("argv, check", PRUNE_REFUSALS)
+def test_prune_and_eval_refusals_exit_two_before_reading(tmp_path, monkeypatch, capsys,
+                                                         argv, check):
+    """A flag value or combination the run cannot take, or would ignore,
+    exits 2 with empty stdout before a file is read."""
+    from obsprune import cli
+
+    monkeypatch.setattr(cli, "read_container", no_work)
+    code, text = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, text) == (2, "")
+    assert_stderr(capsys.readouterr().err, check, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+SWEEP_OUT = ("--out", "{tmp}/cp")
+CONFIG = ("--config", "{tmp}/run.cfg")
+TOY_NM = ("--dims", "8,8,4", "--block-size", "8", "--nm", "2:4")
+BAD_LINES = {"float": "lr.max = abc", "int": "lr.period = 2.5",
+             "targets": "sweep.targets = 0.5, x", "interval": "sweep.interval = ten",
+             "unknown-key": "lr.maximum = 1", "no-equals": "lr.max 1"}
+SWEEP_KEYS = {"toy-sparsity": (("--sparsity", "0.9"), "sweep.targets = 0.3, 0.6"),
+              "toy-nm": (("--nm", "2:4"), "sweep.targets = 0.3, 0.6"),
+              "toy-recovery": (("--recovery", "20"), "sweep.targets = 0.3, 0.6"),
+              "toy-interval": (("--sparsity", "0.9"), "sweep.interval = 10")}
+ONE_CHECKPOINT = ["error: targets 0.5 and 0.5000001 would both write {tmp}/P.0.5.ovpt"]
+
+# (argv, config file text or None, stderr check); the run must not train.
+# The test puts "--seed 7 --dims 6,8,4 --steps 40" after the command; a
+# row's own flags come later, so they win.
+TOY_REFUSALS = [
+    pytest.param(argv, config, "error: ", id=f"target-{name}") for name, argv, config in [
+        ("sweep", ("sweep", *SWEEP_OUT), None),
+        ("sweep-config", ("sweep", *SWEEP_OUT, *CONFIG), "lr.max = 1e-3\nsweep.interval = 10\n"),
+        ("toy", ("toy",), None),
+        ("toy-sparsity", ("toy", "--sparsity", "1.5"), None),
+        ("toy-damp", ("toy", "--sparsity", "0.5", "--damp", "-1"), None),
+        ("toy-block-size", ("toy", "--sparsity", "0.5", "--block-size", "0"), None),
+        ("toy-num-grads", ("toy", "--sparsity", "0.5", "--num-grads", "0"), None),
+        ("toy-recompute", ("toy", "--sparsity", "0.5", "--recompute", "0"), None),
+        ("toy-steps", ("toy", "--sparsity", "0.5", "--steps", "-3"), None),
+        ("toy-recovery", ("toy", "--sparsity", "0.5", "--recovery", "-1"), None),
+        ("toy-samples", ("toy", "--sparsity", "0.5", "--samples", "0"), None),
+        ("toy-lr", ("toy", "--sparsity", "0.5", "--lr-max", "1e-6", "--lr-min", "1e-3"), None),
+        ("sweep-interval", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--interval", "0"), None),
+        ("sweep-targets", ("sweep", "--targets", "0.5,0.3", *SWEEP_OUT), None),
+        ("sweep-damp", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--damp", "-1"), None),
+        ("sweep-period", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--period", "0"), None),
+        ("toy-train-lr-negative", ("toy", "--sparsity", "0.5", "--lr", "-1"), None),
+        ("toy-train-lr-zero", ("toy", "--sparsity", "0.5", "--lr", "0"), None),
+        ("toy-train-lr-nan", ("toy", "--sparsity", "0.5", "--lr", "nan"), None),
+        ("toy-train-lr-inf", ("toy", "--sparsity", "0.5", "--lr", "inf"), None),
+        ("toy-noise-negative", ("toy", "--sparsity", "0.5", "--noise", "-0.1"), None),
+        ("toy-noise-nan", ("toy", "--sparsity", "0.5", "--noise", "nan"), None),
+        ("sweep-noise-inf", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--noise", "inf"), None),
+    ]
+] + [
+    pytest.param(("toy", *TOY_NM, "--method", "gm"), None, NM_ONLY_OVIT, id="nm-toy-gm"),
+    pytest.param(("toy", *TOY_NM, "--method", "wf"), None, NM_ONLY_OVIT, id="nm-toy-wf"),
+    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--per-layer"), None,
+                 ["error: an n:m pattern has no per-layer mode"], id="nm-toy-per-layer"),
+    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--recompute", "2"), None,
+                 ["error: an n:m pattern takes no recomputation sub-steps"],
+                 id="nm-toy-recompute"),
+] + [
+    pytest.param(("toy", "--sparsity", "0.5", *CONFIG), f"lr.min = 1e-5\n{line}\n",
+                 "error: --config {tmp}/run.cfg: ", id=f"config-{name}")
+    for name, line in BAD_LINES.items()
+] + [  # toy prunes once, so a sweep.* key would be ignored
+    pytest.param(("toy", *argv, *CONFIG), f"lr.max = 1e-3\n{line}\n",
+                 f"error: {line.split(' =')[0]} in --config is for sweep", id=f"sweep-key-{name}")
+    for name, (argv, line) in SWEEP_KEYS.items()
+] + [  # --acyclic decays once over the whole recovery, so a period would be ignored
+    pytest.param((command, *target, "--acyclic", *period), config, "error: --acyclic ",
+                 id=f"acyclic-{source}-{command}")
+    for command, target in (("toy", ("--sparsity", "0.5")),
+                            ("sweep", ("--targets", "0.5", *SWEEP_OUT)))
+    for source, period, config in (("flag", ("--period", "7"), None),
+                                   ("config", CONFIG, "lr.period = 7\n"))
+] + [  # checkpoints are named by {target:g}, so these targets would write one file
+    pytest.param(("sweep", "--targets", "0.25,0.5,0.5000001", "--interval", "5", "--out",
+                  "{tmp}/P"), None, ONE_CHECKPOINT, id="one-checkpoint-flag"),
+    pytest.param(("sweep", *CONFIG, "--interval", "5", "--out", "{tmp}/P"),
+                 "sweep.targets = 0.25, 0.5, 0.5000001\n", ONE_CHECKPOINT,
+                 id="one-checkpoint-config"),
+]
+
+
+@pytest.mark.parametrize("argv, config, check", TOY_REFUSALS)
+def test_toy_and_sweep_refusals_exit_two_before_training(tmp_path, monkeypatch, capsys,
+                                                         argv, config, check):
+    """A flag value, config key or combination the run cannot take, or
+    would ignore, exits 2 with empty stdout before training, and writes
+    no file."""
+    monkeypatch.setattr(pipeline, "toy_train", no_work)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    code, text = run_cli(argv[0], "--seed", "7", "--dims", "6,8,4", "--steps", "40",
+                         *(a.replace("{tmp}", str(tmp_path)) for a in argv[1:]))
+    assert (code, text) == (2, "")
+    assert_stderr(capsys.readouterr().err, check, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("prune", "--weights", "{tmp}/w.ovpt", "--method", "gm", "--sparsity", "0.5",
+      "--out", "{tmp}/missing/x.ovpt"), "--out"),
+    (("eval", *EVAL_FILES, "--csv", "{tmp}/missing/x.csv"), "--csv"),
+    (("toy", "--sparsity", "0.5", "--out", "{tmp}/missing/x.ovpt"), "--out"),
+    (("toy", "--sparsity", "0.5", "--csv", "{tmp}/missing/x.csv"), "--csv"),
+    (("sweep", "--targets", "0.5", "--out", "{tmp}/missing/cp"), "--out"),
+    (("sweep", "--targets", "0.5", *SWEEP_OUT, "--csv", "{tmp}/missing/x.csv"), "--csv"),
+], ids=["prune-out", "eval-csv", "toy-out", "toy-csv", "sweep-out", "sweep-csv"])
+def test_a_missing_output_directory_exits_three_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                argv, flag):
+    """An output path whose directory does not exist fails before a file
+    is read or a training step runs, with empty stdout and one line."""
+    from obsprune import cli
+
+    monkeypatch.setattr(cli, "read_container", no_work)
+    monkeypatch.setattr(pipeline, "toy_train", no_work)
+    code, text = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, text) == (3, "")
+    assert_stderr(capsys.readouterr().err, [f"error: {flag}: no directory {{tmp}}/missing"],
+                  tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def count_calls(monkeypatch, module, name):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from obsprune import cli, pipeline
 from obsprune.fisher import FisherConfig, iter_block_inverses
 from obsprune.pruners import PrunerSpec, run_pruner
-from obsprune.schedules import LrSchedule
+from obsprune.schedules import LrSchedule, recovery_lr
 from obsprune.tensorstore import GradientSet
 from reference_rows import per_sample_gradients
 
@@ -452,6 +452,44 @@ class TestRunModes:
             prev_zero = zero
         # distinct sparsity levels recorded per event
         assert [round(e.sparsity, 2) for e in report.events] == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("acyclic", [False, True], ids=["cyclic", "acyclic"])
+    def test_extra_steps_continue_the_last_window_on_the_runs_clock(self, acyclic):
+        """``extra_steps=k`` has the bytes of the run followed by k masked
+        steps on its own recovery clock from step len(targets) * interval:
+        the weights, ``final_loss`` and the last checkpoint. The events and
+        earlier checkpoints are the run's, and ``extra_steps=0`` is the
+        run itself."""
+        targets, interval, k = (0.3, 0.6), 6, 9
+        schedule = LrSchedule(5e-3, 1e-4, 4)
+
+        def run(**extra):
+            model = pipeline.toy_train(73, (8, 12, 4), steps=60, lr=0.05)
+            return (model, *pipeline.run_gradual(model, ovit_spec(8), targets, interval,
+                                                 schedule, acyclic=acyclic, **extra))
+
+        def raw(weights):
+            return {lid: w.tobytes() for lid, w in weights.items()}
+
+        def cp_bytes(checkpoints):
+            return [(t, raw(w), raw(m)) for t, w, m in checkpoints]
+
+        model, report, checkpoints = run()
+        zero_model, zero_report, zero_checkpoints = run(extra_steps=0)
+        assert raw(zero_model.weights) == raw(model.weights)
+        assert zero_report == report
+        assert cp_bytes(zero_checkpoints) == cp_bytes(checkpoints)
+
+        span = len(targets) * interval
+        target, _, masks = checkpoints[-1]
+        final = pipeline.train_model(model, k, recovery_lr(schedule, acyclic, span),
+                                     masks=masks, start_step=span)
+        longer, longer_report, longer_checkpoints = run(extra_steps=k)
+        assert raw(longer.weights) == raw(model.weights)
+        assert longer_report.final_loss == final != report.final_loss
+        assert longer_report.events == report.events
+        assert cp_bytes(longer_checkpoints) == cp_bytes(
+            checkpoints[:-1] + [(target, model.weights, masks)])
 
     def test_report_lines_are_deterministic(self):
         a = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)

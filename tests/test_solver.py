@@ -39,7 +39,6 @@ class Reference(NamedTuple):
     cumulative: np.ndarray
     states: np.ndarray
     final: np.ndarray
-    pinned_steps: int
     clamp_events: int
 
 
@@ -92,7 +91,7 @@ def reference_block(w, inv, prunable=None, pinned=(), nm=None):
             inv = eliminate_index_clamped(inv, i)
             alive[i] = False
             counts[gid[i]] += 1
-    return Reference(order, cumulative, states, w, len(pinned_list), clamps)
+    return Reference(order, cumulative, states, w, clamps)
 
 
 def make_inverse(rng, d, block_size, damp=1e-3, n=None, movable=None):
@@ -358,9 +357,12 @@ def test_per_step_states_have_compact_shape(rng):
 # -- the lockstep kernel against the per-block reference ----------------------
 
 def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
-    """Kernel traces equal the reference block by block: same orders, pins
-    and clamp counts, costs to 1e-9 relative, weights close, frozen weights
-    bit-identical and eliminated weights exactly zero."""
+    """Kernel traces equal the reference block by block: same orders and
+    clamp counts, costs to 1e-9 relative, weights close, frozen weights
+    bit-identical and eliminated weights exactly zero. A block's first
+    recorded steps are exactly its pinned coordinates, in index order, and
+    no later step is pinned, which is what lets ``solve_global`` read a
+    record's pin from its weight."""
     pin = np.zeros(w.size, dtype=bool) if pinned is None else pinned
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCurvatureWarning)
@@ -374,7 +376,9 @@ def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
         got = p.block(j)
         assert p.starts[j] == lo
         np.testing.assert_array_equal(got.order, want.order)
-        assert p.pinned_steps[j] == want.pinned_steps
+        pins = np.flatnonzero(pin[lo:hi])
+        np.testing.assert_array_equal(got.order[: pins.size], pins)
+        assert not pin[lo:hi][got.order[pins.size :]].any()
         assert p.clamps[j] == want.clamp_events
         np.testing.assert_allclose(got.cumulative, want.cumulative, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got.final, want.final, rtol=1e-7, atol=1e-9)

@@ -4,9 +4,11 @@ Subcommands: ``prune`` (file to file), ``sweep`` (gradual schedule on the
 built-in toy, one checkpoint per target), ``eval`` (quadratic-model
 scoring and pattern compliance of a before/after pair), ``toy`` (train
 the toy, prune it once, recover), plus an internal ``oracle`` helper for
-reproducing brute-force reference numbers. Each flag belongs to the
-commands it acts on; a combination argparse cannot refuse is a
-``UsageError``, one ``error:`` line and exit 2 before any work.
+reproducing brute-force reference numbers. Every setting is a flag, and
+each flag belongs to the commands it acts on; a combination argparse
+cannot refuse is a ``UsageError``, one ``error:`` line and exit 2 before
+any work. Every report line goes to stdout; ``--out`` names the only files
+a command writes.
 
 Exit codes: 0 success, 1 compliance-check failure, 2 usage error,
 3 numerical or runtime failure. Every command is deterministic given its
@@ -123,8 +125,6 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
                    help="cycle length T (default: the sweep interval, else 20)")
     p.add_argument("--acyclic", action="store_true",
                    help="single linear decay instead of cycling; takes no period")
-    p.add_argument("--config",
-                   help="key-value config file (lr.*, and sweep.* for sweep); flags win")
 
 
 def _add_toy_flags(p: argparse.ArgumentParser) -> None:
@@ -226,7 +226,6 @@ def cmd_eval(args, out) -> int:
     total_zeros = 0
     total_size = 0
     violations = 0
-    csv_rows = ["layer,predicted,sparsity"]
     for lid, wb in before.items():
         wname = weight_name(lid)
         if wname not in after_box:
@@ -247,7 +246,6 @@ def cmd_eval(args, out) -> int:
         if args.nm is not None:
             violations += nm_violations(mask, *args.nm)
         out.write(f"{wname}\tpredicted\t{_fmt(pred)}\tsparsity\t{_fmt(sparsity)}\n")
-        csv_rows.append(f"{wname},{_fmt(pred)},{_fmt(sparsity)}")
         total_pred += pred
         total_zeros += zeros
         total_size += mask.size
@@ -256,24 +254,17 @@ def cmd_eval(args, out) -> int:
     )
     if args.nm is not None:
         out.write(f"nm\tviolations\t{violations}\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_rows) + "\n")
     return 1 if violations else 0
 
 
-def _event_rows(report) -> list[tuple[int, str, str]]:
-    """(step, field, formatted value) for every event of a
-    ``pipeline.RunReport``, in report order; each field is named as the
-    ``pipeline.EventRecord`` attribute it reports."""
+def report_lines(report) -> list[str]:
+    """Line-delimited (step, field, value) records of every event of a
+    ``pipeline.RunReport``, each field named as the ``pipeline.EventRecord``
+    attribute it reports, plus a summary block."""
     fields = ("sparsity", "loss_before", "loss_after", "predicted_increase",
               "post_recovery_loss")
-    return [(ev.step, name, _fmt(getattr(ev, name))) for ev in report.events for name in fields]
-
-
-def report_lines(report) -> list[str]:
-    """Line-delimited (step, field, value) records plus a summary block."""
-    lines = [f"{step}\t{name}\t{value}" for step, name, value in _event_rows(report)]
+    lines = [f"{ev.step}\t{name}\t{_fmt(getattr(ev, name))}"
+             for ev in report.events for name in fields]
     lines.append("summary\tevent\tstep\tsparsity\tloss_before\tloss_after\tpredicted\tpost_recovery")
     for i, ev in enumerate(report.events):
         lines.append(
@@ -287,38 +278,19 @@ def report_lines(report) -> list[str]:
     return lines
 
 
-def report_csv(report) -> str:
-    """Plot-friendly CSV: step,field,value rows, the event rows of ``report_lines``."""
-    rows = ["step,field,value"]
-    rows += [f"{step},{name},{value}" for step, name, value in _event_rows(report)]
-    return "\n".join(rows) + "\n"
-
-
 def cmd_toy(args, out) -> int:
     """``toy`` and ``sweep``: train the toy, run its one-shot prune or
     sweep, print the report, and write the final model (``toy --out``) or
     every checkpoint (``sweep``)."""
     from . import pipeline, schedules
 
-    try:
-        cfg = schedules.load_config(args.config) if args.config else {}
-    except ValueError as exc:
-        raise UsageError(f"--config {args.config}: {exc}") from exc
     sweep = args.command == "sweep"
-    for key in cfg:
-        if key.startswith("sweep.") and not sweep:
-            raise UsageError(f"{key} in --config is for sweep: toy prunes once")
-    if args.acyclic and (args.period is not None or "lr.period" in cfg):
-        raise UsageError("--acyclic decays once, so it takes no --period or lr.period")
-    for key, dest in (("lr.max", "lr_max"), ("lr.min", "lr_min"), ("lr.period", "period"),
-                      ("sweep.targets", "targets"), ("sweep.interval", "interval")):
-        if getattr(args, dest, None) is not None:  # the flag wins over the config file
-            cfg[key] = getattr(args, dest)
+    if args.acyclic and args.period is not None:
+        raise UsageError("--acyclic decays once, so it takes no --period")
     if sweep:
-        targets = cfg.get("sweep.targets")
+        targets, interval = args.targets, args.interval
         if targets is None:
             raise UsageError("a sweep needs --targets")
-        interval = cfg.get("sweep.interval", schedules.DEFAULT_PERIOD)
         named = ("--interval", interval, 1)
     else:  # one event, to the sparsity or the n:m pattern
         if args.sparsity is None and args.nm is None:
@@ -330,6 +302,9 @@ def cmd_toy(args, out) -> int:
                                named):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    extra_steps = (args.steps * 100) // 300 if args.extra_recovery else 0
+    if args.extra_recovery and not extra_steps:
+        raise UsageError(f"--extra-recovery needs --steps >= 3, got {args.steps}")
     if not 0.0 < args.lr < np.inf:
         raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
     if not 0.0 <= args.noise < np.inf:
@@ -342,11 +317,10 @@ def cmd_toy(args, out) -> int:
             if f"{a:g}" == f"{b:g}":
                 raise UsageError(f"targets {_fmt(a)} and {_fmt(b)} would both write "
                                  f"{args.out}.{a:g}.ovpt")
-        sched = schedules.LrSchedule(
-            float(cfg.get("lr.max", schedules.DEFAULT_LR_MAX)),
-            float(cfg.get("lr.min", schedules.DEFAULT_LR_MIN)),
-            int(cfg.get("lr.period", interval if sweep else schedules.DEFAULT_PERIOD)),
-        )
+        # the flags given, else LrSchedule's defaults; a sweep cycles every interval
+        lr = {"lr_max": args.lr_max, "lr_min": args.lr_min,
+              "period": interval if sweep and args.period is None else args.period}
+        sched = schedules.LrSchedule(**{k: v for k, v in lr.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -356,16 +330,12 @@ def cmd_toy(args, out) -> int:
     )
     grad_norm = pipeline.gradient_norm(model)
     report, checkpoints = pipeline.run_gradual(
-        model, spec, targets, interval, sched, acyclic=args.acyclic,
-        extra_steps=(args.steps * 100) // 300 if args.extra_recovery else 0,
+        model, spec, targets, interval, sched, acyclic=args.acyclic, extra_steps=extra_steps,
     )
     out.write(f"train\tloss\t{_fmt(report.events[0].loss_before)}\n")
     out.write(f"train\tgrad_norm\t{_fmt(grad_norm)}\n")
     for line in report_lines(report):
         out.write(line + "\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
     if not sweep:
         if args.out:
             _write_model(args.out, *checkpoints[-1][1:])
@@ -423,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--damp", type=float, default=DAMPENING_DEFAULTS["ovit"])
     p.add_argument("--nm", type=_parse_nm, metavar="N:M",
                    help="also check n:m mask compliance")
-    p.add_argument("--csv")
     p.set_defaults(fn=cmd_eval)
 
     for name, help_text in (
@@ -439,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="recovery steps after the prune (default %(default)s)")
         else:
             p.add_argument("--targets", type=_parse_targets)
-            p.add_argument("--interval", type=int,
-                           help="recovery steps after each event (default 20)")
+            p.add_argument("--interval", type=int, default=20,
+                           help="recovery steps after each event (default %(default)s)")
         p.add_argument("--extra-recovery", action="store_true",
                        help="append steps*100/300 extra recovery steps")
         _add_fisher_flags(p)
@@ -450,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=name == "sweep",
                        help="output container path prefix" if name == "sweep"
                        else "write final weights+masks here")
-        p.add_argument("--csv")
         p.set_defaults(fn=cmd_toy)
 
     p = sub.add_parser("oracle")  # internal: no help kwarg keeps it out of --help
@@ -475,10 +443,10 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for flag in ("out", "csv"):  # a path with no directory fails before any work
-            folder = os.path.dirname(getattr(args, flag, None) or ".") or "."
-            if not os.path.isdir(folder):
-                raise FileNotFoundError(f"--{flag}: no directory {folder}")
+        # an --out path with no directory fails before any work
+        folder = os.path.dirname(getattr(args, "out", None) or ".") or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"--out: no directory {folder}")
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return args.fn(args, out)

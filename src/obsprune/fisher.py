@@ -137,7 +137,6 @@ class FisherBlockInverse:
     """
 
     blocks: list[np.ndarray]
-    config: FisherConfig
     offsets: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -282,4 +281,4 @@ def build_fisher_inverse(
 ) -> FisherBlockInverse:
     """The whole block inverse: every block of ``iter_block_inverses``, kept."""
     stacks = iter_block_inverses(grads, config, movable)
-    return FisherBlockInverse([blk for stack in stacks for blk in stack], config)
+    return FisherBlockInverse([blk for stack in stacks for blk in stack])

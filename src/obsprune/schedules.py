@@ -11,10 +11,6 @@ a fresh cycle.
 
 A sweep prunes to ``targets[i]`` at step ``i * interval`` and emits a
 checkpoint after the recovery window that follows each event.
-
-Config files are plain ``key = value`` lines (``#`` comments allowed)
-with the keys lr.max, lr.min, lr.period, sweep.targets (comma-separated)
-and sweep.interval.
 """
 
 from __future__ import annotations
@@ -22,18 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-DEFAULT_LR_MAX = 5e-4
-DEFAULT_LR_MIN = 1e-5
-DEFAULT_PERIOD = 20
-
-
 @dataclass(frozen=True)
 class LrSchedule:
     """Cyclic linear decay from lr_max toward (never reaching) lr_min."""
 
-    lr_max: float = DEFAULT_LR_MAX
-    lr_min: float = DEFAULT_LR_MIN
-    period: int = DEFAULT_PERIOD
+    lr_max: float = 5e-4
+    lr_min: float = 1e-5
+    period: int = 20
 
     def __post_init__(self) -> None:
         if not self.lr_max > self.lr_min > 0.0:
@@ -83,38 +74,3 @@ class SweepPlan:
 def plan_sweep(targets: tuple[float, ...] | list[float], interval: int) -> SweepPlan:
     return SweepPlan(tuple(float(t) for t in targets), int(interval))
 
-
-_CONFIG_KEYS = ("lr.max", "lr.min", "lr.period", "sweep.targets", "sweep.interval")
-
-
-def parse_config(text: str) -> dict[str, object]:
-    """Parse ``key = value`` lines into typed values.
-
-    Returns a dict with any of: lr.max (float), lr.min (float),
-    lr.period (int), sweep.targets (tuple of floats), sweep.interval (int).
-    Unknown keys and malformed lines raise ValueError.
-    """
-    out: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in ("lr.max", "lr.min"):
-            out[key] = float(value)
-        elif key in ("lr.period", "sweep.interval"):
-            out[key] = int(value)
-        else:  # sweep.targets
-            out[key] = tuple(float(v) for v in value.split(",") if v.strip())
-    return out
-
-
-def load_config(path: str) -> dict[str, object]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -166,7 +166,6 @@ class TensorContainer:
     """Ordered mapping of names to tensors; iteration order is insertion order."""
 
     entries: dict[str, Tensor] = field(default_factory=dict)
-    version: int = VERSION
 
     def add(self, name: str, tensor: Tensor | np.ndarray) -> None:
         if name in self.entries:
@@ -191,8 +190,7 @@ class TensorContainer:
         if not isinstance(other, TensorContainer):
             return NotImplemented
         return (
-            self.version == other.version
-            and list(self.entries) == list(other.entries)
+            list(self.entries) == list(other.entries)
             and all(self.entries[k] == other.entries[k] for k in self.entries)
         )
 
@@ -208,9 +206,7 @@ def write_container(path: str, container: TensorContainer) -> None:
     The new file gets the mode ``open(path, "wb")`` would leave: that of
     the file it replaces, or 0o666 less the umask.
     """
-    if container.version != VERSION:
-        raise UnsupportedVersionError(f"cannot write version {container.version}")
-    parts = [MAGIC, struct.pack("<II", container.version, len(container.entries))]
+    parts = [MAGIC, struct.pack("<II", VERSION, len(container.entries))]
     for name, t in container.entries.items():
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))

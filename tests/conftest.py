@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from obsprune.fisher import FisherBlockInverse, FisherConfig
+from obsprune.fisher import FisherBlockInverse
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -35,12 +35,9 @@ def dense_fisher(rows: np.ndarray, damp: float) -> np.ndarray:
     return damp * np.eye(d) + rows.T @ rows / n
 
 
-def inverse_from_dense(fisher: np.ndarray, damp: float = 1e-8,
-                       num_grads: int = 1) -> FisherBlockInverse:
+def inverse_from_dense(fisher: np.ndarray) -> FisherBlockInverse:
     """Wrap a dense SPD matrix as a single-block inverse."""
-    d = fisher.shape[0]
-    cfg = FisherConfig(block_size=d, dampening=damp, num_grads=num_grads)
-    return FisherBlockInverse(blocks=[np.linalg.inv(fisher)], config=cfg)
+    return FisherBlockInverse(blocks=[np.linalg.inv(fisher)])
 
 
 def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-3) -> np.ndarray:

@@ -65,7 +65,7 @@ def freeze_indices(inv: FisherBlockInverse, frozen: Iterable[int]) -> FisherBloc
     subspace: columns at frozen coordinates are zero, so no compensating
     update computed from it can touch a frozen weight.
     """
-    out = FisherBlockInverse([b.copy() for b in inv.blocks], inv.config, inv.offsets.copy())
+    out = FisherBlockInverse([b.copy() for b in inv.blocks], inv.offsets.copy())
     per_block: dict[int, list[int]] = {}
     for g in frozen:
         b, local = out.block_of(int(g))

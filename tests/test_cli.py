@@ -157,7 +157,7 @@ class TestPrune:
         argv = {"prune": ("prune", "--weights", wpath, "--grads", gpath, "--method", "ovit",
                           "--sparsity", "0.5", "--out", tmp / "x.ovpt"),
                 "eval": ("eval", "--weights-before", wpath, "--weights-after", wpath,
-                         "--grads", gpath, "--csv", tmp / "x.csv")}[command]
+                         "--grads", gpath)}[command]
         src = str(pathlib.Path(pipeline.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", _SHRINK_SCRIPT, *map(str, argv)],
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
@@ -165,7 +165,7 @@ class TestPrune:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "truncated" in proc.stderr
-        assert not (tmp / "x.ovpt").exists() and not (tmp / "x.csv").exists()
+        assert sorted(p.name for p in tmp.iterdir()) == ["grads.ovpt", "weights.ovpt"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_runs_leave_no_descriptor_open(self, fixture_files):
@@ -233,26 +233,6 @@ class TestEval:
         eval_total = eval_text.splitlines()[-1].split("\t")
         assert prune_total[0] == eval_total[0] == "total"
         assert float(prune_total[4]) == pytest.approx(float(eval_total[2]), rel=1e-9)
-
-    def test_csv_rows_match_the_per_layer_lines(self, fixture_files):
-        wpath, gpath, tmp = fixture_files
-        out_path, csv_path = tmp / "wf.ovpt", tmp / "eval.csv"
-        code, _ = run_cli("prune", "--weights", str(wpath), "--grads", str(gpath),
-                          "--method", "wf", "--sparsity", "0.5", "--out", str(out_path))
-        assert code == 0
-        code, text = run_cli(
-            "eval", "--weights-before", str(wpath), "--weights-after", str(out_path),
-            "--grads", str(gpath), "--csv", str(csv_path),
-        )
-        assert code == 0
-        layer_lines = [ln.split("\t") for ln in text.splitlines()
-                       if ln.startswith("layer.")]
-        assert len(layer_lines) == 2
-        expected = ["layer,predicted,sparsity"] + [
-            f"{name},{pred},{sparsity}"
-            for name, _, pred, _, sparsity in layer_lines
-        ]
-        assert csv_path.read_text() == "\n".join(expected) + "\n"
 
     def test_shape_mismatch_is_a_runtime_failure(self, fixture_files, tmp_path):
         wpath, gpath, _ = fixture_files
@@ -350,31 +330,6 @@ class TestToyAndSweep:
             ])
             assert (masks == 0).mean() == pytest.approx(target)
 
-    def test_config_file_supplies_schedule_and_targets(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "lr.max = 1e-3\nlr.min = 1e-5\nlr.period = 10\n"
-            "sweep.targets = 0.3, 0.6\nsweep.interval = 10\n"
-        )
-        code, text = run_cli(
-            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
-            "--config", str(cfg), "--out", str(tmp_path / "cp"),
-        )
-        assert code == 0
-        assert "10\tsparsity\t0.6" in text
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sweep.targets = 0.3, 0.6\nsweep.interval = 10\n")
-        code, text = run_cli(
-            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
-            "--config", str(cfg), "--targets", "0.4", "--interval", "5",
-            "--out", str(tmp_path / "cp"),
-        )
-        assert code == 0
-        assert "0\tsparsity\t0.4" in text
-        assert "sparsity\t0.6" not in text
-
     def test_toy_nm_mode(self):
         code, text = run_cli(
             "toy", "--seed", "7", "--dims", "8,8,4", "--steps", "40",
@@ -437,23 +392,6 @@ class TestToyAndSweep:
         for text in (sweep, toy):
             assert "0\tsparsity\t0.517857142857\n" in text
         assert "checkpoint\t0.5\t" in sweep  # the file name keeps the target
-
-    @pytest.mark.parametrize("command, extra", [
-        ("toy", ("--sparsity", "0.5", "--recovery", "5", "--recompute", "2")),
-        ("sweep", ("--targets", "0.25,0.5", "--interval", "5")),
-    ])
-    def test_csv_is_the_event_lines_of_stdout(self, tmp_path, command, extra):
-        csv_path = tmp_path / "run.csv"
-        argv = ["--seed", "4", "--dims", "6,8,4", "--steps", "30", *extra,
-                "--csv", str(csv_path)]
-        if command == "sweep":
-            argv += ["--out", str(tmp_path / "cp")]
-        code, text = run_cli(command, *argv)
-        assert code == 0
-        events = [ln.replace("\t", ",") for ln in text.splitlines()
-                  if ln.split("\t")[0].isdigit()]
-        assert len(events) >= 5
-        assert csv_path.read_text() == "\n".join(["step,field,value", *events]) + "\n"
 
     @pytest.mark.parametrize("extra", [(), ("--per-layer",), ("--recompute", "2"),
                                        ("--loss", "logistic")],
@@ -570,6 +508,10 @@ PRUNE_REFUSALS = [
                   *PRUNE_FILES), "error: ", id="damp"),
     pytest.param(("eval", "--damp", "-5", *EVAL_FILES), "error: ", id="eval-damp"),
     pytest.param(("eval", "--damp", "inf", *EVAL_FILES), "error: ", id="eval-damp-inf"),
+    # every eval line goes to stdout: argparse refuses --csv
+    pytest.param(("eval", *EVAL_FILES, "--csv", "{tmp}/x.csv"),
+                 ["usage: obsprune [-h] command ...",
+                  "obsprune: error: unrecognized arguments: --csv {tmp}/x.csv"], id="eval-csv"),
 ] + [
     pytest.param(("prune", "--weights", "{tmp}/w.ovpt", "--method", method, "--sparsity",
                   "0.25", "--out", "{tmp}/x.ovpt"),
@@ -593,105 +535,89 @@ def test_prune_and_eval_refusals_exit_two_before_reading(tmp_path, monkeypatch, 
 
 
 SWEEP_OUT = ("--out", "{tmp}/cp")
-CONFIG = ("--config", "{tmp}/run.cfg")
 TOY_NM = ("--dims", "8,8,4", "--block-size", "8", "--nm", "2:4")
-BAD_LINES = {"float": "lr.max = abc", "int": "lr.period = 2.5",
-             "targets": "sweep.targets = 0.5, x", "interval": "sweep.interval = ten",
-             "unknown-key": "lr.maximum = 1", "no-equals": "lr.max 1"}
-SWEEP_KEYS = {"toy-sparsity": (("--sparsity", "0.9"), "sweep.targets = 0.3, 0.6"),
-              "toy-nm": (("--nm", "2:4"), "sweep.targets = 0.3, 0.6"),
-              "toy-recovery": (("--recovery", "20"), "sweep.targets = 0.3, 0.6"),
-              "toy-interval": (("--sparsity", "0.9"), "sweep.interval = 10")}
-ONE_CHECKPOINT = ["error: targets 0.5 and 0.5000001 would both write {tmp}/P.0.5.ovpt"]
+TARGETS = {"toy": ("--sparsity", "0.5"), "sweep": ("--targets", "0.5", *SWEEP_OUT)}
 
-# (argv, config file text or None, stderr check); the run must not train.
-# The test puts "--seed 7 --dims 6,8,4 --steps 40" after the command; a
-# row's own flags come later, so they win.
+# (argv, stderr check); the run must not train. The test puts "--seed 7
+# --dims 6,8,4 --steps 40" after the command; a row's own flags come later,
+# so they win.
 TOY_REFUSALS = [
-    pytest.param(argv, config, "error: ", id=f"target-{name}") for name, argv, config in [
-        ("sweep", ("sweep", *SWEEP_OUT), None),
-        ("sweep-config", ("sweep", *SWEEP_OUT, *CONFIG), "lr.max = 1e-3\nsweep.interval = 10\n"),
-        ("toy", ("toy",), None),
-        ("toy-sparsity", ("toy", "--sparsity", "1.5"), None),
-        ("toy-damp", ("toy", "--sparsity", "0.5", "--damp", "-1"), None),
-        ("toy-block-size", ("toy", "--sparsity", "0.5", "--block-size", "0"), None),
-        ("toy-num-grads", ("toy", "--sparsity", "0.5", "--num-grads", "0"), None),
-        ("toy-recompute", ("toy", "--sparsity", "0.5", "--recompute", "0"), None),
-        ("toy-steps", ("toy", "--sparsity", "0.5", "--steps", "-3"), None),
-        ("toy-recovery", ("toy", "--sparsity", "0.5", "--recovery", "-1"), None),
-        ("toy-samples", ("toy", "--sparsity", "0.5", "--samples", "0"), None),
-        ("toy-lr", ("toy", "--sparsity", "0.5", "--lr-max", "1e-6", "--lr-min", "1e-3"), None),
-        ("sweep-interval", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--interval", "0"), None),
-        ("sweep-targets", ("sweep", "--targets", "0.5,0.3", *SWEEP_OUT), None),
-        ("sweep-damp", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--damp", "-1"), None),
-        ("sweep-period", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--period", "0"), None),
-        ("toy-train-lr-negative", ("toy", "--sparsity", "0.5", "--lr", "-1"), None),
-        ("toy-train-lr-zero", ("toy", "--sparsity", "0.5", "--lr", "0"), None),
-        ("toy-train-lr-nan", ("toy", "--sparsity", "0.5", "--lr", "nan"), None),
-        ("toy-train-lr-inf", ("toy", "--sparsity", "0.5", "--lr", "inf"), None),
-        ("toy-noise-negative", ("toy", "--sparsity", "0.5", "--noise", "-0.1"), None),
-        ("toy-noise-nan", ("toy", "--sparsity", "0.5", "--noise", "nan"), None),
-        ("sweep-noise-inf", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--noise", "inf"), None),
+    pytest.param(argv, "error: ", id=f"target-{name}") for name, argv in [
+        ("sweep", ("sweep", *SWEEP_OUT)),
+        ("toy", ("toy",)),
+        ("toy-sparsity", ("toy", "--sparsity", "1.5")),
+        ("toy-damp", ("toy", "--sparsity", "0.5", "--damp", "-1")),
+        ("toy-block-size", ("toy", "--sparsity", "0.5", "--block-size", "0")),
+        ("toy-num-grads", ("toy", "--sparsity", "0.5", "--num-grads", "0")),
+        ("toy-recompute", ("toy", "--sparsity", "0.5", "--recompute", "0")),
+        ("toy-steps", ("toy", "--sparsity", "0.5", "--steps", "-3")),
+        ("toy-recovery", ("toy", "--sparsity", "0.5", "--recovery", "-1")),
+        ("toy-samples", ("toy", "--sparsity", "0.5", "--samples", "0")),
+        ("toy-lr", ("toy", "--sparsity", "0.5", "--lr-max", "1e-6", "--lr-min", "1e-3")),
+        ("sweep-interval", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--interval", "0")),
+        ("sweep-targets", ("sweep", "--targets", "0.5,0.3", *SWEEP_OUT)),
+        ("sweep-damp", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--damp", "-1")),
+        ("sweep-period", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--period", "0")),
+        ("toy-train-lr-negative", ("toy", "--sparsity", "0.5", "--lr", "-1")),
+        ("toy-train-lr-zero", ("toy", "--sparsity", "0.5", "--lr", "0")),
+        ("toy-train-lr-nan", ("toy", "--sparsity", "0.5", "--lr", "nan")),
+        ("toy-train-lr-inf", ("toy", "--sparsity", "0.5", "--lr", "inf")),
+        ("toy-noise-negative", ("toy", "--sparsity", "0.5", "--noise", "-0.1")),
+        ("toy-noise-nan", ("toy", "--sparsity", "0.5", "--noise", "nan")),
+        ("sweep-noise-inf", ("sweep", "--targets", "0.5", *SWEEP_OUT, "--noise", "inf")),
     ]
 ] + [
-    pytest.param(("toy", *TOY_NM, "--method", "gm"), None, NM_ONLY_OVIT, id="nm-toy-gm"),
-    pytest.param(("toy", *TOY_NM, "--method", "wf"), None, NM_ONLY_OVIT, id="nm-toy-wf"),
-    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--per-layer"), None,
+    pytest.param(("toy", *TOY_NM, "--method", "gm"), NM_ONLY_OVIT, id="nm-toy-gm"),
+    pytest.param(("toy", *TOY_NM, "--method", "wf"), NM_ONLY_OVIT, id="nm-toy-wf"),
+    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--per-layer"),
                  ["error: an n:m pattern has no per-layer mode"], id="nm-toy-per-layer"),
-    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--recompute", "2"), None,
+    pytest.param(("toy", *TOY_NM, "--method", "ovit", "--recompute", "2"),
                  ["error: an n:m pattern takes no recomputation sub-steps"],
                  id="nm-toy-recompute"),
-] + [
-    pytest.param(("toy", "--sparsity", "0.5", *CONFIG), f"lr.min = 1e-5\n{line}\n",
-                 "error: --config {tmp}/run.cfg: ", id=f"config-{name}")
-    for name, line in BAD_LINES.items()
-] + [  # toy prunes once, so a sweep.* key would be ignored
-    pytest.param(("toy", *argv, *CONFIG), f"lr.max = 1e-3\n{line}\n",
-                 f"error: {line.split(' =')[0]} in --config is for sweep", id=f"sweep-key-{name}")
-    for name, (argv, line) in SWEEP_KEYS.items()
 ] + [  # --acyclic decays once over the whole recovery, so a period would be ignored
-    pytest.param((command, *target, "--acyclic", *period), config, "error: --acyclic ",
-                 id=f"acyclic-{source}-{command}")
-    for command, target in (("toy", ("--sparsity", "0.5")),
-                            ("sweep", ("--targets", "0.5", *SWEEP_OUT)))
-    for source, period, config in (("flag", ("--period", "7"), None),
-                                   ("config", CONFIG, "lr.period = 7\n"))
+    pytest.param((command, *TARGETS[command], "--acyclic", "--period", "7"), "error: --acyclic ",
+                 id=f"acyclic-flag-{command}")
+    for command in TARGETS
+] + [  # steps*100//300 is 0 below --steps 3, so --extra-recovery would add nothing
+    pytest.param((command, *TARGETS[command], "--steps", "2", "--extra-recovery"),
+                 ["error: --extra-recovery needs --steps >= 3, got 2"],
+                 id=f"extra-recovery-{command}")
+    for command in TARGETS
+] + [  # every setting is a flag and every report line goes to stdout
+    pytest.param((command, *TARGETS[command], flag, f"{{tmp}}/x.{suffix}"),
+                 ["usage: obsprune [-h] command ...",
+                  f"obsprune: error: unrecognized arguments: {flag} {{tmp}}/x.{suffix}"],
+                 id=f"{command}-{flag[2:]}")
+    for command in TARGETS for flag, suffix in (("--config", "cfg"), ("--csv", "csv"))
 ] + [  # checkpoints are named by {target:g}, so these targets would write one file
     pytest.param(("sweep", "--targets", "0.25,0.5,0.5000001", "--interval", "5", "--out",
-                  "{tmp}/P"), None, ONE_CHECKPOINT, id="one-checkpoint-flag"),
-    pytest.param(("sweep", *CONFIG, "--interval", "5", "--out", "{tmp}/P"),
-                 "sweep.targets = 0.25, 0.5, 0.5000001\n", ONE_CHECKPOINT,
-                 id="one-checkpoint-config"),
+                  "{tmp}/P"),
+                 ["error: targets 0.5 and 0.5000001 would both write {tmp}/P.0.5.ovpt"],
+                 id="one-checkpoint-flag"),
 ]
 
 
-@pytest.mark.parametrize("argv, config, check", TOY_REFUSALS)
+@pytest.mark.parametrize("argv, check", TOY_REFUSALS)
 def test_toy_and_sweep_refusals_exit_two_before_training(tmp_path, monkeypatch, capsys,
-                                                         argv, config, check):
-    """A flag value, config key or combination the run cannot take, or
-    would ignore, exits 2 with empty stdout before training, and writes
-    no file."""
+                                                         argv, check):
+    """A flag value or combination the run cannot take, or would ignore,
+    exits 2 with empty stdout before training, and writes no file."""
     monkeypatch.setattr(pipeline, "toy_train", no_work)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
     code, text = run_cli(argv[0], "--seed", "7", "--dims", "6,8,4", "--steps", "40",
                          *(a.replace("{tmp}", str(tmp_path)) for a in argv[1:]))
     assert (code, text) == (2, "")
     assert_stderr(capsys.readouterr().err, check, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
+    assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (("prune", "--weights", "{tmp}/w.ovpt", "--method", "gm", "--sparsity", "0.5",
-      "--out", "{tmp}/missing/x.ovpt"), "--out"),
-    (("eval", *EVAL_FILES, "--csv", "{tmp}/missing/x.csv"), "--csv"),
-    (("toy", "--sparsity", "0.5", "--out", "{tmp}/missing/x.ovpt"), "--out"),
-    (("toy", "--sparsity", "0.5", "--csv", "{tmp}/missing/x.csv"), "--csv"),
-    (("sweep", "--targets", "0.5", "--out", "{tmp}/missing/cp"), "--out"),
-    (("sweep", "--targets", "0.5", *SWEEP_OUT, "--csv", "{tmp}/missing/x.csv"), "--csv"),
-], ids=["prune-out", "eval-csv", "toy-out", "toy-csv", "sweep-out", "sweep-csv"])
+@pytest.mark.parametrize("argv", [
+    ("prune", "--weights", "{tmp}/w.ovpt", "--method", "gm", "--sparsity", "0.5",
+     "--out", "{tmp}/missing/x.ovpt"),
+    ("toy", "--sparsity", "0.5", "--out", "{tmp}/missing/x.ovpt"),
+    ("sweep", "--targets", "0.5", "--out", "{tmp}/missing/cp"),
+], ids=["prune-out", "toy-out", "sweep-out"])
 def test_a_missing_output_directory_exits_three_before_any_work(tmp_path, monkeypatch, capsys,
-                                                                argv, flag):
+                                                                argv):
     """An output path whose directory does not exist fails before a file
     is read or a training step runs, with empty stdout and one line."""
     from obsprune import cli
@@ -700,7 +626,7 @@ def test_a_missing_output_directory_exits_three_before_any_work(tmp_path, monkey
     monkeypatch.setattr(pipeline, "toy_train", no_work)
     code, text = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert (code, text) == (3, "")
-    assert_stderr(capsys.readouterr().err, [f"error: {flag}: no directory {{tmp}}/missing"],
+    assert_stderr(capsys.readouterr().err, ["error: --out: no directory {tmp}/missing"],
                   tmp_path)
     assert not any(tmp_path.iterdir())
 

@@ -34,15 +34,14 @@ _TOY_CHANGES = [
     {"--samples": "96"}, {"--noise": "0.2"}, {"--loss": "logistic"}, {"--method": "wf"},
     {"--extra-recovery": True}, {"--block-size": "4"}, {"--damp": "1e-3"},
     {"--num-grads": "16"}, {"--recompute": "2"}, {"--per-layer": True}, {"--lr-max": "1e-3"},
-    {"--lr-min": "1e-4"}, {"--period": "3"}, {"--acyclic": True}, {"--config": "{lr_cfg}"},
-    {"--csv": "{out}/run.csv"},
+    {"--lr-min": "1e-4"}, {"--period": "3"}, {"--acyclic": True},
 ]
 
 # (command, flags changed from the base run, expected outcome, flags set in
 # both runs). A value of True adds a switch, None drops the flag. Refusals
-# that test_cli.py checks in more detail (a period next to --acyclic, a
-# sweep.* key in a toy config, prune without --grads or with --recompute,
-# sweep --recovery) are not repeated here.
+# that test_cli.py checks in more detail (a period next to --acyclic,
+# prune without --grads or with --recompute, sweep --recovery) are not
+# repeated here.
 CASES = [
     ("prune", {"--weights": "{w2}"}, CHANGES, {}),
     ("prune", {"--grads": "{g2}"}, CHANGES, {}),
@@ -63,7 +62,6 @@ CASES = [
     ("eval", {"--grads": "{g2}"}, CHANGES, {}),
     ("eval", {"--damp": "1e-2"}, CHANGES, {}),
     ("eval", {"--nm": "2:4"}, CHANGES, {}),
-    ("eval", {"--csv": "{out}/eval.csv"}, CHANGES, {}),
     *[("toy", change, CHANGES, {}) for change in _TOY_CHANGES],
     ("toy", {"--sparsity": "0.6"}, CHANGES, {}),
     ("toy", {"--sparsity": None, "--nm": "2:4"}, CHANGES, {}),
@@ -76,9 +74,7 @@ CASES = [
     ("toy", {"--interval": "5"}, REFUSED, {}),
     *[("sweep", change, CHANGES, {}) for change in _TOY_CHANGES],
     ("sweep", {"--targets": "0.25,0.6"}, CHANGES, {}),
-    ("sweep", {"--targets": None, "--config": "{targets_cfg}"}, CHANGES, {}),
     ("sweep", {"--interval": "6"}, CHANGES, {}),
-    ("sweep", {"--interval": None, "--config": "{interval_cfg}"}, CHANGES, {}),
     ("sweep", {"--threads": "4"}, NO_OP, {}),
     ("sweep", {"--out": "{out}/dp"}, CHANGES, {}),
     ("sweep", {"--sparsity": "0.5"}, REFUSED, {}),
@@ -94,7 +90,7 @@ def _case_id(case):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Weight, gradient and pruned containers of two toys, and config files."""
+    """Weight, gradient and pruned containers of two toys."""
     tmp = tmp_path_factory.mktemp("flags")
     files = {}
     for tag, seed, rows in (("", 21, 32), ("2", 22, 24)):
@@ -112,10 +108,6 @@ def inputs(tmp_path_factory):
         argv = ["prune", "--weights", str(files["w"]), "--grads", str(files["g"]),
                 "--method", method, "--sparsity", "0.5", "--out", str(files[tag])]
         assert main(argv, out=io.StringIO()) == 0
-    for tag, text in (("lr_cfg", "lr.max = 1e-3"), ("targets_cfg", "sweep.targets = 0.3, 0.6"),
-                      ("interval_cfg", "sweep.interval = 6")):
-        files[tag] = tmp / f"{tag}.cfg"
-        files[tag].write_text(text + "\n")
     return files
 
 

@@ -119,9 +119,7 @@ def test_group_sequential_consistency():
             rho1 = saliency_single(w, one, first)
             w1 = update_single(w, one, first).apply(w)
             inv2 = eliminate_index(inv, first)
-            two = FisherBlockInverse(
-                blocks=[inv2], config=FisherConfig(5, 1e-8, 1)
-            )
+            two = FisherBlockInverse(blocks=[inv2])
             rho2 = saliency_single(w1, two, second)
             assert joint == pytest.approx(rho1 + rho2, rel=1e-9)
 
@@ -157,7 +155,7 @@ def test_group_across_blocks_requires_wrapper():
 def test_singular_group_submatrix_raises():
     # perfectly correlated pair: the 2x2 submatrix of the inverse is singular
     blk = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    inv = FisherBlockInverse(blocks=[blk], config=FisherConfig(3, 1e-8, 1))
+    inv = FisherBlockInverse(blocks=[blk])
     w = np.ones(3)
     with pytest.raises(NumericalError):
         saliency_group(w, inv, [0, 1])

@@ -1,5 +1,6 @@
 """Toy models, gradient collection, and the end-to-end run modes."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -492,12 +493,18 @@ class TestRunModes:
             checkpoints[:-1] + [(target, model.weights, masks)])
 
     def test_report_lines_are_deterministic(self):
+        """Two runs of one seed report the same lines, and ``toy`` prints
+        them after its two ``train`` lines."""
         a = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)
         ra, _ = pipeline.run_gradual(a, ovit_spec(), (0.5,), 0)
         b = pipeline.toy_train(71, (5, 6, 2), steps=40, lr=0.05)
         rb, _ = pipeline.run_gradual(b, ovit_spec(), (0.5,), 0)
         assert cli.report_lines(ra) == cli.report_lines(rb)
-        assert cli.report_csv(ra) == cli.report_csv(rb)
+        out = io.StringIO()
+        assert cli.main(["toy", "--seed", "71", "--dims", "5,6,2", "--steps", "40",
+                         "--sparsity", "0.5", "--recovery", "0", "--block-size", "16"],
+                        out=out) == 0
+        assert out.getvalue().splitlines()[2:] == cli.report_lines(ra)
 
 
 class TestDirectional:

@@ -430,7 +430,7 @@ def test_wf_compensation_matches_the_per_block_loop(per_layer):
 
     w, pr, layout = flatten_layers(weights, prunable)
     stacks = layered_inverse_stacks(grads, layout, spec.fisher, pr)
-    inv = FisherBlockInverse([blk for stack in stacks for blk in stack], spec.fisher)
+    inv = FisherBlockInverse([blk for stack in stacks for blk in stack])
     diag = np.maximum(np.concatenate([np.diag(b) for b in inv.blocks]), EPS_FLOOR)
     pruned = res.mask == 0
     want = w.copy()
@@ -451,7 +451,7 @@ def collected(real):
     from obsprune.fisher import FisherBlockInverse
 
     return lambda grads, layout, config, movable: FisherBlockInverse(
-        [blk for stack in real(grads, layout, config, movable) for blk in stack], config)
+        [blk for stack in real(grads, layout, config, movable) for blk in stack])
 
 
 @pytest.mark.parametrize("mode", ["global", "per_layer", "recompute", "nm"])
@@ -616,7 +616,7 @@ def schur_frozen(real):
 
     def stacks(grads, layout, config, movable):
         unfrozen = real(grads, layout, config, np.ones_like(movable))
-        whole = FisherBlockInverse([blk for stack in unfrozen for blk in stack], config)
+        whole = FisherBlockInverse([blk for stack in unfrozen for blk in stack])
         own = movable[layout[0].offset : layout[0].offset + whole.global_dim]
         return iter([blk[None] for blk in freeze_indices(whole, np.flatnonzero(~own)).blocks])
 

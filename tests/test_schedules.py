@@ -1,25 +1,8 @@
-"""Cyclic learning rate, sweep planning, and the key-value config format."""
+"""Cyclic learning rate and sweep planning."""
 
 import pytest
 
-from obsprune.schedules import (
-    DEFAULT_LR_MAX,
-    DEFAULT_LR_MIN,
-    DEFAULT_PERIOD,
-    LrSchedule,
-    lr_at,
-    parse_config,
-    plan_sweep,
-)
-
-
-def schedule_from_config(cfg):
-    """An LrSchedule from parsed config keys, defaults for the missing ones."""
-    return LrSchedule(
-        lr_max=float(cfg.get("lr.max", DEFAULT_LR_MAX)),
-        lr_min=float(cfg.get("lr.min", DEFAULT_LR_MIN)),
-        period=int(cfg.get("lr.period", DEFAULT_PERIOD)),
-    )
+from obsprune.schedules import LrSchedule, lr_at, plan_sweep
 
 
 def checkpoint_steps(plan):
@@ -79,37 +62,3 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             plan_sweep([0.5, 1.0], 10)
 
-
-class TestConfig:
-    def test_parse_known_keys(self):
-        text = """
-        # schedule
-        lr.max = 1e-3
-        lr.min = 2e-5
-        lr.period = 25
-
-        sweep.targets = 0.5, 0.75, 0.9
-        sweep.interval = 25
-        """
-        cfg = parse_config(text)
-        assert cfg["lr.max"] == 1e-3
-        assert cfg["lr.period"] == 25
-        assert cfg["sweep.targets"] == (0.5, 0.75, 0.9)
-        assert cfg["sweep.interval"] == 25
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("lr.maximum = 1e-3")
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("lr.max 1e-3")
-
-    def test_schedule_from_config_fills_defaults(self):
-        s = schedule_from_config(parse_config("lr.max = 1e-3"))
-        assert s.lr_max == 1e-3
-        assert s.lr_min == 1e-5
-        assert s.period == 20
-
-    def test_comments_and_blanks_ignored(self):
-        assert parse_config("\n# nothing\n\n") == {}

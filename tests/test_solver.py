@@ -439,7 +439,7 @@ def degenerate_inverse():
         [0.0, 0.2, -1.0, 0.0],
         [0.1, 0.0, 0.0, 1.5],
     ])
-    return FisherBlockInverse([healthy, bad], FisherConfig(block_size=4))
+    return FisherBlockInverse([healthy, bad])
 
 
 @pytest.mark.parametrize("nm", [None, (2, 4)])
@@ -584,8 +584,7 @@ def test_stream_passes_are_whole_stacks_joined_while_they_fit(rng, monkeypatch, 
     ahead = len(want) > 1  # a worker draws only if the first pass leaves weights over
     assert draws == [True] * needed_at[0] + [not ahead] * (len(shapes) - needed_at[0])
 
-    whole = eliminate_blocks(w, FisherBlockInverse(blocks, FisherConfig(8, 1e-4, 6)),
-                             np.ones(dim, dtype=bool))
+    whole = eliminate_blocks(w, FisherBlockInverse(blocks), np.ones(dim, dtype=bool))
     got = [p.block(b) for p in passes for b in range(len(p.steps))]
     ref = [p.block(b) for p in whole for b in range(len(p.steps))]
     assert len(got) == len(ref) == len(blocks)
@@ -670,7 +669,7 @@ def test_producer_starts_only_for_a_stream_of_several_passes(rng, monkeypatch):
                         lambda *a: seen.append(threading.active_count()) or real(*a))
     before = threading.active_count()
     stacks = one_block_stacks(rng, 3)
-    inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
+    inv = FisherBlockInverse([s[0] for s in stacks])
     on_main = []
 
     def stream(count):
@@ -718,7 +717,7 @@ def test_handover_under_frequent_thread_switches(rng):
     handed over one at a time arrive whole and in order."""
     before = threading.active_count()
     stacks = one_block_stacks(rng, 200)
-    inv = FisherBlockInverse([s[0] for s in stacks], FisherConfig(8, 1e-4, 6))
+    inv = FisherBlockInverse([s[0] for s in stacks])
     w = rng.standard_normal(1600)
     want = eliminate_blocks(w, inv, np.ones(1600, dtype=bool))
     interval = sys.getswitchinterval()

@@ -234,6 +234,30 @@ class TestEval:
         assert prune_total[0] == eval_total[0] == "total"
         assert float(prune_total[4]) == pytest.approx(float(eval_total[2]), rel=1e-9)
 
+    def test_per_layer_lines_add_up_to_the_total(self, fixture_files):
+        """One line per layer with its mask's sparsity; the total line sums
+        the predictions and pools the masks."""
+        wpath, gpath, tmp = fixture_files
+        out_path = tmp / "wf.ovpt"
+        code, _ = run_cli("prune", "--weights", str(wpath), "--grads", str(gpath),
+                          "--method", "wf", "--sparsity", "0.5", "--out", str(out_path))
+        assert code == 0
+        code, text = run_cli("eval", "--weights-before", str(wpath),
+                             "--weights-after", str(out_path), "--grads", str(gpath))
+        assert code == 0
+        *layers, total = [ln.split("\t") for ln in text.splitlines()]
+        box = read_container(out_path)
+        masks = [box[f"layer.{lid}.mask"].array().reshape(-1) for lid in ("0", "1")]
+        assert [(name, a, b) for name, a, _, b, _ in layers] == [
+            ("layer.0.weight", "predicted", "sparsity"),
+            ("layer.1.weight", "predicted", "sparsity"),
+        ]
+        assert [float(ln[4]) for ln in layers] == pytest.approx(
+            [(m == 0).mean() for m in masks], rel=1e-11)
+        assert total[:2] == ["total", "predicted"]
+        assert float(total[2]) == pytest.approx(sum(float(ln[2]) for ln in layers), rel=1e-9)
+        assert float(total[4]) == pytest.approx((np.concatenate(masks) == 0).mean(), rel=1e-11)
+
     def test_shape_mismatch_is_a_runtime_failure(self, fixture_files, tmp_path):
         wpath, gpath, _ = fixture_files
         bad = TensorContainer()
@@ -329,6 +353,72 @@ class TestToyAndSweep:
                 box[n].array().reshape(-1) for n in box if n.endswith(".mask")
             ])
             assert (masks == 0).mean() == pytest.approx(target)
+
+    def test_flags_set_schedule_and_targets(self, tmp_path):
+        code, text = run_cli(
+            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
+            "--lr-max", "1e-3", "--lr-min", "1e-5", "--period", "10",
+            "--targets", "0.3,0.6", "--interval", "10", "--out", str(tmp_path / "cp"),
+        )
+        assert code == 0
+        assert "0\tsparsity\t0.3" in text and "10\tsparsity\t0.6" in text
+
+    def test_a_later_value_of_a_flag_wins(self, tmp_path):
+        code, text = run_cli(
+            "sweep", "--seed", "5", "--dims", "6,8,4", "--steps", "50",
+            "--targets", "0.3,0.6", "--interval", "10", "--targets", "0.4", "--interval", "5",
+            "--out", str(tmp_path / "cp"),
+        )
+        assert code == 0
+        assert "0\tsparsity\t0.4" in text
+        assert "sparsity\t0.6" not in text
+
+    @pytest.mark.parametrize("command, extra, period", [
+        ("toy", ("--sparsity", "0.5", "--recovery", "5"), None),
+        ("sweep", ("--targets", "0.25,0.5", "--interval", "5"), 5),
+    ])
+    def test_unset_schedule_flags_are_the_lr_schedule_defaults(self, tmp_path, command,
+                                                               extra, period):
+        """A flag not given takes ``LrSchedule``'s field default; a sweep's
+        period is its interval."""
+        from obsprune.schedules import LrSchedule
+
+        default = LrSchedule()
+        runs = []
+        for tag, flags in (("unset", ()), ("set", (
+                "--lr-max", repr(default.lr_max), "--lr-min", repr(default.lr_min),
+                "--period", str(period or default.period)))):
+            out = tmp_path / tag
+            out.mkdir()
+            code, text = run_cli(command, "--seed", "4", "--dims", "6,8,4", "--steps", "30",
+                                 *extra, *flags, "--out", str(out / "x"))
+            assert code == 0
+            runs.append((text.replace(str(out), "{out}"),
+                         sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command, extra, steps", [
+        ("toy", ("--sparsity", "0.5", "--recovery", "5", "--recompute", "2"), ["0"]),
+        ("sweep", ("--targets", "0.25,0.5", "--interval", "5"), ["0", "5"]),
+    ])
+    def test_event_lines_are_the_summary_rows(self, tmp_path, command, extra, steps):
+        """Each event prints its five (step, field, value) lines in order,
+        and its summary row holds the same values."""
+        argv = ["--seed", "4", "--dims", "6,8,4", "--steps", "30", *extra]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "cp")]
+        code, text = run_cli(command, *argv)
+        assert code == 0
+        lines = [ln.split("\t") for ln in text.splitlines()]
+        events = [ln for ln in lines if ln[0].isdigit()]
+        fields = ["sparsity", "loss_before", "loss_after", "predicted_increase",
+                  "post_recovery_loss"]
+        assert [ln[:2] for ln in events] == [[step, f] for step in steps for f in fields]
+        header, *rows = [ln[1:] for ln in lines if ln[0] == "summary"]
+        assert header == ["event", "step", "sparsity", "loss_before", "loss_after",
+                          "predicted", "post_recovery"]
+        assert rows == [[str(i), step, *(ln[2] for ln in events if ln[0] == step)]
+                        for i, step in enumerate(steps)]
 
     def test_toy_nm_mode(self):
         code, text = run_cli(
@@ -544,6 +634,7 @@ TARGETS = {"toy": ("--sparsity", "0.5"), "sweep": ("--targets", "0.5", *SWEEP_OU
 TOY_REFUSALS = [
     pytest.param(argv, "error: ", id=f"target-{name}") for name, argv in [
         ("sweep", ("sweep", *SWEEP_OUT)),
+        ("sweep-schedule", ("sweep", *SWEEP_OUT, "--lr-max", "1e-3", "--interval", "10")),
         ("toy", ("toy",)),
         ("toy-sparsity", ("toy", "--sparsity", "1.5")),
         ("toy-damp", ("toy", "--sparsity", "0.5", "--damp", "-1")),
@@ -589,6 +680,11 @@ TOY_REFUSALS = [
                   f"obsprune: error: unrecognized arguments: {flag} {{tmp}}/x.{suffix}"],
                  id=f"{command}-{flag[2:]}")
     for command in TARGETS for flag, suffix in (("--config", "cfg"), ("--csv", "csv"))
+] + [
+    pytest.param(("toy", "--sparsity", "0.5", "--lr-maximum", "1"),
+                 ["usage: obsprune [-h] command ...",
+                  "obsprune: error: unrecognized arguments: --lr-maximum 1"],
+                 id="unknown-flag"),
 ] + [  # checkpoints are named by {target:g}, so these targets would write one file
     pytest.param(("sweep", "--targets", "0.25,0.5,0.5000001", "--interval", "5", "--out",
                   "{tmp}/P"),
@@ -607,6 +703,42 @@ def test_toy_and_sweep_refusals_exit_two_before_training(tmp_path, monkeypatch, 
                          *(a.replace("{tmp}", str(tmp_path)) for a in argv[1:]))
     assert (code, text) == (2, "")
     assert_stderr(capsys.readouterr().err, check, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(("toy", "--sparsity", "0.5", "--lr-max", "abc"),
+                 "argument --lr-max: invalid float value: 'abc'", id="lr-max"),
+    pytest.param(("sweep", "--targets", "0.5", *SWEEP_OUT, "--lr-min", "x"),
+                 "argument --lr-min: invalid float value: 'x'", id="lr-min"),
+    pytest.param(("toy", "--sparsity", "0.5", "--period", "2.5"),
+                 "argument --period: invalid int value: '2.5'", id="period"),
+    pytest.param(("sweep", "--targets", "0.5,x", *SWEEP_OUT),
+                 "argument --targets: expected comma-separated floats, got '0.5,x'",
+                 id="targets"),
+    pytest.param(("sweep", "--targets", "0.5", *SWEEP_OUT, "--interval", "ten"),
+                 "argument --interval: invalid int value: 'ten'", id="interval"),
+    pytest.param(("toy", "--sparsity", "0.5", "--dims", "6,x,4"),
+                 "argument --dims: expected comma-separated ints, got '6,x,4'", id="dims-int"),
+    pytest.param(("toy", "--sparsity", "0.5", "--dims", "6"),
+                 "argument --dims: dims must be 2 or 3 positive ints", id="dims-count"),
+    pytest.param(("toy", "--nm", "2-4"), "argument --nm: expected N:M like 2:4, got '2-4'",
+                 id="nm-form"),
+    pytest.param(("toy", "--nm", "4:2"), "argument --nm: need 0 < N < M, got '4:2'",
+                 id="nm-order"),
+])
+def test_a_malformed_flag_value_exits_two_before_training(tmp_path, monkeypatch, capsys,
+                                                          argv, error):
+    """argparse refuses a value its type cannot read: the command's usage,
+    then one error line naming the flag."""
+    monkeypatch.setattr(pipeline, "toy_train", no_work)
+    code, text = run_cli(argv[0], "--seed", "7", "--dims", "6,8,4", "--steps", "40",
+                         *(a.replace("{tmp}", str(tmp_path)) for a in argv[1:]))
+    assert (code, text) == (2, "")
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: obsprune {argv[0]} ")
+    assert [ln for ln in lines if "error:" in ln] == [f"obsprune {argv[0]}: error: {error}"]
+    assert lines[-1] == f"obsprune {argv[0]}: error: {error}"
     assert not any(tmp_path.iterdir())
 
 

@@ -70,13 +70,20 @@ CASES = [
     ("toy", {"--block-size": "4"}, NO_OP, {"--method": "gm"}),
     ("toy", {"--threads": "4"}, NO_OP, {}),
     ("toy", {"--out": "{out}/u.ovpt"}, CHANGES, {}),
+    ("toy", {"--out": None}, CHANGES, {}),
+    ("toy", {"--recovery": None}, CHANGES, {}),
+    ("toy", {"--sparsity": None}, REFUSED, {}),
+    ("toy", {"--steps": "2", "--extra-recovery": True}, REFUSED, {}),
     ("toy", {"--targets": "0.5"}, REFUSED, {}),
     ("toy", {"--interval": "5"}, REFUSED, {}),
     *[("sweep", change, CHANGES, {}) for change in _TOY_CHANGES],
     ("sweep", {"--targets": "0.25,0.6"}, CHANGES, {}),
+    ("sweep", {"--targets": None}, REFUSED, {}),
     ("sweep", {"--interval": "6"}, CHANGES, {}),
+    ("sweep", {"--interval": None}, CHANGES, {}),
     ("sweep", {"--threads": "4"}, NO_OP, {}),
     ("sweep", {"--out": "{out}/dp"}, CHANGES, {}),
+    ("sweep", {"--steps": "2", "--extra-recovery": True}, REFUSED, {}),
     ("sweep", {"--sparsity": "0.5"}, REFUSED, {}),
     ("sweep", {"--nm": "2:4"}, REFUSED, {}),
 ]

@@ -1,8 +1,8 @@
-"""Cyclic learning rate and sweep planning."""
+"""Cyclic learning rate, a run's recovery rate, and sweep planning."""
 
 import pytest
 
-from obsprune.schedules import LrSchedule, lr_at, plan_sweep
+from obsprune.schedules import LrSchedule, lr_at, plan_sweep, recovery_lr
 
 
 def checkpoint_steps(plan):
@@ -44,6 +44,37 @@ class TestCyclicLr:
             LrSchedule(1e-5, 5e-4, 20)  # max below min
         with pytest.raises(ValueError):
             LrSchedule(5e-4, 1e-5, 0)
+
+    @pytest.mark.parametrize("fields", [
+        {"lr_max": 1e-3, "lr_min": 1e-3}, {"lr_min": 0.0}, {"period": -4},
+    ], ids=["equal", "zero-min", "negative-period"])
+    def test_rejects_a_schedule_that_cannot_decay(self, fields):
+        with pytest.raises(ValueError):
+            LrSchedule(**fields)
+
+    def test_field_defaults_fill_what_is_not_given(self):
+        s = LrSchedule(lr_max=1e-3)
+        assert (s.lr_max, s.lr_min, s.period) == (1e-3, 1e-5, 20)
+
+    def test_a_negative_step_is_refused(self):
+        with pytest.raises(ValueError):
+            lr_at(LrSchedule(), -1)
+
+
+class TestRecoveryLr:
+    def test_cyclic_is_the_cycle(self):
+        s = LrSchedule(1.0, 0.2, 4)
+        lr = recovery_lr(s, acyclic=False, total_steps=12)
+        assert [lr(t) for t in range(20)] == [lr_at(s, t) for t in range(20)]
+
+    def test_acyclic_decays_once_then_stays_at_lr_min(self):
+        lr = recovery_lr(LrSchedule(1.0, 0.2, 4), acyclic=True, total_steps=8)
+        assert [lr(t) for t in range(11)] == pytest.approx(
+            [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.2, 0.2])
+
+    def test_acyclic_over_no_steps_is_lr_min_after_the_first(self):
+        lr = recovery_lr(LrSchedule(1.0, 0.2, 4), acyclic=True, total_steps=0)
+        assert [lr(t) for t in range(3)] == pytest.approx([1.0, 0.2, 0.2])
 
 
 class TestSweepPlan:

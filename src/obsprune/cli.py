@@ -162,6 +162,18 @@ def _spec_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
+def _layer_weights(box: TensorContainer, path: str, lid: str) -> np.ndarray:
+    """Layer ``lid``'s weights in ``box``, read from ``path``, as float64;
+    a missing tensor or a non-finite value is refused."""
+    name = weight_name(lid)
+    if name not in box:
+        raise ContainerError(f"{path}: missing {name}")
+    w = box[name].array().astype(np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{path}: {name} holds non-finite values")
+    return w
+
+
 def _load_weight_layers(path: str):
     box = read_container(path)
     ids = layer_ids(box)
@@ -169,9 +181,8 @@ def _load_weight_layers(path: str):
         raise ContainerError(f"{path}: no layer.<id>.weight entries")
     weights, prunable, dtypes = {}, {}, {}
     for lid in ids:
-        t = box[weight_name(lid)]
-        weights[lid] = t.array().astype(np.float64)
-        dtypes[lid] = t.data.dtype
+        weights[lid] = _layer_weights(box, path, lid)
+        dtypes[lid] = box[weight_name(lid)].data.dtype
         pname = prunable_name(lid)
         if pname in box:
             prunable[lid] = box[pname].array().astype(bool)
@@ -222,15 +233,14 @@ def cmd_eval(args, out) -> int:
     ids, before, _, _ = _load_weight_layers(args.weights_before)
     after_box = read_container(args.weights_after)
     grads = read_gradients(args.grads, ids)
+    after = {lid: _layer_weights(after_box, args.weights_after, lid) for lid in ids}
+    lines = []  # written once every layer is scored, so a refusal prints none
     total_pred = 0.0
     total_zeros = 0
     total_size = 0
     violations = 0
     for lid, wb in before.items():
-        wname = weight_name(lid)
-        if wname not in after_box:
-            raise ContainerError(f"{args.weights_after}: missing {wname}")
-        wa = after_box[wname].array().astype(np.float64)
+        wname, wa = weight_name(lid), after[lid]
         if wb.shape != wa.shape:
             raise ValueError(
                 f"{wname}: shape {wb.shape} before vs {wa.shape} after"
@@ -245,15 +255,16 @@ def cmd_eval(args, out) -> int:
         sparsity = zeros / mask.size
         if args.nm is not None:
             violations += nm_violations(mask, *args.nm)
-        out.write(f"{wname}\tpredicted\t{_fmt(pred)}\tsparsity\t{_fmt(sparsity)}\n")
+        lines.append(f"{wname}\tpredicted\t{_fmt(pred)}\tsparsity\t{_fmt(sparsity)}\n")
         total_pred += pred
         total_zeros += zeros
         total_size += mask.size
-    out.write(
+    lines.append(
         f"total\tpredicted\t{_fmt(total_pred)}\tsparsity\t{_fmt(total_zeros / total_size)}\n"
     )
     if args.nm is not None:
-        out.write(f"nm\tviolations\t{violations}\n")
+        lines.append(f"nm\tviolations\t{violations}\n")
+    out.write("".join(lines))
     return 1 if violations else 0
 
 

@@ -183,6 +183,24 @@ def _fill_blocks(rows3: np.ndarray, lam: float, out: np.ndarray) -> None:
     out /= lam
 
 
+def check_finite_rows(grads: GradientSet) -> None:
+    """Raise ValueError if any row of ``grads``, used or not, holds a
+    non-finite value. Stored rows are read one chunk at a time; factored
+    rows are never formed."""
+    if grads.factors is not None:
+        # a row's largest product is the product of its largest factors, and
+        # a non-finite factor makes a non-finite product
+        r, x = grads.factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.abs(r).max(axis=1) * np.abs(x).max(axis=1)).all():
+                raise ValueError("gradient samples contain non-finite values")
+        return
+    step = max(1, 8 * CHUNK_VALUES // grads.dim)  # its bools take the bytes of CHUNK_VALUES floats
+    for lo in range(0, grads.num_samples, step):
+        if not np.isfinite(grads.rows(lo, lo + step)).all():
+            raise ValueError("gradient samples contain non-finite values")
+
+
 def iter_block_inverses(
     grads: GradientSet | np.ndarray,
     config: FisherConfig,
@@ -211,19 +229,7 @@ def iter_block_inverses(
             raise ValueError(f"movable mask has shape {movable.shape}, expected ({dim},)")
         frozen = ~movable
     n_used = min(int(config.num_grads), n_rows)
-    if grads.factors is not None:
-        # a row's largest product is the product of its largest factors, and
-        # a non-finite factor makes a non-finite product
-        r, x = grads.factors
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(np.abs(r).max(axis=1) * np.abs(x).max(axis=1)).all():
-                raise ValueError("gradient samples contain non-finite values")
-    else:
-        step = max(1, 8 * CHUNK_VALUES // dim)  # its bools take the bytes of CHUNK_VALUES floats
-        for lo in range(0, n_rows, step):
-            rows = grads.rows(lo, lo + step)
-            if not np.isfinite(rows).all():
-                raise ValueError("gradient samples contain non-finite values")
+    check_finite_rows(grads)
     bs = config.block_size
     per_batch = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
     sizes = block_partition(dim, bs)

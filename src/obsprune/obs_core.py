@@ -151,7 +151,8 @@ def loss_increase(
     chunk holds at least two rows unless there is only one: a lone row
     takes NumPy's one-dimensional reduction, whose float64 sum can differ
     in the last bit, and with two or more rows every row's projection has
-    the bytes of the one-shot ``einsum``.
+    the bytes of the one-shot ``einsum``. Raises NumericalError if the
+    cost is not finite, as it is whenever a row holds a non-finite value.
     """
     if not isinstance(grads, GradientSet):
         grads = GradientSet("", grads)
@@ -167,4 +168,7 @@ def loss_increase(
         rows = grads.rows(lo, hi)
         np.einsum("ij,j->i", rows, delta, out=proj[lo:hi])
         lo = hi
-    return float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))
+    cost = float(0.5 * dampening * (delta @ delta) + (proj @ proj) / (2.0 * n))
+    if not np.isfinite(cost):
+        raise NumericalError(f"loss increase is {cost}: non-finite gradient values or weights")
+    return cost

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import obs_core
-from .fisher import EPS_FLOOR, FisherConfig, iter_block_inverses
+from .fisher import EPS_FLOOR, FisherConfig, check_finite_rows, iter_block_inverses
 from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
 from .solver import PruneResult, pinned_mask, solve_global, solve_nm
 from .tensorstore import GradientSet
@@ -192,6 +192,7 @@ def _prune_frozen(
         costs = np.zeros(len(layout))
         for i, lay in enumerate(layout if grads is not None else ()):
             sl = slice(lay.offset, lay.offset + lay.size)
+            check_finite_rows(grads[lay.name])  # every row, used or not, as wf and ovit
             rows = grads[lay.name].head(spec.fisher.num_grads)
             costs[i] = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
         per_layer, predicted = pooled_sums([lay.offset for lay in layout], costs, layout, pools)

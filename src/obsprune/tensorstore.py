@@ -25,19 +25,12 @@ Tensor naming convention inside a container: ``layer.<id>.weight``,
 ``layer.<id>.grads`` (one row per sample), ``layer.<id>.mask`` and
 ``layer.<id>.prunable``.
 
-Reading maps the file copy-on-write instead of copying it into memory:
-every tensor is a writable view into one private mapping, pages are read
-only when touched, and writes to a view never reach the file. Writing never
-truncates a file in place, because touching a mapping of a truncated file
-kills the process with SIGBUS: the bytes go to a sibling temporary file
-that then atomically replaces the destination, so readers that still map
-the old file keep its old bytes.
-
-Gradient rows are never mapped: ``read_gradients`` parses the headers
-and keeps the file open, and its sets copy the rows asked for into new
-arrays with positioned reads (``os.preadv``). A file replaced by
-``write_container`` is still read as it was opened; one that shrank
-raises TruncatedError, never SIGBUS, and hands out no unread bytes.
+Every read is a positioned read (``os.preadv``) into a new array:
+``read_container`` reads each tensor whole, and ``read_gradients`` keeps
+the file open and its sets read the rows asked for. Every read checks its
+byte count, so a file that shrinks while it is read raises
+TruncatedError and hands out no unread bytes; one replaced by
+``write_container`` is still read as it was opened.
 """
 
 from __future__ import annotations
@@ -200,8 +193,8 @@ def write_container(path: str, container: TensorContainer) -> None:
 
     The parts are streamed into a new sibling file, which then replaces
     ``path`` (the target of ``path`` if it is a symlink) in one
-    ``os.replace``. Arrays read from the old file stay valid, and ``path``
-    may be one of the inputs the container was computed from. On any
+    ``os.replace``, so ``path`` may be one of the inputs the container was
+    computed from, and a reader that opened the old file reads it. On any
     failure the temporary file is removed and ``path`` is left untouched.
     The new file gets the mode ``open(path, "wb")`` would leave: that of
     the file it replaces, or 0o666 less the umask.
@@ -233,12 +226,24 @@ def write_container(path: str, container: TensorContainer) -> None:
         raise
 
 
-def _parse(read, size: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]:
+def _read_at(fd: int, out: np.ndarray, pos: int, what: str) -> np.ndarray:
+    """``out``, filled from byte ``pos`` of ``fd`` on with positioned reads;
+    a short read is a file that shrank."""
+    done = os.preadv(fd, [out], pos)
+    while done < out.nbytes:  # cut short, as at the file's end
+        got = os.preadv(fd, [out.reshape(-1).view(np.uint8)[done:]], pos + done)
+        if not got:
+            raise TruncatedError(f"file truncated while reading {what}")
+        done += got
+    return out
+
+
+def _parse(fd: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]:
     """(name, dtype, dims, byte range of the data) of each tensor, in order,
-    of a container of ``size`` bytes whose bytes ``pos:pos + n`` are
-    ``read(pos, n)``. Reads only the headers. Raises a distinct error per
-    failure mode, trailing bytes once the last tensor is yielded."""
-    pos = 0
+    of the container open at ``fd``. Reads only the headers. Raises a
+    distinct error per failure mode, trailing bytes once the last tensor
+    is yielded."""
+    size, pos = os.fstat(fd).st_size, 0
 
     def skip(n: int, what: str) -> int:  # the start of the next n bytes
         nonlocal pos
@@ -248,7 +253,7 @@ def _parse(read, size: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]
         return pos - n
 
     def take(n: int, what: str) -> bytes:
-        return bytes(read(skip(n, what), n))
+        return _read_at(fd, np.empty(n, np.uint8), skip(n, what), what).tobytes()
 
     def u32(what: str) -> int:
         return struct.unpack("<I", take(4, what))[0]
@@ -275,18 +280,14 @@ def _parse(read, size: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]
 
 
 def read_container(path: str) -> TensorContainer:
-    """Parse a container file; raises a distinct error per failure mode.
-    Every tensor's data is a writable view into one copy-on-write mapping
-    of the file (``mmap.ACCESS_COPY``; see the module docstring)."""
-    import mmap  # here, so that commands which read no container never load it
-
-    with open(path, "rb") as fh:
-        empty = os.fstat(fh.fileno()).st_size == 0  # mmap rejects empty files
-        buf = b"" if empty else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    view = memoryview(buf)
+    """Parse a container file, each tensor into a new array of its own;
+    raises a distinct error per failure mode."""
     out = TensorContainer()
-    for name, dtype, dims, data in _parse(lambda pos, n: view[pos : pos + n], len(view)):
-        out.add(name, Tensor(dtype, dims, np.frombuffer(view[data], dtype=_NAME_TO_NP[dtype])))
+    with open(path, "rb") as fh:
+        for name, dtype, dims, data in _parse(fh.fileno()):
+            raw = np.empty(data.stop - data.start, np.uint8)
+            _read_at(fh.fileno(), raw, data.start, f"data of tensor {name!r}")
+            out.add(name, Tensor(dtype, dims, raw.view(_NAME_TO_NP[dtype])))
     return out
 
 
@@ -294,9 +295,9 @@ class GradientSet:
     """Per-sample gradient rows for one layer: shape (N, d), one row per sample.
 
     The rows are either stored or factored. Stored float32 and float64
-    rows keep their dtype (and their memory: a container view stays a
-    view); anything else is converted to float64. A factored set holds a
-    dense layer's output residual r (N, O) and input x (N, I), float64,
+    rows keep their dtype (and their memory: a view stays a view);
+    anything else is converted to float64. A factored set holds a dense
+    layer's output residual r (N, O) and input x (N, I), float64,
     and row n is the row-major flattening of the outer product of r[n]
     and x[n], so d = O*I. Its rows are never held: ``columns`` and
     ``rows`` form the range asked for with ``np.einsum``, each value with
@@ -397,19 +398,10 @@ class _FileRows(GradientSet):
         return _FileRows(self.layer, self._fd, self._offset,
                          (min(n, self.num_samples), self.dim), self._dtype)
 
-    def _read(self, out: np.ndarray, pos: int) -> None:
-        """Fill ``out`` from byte ``pos`` on; a short read is a file that shrank."""
-        done = os.preadv(self._fd, [out], pos)
-        while done < out.nbytes:  # cut short, as at the file's end
-            got = os.preadv(self._fd, [out.reshape(-1).view(np.uint8)[done:]], pos + done)
-            if not got:
-                raise TruncatedError(f"layer {self.layer!r}: gradient file truncated")
-            done += got
-
     def rows(self, lo: int, hi: int) -> np.ndarray:
         out = np.empty((max(0, min(hi, self.num_samples) - lo), self.dim), self._dtype)
-        self._read(out, self._offset + lo * self.dim * out.itemsize)
-        return out
+        return _read_at(self._fd, out, self._offset + lo * self.dim * out.itemsize,
+                        f"gradient rows of layer {self.layer!r}")
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         first, stripe = self._stripe
@@ -418,7 +410,8 @@ class _FileRows(GradientSet):
             width = max(hi - lo, STRIPE_BYTES // (self.num_samples * self._dtype.itemsize))
             stripe = np.empty((self.num_samples, min(width, self.dim - lo)), self._dtype)
             for n, part in enumerate(stripe):
-                self._read(part, self._offset + (n * self.dim + lo) * stripe.itemsize)
+                _read_at(self._fd, part, self._offset + (n * self.dim + lo) * stripe.itemsize,
+                         f"gradient rows of layer {self.layer!r}")
             self._stripe = lo, stripe
         return stripe[:, lo - first : hi - first]
 
@@ -429,8 +422,7 @@ def read_gradients(path: str, ids) -> dict[str, GradientSet]:
     position (see the module docstring). Reads only the headers: the rows'
     values are checked by whoever reads them."""
     fd = _Descriptor(os.open(path, os.O_RDONLY))
-    found = {name: (dtype, dims, data.start) for name, dtype, dims, data
-             in _parse(lambda pos, n: os.pread(fd, n, pos), os.fstat(fd).st_size)}
+    found = {name: (dtype, dims, data.start) for name, dtype, dims, data in _parse(fd)}
     out = {}
     for lid in ids:
         name = grads_name(lid)

@@ -118,7 +118,7 @@ class TestPrune:
         assert "--recompute" in err_lines[-1]
 
     def test_out_may_name_the_weights_input(self, fixture_files):
-        # the weights are mapped while the output replaces the same path
+        # the weights are read before the output replaces the same path
         wpath, gpath, tmp = fixture_files
         argv = ("prune", "--weights", str(wpath), "--grads", str(gpath),
                 "--method", "ovit", "--sparsity", "0.5", "--block-size", "8")
@@ -128,7 +128,10 @@ class TestPrune:
         assert (code, in_place) == (0, apart)
         assert wpath.read_bytes() == (tmp / "apart.ovpt").read_bytes()
 
-    def test_nan_in_an_unused_gradient_row_exits_three(self, fixture_files, capsys):
+    @pytest.mark.parametrize("command", ["ovit", "wf", "gm", "eval"])
+    def test_nan_in_an_unused_gradient_row_exits_three(self, fixture_files, capsys, command):
+        """Every row is scanned, used or not; eval, which uses them all,
+        refuses a non-finite cost before it prints a line."""
         wpath, gpath, tmp = fixture_files
         box = read_container(gpath)
         rows = {name: box[name].array().copy() for name in box}
@@ -137,14 +140,94 @@ class TestPrune:
         for name, arr in rows.items():
             bad.add(name, arr)
         write_container(gpath, bad)
-        code, text = run_cli(
-            "prune", "--weights", str(wpath), "--grads", str(gpath),
-            "--method", "ovit", "--sparsity", "0.5", "--num-grads", "8",
-            "--out", str(tmp / "x.ovpt"),
-        )
+        if command == "eval":
+            argv = ("eval", "--weights-before", wpath, "--weights-after", wpath, "--grads", gpath)
+        else:
+            argv = ("prune", "--weights", wpath, "--grads", gpath, "--method", command,
+                    "--sparsity", "0.5", "--num-grads", "8", "--out", tmp / "x.ovpt")
+        code, text = run_cli(*map(str, argv))
         assert (code, text) == (3, "")
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
         assert not (tmp / "x.ovpt").exists()
+
+    @pytest.mark.parametrize("command, value", [
+        (("prune", "--method", "ovit", "--sparsity", "0.5"), np.nan),
+        (("prune", "--method", "wf", "--sparsity", "0.5"), np.nan),
+        (("prune", "--method", "gm", "--sparsity", "0.5"), np.nan),
+        (("prune", "--method", "ovit", "--nm", "2:4", "--block-size", "8"), np.inf),
+        (("eval", "before"), np.nan),
+        (("eval", "after"), -np.inf),
+    ], ids=["ovit", "wf", "gm", "nm", "eval-before", "eval-after"])
+    def test_a_non_finite_weight_exits_three(self, fixture_files, capsys, command, value):
+        """Every weight container is refused before any build or report line."""
+        wpath, gpath, tmp = fixture_files
+        box = read_container(wpath)
+        bad = TensorContainer()
+        for name in box:
+            arr = box[name].array().copy()
+            if name == "layer.1.weight":
+                arr[2, 3] = value
+            bad.add(name, arr)
+        bad_path = tmp / "bad.ovpt"
+        write_container(bad_path, bad)
+        if command[0] == "eval":
+            pair = (bad_path, wpath) if command[1] == "before" else (wpath, bad_path)
+            argv = ("eval", "--weights-before", pair[0], "--weights-after", pair[1],
+                    "--grads", gpath)
+        else:
+            argv = (*command, "--weights", bad_path, "--grads", gpath, "--out", tmp / "x.ovpt")
+        code, text = run_cli(*map(str, argv))
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert err == f"error: {bad_path}: layer.1.weight holds non-finite values\n"
+        assert not (tmp / "x.ovpt").exists()
+
+    @pytest.mark.parametrize("method, target", [
+        ("ovit", ("--sparsity", "0.25")),
+        ("ovit", ("--nm", "2:4")),
+        ("wf", ("--sparsity", "0.25")),
+        ("gm", ("--sparsity", "0.25")),
+    ], ids=["ovit", "ovit-nm", "wf", "gm"])
+    def test_frozen_weights_stay_as_they_were(self, fixture_files, method, target):
+        """A ``layer.<id>.prunable`` tensor freezes its layer's weights: each
+        frozen weight keeps its bytes and stays unmasked; a sparsity zeroes
+        round-half-up(s*P) of the P prunable weights, and 2:4 zeroes
+        min(2, prunable in group) in every group."""
+        wpath, gpath, tmp = fixture_files
+        box = read_container(wpath)
+        rng = np.random.default_rng(3)
+        frozen_in = TensorContainer()
+        prunable = {}
+        for name in box:
+            frozen_in.add(name, box[name].array())
+            flags = (rng.random(box[name].dims) < 0.6).astype(np.uint8)
+            flags.reshape(-1)[:4] = 0  # a group of frozen weights only
+            flags.reshape(-1)[4:8] = [0, 1, 0, 0]  # and one with a single prunable
+            prunable[name] = flags.reshape(-1).astype(bool)
+            frozen_in.add(name.replace(".weight", ".prunable"), flags)
+        in_path, out_path = tmp / "frozen.ovpt", tmp / "out.ovpt"
+        write_container(in_path, frozen_in)
+        code, _ = run_cli("prune", "--weights", str(in_path), "--grads", str(gpath),
+                          "--method", method, *target, "--out", str(out_path))
+        assert code == 0
+        out = read_container(out_path)
+        masks = []
+        for name, movable in prunable.items():
+            before = box[name].data
+            after = out[name].data
+            mask = out[name.replace(".weight", ".mask")].data
+            assert after[~movable].tobytes() == before[~movable].tobytes()
+            assert (mask[~movable] == 1).all()
+            masks.append((mask, movable))
+        mask, movable = (np.concatenate(parts) for parts in zip(*masks))
+        if target[0] == "--nm":
+            groups = movable.reshape(-1, 4).sum(axis=1)
+            zeros = (mask.reshape(-1, 4) == 0).sum(axis=1)
+            assert (zeros == np.minimum(2, groups)).all() and (groups < 2).any()
+        else:
+            p = int(movable.sum())
+            assert np.count_nonzero(mask == 0) == int(np.floor(0.25 * p + 0.5))
 
     @pytest.mark.parametrize("command", ["prune", "eval"])
     def test_a_gradient_file_that_shrinks_once_loaded_exits_three(self, fixture_files,
@@ -270,6 +353,28 @@ class TestEval:
             "--weights-after", str(bad_path), "--grads", str(gpath),
         )
         assert code == 3
+
+    def test_an_after_container_without_masks_counts_its_zero_weights(self, fixture_files):
+        """With no ``layer.<id>.mask``, a weight's mask is whether it is
+        nonzero: the sparsity is the zero share, and n:m violations are
+        counted from that mask."""
+        wpath, gpath, tmp = fixture_files
+        box = read_container(wpath)
+        w0 = box["layer.0.weight"].array().copy()
+        w0.reshape(-1, 4)[2:, :2] = 0.0  # 13 of 15 groups keep two, 2 keep four
+        after = TensorContainer()
+        after.add("layer.0.weight", w0)
+        after.add("layer.1.weight", box["layer.1.weight"].array())  # 10 groups keep four
+        after_path = tmp / "after.ovpt"
+        write_container(after_path, after)
+        argv = ("eval", "--weights-before", str(wpath), "--weights-after", str(after_path),
+                "--grads", str(gpath))
+        code, text = run_cli(*argv)
+        assert code == 0
+        lines = [ln.split("\t") for ln in text.splitlines()]
+        assert [ln[4] for ln in lines] == ["0.433333333333", "0", "0.26"]
+        code, nm_text = run_cli(*argv, "--nm", "2:4")
+        assert (code, nm_text) == (1, text + "nm\tviolations\t12\n")
 
     def test_nm_compliance_gates_the_exit_code(self, fixture_files):
         wpath, gpath, tmp = fixture_files

@@ -179,6 +179,18 @@ def test_loss_increase_zero_for_no_change():
     assert loss_increase(w, w, GradientSet("0", rows), 1e-8) == 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_loss_increase_refuses_a_non_finite_cost(value):
+    """A non-finite row value makes its projection non-finite, even where
+    the weights do not move."""
+    rows = np.ones((4, 3))
+    rows[3, 0] = value
+    w = np.array([1.0, 2.0, 3.0])
+    for w2 in (w, np.array([1.0, 0.0, 3.0])):
+        with pytest.raises(NumericalError, match="non-finite"):
+            loss_increase(w, w2, GradientSet("0", rows), 1e-8)
+
+
 def test_loss_increase_widens_no_copy_of_the_rows():
     """float32 rows are projected in place: the scratch stays far below
     the 8 MiB a float64 copy of these rows would take."""

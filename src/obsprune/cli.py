@@ -43,7 +43,6 @@ from .fisher import (
 from .obs_core import NumericalError, loss_increase
 from .tensorstore import (
     ContainerError,
-    TensorContainer,
     layer_ids,
     mask_name,
     nm_violations,
@@ -162,13 +161,13 @@ def _spec_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
-def _layer_weights(box: TensorContainer, path: str, lid: str) -> np.ndarray:
+def _layer_weights(box: dict[str, np.ndarray], path: str, lid: str) -> np.ndarray:
     """Layer ``lid``'s weights in ``box``, read from ``path``, as float64;
     a missing tensor or a non-finite value is refused."""
     name = weight_name(lid)
     if name not in box:
         raise ContainerError(f"{path}: missing {name}")
-    w = box[name].array().astype(np.float64)
+    w = box[name].astype(np.float64)
     if not np.isfinite(w).all():
         raise ValueError(f"{path}: {name} holds non-finite values")
     return w
@@ -182,21 +181,21 @@ def _load_weight_layers(path: str):
     weights, prunable, dtypes = {}, {}, {}
     for lid in ids:
         weights[lid] = _layer_weights(box, path, lid)
-        dtypes[lid] = box[weight_name(lid)].data.dtype
+        dtypes[lid] = box[weight_name(lid)].dtype
         pname = prunable_name(lid)
         if pname in box:
-            prunable[lid] = box[pname].array().astype(bool)
+            prunable[lid] = box[pname].astype(bool)
     return ids, weights, (prunable or None), dtypes
 
 
 def _write_model(path: str, weights, masks) -> None:
     """One container of every layer's weights, at their own dtype, each
     followed by the layer's u8 mask if ``masks`` has one."""
-    box = TensorContainer()
+    box = {}
     for lid, w in weights.items():
-        box.add(weight_name(lid), w)
+        box[weight_name(lid)] = w
         if lid in masks:
-            box.add(mask_name(lid), masks[lid])
+            box[mask_name(lid)] = masks[lid]
     write_container(path, box)
 
 
@@ -248,7 +247,7 @@ def cmd_eval(args, out) -> int:
         pred = loss_increase(wb.reshape(-1), wa.reshape(-1), grads[lid], args.damp)
         mname = mask_name(lid)
         if mname in after_box:
-            mask = after_box[mname].array().reshape(-1)
+            mask = after_box[mname].reshape(-1)
         else:
             mask = (wa.reshape(-1) != 0).astype(np.uint8)
         zeros = int(np.count_nonzero(mask == 0))
@@ -323,7 +322,7 @@ def cmd_toy(args, out) -> int:
     spec = _spec_from_args(args)
     try:
         if sweep:
-            targets = schedules.plan_sweep(targets, interval).targets
+            targets = schedules.sweep_targets(targets, interval)
         for a, b in zip(targets, targets[1:]):  # increasing, so like names are adjacent
             if f"{a:g}" == f"{b:g}":
                 raise UsageError(f"targets {_fmt(a)} and {_fmt(b)} would both write "

@@ -309,11 +309,12 @@ def _prune_step(
             return PruneResult.from_mask((~pin).astype(np.uint8), w, 0.0,
                                          dict.fromkeys((lay.name for lay in layout), 0.0), layout)
     grads = provide(weights)
+    if grads is not None:
+        _check_grads(grads, layout)
     stacks = None
     if spec.method != "gm":
         if grads is None:
             raise ValueError(f"method {spec.method!r} needs gradient rows")
-        _check_grads(grads, layout)
         stacks = layered_inverse_stacks(grads, layout, cfg, pr)
         grads = None  # the streams hold the rows from here on
     if spec.nm is not None:

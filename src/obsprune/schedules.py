@@ -16,7 +16,7 @@ checkpoint after the recovery window that follows each event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -53,24 +53,16 @@ def recovery_lr(schedule: LrSchedule, acyclic: bool, total_steps: int) -> Callab
     return lambda t: schedule.lr_max - (schedule.lr_max - schedule.lr_min) * min(t, span) / span
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Strictly increasing sparsity targets hit every ``interval`` steps."""
-
-    targets: tuple[float, ...]
-    interval: int
-
-    def __post_init__(self) -> None:
-        if len(self.targets) == 0:
-            raise ValueError("a sweep needs at least one target")
-        if any(not 0.0 < t < 1.0 for t in self.targets):
-            raise ValueError(f"targets must lie in (0, 1), got {self.targets}")
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])):
-            raise ValueError(f"targets must be strictly increasing, got {self.targets}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-
-
-def plan_sweep(targets: tuple[float, ...] | list[float], interval: int) -> SweepPlan:
-    return SweepPlan(tuple(float(t) for t in targets), int(interval))
-
+def sweep_targets(targets: Iterable[float], interval: int) -> tuple[float, ...]:
+    """A sweep's sparsity targets as floats; refuses an empty, out of
+    (0, 1) or not strictly increasing list and an interval below 1."""
+    targets = tuple(float(t) for t in targets)
+    if len(targets) == 0:
+        raise ValueError("a sweep needs at least one target")
+    if any(not 0.0 < t < 1.0 for t in targets):
+        raise ValueError(f"targets must lie in (0, 1), got {targets}")
+    if any(b <= a for a, b in zip(targets, targets[1:])):
+        raise ValueError(f"targets must be strictly increasing, got {targets}")
+    if interval < 1:
+        raise ValueError(f"interval must be >= 1, got {interval}")
+    return targets

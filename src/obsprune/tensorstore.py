@@ -15,6 +15,12 @@ format:
         dims      ndim x u64
         data      raw row-major values, little-endian
 
+In memory a container is an ordered dict of names to NumPy arrays:
+``read_container`` returns one in file order, each array shaped by its
+header, and ``write_container`` takes any mapping of names to arrays.
+Both refuse, naming the tensor, a dtype other than f32/f64/u8, a 0-d
+array, a zero-length dim and a u8 value other than 0 or 1.
+
 Masks are u8 with values restricted to {0, 1} (1 = kept);
 ``nm_violations`` checks one against an n:m pattern. Round trips are
 bit-exact: floats are never re-encoded, so NaN payloads and signed zeros
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -45,15 +50,8 @@ import numpy as np
 MAGIC = b"OVPT"
 VERSION = 1
 
-# dtype tag <-> numpy dtype; stored data is always little-endian
-_CODE_TO_NAME = {0: "f32", 1: "f64", 2: "u8"}
-_NAME_TO_CODE = {v: k for k, v in _CODE_TO_NAME.items()}
-_NAME_TO_NP = {
-    "f32": np.dtype("<f4"),
-    "f64": np.dtype("<f8"),
-    "u8": np.dtype("u1"),
-}
-_KIND_TO_NAME = {"f4": "f32", "f8": "f64", "u1": "u8"}
+# the dtype stored under each dtype code (its index); data is little-endian
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("u1"))
 
 WEIGHT_SUFFIX = ".weight"
 GRADS_SUFFIX = ".grads"
@@ -84,63 +82,6 @@ class UnsupportedVersionError(ContainerError):
     """Container version is not one this reader supports."""
 
 
-def _dtype_name_for(arr: np.ndarray) -> str:
-    key = arr.dtype.str.lstrip("<>|=")
-    if key not in _KIND_TO_NAME:
-        raise ContainerError(
-            f"array dtype {arr.dtype} not storable; use float32, float64 or uint8"
-        )
-    return _KIND_TO_NAME[key]
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """One named payload: dtype tag, shape, and flat row-major data."""
-
-    dtype: str
-    dims: tuple[int, ...]
-    data: np.ndarray  # 1-D, little-endian, row-major
-
-    def __post_init__(self) -> None:
-        if self.dtype not in _NAME_TO_NP:
-            raise UnknownDtypeError(f"unknown dtype name {self.dtype!r}")
-        if len(self.dims) == 0:
-            raise ContainerError("tensor dims must be non-empty")
-        if any(int(d) <= 0 for d in self.dims):
-            raise ContainerError(f"tensor dims must be positive, got {self.dims}")
-        want = int(np.prod(self.dims, dtype=np.int64))
-        flat = np.ascontiguousarray(self.data, dtype=_NAME_TO_NP[self.dtype]).reshape(-1)
-        if flat.size != want:
-            raise ContainerError(
-                f"data has {flat.size} elements, dims {self.dims} imply {want}"
-            )
-        if self.dtype == "u8" and flat.size and not np.all((flat == 0) | (flat == 1)):
-            raise ContainerError("u8 mask tensors may only contain 0 and 1")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "data", flat)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Tensor":
-        arr = np.asarray(arr)
-        return cls(_dtype_name_for(arr), tuple(arr.shape), arr.reshape(-1))
-
-    def array(self) -> np.ndarray:
-        """Return the data reshaped to ``dims`` (shares memory)."""
-        return self.data.reshape(self.dims)
-
-    def __eq__(self, other: object) -> bool:  # bitwise, NaN-safe
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (
-            self.dtype == other.dtype
-            and self.dims == other.dims
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("Tensor is not hashable")
-
-
 def nm_violations(mask: np.ndarray, n: int, m: int) -> int:
     """Count aligned m-groups whose mask keeps more than n entries.
 
@@ -154,42 +95,29 @@ def nm_violations(mask: np.ndarray, n: int, m: int) -> int:
     return int(np.count_nonzero(kept > n))
 
 
-@dataclass
-class TensorContainer:
-    """Ordered mapping of names to tensors; iteration order is insertion order."""
-
-    entries: dict[str, Tensor] = field(default_factory=dict)
-
-    def add(self, name: str, tensor: Tensor | np.ndarray) -> None:
-        if name in self.entries:
-            raise ContainerError(f"duplicate tensor name {name!r}")
-        if not isinstance(tensor, Tensor):
-            tensor = Tensor.from_array(tensor)
-        self.entries[name] = tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorContainer):
-            return NotImplemented
-        return (
-            list(self.entries) == list(other.entries)
-            and all(self.entries[k] == other.entries[k] for k in self.entries)
+def _checked(name: str, arr) -> np.ndarray:
+    """``arr`` as tensor ``name`` is stored: C-contiguous, little-endian.
+    Refuses a dtype other than float32, float64 or uint8, a 0-d array, a
+    zero-length dim and a uint8 value other than 0 or 1."""
+    arr = np.asarray(arr)
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype not in _DTYPES:
+        raise ContainerError(
+            f"tensor {name!r} has dtype {arr.dtype}; use float32, float64 or uint8"
         )
+    if arr.ndim == 0 or 0 in arr.shape:
+        raise ContainerError(
+            f"tensor {name!r} has shape {arr.shape}; it needs one or more dims, all positive"
+        )
+    arr = np.ascontiguousarray(arr, dtype)
+    if dtype == np.uint8 and (arr > 1).any():
+        raise ContainerError(f"u8 mask tensor {name!r} may only contain 0 and 1")
+    return arr
 
 
-def write_container(path: str, container: TensorContainer) -> None:
-    """Serialize ``container`` to ``path``. Same container, same bytes.
+def write_container(path: str, arrays: Mapping[str, np.ndarray]) -> None:
+    """Serialize ``arrays`` to ``path`` in their order, each tensor shaped
+    like its array (see ``_checked``). Same arrays, same bytes.
 
     The parts are streamed into a new sibling file, which then replaces
     ``path`` (the target of ``path`` if it is a symlink) in one
@@ -199,14 +127,15 @@ def write_container(path: str, container: TensorContainer) -> None:
     The new file gets the mode ``open(path, "wb")`` would leave: that of
     the file it replaces, or 0o666 less the umask.
     """
-    parts = [MAGIC, struct.pack("<II", VERSION, len(container.entries))]
-    for name, t in container.entries.items():
+    parts = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
+    for name, arr in arrays.items():
+        arr = _checked(name, arr)
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-        parts.append(struct.pack("<BI", _NAME_TO_CODE[t.dtype], len(t.dims)))
-        parts.append(struct.pack(f"<{len(t.dims)}Q", *t.dims))
-        parts.append(t.data)  # contiguous little-endian, written without a copy
+        parts.append(struct.pack("<BI", _DTYPES.index(arr.dtype), arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        parts.append(arr.reshape(-1))  # contiguous, written without a copy
     dest = os.path.realpath(path)
     try:
         mode = os.stat(dest).st_mode & 0o777
@@ -238,7 +167,7 @@ def _read_at(fd: int, out: np.ndarray, pos: int, what: str) -> np.ndarray:
     return out
 
 
-def _parse(fd: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]:
+def _parse(fd: int) -> Iterator[tuple[str, np.dtype, tuple[int, ...], slice]]:
     """(name, dtype, dims, byte range of the data) of each tensor, in order,
     of the container open at ``fd``. Reads only the headers. Raises a
     distinct error per failure mode, trailing bytes once the last tensor
@@ -267,27 +196,30 @@ def _parse(fd: int) -> Iterator[tuple[str, str, tuple[int, ...], slice]]:
     for _ in range(u32("tensor count")):
         name = take(u32("name length"), "tensor name").decode("utf-8")
         code = take(1, f"dtype of tensor {name!r}")[0]
-        if code not in _CODE_TO_NAME:
+        if code >= len(_DTYPES):
             raise UnknownDtypeError(f"tensor {name!r} has unknown dtype code {code}")
-        dtype = _CODE_TO_NAME[code]
+        dtype = _DTYPES[code]
         ndim = u32(f"ndim of tensor {name!r}")
         dims = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"dims of tensor {name!r}"))
-        nbytes = int(np.prod(dims, dtype=np.int64)) * _NAME_TO_NP[dtype].itemsize if ndim else 0
+        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
         offset = skip(nbytes, f"data of tensor {name!r}")
         yield name, dtype, tuple(int(d) for d in dims), slice(offset, offset + nbytes)
     if pos != size:
         raise ContainerError(f"{size - pos} trailing bytes after the last tensor")
 
 
-def read_container(path: str) -> TensorContainer:
-    """Parse a container file, each tensor into a new array of its own;
-    raises a distinct error per failure mode."""
-    out = TensorContainer()
+def read_container(path: str) -> dict[str, np.ndarray]:
+    """Parse a container file into its tensors, in file order, each a new
+    array of its own shaped by its header; raises a distinct error per
+    failure mode, and refuses what ``write_container`` would."""
+    out = {}
     with open(path, "rb") as fh:
         for name, dtype, dims, data in _parse(fh.fileno()):
+            if name in out:
+                raise ContainerError(f"duplicate tensor name {name!r}")
             raw = np.empty(data.stop - data.start, np.uint8)
             _read_at(fh.fileno(), raw, data.start, f"data of tensor {name!r}")
-            out.add(name, Tensor(dtype, dims, raw.view(_NAME_TO_NP[dtype])))
+            out[name] = _checked(name, raw.view(dtype).reshape(dims))
     return out
 
 
@@ -429,9 +361,9 @@ def read_gradients(path: str, ids) -> dict[str, GradientSet]:
         if name not in found:
             raise ContainerError(f"{path}: missing {name}")
         dtype, dims, offset = found[name]
-        if dtype == "u8" or len(dims) != 2 or 0 in dims:
+        if dtype == np.uint8 or len(dims) != 2 or 0 in dims:
             raise ContainerError(f"{path}: {name} is not a non-empty 2-D float tensor")
-        out[lid] = _FileRows(lid, fd, offset, dims, _NAME_TO_NP[dtype])
+        out[lid] = _FileRows(lid, fd, offset, dims, dtype)
     return out
 
 
@@ -453,7 +385,7 @@ def prunable_name(layer_id: str) -> str:
     return f"{_LAYER_PREFIX}{layer_id}{PRUNABLE_SUFFIX}"
 
 
-def layer_ids(container: TensorContainer | Mapping[str, object]) -> list[str]:
+def layer_ids(container: Mapping[str, object]) -> list[str]:
     """Layer ids that have a ``layer.<id>.weight`` entry, sorted.
 
     Numeric ids sort numerically so layer.10 comes after layer.2; the order

@@ -27,7 +27,7 @@ from obsprune.oracle import exhaustive_best_subset, sparse_regression_min
 from obsprune.pruners import PrunerSpec, run_pruner, split_by_layer
 from obsprune.schedules import LrSchedule, lr_at
 from obsprune.solver import solve_global, solve_nm
-from obsprune.tensorstore import GradientSet, TensorContainer, nm_violations, write_container
+from obsprune.tensorstore import GradientSet, nm_violations, write_container
 
 from conftest import dense_fisher
 
@@ -196,10 +196,10 @@ def test_criterion_07_nm_masks_comply_and_run_end_to_end(tmp_path):
 
     model = pipeline.toy_train(2024, (8, 16, 4), steps=80, lr=0.05)
     grads = pipeline.collect_grads(model, 64)
-    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox, gbox = {}, {}
     for lid, wt in model.weights.items():
-        wbox.add(f"layer.{lid}.weight", wt)
-        gbox.add(f"layer.{lid}.grads", grads[lid].samples)
+        wbox[f"layer.{lid}.weight"] = wt
+        gbox[f"layer.{lid}.grads"] = grads[lid].samples
     wpath, gpath = tmp_path / "w.ovpt", tmp_path / "g.ovpt"
     write_container(wpath, wbox)
     write_container(gpath, gbox)
@@ -299,10 +299,10 @@ def test_criterion_11_cli_reports_are_byte_identical(tmp_path):
     across --threads {1, 4} where the flag exists."""
     model = pipeline.toy_train(110, (6, 10, 4), steps=60, lr=0.05)
     grads = pipeline.collect_grads(model, 48)
-    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox, gbox = {}, {}
     for lid, wt in model.weights.items():
-        wbox.add(f"layer.{lid}.weight", wt)
-        gbox.add(f"layer.{lid}.grads", grads[lid].samples)
+        wbox[f"layer.{lid}.weight"] = wt
+        gbox[f"layer.{lid}.grads"] = grads[lid].samples
     wpath, gpath = tmp_path / "w.ovpt", tmp_path / "g.ovpt"
     write_container(wpath, wbox)
     write_container(gpath, gbox)

@@ -3,6 +3,7 @@
 import io
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -12,11 +13,7 @@ import pytest
 from obsprune import pipeline
 from obsprune.cli import main
 from obsprune.pruners import sparsity_to_k
-from obsprune.tensorstore import (
-    TensorContainer,
-    read_container,
-    write_container,
-)
+from obsprune.tensorstore import read_container, write_container
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -38,6 +35,19 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def ovpt_bytes(*tensors):
+    """A container of (name, dtype code, dims, data bytes) tensors, built
+    by hand so that it may break the rules ``write_container`` keeps."""
+    parts = [b"OVPT", struct.pack("<II", 1, len(tensors))]
+    for name, code, dims, data in tensors:
+        parts += [struct.pack("<I", len(name)), name.encode(),
+                  struct.pack(f"<BI{len(dims)}Q", code, len(dims), *dims), data]
+    return b"".join(parts)
+
+
+_WEIGHT = ("layer.0.weight", 1, (2, 4), np.ones(8).tobytes())
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -49,10 +59,10 @@ def fixture_files(tmp_path):
     """A trained toy exported to weight and gradient containers."""
     model = pipeline.toy_train(21, (6, 10, 4), steps=100, lr=0.05)
     grads = pipeline.collect_grads(model, 64)
-    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox, gbox = {}, {}
     for lid, w in model.weights.items():
-        wbox.add(f"layer.{lid}.weight", w)
-        gbox.add(f"layer.{lid}.grads", grads[lid].samples)
+        wbox[f"layer.{lid}.weight"] = w
+        gbox[f"layer.{lid}.grads"] = grads[lid].samples
     wpath, gpath = tmp_path / "weights.ovpt", tmp_path / "grads.ovpt"
     write_container(wpath, wbox)
     write_container(gpath, gbox)
@@ -72,8 +82,8 @@ class TestPrune:
         assert "total\tsparsity\t0.5" in text
         box = read_container(out_path)
         for lid in ("0", "1"):
-            w = box[f"layer.{lid}.weight"].array()
-            m = box[f"layer.{lid}.mask"].array()
+            w = box[f"layer.{lid}.weight"]
+            m = box[f"layer.{lid}.mask"]
             assert (w.reshape(-1)[m.reshape(-1) == 0] == 0).all()
 
     def test_gm_needs_no_grads(self, fixture_files):
@@ -92,6 +102,26 @@ class TestPrune:
             "--out", str(tmp_path / "x.ovpt"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("raw", [
+        ovpt_bytes(_WEIGHT, ("layer.0.prunable", 2, (2, 4), bytes([1, 0, 2, 1, 1, 1, 1, 1]))),
+        ovpt_bytes(("layer.0.weight", 1, (), np.ones(1).tobytes())),
+        ovpt_bytes(("layer.0.weight", 1, (2, 0), b"")),
+        ovpt_bytes(("layer.0.weight", 3, (2, 4), bytes(8))),
+        ovpt_bytes(_WEIGHT, _WEIGHT),
+        ovpt_bytes(_WEIGHT)[:-1],
+        ovpt_bytes(_WEIGHT) + b"\0",
+    ], ids=["u8-value-2", "0-d", "zero-length-dim", "unknown-dtype", "duplicate",
+            "truncated", "trailing-bytes"])
+    def test_a_malformed_container_exits_three(self, tmp_path, capsys, raw):
+        wpath, out = tmp_path / "w.ovpt", tmp_path / "x.ovpt"
+        wpath.write_bytes(raw)
+        code, text = run_cli("prune", "--weights", str(wpath), "--method", "gm",
+                             "--sparsity", "0.5", "--out", str(out))
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_usage_errors_exit_two(self):
         code, _ = run_cli("prune", "--method", "gm")
@@ -134,11 +164,11 @@ class TestPrune:
         refuses a non-finite cost before it prints a line."""
         wpath, gpath, tmp = fixture_files
         box = read_container(gpath)
-        rows = {name: box[name].array().copy() for name in box}
+        rows = {name: box[name].copy() for name in box}
         rows["layer.1.grads"][-1, 0] = np.nan  # row 64 of 64; 8 are used
-        bad = TensorContainer()
+        bad = {}
         for name, arr in rows.items():
-            bad.add(name, arr)
+            bad[name] = arr
         write_container(gpath, bad)
         if command == "eval":
             argv = ("eval", "--weights-before", wpath, "--weights-after", wpath, "--grads", gpath)
@@ -163,12 +193,12 @@ class TestPrune:
         """Every weight container is refused before any build or report line."""
         wpath, gpath, tmp = fixture_files
         box = read_container(wpath)
-        bad = TensorContainer()
+        bad = {}
         for name in box:
-            arr = box[name].array().copy()
+            arr = box[name].copy()
             if name == "layer.1.weight":
                 arr[2, 3] = value
-            bad.add(name, arr)
+            bad[name] = arr
         bad_path = tmp / "bad.ovpt"
         write_container(bad_path, bad)
         if command[0] == "eval":
@@ -197,15 +227,15 @@ class TestPrune:
         wpath, gpath, tmp = fixture_files
         box = read_container(wpath)
         rng = np.random.default_rng(3)
-        frozen_in = TensorContainer()
+        frozen_in = {}
         prunable = {}
         for name in box:
-            frozen_in.add(name, box[name].array())
-            flags = (rng.random(box[name].dims) < 0.6).astype(np.uint8)
+            frozen_in[name] = box[name]
+            flags = (rng.random(box[name].shape) < 0.6).astype(np.uint8)
             flags.reshape(-1)[:4] = 0  # a group of frozen weights only
             flags.reshape(-1)[4:8] = [0, 1, 0, 0]  # and one with a single prunable
             prunable[name] = flags.reshape(-1).astype(bool)
-            frozen_in.add(name.replace(".weight", ".prunable"), flags)
+            frozen_in[name.replace(".weight", ".prunable")] = flags
         in_path, out_path = tmp / "frozen.ovpt", tmp / "out.ovpt"
         write_container(in_path, frozen_in)
         code, _ = run_cli("prune", "--weights", str(in_path), "--grads", str(gpath),
@@ -214,9 +244,9 @@ class TestPrune:
         out = read_container(out_path)
         masks = []
         for name, movable in prunable.items():
-            before = box[name].data
-            after = out[name].data
-            mask = out[name.replace(".weight", ".mask")].data
+            before = box[name].reshape(-1)
+            after = out[name].reshape(-1)
+            mask = out[name.replace(".weight", ".mask")].reshape(-1)
             assert after[~movable].tobytes() == before[~movable].tobytes()
             assert (mask[~movable] == 1).all()
             masks.append((mask, movable))
@@ -330,7 +360,7 @@ class TestEval:
         assert code == 0
         *layers, total = [ln.split("\t") for ln in text.splitlines()]
         box = read_container(out_path)
-        masks = [box[f"layer.{lid}.mask"].array().reshape(-1) for lid in ("0", "1")]
+        masks = [box[f"layer.{lid}.mask"].reshape(-1) for lid in ("0", "1")]
         assert [(name, a, b) for name, a, _, b, _ in layers] == [
             ("layer.0.weight", "predicted", "sparsity"),
             ("layer.1.weight", "predicted", "sparsity"),
@@ -343,9 +373,7 @@ class TestEval:
 
     def test_shape_mismatch_is_a_runtime_failure(self, fixture_files, tmp_path):
         wpath, gpath, _ = fixture_files
-        bad = TensorContainer()
-        bad.add("layer.0.weight", np.zeros((3, 3)))
-        bad.add("layer.1.weight", np.zeros((4, 10)))
+        bad = {"layer.0.weight": np.zeros((3, 3)), "layer.1.weight": np.zeros((4, 10))}
         bad_path = tmp_path / "bad.ovpt"
         write_container(bad_path, bad)
         code, _ = run_cli(
@@ -360,11 +388,10 @@ class TestEval:
         counted from that mask."""
         wpath, gpath, tmp = fixture_files
         box = read_container(wpath)
-        w0 = box["layer.0.weight"].array().copy()
+        w0 = box["layer.0.weight"].copy()
         w0.reshape(-1, 4)[2:, :2] = 0.0  # 13 of 15 groups keep two, 2 keep four
-        after = TensorContainer()
-        after.add("layer.0.weight", w0)
-        after.add("layer.1.weight", box["layer.1.weight"].array())  # 10 groups keep four
+        after = {"layer.0.weight": w0,
+                 "layer.1.weight": box["layer.1.weight"]}  # 10 groups keep four
         after_path = tmp / "after.ovpt"
         write_container(after_path, after)
         argv = ("eval", "--weights-before", str(wpath), "--weights-after", str(after_path),
@@ -410,10 +437,8 @@ class TestCorrelationAdvantage:
         fisher = np.array([[2.0, -1.9], [-1.9, 2.0]])
         L = np.linalg.cholesky(fisher)
         rows = np.sqrt(2.0) * L.T
-        box = TensorContainer()
-        box.add("layer.0.weight", np.array([1.0, 1.0]))
-        gbox = TensorContainer()
-        gbox.add("layer.0.grads", rows)
+        box = {"layer.0.weight": np.array([1.0, 1.0])}
+        gbox = {"layer.0.grads": rows}
         wpath, gpath = tmp_path / "w.ovpt", tmp_path / "g.ovpt"
         write_container(wpath, box)
         write_container(gpath, gbox)
@@ -455,7 +480,7 @@ class TestToyAndSweep:
         for target in (0.25, 0.5, 0.75):
             box = read_container(f"{prefix}.{target:g}.ovpt")
             masks = np.concatenate([
-                box[n].array().reshape(-1) for n in box if n.endswith(".mask")
+                box[n].reshape(-1) for n in box if n.endswith(".mask")
             ])
             assert (masks == 0).mean() == pytest.approx(target)
 
@@ -560,7 +585,7 @@ class TestToyAndSweep:
         prev = None
         for target in (0.3, 0.5, 0.7):
             box = read_container(f"{prefix}.{target:g}.ovpt")
-            zero = {lid: box[f"layer.{lid}.mask"].array().reshape(-1) == 0
+            zero = {lid: box[f"layer.{lid}.mask"].reshape(-1) == 0
                     for lid in ("0", "1")}
             for lid, z in zero.items():
                 assert z.sum() == sparsity_to_k(target, z.size)
@@ -623,7 +648,7 @@ class TestToyAndSweep:
         final = float(text.split("final\tloss\t")[1].split("\n")[0])
         box = read_container(f"{prefix}.0.8.ovpt")
         model = pipeline.make_toy(5, (16, 32, 8))
-        model.weights = {lid: box[f"layer.{lid}.weight"].array() for lid in ("0", "1")}
+        model.weights = {lid: box[f"layer.{lid}.weight"] for lid in ("0", "1")}
         assert abs(pipeline.model_loss(model) - final) < 1e-9
 
     @pytest.mark.parametrize("acyclic", [False, True], ids=["cyclic", "acyclic"])

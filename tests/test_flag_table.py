@@ -11,7 +11,7 @@ import pytest
 
 from obsprune import pipeline
 from obsprune.cli import build_parser, main
-from obsprune.tensorstore import TensorContainer, write_container
+from obsprune.tensorstore import write_container
 
 CHANGES, REFUSED, NO_OP = "changes", "refused", "no-op"
 
@@ -103,10 +103,10 @@ def inputs(tmp_path_factory):
     for tag, seed, rows in (("", 21, 32), ("2", 22, 24)):
         model = pipeline.toy_train(seed, (6, 10, 4), steps=30, lr=0.05)
         grads = pipeline.collect_grads(model, rows)
-        wbox, gbox = TensorContainer(), TensorContainer()
+        wbox, gbox = {}, {}
         for lid, w in model.weights.items():
-            wbox.add(f"layer.{lid}.weight", w)
-            gbox.add(f"layer.{lid}.grads", grads[lid].samples)
+            wbox[f"layer.{lid}.weight"] = w
+            gbox[f"layer.{lid}.grads"] = grads[lid].samples
         files["w" + tag], files["g" + tag] = tmp / f"w{tag}.ovpt", tmp / f"g{tag}.ovpt"
         write_container(files["w" + tag], wbox)
         write_container(files["g" + tag], gbox)

@@ -19,7 +19,7 @@ import obsprune
 from obsprune import fisher, pipeline, solver
 from obsprune.fisher import FisherConfig
 from obsprune.pruners import PrunerSpec
-from obsprune.tensorstore import GradientSet, TensorContainer, write_container
+from obsprune.tensorstore import GradientSet, write_container
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(obsprune.__file__)))
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -54,9 +54,8 @@ def big_rows(tmp_path_factory):
     prune uses 512 of them (one eighth)."""
     tmp = tmp_path_factory.mktemp("rows")
     rng = np.random.default_rng(3)
-    wbox, gbox = TensorContainer(), TensorContainer()
-    wbox.add("layer.0.weight", rng.standard_normal((64, 64)))
-    gbox.add("layer.0.grads", rng.standard_normal((4096, 64 * 64), dtype=np.float32))
+    wbox = {"layer.0.weight": rng.standard_normal((64, 64))}
+    gbox = {"layer.0.grads": rng.standard_normal((4096, 64 * 64), dtype=np.float32)}
     paths = tmp / "w.ovpt", tmp / "g.ovpt", tmp / "out.ovpt"
     write_container(paths[0], wbox)
     write_container(paths[1], gbox)

@@ -84,6 +84,11 @@ class TestMagnitude:
         assert scored.predicted_loss_increase > 0.0
         assert scored.mask.tolist() == bare.mask.tolist()
 
+    def test_a_gradient_map_without_a_layer_is_refused(self, rng):
+        weights, grads = toy_layers(rng)
+        with pytest.raises(ValueError, match="no gradient set for layer '0'"):
+            run_pruner(spec_for("gm"), weights, {"1": grads["1"]}, sparsity=0.5)
+
 
 class TestFrozenCurvature:
     def test_single_removal_compensation_is_optimal(self, rng):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from obsprune.schedules import LrSchedule, lr_at, plan_sweep, recovery_lr
+from obsprune.schedules import LrSchedule, lr_at, recovery_lr, sweep_targets
 
 
-def checkpoint_steps(plan):
+def checkpoint_steps(targets, interval):
     """(step, target) where each checkpoint is emitted: one recovery window
     after its event."""
-    return [((i + 1) * plan.interval, t) for i, t in enumerate(plan.targets)]
+    return [((i + 1) * interval, t) for i, t in enumerate(targets)]
 
 
 class TestCyclicLr:
@@ -77,19 +77,23 @@ class TestRecoveryLr:
         assert [lr(t) for t in range(3)] == pytest.approx([1.0, 0.2, 0.2])
 
 
-class TestSweepPlan:
+class TestSweepTargets:
     def test_events_and_checkpoints(self):
-        plan = plan_sweep([0.5, 0.75, 0.9], 20)
-        assert (plan.targets, plan.interval) == ((0.5, 0.75, 0.9), 20)
-        assert checkpoint_steps(plan) == [(20, 0.5), (40, 0.75), (60, 0.9)]
+        targets = sweep_targets([0.5, 0.75, 0.9], 20)
+        assert targets == (0.5, 0.75, 0.9)
+        assert checkpoint_steps(targets, 20) == [(20, 0.5), (40, 0.75), (60, 0.9)]
 
     def test_targets_must_increase(self):
         with pytest.raises(ValueError):
-            plan_sweep([0.5, 0.5], 10)
+            sweep_targets([0.5, 0.5], 10)
         with pytest.raises(ValueError):
-            plan_sweep([0.9, 0.5], 10)
+            sweep_targets([0.9, 0.5], 10)
         with pytest.raises(ValueError):
-            plan_sweep([], 10)
+            sweep_targets([], 10)
         with pytest.raises(ValueError):
-            plan_sweep([0.5, 1.0], 10)
+            sweep_targets([0.5, 1.0], 10)
+
+    def test_interval_must_be_positive(self):
+        with pytest.raises(ValueError, match="interval must be >= 1"):
+            sweep_targets([0.5], 0)
 

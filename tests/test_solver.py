@@ -761,14 +761,14 @@ def test_no_output_byte_depends_on_the_threads_that_exist(tmp_path, monkeypatch)
     runs with workers draw stacks, and read rows, on them."""
     from obsprune import solver, tensorstore
     from obsprune.cli import main
-    from obsprune.tensorstore import TensorContainer, write_container
+    from obsprune.tensorstore import write_container
 
     rng = np.random.default_rng(8)
-    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox, gbox = {}, {}
     for lid, shape in (("0", (128, 64)), ("1", (96, 64))):  # 2 and 1.5 passes at B=64
-        wbox.add(f"layer.{lid}.weight", rng.standard_normal(shape))
-        gbox.add(f"layer.{lid}.grads",
-                 rng.standard_normal((80, shape[0] * shape[1]), dtype=np.float32))
+        wbox[f"layer.{lid}.weight"] = rng.standard_normal(shape)
+        gbox[f"layer.{lid}.grads"] = rng.standard_normal((80, shape[0] * shape[1]),
+                                                         dtype=np.float32)
     write_container(tmp_path / "w.ovpt", wbox)
     write_container(tmp_path / "g.ovpt", gbox)
     prune = ("prune", "--weights", str(tmp_path / "w.ovpt"), "--grads",

@@ -13,7 +13,7 @@ import pytest
 import obsprune
 from obsprune import pipeline
 from obsprune.cli import main
-from obsprune.tensorstore import TensorContainer, write_container
+from obsprune.tensorstore import write_container
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(obsprune.__file__)))
 # block-buffered standard streams, so output that is never flushed goes missing
@@ -43,10 +43,10 @@ def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("startup")
     model = pipeline.toy_train(21, (6, 10, 4), steps=30, lr=0.05)
     grads = pipeline.collect_grads(model, 32)
-    wbox, gbox = TensorContainer(), TensorContainer()
+    wbox, gbox = {}, {}
     for lid, w in model.weights.items():
-        wbox.add(f"layer.{lid}.weight", w)
-        gbox.add(f"layer.{lid}.grads", grads[lid].samples)
+        wbox[f"layer.{lid}.weight"] = w
+        gbox[f"layer.{lid}.grads"] = grads[lid].samples
     write_container(tmp / "w.ovpt", wbox)
     write_container(tmp / "g.ovpt", gbox)
     assert main(prune_argv(tmp, "pruned.ovpt", "--sparsity", "0.5"), out=io.StringIO()) == 0

@@ -13,25 +13,29 @@ batches, in one of two exact forms:
 The second (Woodbury) form needs only one N x N inverse and stays well
 conditioned at tiny dampening.
 
-``iter_block_inverses`` is the one build: it validates the rows, then
-yields the inverses as (nb, B, B) stacks of consecutive blocks, one
-lockstep pass of the solver (``pass_blocks``) at a time, so the solver
-takes each stack as it comes and, freeing each, never holds the whole
-inverse. A stack is filled a sub-batch of blocks at a time: rows are
-widened to float64, or formed from factors, only for one sub-batch,
-whose columns hold at most ``CHUNK_VALUES`` values, and so does its
-Woodbury scratch; each sub-batch is freed before the next is formed.
-``CHUNK_VALUES`` bounds the build's scratch, not the stacks. A Woodbury
-sub-batch writes its inverses into the stack; a Gram sub-batch writes
-its dampened Gram matrices, and the stack is then inverted by one
-batched LU call, whose result is the stack yielded (an LU call per
-sub-batch, on the worker thread described next, slowed the solve beside
-it by about 5% on the benchmark's float32 prune). After the
-first pass, the solver draws each next stack on a worker thread, which
-builds it while the solver solves the current one; every block is
-inverted on its own, so neither the sub-batches nor the threads change a
-byte. ``build_fisher_inverse`` collects the stream into a
-``FisherBlockInverse`` for callers that need every block at once.
+``iter_block_inverses`` is the one build, for one layer or several: it
+validates every layer's rows at the call, then yields the inverses as
+(nb, B, B) stacks, each exactly one lockstep pass of the solver. A pass
+is the next ``pass_blocks(B)`` blocks of one width in weight order
+(``_plan``, the one rule, which also groups a whole
+``FisherBlockInverse``), so passes cross layer boundaries, but no block
+spans two layers. Each pass is one array, allocated by the build and
+solved as it is, never joined or copied. Each layer's part of a pass is
+filled a sub-batch of blocks at a time: rows are widened to float64, or
+formed from factors, only for one sub-batch, whose columns hold at most
+``CHUNK_VALUES`` values, and so does its Woodbury scratch; each
+sub-batch is freed before the next is formed. ``CHUNK_VALUES`` bounds
+the build's scratch, not the passes. A Woodbury sub-batch writes its
+inverses into the pass; a Gram sub-batch writes its dampened Gram
+matrices, and the layer's part is then inverted by one batched LU call
+(an LU call per sub-batch, on the worker thread described next, slowed
+the solve beside it by about 5% on the benchmark's float32 prune). After
+the first pass, the solver draws each next pass on a worker thread,
+which builds it while the solver solves the current one; every block is
+inverted on its own, so neither the sub-batches, the passes nor the
+threads change a byte. ``build_fisher_inverse`` collects one layer's
+stream into a ``FisherBlockInverse`` for callers that need every block
+at once.
 
 The toy's rows come factored (see ``tensorstore.GradientSet``): a
 sub-batch's columns are formed from the layer's output residual and
@@ -58,14 +62,15 @@ reads the rows three times, become one contiguous float64 copy.
 
 Rows are resident only while the build reads them. The stream's frame
 holds the only reference the build keeps to a layer's rows or factors,
-so a caller that keeps none frees them once the layer's last stack is
-built.
+and drops it once the layer's last block is built, so a caller that
+keeps none frees them then, before the pass that holds that block is
+solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -157,12 +162,19 @@ class FisherBlockInverse:
         b = int(np.searchsorted(self.offsets, i, side="right") - 1)
         return b, int(i - self.offsets[b])
 
+    def passes(self) -> Iterator[np.ndarray]:
+        """The blocks as (nb, B, B) float64 stacks, one solver pass each,
+        grouped by the build's rule (``_plan``)."""
+        plan = _plan((b, 0, 1, blk.shape[0]) for b, blk in enumerate(self.blocks))
+        return (np.array([self.blocks[b] for b, _, _ in parts], dtype=np.float64)
+                for _, parts in plan)
+
 
 def _fill_blocks(rows3: np.ndarray, lam: float, out: np.ndarray) -> None:
     """Writes to ``out``, for a (nblocks, N, B) float64 stack of rows, the
     dampened Gram matrices lambda*I + R_b^T R_b / N when N >= B (the build
-    inverts them a whole stack at a time), else their inverses in the
-    Woodbury form.
+    inverts them a layer's part of a pass at a time), else their inverses
+    in the Woodbury form.
 
     Every block is computed on its own (per-matrix BLAS and LAPACK calls),
     so a block's bytes do not depend on which other blocks share its batch.
@@ -202,82 +214,102 @@ def check_finite_rows(grads: GradientSet) -> None:
 
 
 def iter_block_inverses(
-    grads: GradientSet | np.ndarray,
+    layers: Iterable[tuple[GradientSet | np.ndarray, np.ndarray | None]],
     config: FisherConfig,
-    movable: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Per-block inverses of lambda*I + (1/N) sum g g^T, as a stream.
 
-    Validates the rows at the call, before any block is built: raises
-    ValueError on an empty sample set, on non-finite values in any row,
-    used or not, or on a ``movable`` mask that is not one flag per
-    weight. The returned iterator then yields (nb, B, B) float64 stacks
-    of consecutive blocks in weight order: the full blocks, one solver
-    pass (``pass_blocks``) at a time, then the trailing partial block on
-    its own. Uses the first ``min(num_grads, rows)`` rows in their stored
-    dtype. Weights outside ``movable`` (default: every weight moves) come
-    out frozen: their rows and columns are exactly zero (see the module
-    docstring).
+    ``layers`` holds every layer's (rows, movable) pair in weight order;
+    blocks never span two layers. Validates every layer at the call,
+    before any block is built: raises ValueError on an empty sample set,
+    on non-finite values in any row, used or not, or on a ``movable``
+    mask that is not one flag per weight. The returned iterator then
+    yields (nb, B, B) float64 stacks in weight order, one solver pass
+    each (see ``_plan``). Each layer uses its first ``min(num_grads,
+    rows)`` rows in their stored dtype. Weights outside ``movable``
+    (None: every weight moves) come out frozen: their rows and columns
+    are exactly zero (see the module docstring).
     """
-    if not isinstance(grads, GradientSet):
-        grads = GradientSet("", grads)
-    dim, n_rows = grads.dim, grads.num_samples
-    frozen = np.zeros(dim, dtype=bool)
-    if movable is not None:
-        movable = np.asarray(movable, dtype=bool)
-        if movable.shape != (dim,):
-            raise ValueError(f"movable mask has shape {movable.shape}, expected ({dim},)")
-        frozen = ~movable
-    n_used = min(int(config.num_grads), n_rows)
-    check_finite_rows(grads)
     bs = config.block_size
-    per_batch = max(1, CHUNK_VALUES // (bs * max(n_used, bs)))
-    sizes = block_partition(dim, bs)
-    return _inverse_stacks(grads.head(n_used), sizes, config, pass_blocks(bs), per_batch,
-                           frozen)
+    sources, runs = [], []
+    for rows, movable in layers:
+        grads = rows if isinstance(rows, GradientSet) else GradientSet("", rows)
+        dim = grads.dim
+        frozen = np.zeros(dim, dtype=bool) if movable is None else ~np.asarray(movable, bool)
+        if frozen.shape != (dim,):
+            raise ValueError(f"movable mask has shape {frozen.shape}, expected ({dim},)")
+        n_used = min(int(config.num_grads), grads.num_samples)
+        check_finite_rows(grads)
+        sizes = block_partition(dim, bs)  # full blocks, then any remainder
+        layer, n_main = len(sources), dim // bs
+        runs += [(layer, 0, n_main, bs), (layer, n_main * bs, len(sizes) - n_main, sizes[-1])]
+        sources.append((grads.head(n_used), frozen,
+                        max(1, CHUNK_VALUES // (bs * max(n_used, bs)))))
+    return _inverse_passes(sources, _plan(runs), float(config.dampening))
 
 
-def _inverse_stacks(
-    used: GradientSet,
-    sizes: list[int],
-    config: FisherConfig,
-    per_stack: int,
-    per_batch: int,
-    frozen: np.ndarray,
-) -> Iterator[np.ndarray]:
+_Plan = list[tuple[int, list[tuple[int, int, int]]]]
+
+
+def _plan(runs: Iterable[tuple[int, int, int, int]]) -> _Plan:
+    """The one rule for the solver's lockstep passes. ``runs`` are
+    (source, first weight, count, width) runs of consecutive blocks in
+    weight order; a pass is the next ``pass_blocks(width)`` blocks of one
+    width, drawn from one run or several. Returns every pass as its width
+    and its parts, one (source, first weight, count) per run it draws on."""
+    passes: _Plan = []
+    room = 0
+    for src, lo, count, width in runs:
+        while count:
+            if not room or passes[-1][0] != width:
+                passes.append((width, []))
+                room = pass_blocks(width)
+            take = min(count, room)
+            passes[-1][1].append((src, lo, take))
+            lo, count, room = lo + take * width, count - take, room - take
+    return passes
+
+
+def _inverse_passes(sources: list, passes: _Plan, lam: float) -> Iterator[np.ndarray]:
     """The stream itself; it calls no public function, so the solver's
-    worker threads can advance it. Each stack is filled ``per_batch``
-    blocks at a time, so the rows it widens or forms at once never exceed
-    ``CHUNK_VALUES`` values (see the module docstring)."""
-    n_used, dim = used.num_samples, used.dim
-    lam = float(config.dampening)
-    bs = config.block_size
-    n_main = dim // bs
+    worker threads can advance it. ``sources`` holds every layer's used
+    rows, frozen mask and sub-batch size, in blocks. Each layer's part of
+    a pass is filled a sub-batch at a time, so the rows it widens or forms
+    at once never exceed ``CHUNK_VALUES`` values (see the module
+    docstring), and a layer's entry is dropped once its last block is
+    built."""
 
-    def build(lo: int, count: int, width: int) -> np.ndarray:
-        """The inverses of ``count`` blocks of ``width`` from weight ``lo``."""
-        stack = np.empty((count, width, width))
-        for b in range(0, count, per_batch):
-            out = stack[b : b + per_batch]
-            start = lo + b * width
-            hi = start + len(out) * width
-            rows3 = used.columns(start, hi).reshape(n_used, -1, width).transpose(1, 0, 2)
-            blk, idx = np.nonzero(frozen[start:hi].reshape(-1, width))
-            if blk.size or rows3.dtype != np.float64 or n_used < width:
-                rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
-                rows3[blk, :, idx] = 0.0  # the frozen gradient columns
-            _fill_blocks(rows3, lam, out)
-            del rows3  # free this sub-batch before the next one is formed
-        if n_used >= width:  # one LU call per stack, whose result is the stack
-            stack = np.linalg.inv(stack)
-        blk, idx = np.nonzero(frozen[lo : lo + count * width].reshape(-1, width))
-        stack[blk, idx, idx] = 0.0
+    def build(width: int, parts: list[tuple[int, int, int]]) -> np.ndarray:
+        """One pass: each part's ``count`` blocks of ``width`` from its
+        layer's weight ``lo``."""
+        stack = np.empty((sum(count for _, _, count in parts), width, width))
+        first = 0
+        for layer, lo, count in parts:
+            used, frozen, step = sources[layer]
+            n_used = used.num_samples
+            out = stack[first : first + count]
+            first += count
+            for b in range(0, count, step):
+                sub = out[b : b + step]
+                start = lo + b * width
+                hi = start + len(sub) * width
+                rows3 = used.columns(start, hi).reshape(n_used, -1, width).transpose(1, 0, 2)
+                blk, idx = np.nonzero(frozen[start:hi].reshape(-1, width))
+                if blk.size or rows3.dtype != np.float64 or n_used < width:
+                    rows3 = np.array(rows3, dtype=np.float64, order="C")  # never a view
+                    rows3[blk, :, idx] = 0.0  # the frozen gradient columns
+                _fill_blocks(rows3, lam, sub)
+                del rows3  # free this sub-batch before the next one is formed
+            if n_used >= width:  # one LU call per layer's part of a pass
+                out[...] = np.linalg.inv(out)
+            blk, idx = np.nonzero(frozen[lo : lo + count * width].reshape(-1, width))
+            out[blk, idx, idx] = 0.0
+            if lo + count * width == used.dim:
+                sources[layer] = None  # the layer's last block is built
         return stack
 
-    for first in range(0, n_main, per_stack):
-        yield build(first * bs, min(per_stack, n_main - first), bs)
-    if len(sizes) > n_main:  # trailing partial block
-        yield build(n_main * bs, 1, sizes[-1])
+    for width, parts in passes:
+        yield build(width, parts)  # so this frame holds no pass while it waits
 
 
 def build_fisher_inverse(
@@ -285,6 +317,7 @@ def build_fisher_inverse(
     config: FisherConfig,
     movable: np.ndarray | None = None,
 ) -> FisherBlockInverse:
-    """The whole block inverse: every block of ``iter_block_inverses``, kept."""
-    stacks = iter_block_inverses(grads, config, movable)
+    """The whole block inverse of one layer: every block of
+    ``iter_block_inverses``, kept."""
+    stacks = iter_block_inverses([(grads, movable)], config)
     return FisherBlockInverse([blk for stack in stacks for blk in stack])

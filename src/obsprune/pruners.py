@@ -15,16 +15,16 @@ zeros of the one before. Every sub-step flattens the layers, validates
 ``pinned`` and the target, and resolves the pools (see ``pools``) once;
 per-layer mode differs from global mode in nothing else. A sub-step that
 would prune only pins whose weights are already zero returns the pins
-there, before any rows are made. One stream of block inverses covers
-all layers (``layered_inverse_stacks``); it scans every layer's rows
-before it builds any block, and it is frozen at the non-prunable
-weights (see ``fisher``). ``ovit`` hands it straight
-to the solver, so it never holds the whole inverse, and ``wf`` keeps every
-stack, scores from their diagonals and compensates with one batched
-product per stack. The rows are held by those streams alone: given a
-provider, a sub-step makes its rows inside the prune and drops its
-reference once the streams are made, so rows that no caller holds are
-freed once their layer's last stack is built. Factored rows (the toy's)
+there, before any rows are made. One build of block inverses covers
+all layers (``fisher.iter_block_inverses``); it scans every layer's rows
+before it builds any block, yields one solver pass at a time, and is
+frozen at the non-prunable weights (see ``fisher``). ``ovit`` hands it
+straight to the solver, so it never holds the whole inverse, and ``wf``
+keeps every pass, scores from their diagonals and compensates with one
+batched product per pass. The rows are held by that stream alone: given
+a provider, a sub-step makes its rows inside the prune and drops its
+reference once the stream is made, so rows that no caller holds are
+freed once their layer's last block is built. Factored rows (the toy's)
 are formed only a sub-batch at a time by the build, on the solver's
 workers for ``ovit``, and a chunk of rows at a time by ``gm``'s
 ``loss_increase``.
@@ -34,7 +34,6 @@ unconditionally (used to keep masks monotone across repeated pruning).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -140,19 +139,6 @@ def _check_grads(grads: GradMap, layout: Sequence[LayerLayout]) -> None:
             )
 
 
-def layered_inverse_stacks(
-    grads: GradMap, layout: Sequence[LayerLayout], config: FisherConfig, movable: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Every layer's block-inverse stacks, in weight order, frozen outside
-    the global flat ``movable`` mask; blocks never span layers. Every
-    layer's rows are validated before any block is built."""
-    streams = [
-        iter_block_inverses(grads[lay.name], config, movable[lay.offset : lay.offset + lay.size])
-        for lay in layout
-    ]
-    return itertools.chain.from_iterable(streams)
-
-
 # -- methods -----------------------------------------------------------------
 
 def _prune_frozen(
@@ -175,7 +161,7 @@ def _prune_frozen(
 
     new_w = w.copy()
     if spec.method == "wf":
-        # zero outside the selection, so one product per stack sums every
+        # zero outside the selection, so one product per pass sums every
         # block's selected updates
         coef = np.zeros(w.size)
         coef[selected] = w[selected] / diag[selected]
@@ -283,8 +269,8 @@ def _prune_step(
 ) -> PruneResult:
     """One sub-step of ``run_pruner``, on the rows ``provide(weights)``
     makes once the target and the pools are resolved. No frame but the
-    build's streams holds them, so a provider's rows are freed once their
-    layer's last stack is built. Passing the rows themselves would not do:
+    build's stream holds them, so a provider's rows are freed once their
+    layer's last block is built. Passing the rows themselves would not do:
     CPython 3.10 keeps a call's arguments alive in the caller's frame until
     the call returns. A sub-step that would prune only its pins
     (``_pins_only``) returns them before ``provide`` is called."""
@@ -315,8 +301,9 @@ def _prune_step(
     if spec.method != "gm":
         if grads is None:
             raise ValueError(f"method {spec.method!r} needs gradient rows")
-        stacks = layered_inverse_stacks(grads, layout, cfg, pr)
-        grads = None  # the streams hold the rows from here on
+        stacks = iter_block_inverses(
+            [(grads[lay.name], pr[lay.offset : lay.offset + lay.size]) for lay in layout], cfg)
+        grads = None  # the stream holds the rows from here on
     if spec.nm is not None:
         return solve_nm(w, stacks, *spec.nm, prunable=pr, layout=layout)
     if spec.method == "ovit":

@@ -33,23 +33,18 @@ exactly zero at eliminated and frozen coordinates. Per block of size B
 this costs O(B^3) time and O(B^2) scratch: O(d*B^2) time overall.
 
 The kernel consumes block inverses as a stream of (nb, B, B) stacks in
-weight order, straight from ``fisher.iter_block_inverses``; a whole
-``FisherBlockInverse`` is read as the same stream. A pass is one stack,
-or consecutive stacks of one block size joined (across layer
-boundaries) while they fit in ``fisher.PASS_VALUES`` values; no stack
-is split. So a layer's short last stack ends its pass unless the next
-stacks fit beside it, which can cost a multi-layer solve one more pass
-per layer boundary, and no output byte. When a stream's first pass
-leaves weights over, each next stack is drawn on a short-lived worker
-thread, one at a time: the build of the next stack (batched LAPACK and
-BLAS calls, which release the GIL) runs beside the solve of the current
-pass (many small, GIL-bound NumPy calls). Passes are still solved in
-weight order, and every block is built on its own, so the workers move
-no output byte. So an N:M solve holds the pass it solves, the stack that
-did not fit in it, at most one more stack and one pass of scratch (a
-joined pass is a copy, and the stacks it was joined from are freed
-before it is solved), while a global solve also keeps its per-step
-snapshots, which take d*B values.
+weight order, and solves each stack it is handed as one lockstep pass.
+``fisher.iter_block_inverses`` yields exactly the solver's passes, across
+layer boundaries, and ``FisherBlockInverse.passes`` groups a whole
+inverse by the same rule, so no pass is joined or split here. When a
+stream's first pass leaves weights over, each next pass is drawn on a
+short-lived worker thread, one at a time: the build of the next pass
+(batched LAPACK and BLAS calls, which release the GIL) runs beside the
+solve of the current one (many small, GIL-bound NumPy calls). Passes are
+still solved in weight order, and every block is built on its own, so
+the workers move no output byte. So an N:M solve holds the pass it
+solves, at most one pass drawn ahead and one pass of scratch, while a
+global solve also keeps its per-step snapshots, which take d*B values.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
@@ -77,16 +72,11 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fisher import (
-    EPS_FLOOR,
-    DegenerateCurvatureWarning,
-    FisherBlockInverse,
-    pass_blocks,
-)
+from .fisher import EPS_FLOOR, DegenerateCurvatureWarning, FisherBlockInverse
 from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
 
 
@@ -268,13 +258,6 @@ def _check_frozen(offset: int, stack: np.ndarray, prunable: np.ndarray) -> None:
 InverseStacks = FisherBlockInverse | Iterable[np.ndarray]
 
 
-def _as_stacks(inv: InverseStacks) -> Iterable[np.ndarray]:
-    """A ``FisherBlockInverse`` as one (1, B, B) float64 stack per block."""
-    if isinstance(inv, FisherBlockInverse):
-        return (np.asarray(b, dtype=np.float64)[None] for b in inv.blocks)
-    return inv
-
-
 class _Ahead:
     """An iterator over a stream of stacks that, once ``start`` is called,
     draws each next stack on a fresh daemon worker while the caller works
@@ -323,33 +306,6 @@ class _Ahead:
             self._worker.join()
 
 
-def _kernel_passes(stacks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Group stacks into lockstep passes: each pass is one stack, or
-    consecutive stacks of one block size (across layer boundaries) joined
-    while together they fit in ``pass_blocks(B)`` blocks. No stack is
-    split; a stack larger than a pass is a pass of its own. A full pass
-    is handed on before the next stack is drawn; a joined pass is a copy,
-    and no stack it was joined from is referenced here once it is handed
-    on."""
-    held: list[np.ndarray] = []  # whole stacks of the next pass
-
-    def joined() -> np.ndarray:
-        full = held[0] if len(held) == 1 else np.concatenate(held)
-        held.clear()
-        return full
-
-    for stack in stacks:
-        bs = stack.shape[1]
-        if held and (held[0].shape[1] != bs or sum(map(len, held)) + len(stack) > pass_blocks(bs)):
-            yield joined()
-        held.append(stack)
-        del stack
-        if sum(map(len, held)) >= pass_blocks(bs):
-            yield joined()
-    if held:
-        yield joined()
-
-
 def eliminate_blocks(
     w: np.ndarray,
     inv: InverseStacks,
@@ -357,12 +313,14 @@ def eliminate_blocks(
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
 ) -> list[PassTrace]:
-    """Greedy traces of every block, one ``PassTrace`` per lockstep pass
-    (see ``_kernel_passes``); warns once if any pivot was clamped.
+    """Greedy traces of every block, one ``PassTrace`` per lockstep pass;
+    warns once if any pivot was clamped.
 
-    ``inv`` is a ``FisherBlockInverse`` or an iterable of (nb, B, B)
-    stacks of consecutive block inverses in weight order, such as
-    ``fisher.iter_block_inverses``. Passes are solved in weight order. If
+    ``inv`` is a ``FisherBlockInverse``, solved in the passes of
+    ``FisherBlockInverse.passes``, or an iterable of (nb, B, B) stacks of
+    consecutive block inverses in weight order, such as
+    ``fisher.iter_block_inverses``, each stack of which is one lockstep
+    pass, solved as it is. Passes are solved in weight order. If
     ``inv`` is a stream and its first pass leaves weights over, the rest
     of it is drawn on worker threads, one stack ahead of the solve, and
     the last worker is joined before this returns or raises; an exception
@@ -378,9 +336,10 @@ def eliminate_blocks(
         pinned = np.zeros(w.size, dtype=bool)
     passes: list[PassTrace] = []
     offset = 0
-    stacks = _Ahead(_as_stacks(inv))
+    whole = isinstance(inv, FisherBlockInverse)
+    stacks = _Ahead(inv.passes() if whole else inv)
     try:
-        for stack in _kernel_passes(stacks):
+        for stack in stacks:
             nb, bs, _ = stack.shape
             end = offset + nb * bs
             if end > w.size:
@@ -390,7 +349,7 @@ def eliminate_blocks(
                     f"block boundaries must be multiples of m={nm[1]}; "
                     "use a block size that m divides"
                 )
-            if not offset and end < w.size and not isinstance(inv, FisherBlockInverse):
+            if not offset and end < w.size and not whole:
                 stacks.start()  # build the next stacks beside this solve
             sl = slice(offset, end)
             pr = prunable[sl].reshape(nb, bs)

@@ -160,7 +160,7 @@ def test_stream_yields_passes_then_the_partial_block(monkeypatch):
                         lambda rows3, *args: batches.append(rows3.shape) or real(rows3, *args))
     monkeypatch.setattr(fisher, "PASS_VALUES", 3 * 8 * 8)  # three blocks per stack
     monkeypatch.setattr(fisher, "CHUNK_VALUES", 2 * 8 * 8)  # two blocks per sub-batch
-    stacks = list(iter_block_inverses(rows, cfg))
+    stacks = list(iter_block_inverses([(rows, None)], cfg))
     assert [s.shape for s in stacks] == [(3, 8, 8), (2, 8, 8), (1, 4, 4)]
     assert batches == [(2, 6, 8), (1, 6, 8), (2, 6, 8), (1, 6, 4)]
     assert all(np.prod(b) <= fisher.CHUNK_VALUES for b in batches)
@@ -174,7 +174,7 @@ def test_stream_validates_every_row_at_the_call():
     rows = np.random.default_rng(9).standard_normal((6, 4))
     rows[5, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        iter_block_inverses(rows, FisherConfig(4, 1e-8, 2))
+        iter_block_inverses([(rows, None)], FisherConfig(4, 1e-8, 2))
 
 
 def test_nonfinite_rows_rejected():
@@ -416,4 +416,4 @@ def test_a_chunk_with_nothing_frozen_is_built_as_before(monkeypatch, n):
 def test_movable_mask_must_have_one_flag_per_weight():
     rows = np.ones((3, 8))
     with pytest.raises(ValueError, match="movable mask"):
-        iter_block_inverses(rows, FisherConfig(4, 1e-8, 3), np.ones(7, dtype=bool))
+        iter_block_inverses([(rows, np.ones(7, dtype=bool))], FisherConfig(4, 1e-8, 3))

@@ -149,7 +149,7 @@ def test_build_frees_each_sub_batch_before_forming_the_next(monkeypatch, n, froz
     rows = GradientSet("0", factors=(rng.standard_normal((n, 16)),
                                      rng.standard_normal((n, 24))))
     movable = rng.random(16 * 24) > 0.2 if frozen else None
-    stacks = list(fisher.iter_block_inverses(rows, FisherConfig(8, 1e-4, n), movable))
+    stacks = list(fisher.iter_block_inverses([(rows, movable)], FisherConfig(8, 1e-4, n)))
     assert [s.shape for s in stacks] == [(48, 8, 8)]
     assert len(earlier) == 2 * 24 and alive == [0] * 24
 

@@ -253,10 +253,10 @@ class TestFactoredRows:
         gs = GradientSet("0", factors=(r, x))
         cfg = FisherConfig(4, 1e-8, n)
         if np.isfinite(rows).all():
-            iter_block_inverses(gs, cfg)
+            iter_block_inverses([(gs, None)], cfg)
         else:
             with pytest.raises(ValueError, match="non-finite"):
-                iter_block_inverses(gs, cfg)
+                iter_block_inverses([(gs, None)], cfg)
 
 
 class TestTraining:

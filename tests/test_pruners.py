@@ -420,11 +420,10 @@ def test_nm_spec_rejects_what_an_nm_prune_would_ignore(overrides):
 
 @pytest.mark.parametrize("per_layer", [False, True])
 def test_wf_compensation_matches_the_per_block_loop(per_layer):
-    """wf's one batched product per stack gives the weights of the loop it
+    """wf's one batched product per pass gives the weights of the loop it
     replaced, one product of each block's selected columns with their
     coefficients, to rounding; the trailing blocks are partial."""
-    from obsprune.fisher import EPS_FLOOR, FisherBlockInverse
-    from obsprune.pruners import layered_inverse_stacks
+    from obsprune.fisher import EPS_FLOOR, FisherBlockInverse, iter_block_inverses
 
     rng = np.random.default_rng(53)
     weights = {"0": rng.standard_normal((9, 12)), "1": rng.standard_normal((5, 12))}
@@ -434,7 +433,8 @@ def test_wf_compensation_matches_the_per_block_loop(per_layer):
     res = run_pruner(spec, weights, grads, sparsity=0.6, prunable=prunable)
 
     w, pr, layout = flatten_layers(weights, prunable)
-    stacks = layered_inverse_stacks(grads, layout, spec.fisher, pr)
+    stacks = iter_block_inverses(
+        [(grads[lay.name], pr[lay.offset : lay.offset + lay.size]) for lay in layout], spec.fisher)
     inv = FisherBlockInverse([blk for stack in stacks for blk in stack])
     diag = np.maximum(np.concatenate([np.diag(b) for b in inv.blocks]), EPS_FLOOR)
     pruned = res.mask == 0
@@ -452,11 +452,11 @@ def test_wf_compensation_matches_the_per_block_loop(per_layer):
 # -- streamed inverses ---------------------------------------------------------
 
 def collected(real):
-    """``layered_inverse_stacks`` replaced by the whole collected inverse."""
+    """``iter_block_inverses`` replaced by the whole collected inverse."""
     from obsprune.fisher import FisherBlockInverse
 
-    return lambda grads, layout, config, movable: FisherBlockInverse(
-        [blk for stack in real(grads, layout, config, movable) for blk in stack])
+    return lambda layers, config: FisherBlockInverse(
+        [blk for stack in real(layers, config) for blk in stack])
 
 
 @pytest.mark.parametrize("mode", ["global", "per_layer", "recompute", "nm"])
@@ -500,8 +500,7 @@ def test_stream_equals_whole_inverse(monkeypatch, mode, dtype, rows):
 
     streamed = run()
     with monkeypatch.context() as patch:
-        patch.setattr(pruners, "layered_inverse_stacks",
-                      collected(pruners.layered_inverse_stacks))
+        patch.setattr(pruners, "iter_block_inverses", collected(pruners.iter_block_inverses))
         whole = run()
     assert not any(built_off_main)
     assert streamed == whole
@@ -613,17 +612,18 @@ def test_per_layer_clamps_warn_once_with_the_total():
 
 
 def schur_frozen(real):
-    """``layered_inverse_stacks`` replaced by the path the frozen build
+    """``iter_block_inverses`` replaced by the path the frozen build
     replaced: the whole unfrozen inverse, with every non-prunable
-    coordinate eliminated afterwards by Schur downdates."""
+    coordinate eliminated afterwards by Schur downdates, handed over as
+    one-block stacks."""
     from obsprune.fisher import FisherBlockInverse
     from reference_fisher import freeze_indices
 
-    def stacks(grads, layout, config, movable):
-        unfrozen = real(grads, layout, config, np.ones_like(movable))
+    def stacks(layers, config):
+        unfrozen = real([(rows, None) for rows, _ in layers], config)
         whole = FisherBlockInverse([blk for stack in unfrozen for blk in stack])
-        own = movable[layout[0].offset : layout[0].offset + whole.global_dim]
-        return iter([blk[None] for blk in freeze_indices(whole, np.flatnonzero(~own)).blocks])
+        movable = np.concatenate([movable for _, movable in layers])
+        return iter([blk[None] for blk in freeze_indices(whole, np.flatnonzero(~movable)).blocks])
 
     return stacks
 
@@ -653,8 +653,7 @@ def test_frozen_build_matches_the_schur_downdate_path(monkeypatch, mode, rows, d
             return run_pruner(spec, weights, grads, prunable=prunable, **target)
 
     got = run()
-    monkeypatch.setattr(pruners, "layered_inverse_stacks",
-                        schur_frozen(pruners.layered_inverse_stacks))
+    monkeypatch.setattr(pruners, "iter_block_inverses", schur_frozen(pruners.iter_block_inverses))
     want = run()
     w, pr, _ = flatten_layers(weights, prunable)
     assert got.mask.tobytes() == want.mask.tobytes()
@@ -722,33 +721,61 @@ def test_per_layer_scans_every_layer_before_the_first_build(rng, monkeypatch, me
     assert calls == []
 
 
-def test_build_stacks_are_whole_kernel_passes(monkeypatch):
-    """On two 128x64 float32 layers at B=64 with 192 used rows (the shape of
-    a global prune in the benchmark), every lockstep pass is one stack of
-    the build's stream, or a view of one, never a joined copy."""
+def test_build_yields_the_solver_passes_across_layers():
+    """On the layer shapes of the benchmark's 2:4 prune at B=64 (256x128,
+    192x160 and 120x100, 64 blocks per pass), the build yields 19 passes of
+    full blocks and then the 32-wide block alone; the 16th pass holds the
+    second layer's last 32 blocks and the third layer's first 32. Every
+    block has the bytes of its layer built alone, and a
+    ``FisherBlockInverse`` of the same blocks is grouped into the same
+    passes."""
+    from obsprune.fisher import FisherBlockInverse, iter_block_inverses
+
+    rng = np.random.default_rng(29)
+    dims = [256 * 128, 192 * 160, 120 * 100]
+    layers = [(rng.standard_normal((4, d)), rng.random(d) > 0.1) for d in dims]
+    cfg = FisherConfig(64, 1e-6, 4)
+    alone = (blk for pair in layers for stack in iter_block_inverses([pair], cfg)
+             for blk in stack)
+    passes = list(iter_block_inverses(layers, cfg))
+    shapes = [p.shape for p in passes]
+    assert shapes == [(64, 64, 64)] * 18 + [(27, 64, 64), (1, 32, 32)]
+    blocks = [blk for p in passes for blk in p]
+    assert all(blk.tobytes() == next(alone).tobytes() for blk in blocks)
+    assert next(alone, None) is None
+    layer_of = np.repeat([0, 1, 2], [512, 480, 188])  # every block's layer
+    assert np.bincount(layer_of[15 * 64 : 16 * 64]).tolist() == [0, 32, 32]
+    assert [p.shape for p in FisherBlockInverse(blocks).passes()] == shapes
+
+
+@pytest.mark.parametrize("nm", [None, (2, 4)])
+def test_every_solved_pass_is_an_array_the_build_allocated(monkeypatch, nm):
+    """Layers of 60, 40 and 24 weights at B=8, in passes of 4 blocks: one
+    pass crosses from the second layer into the third, and every pass the
+    solver solves is an array the build filled, never a copy."""
     from obsprune import fisher, solver
 
-    built, passes = [], []
-    real_stacks, real_passes = fisher._inverse_stacks, solver._kernel_passes
+    monkeypatch.setattr(fisher, "PASS_VALUES", 4 * 64)
+    built, solved = [], []
+    real_passes, real_eliminate = fisher._inverse_passes, solver._eliminate_stack
 
-    def inverse_stacks(*args):
-        for s in real_stacks(*args):
-            built.append(s)
-            yield s
+    def inverse_passes(*args):
+        for stack in real_passes(*args):
+            built.append(stack)
+            yield stack
 
-    def kernel_passes(stacks):
-        for p in real_passes(stacks):
-            passes.append((p.shape, any(p is s or p.base is s for s in built)))
-            yield p
+    def eliminate(offset, cols0, *args):
+        solved.append((offset, cols0.shape[:2], any(cols0.base is s for s in built)))
+        return real_eliminate(offset, cols0, *args)
 
-    monkeypatch.setattr(fisher, "_inverse_stacks", inverse_stacks)
-    monkeypatch.setattr(solver, "_kernel_passes", kernel_passes)
+    monkeypatch.setattr(fisher, "_inverse_passes", inverse_passes)
+    monkeypatch.setattr(solver, "_eliminate_stack", eliminate)
     rng = np.random.default_rng(31)
-    weights = {"0": rng.standard_normal((128, 64)), "1": rng.standard_normal((64, 128))}
-    grads = {k: GradientSet(k, rng.standard_normal((192, 8192)).astype(np.float32))
-             for k in weights}
-    run_pruner(spec_for("ovit", block_size=64, num_grads=192), weights, grads, sparsity=0.5)
-    assert passes == [((64, 64, 64), True)] * 4
+    weights, grads = toy_layers(rng, sizes=((6, 10), (5, 8), (3, 8)), n=12)
+    target = {} if nm else {"sparsity": 0.5}
+    run_pruner(spec_for("ovit", nm=nm), weights, grads, **target)
+    assert solved == [(0, (4, 8), True), (32, (3, 8), True), (56, (1, 4), True),
+                      (60, (4, 8), True), (92, (4, 8), True)]
 
 
 def test_recompute_frees_each_sub_steps_rows_before_the_next(monkeypatch):

@@ -512,37 +512,28 @@ def test_chunking_leaves_every_byte_unchanged(rng, monkeypatch, blocks_per_chunk
 
 # -- streamed inverses ---------------------------------------------------------
 
-@pytest.mark.parametrize("per_pass, shapes, want", [
-    # a layer's short last stack, then full stacks: no stack is split to top
-    # up a pass, so the tail is a pass of its own
-    (4, [(4, 8), (4, 8), (2, 8), (4, 8), (4, 8), (1, 4)], [[0], [1], [2], [3], [4], [5]]),
-    # stacks are joined while they fit; a full join is handed on at once, a
-    # stack that does not fit or a new block size ends a join
-    (4, [(1, 8), (2, 8), (1, 8), (1, 8), (1, 8), (3, 8), (2, 8), (1, 8), (1, 4)],
-     [[0, 1, 2], [3, 4], [5], [6, 7], [8]]),
-    # a stack larger than a pass is solved whole
-    (2, [(1, 8), (5, 8), (1, 8), (1, 8)], [[0], [1], [2, 3]]),
-    # every stack fits one pass, as the toy's layers do
-    (8, [(3, 8), (2, 8), (3, 8)], [[0, 1, 2]]),
-], ids=["layer-tail", "joins", "larger-than-a-pass", "one-pass"])
-def test_stream_passes_are_whole_stacks_joined_while_they_fit(rng, monkeypatch, per_pass,
-                                                              shapes, want):
-    """Each pass is whole stacks, in order: one stack, or consecutive
-    stacks of one block size joined while they fit in a pass. When a pass
-    is solved, at most one stack beyond those it took from the stream has
-    been drawn, and after the first pass every stack is drawn on a worker.
-    A pass of one stack keeps that stack alive; a joined pass keeps none of
-    its sources. The stacks alive beside it are the one that ended it, if
-    any, and the one a worker draws. Bytes equal the whole inverse's."""
+@pytest.mark.parametrize("shapes", [
+    [(1, 8)] * 6,
+    # a layer's short last stack, then full ones and a partial block
+    [(4, 8), (2, 8), (4, 8), (1, 4)],
+    # stacks larger than a pass of the rule, and two stacks of one block of 4
+    [(1, 8), (5, 8), (1, 8), (1, 4), (1, 4)],
+], ids=["one-block", "layer-tail", "larger-than-a-pass"])
+def test_stream_stacks_are_solved_one_pass_each(rng, monkeypatch, shapes):
+    """A caller's stream is solved one stack per pass, each as the array
+    handed over: none is joined to the next or split, where the rule's
+    passes of 4 blocks would group them otherwise. When a pass is solved,
+    only its stack and at most the one a worker draws are alive, and
+    after the first pass every stack is drawn on a worker. Bytes equal
+    the whole inverse's, which is solved in the rule's passes."""
     import weakref
 
     from obsprune import fisher, solver
 
-    monkeypatch.setattr(fisher, "PASS_VALUES", per_pass * 64)  # per_pass blocks of 8
+    monkeypatch.setattr(fisher, "PASS_VALUES", 4 * 64)  # 4 blocks of 8 per pass
     blocks = [np.linalg.inv(random_spd(rng, size)) for count, size in shapes
               for _ in range(count)]
     firsts = np.cumsum([0] + [count for count, _ in shapes])  # each stack's first block
-    starts = np.cumsum([0] + [b.shape[0] for b in blocks])  # each block's first weight
     refs, draws, solves = [], [], []
 
     def fresh(i):
@@ -558,33 +549,26 @@ def test_stream_passes_are_whole_stacks_joined_while_they_fit(rng, monkeypatch, 
     real = solver._eliminate_stack
 
     def recording(offset, cols0, *args):
-        first = int(np.searchsorted(starts, offset))
-        alive = {i for i, ref in enumerate(refs) if ref() is not None}
-        solves.append((first, len(cols0), len(draws), alive))
+        i = len(solves)
+        alive = {j for j, ref in enumerate(refs) if ref() is not None}
+        solves.append((len(cols0), cols0.base is refs[i](), len(draws)))
+        assert {i} <= alive <= {i, i + 1}, (i, alive)
         return real(offset, cols0, *args)
 
-    monkeypatch.setattr(solver, "_eliminate_stack", recording)
-    dim = int(starts[-1])
+    before = threading.active_count()
+    dim = sum(b.shape[0] for b in blocks)
     w = rng.standard_normal(dim)
-    passes = eliminate_blocks(w, stream(), np.ones(dim, dtype=bool))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_eliminate_stack", recording)
+        passes = eliminate_blocks(w, stream(), np.ones(dim, dtype=bool))
 
-    assert [(first, nb) for first, nb, _, _ in solves] == [
-        (firsts[ids[0]], firsts[ids[-1] + 1] - firsts[ids[0]]) for ids in want]
-    needed_at = []
-    for ids, (first, nb, drawn, alive) in zip(want, solves):
-        end = ids[-1] + 1
-        # stacks drawn in turn before this pass is handed on: its own, and
-        # the one that did not fit in it, unless it is full or the last
-        needed = end if nb >= per_pass or end == len(shapes) else end + 1
-        needed_at.append(needed)
-        assert needed <= drawn <= needed + 1, (ids, drawn)
-        held = set(ids) if len(ids) == 1 else set()
-        assert held | set(range(end, needed)) <= alive <= held | set(range(end, needed + 1)), (
-            ids, alive)
-    ahead = len(want) > 1  # a worker draws only if the first pass leaves weights over
-    assert draws == [True] * needed_at[0] + [not ahead] * (len(shapes) - needed_at[0])
+    assert [(nb, own) for nb, own, _ in solves] == [(count, True) for count, _ in shapes]
+    assert all(i + 1 <= drawn <= i + 2 for i, (_, _, drawn) in enumerate(solves))
+    assert draws == [True] + [False] * (len(shapes) - 1)
+    assert threading.active_count() == before
 
     whole = eliminate_blocks(w, FisherBlockInverse(blocks), np.ones(dim, dtype=bool))
+    assert [len(p.steps) for p in whole] != [count for count, _ in shapes]
     got = [p.block(b) for p in passes for b in range(len(p.steps))]
     ref = [p.block(b) for p in whole for b in range(len(p.steps))]
     assert len(got) == len(ref) == len(blocks)
@@ -602,13 +586,13 @@ def one_block_stacks(rng, count, size=8):
 
 @pytest.fixture
 def one_block_passes(monkeypatch):
-    """Lockstep passes of one block of 8, so every stack of one is a pass."""
+    """Lockstep passes of one block of 8, so a whole inverse is solved one
+    block per pass, as a stream of one-block stacks is."""
     from obsprune import fisher
 
     monkeypatch.setattr(fisher, "PASS_VALUES", 64)
 
 
-@pytest.mark.usefixtures("one_block_passes")
 def test_producer_exception_reraises_in_the_caller(rng):
     before = threading.active_count()
     raised_on = []
@@ -624,7 +608,6 @@ def test_producer_exception_reraises_in_the_caller(rng):
     assert threading.active_count() == before
 
 
-@pytest.mark.usefixtures("one_block_passes")
 def test_consumer_exception_stops_the_producer(rng):
     """The N:M boundary check fails on the third pass, while the producer
     is ready to draw from an endless stream."""
@@ -637,7 +620,6 @@ def test_consumer_exception_stops_the_producer(rng):
     assert threading.active_count() == before
 
 
-@pytest.mark.usefixtures("one_block_passes")
 def test_abandoned_stream_stops_the_producer(rng):
     """A stream that covers more weights than there are is left after the
     pass that overruns, with the producer blocked on its next stack."""

@@ -19,15 +19,18 @@ there, before any rows are made. One build of block inverses covers
 all layers (``fisher.iter_block_inverses``); it scans every layer's rows
 before it builds any block, yields one solver pass at a time, and is
 frozen at the non-prunable weights (see ``fisher``). ``ovit`` hands it
-straight to the solver, so it never holds the whole inverse, and ``wf``
-keeps every pass, scores from their diagonals and compensates with one
-batched product per pass. The rows are held by that stream alone: given
-a provider, a sub-step makes its rows inside the prune and drops its
-reference once the stream is made, so rows that no caller holds are
-freed once their layer's last block is built. Factored rows (the toy's)
-are formed only a sub-batch at a time by the build, on the solver's
-workers for ``ovit``, and a chunk of rows at a time by ``gm``'s
-``loss_increase``.
+straight to the solver, so it never holds the whole inverse, and its
+global snapshots go to a spill file (see ``solver``). ``wf`` keeps each
+pass's diagonal as the stream yields it and writes the pass to an
+unlinked spill file (``tensorstore.Spill``), scores from the diagonals,
+and compensates with one batched product per pass, reading back one pass
+at a time; so neither method holds the whole inverse. The rows are held
+by that stream alone: given a provider, a sub-step makes its rows inside
+the prune and drops its reference once the stream is made, so rows that
+no caller holds are freed once their layer's last block is built.
+Factored rows (the toy's) are formed only a sub-batch at a time by the
+build, on the solver's workers for ``ovit``, and a chunk of rows at a
+time by ``gm``'s ``loss_increase``.
 All methods respect prunability masks. ``pinned`` indices are pruned
 unconditionally (used to keep masks monotone across repeated pruning).
 """
@@ -45,7 +48,7 @@ from . import obs_core
 from .fisher import EPS_FLOOR, FisherConfig, check_finite_rows, iter_block_inverses
 from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
 from .solver import PruneResult, pinned_mask, solve_global, solve_nm
-from .tensorstore import GradientSet
+from .tensorstore import GradientSet, Spill
 
 METHODS = ("gm", "wf", "ovit")
 
@@ -150,40 +153,62 @@ def _prune_frozen(
     cost per layer is the quadratic model's when gradient rows are given,
     else 0."""
     if spec.method == "wf":
-        stacks = list(stacks)
-        diag = np.maximum(np.concatenate([np.diagonal(s, axis1=1, axis2=2) for s in stacks],
-                                         axis=None), EPS_FLOOR)
-        scores = w**2 / (2.0 * diag)
-    else:
-        scores = np.abs(w)
-    idx = np.flatnonzero(pr)
-    selected = np.sort(idx[select_in_pools(idx, scores[idx], pin[idx], pools)])
-
+        with Spill() as spill:
+            return _prune_wf(w, pr, pin, pools, layout, stacks, spill)
     new_w = w.copy()
-    if spec.method == "wf":
-        # zero outside the selection, so one product per pass sums every
-        # block's selected updates
-        coef = np.zeros(w.size)
-        coef[selected] = w[selected] / diag[selected]
-        lo = 0
-        for stack in stacks:
-            nb, bs, _ = stack.shape
-            sl = slice(lo, lo + nb * bs)
-            new_w[sl] -= np.matmul(stack, coef[sl].reshape(nb, bs, 1)).reshape(-1)
-            lo = sl.stop
-        new_w[selected] = 0.0
-        per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools)
-    else:
-        new_w[selected] = 0.0
-        costs = np.zeros(len(layout))
-        for i, lay in enumerate(layout if grads is not None else ()):
-            sl = slice(lay.offset, lay.offset + lay.size)
-            check_finite_rows(grads[lay.name])  # every row, used or not, as wf and ovit
-            rows = grads[lay.name].head(spec.fisher.num_grads)
-            costs[i] = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
-        per_layer, predicted = pooled_sums([lay.offset for lay in layout], costs, layout, pools)
+    selected = _select(np.abs(w), pr, pin, pools)
+    new_w[selected] = 0.0
+    costs = np.zeros(len(layout))
+    for i, lay in enumerate(layout if grads is not None else ()):
+        sl = slice(lay.offset, lay.offset + lay.size)
+        check_finite_rows(grads[lay.name])  # every row, used or not, as wf and ovit
+        rows = grads[lay.name].head(spec.fisher.num_grads)
+        costs[i] = obs_core.loss_increase(w[sl], new_w[sl], rows, spec.fisher.dampening)
+    per_layer, predicted = pooled_sums([lay.offset for lay in layout], costs, layout, pools)
+    return _masked(selected, new_w, predicted, per_layer, layout)
 
-    mask = np.ones(w.size, dtype=np.uint8)
+
+def _prune_wf(
+    w: np.ndarray, pr: np.ndarray, pin: np.ndarray, pools: Sequence[Pool],
+    layout: tuple[LayerLayout, ...], stacks: Iterator[np.ndarray], spill: Spill,
+) -> PruneResult:
+    """wf, holding one inverse stack at a time: each stack's diagonal is
+    kept as the stream yields it and the stack is written to ``spill``,
+    to be read back, one at a time, for its batched product."""
+    spilled = [(s.shape, spill.append(s), np.diagonal(s, axis1=1, axis2=2).copy())
+               for s in stacks]
+    diag = np.maximum(np.concatenate([d for _, _, d in spilled], axis=None), EPS_FLOOR)
+    scores = w**2 / (2.0 * diag)
+    selected = _select(scores, pr, pin, pools)
+    # zero outside the selection, so one product per pass sums every
+    # block's selected updates
+    coef = np.zeros(w.size)
+    coef[selected] = w[selected] / diag[selected]
+    new_w, lo = w.copy(), 0
+    for shape, pos, _ in spilled:
+        nb, bs, _ = shape
+        sl = slice(lo, lo + nb * bs)
+        stack = spill.read(np.empty(shape), pos)
+        new_w[sl] -= np.matmul(stack, coef[sl].reshape(nb, bs, 1)).reshape(-1)
+        lo = sl.stop
+    new_w[selected] = 0.0
+    per_layer, predicted = pooled_sums(selected, scores[selected], layout, pools)
+    return _masked(selected, new_w, predicted, per_layer, layout)
+
+
+def _select(scores: np.ndarray, pr: np.ndarray, pin: np.ndarray,
+            pools: Sequence[Pool]) -> np.ndarray:
+    """The sorted indices that every pool selects by ``scores``."""
+    idx = np.flatnonzero(pr)
+    return np.sort(idx[select_in_pools(idx, scores[idx], pin[idx], pools)])
+
+
+def _masked(
+    selected: np.ndarray, new_w: np.ndarray, predicted: float, per_layer: dict[str, float],
+    layout: tuple[LayerLayout, ...],
+) -> PruneResult:
+    """The result whose mask zeroes exactly the ``selected`` indices."""
+    mask = np.ones(new_w.size, dtype=np.uint8)
     mask[selected] = 0
     return PruneResult.from_mask(mask, new_w, predicted, per_layer, layout)
 

@@ -4,23 +4,24 @@ Each Fisher block is solved independently: repeatedly pick the live
 prunable weight with the smallest single-weight saliency (ties go to the
 lowest index), apply its compensating update inside the block, and fold
 its cost into a running per-block total ``err``. In global mode ``err``
-is recorded as the weight's *global* score and the block weights are
-snapshotted after every step. Because the recorded score is cumulative,
-pruning any prefix of a block's elimination order costs exactly the last
-recorded score of that prefix. The steps are selected by the pool rule
-of every method (see ``pools``). A block eliminates exactly its pinned
-weights first, so a recorded step is pinned iff its weight is, the steps
-a pool selects are a prefix of each of its blocks' orders, and each
-block reloads its snapshot at its selected prefix length.
+is recorded as the weight's *global* score and the block weights after
+every step are written to a spill file. Because the recorded score is
+cumulative, pruning any prefix of a block's elimination order costs
+exactly the last recorded score of that prefix. The steps are selected
+by the pool rule of every method (see ``pools``). A block eliminates
+exactly its pinned weights first, so a recorded step is pinned iff its
+weight is, the steps a pool selects are a prefix of each of its blocks'
+orders, and each block reloads its snapshot at its selected prefix
+length.
 
 Traces are arrays, one ``PassTrace`` per lockstep pass: (blocks, steps)
-arrays of elimination order and cumulative cost, the per-step snapshots,
-the final weights, and per-block counts of steps and clamps.
-``solve_global`` selects on the recorded steps of all passes and pools
-at once, and the result is assembled with one mask write and one
-snapshot reload per pass. Predicted costs are summed one block at a
-time, in block order, so their bytes do not depend on how blocks are
-grouped into passes.
+arrays of elimination order and cumulative cost, the final weights, and
+per-block counts of steps and clamps; its per-step snapshots are in the
+solve's spill file. ``solve_global`` selects on the recorded steps of
+all passes and pools at once, and the result is assembled with one mask
+write and one snapshot read per partially taken block. Predicted costs
+are summed one block at a time, in block order, so their bytes do not
+depend on how blocks are grouped into passes.
 
 One kernel, ``eliminate_blocks``, runs this greedy for every mode. It
 steps all blocks of one size in lockstep, a chunk of blocks at a time,
@@ -43,14 +44,18 @@ short-lived worker thread, one at a time: the build of the next pass
 solve of the current one (many small, GIL-bound NumPy calls). Passes are
 still solved in weight order, and every block is built on its own, so
 the workers move no output byte. So an N:M solve holds the pass it
-solves, at most one pass drawn ahead and one pass of scratch, while a
-global solve also keeps its per-step snapshots, which take d*B values.
+solves, at most one pass drawn ahead and one pass of scratch, and so
+does a global solve: it writes each step's (nb, B) block weights, as the
+step is taken, to one unlinked spill file per solve
+(``tensorstore.Spill``), so its d*B snapshot values go to disk, not to
+memory, and it reads back only the rows it reloads. ``solve_global`` and
+``solve_block`` close the file on every exit path.
 
 The N:M variant runs the same kernel but makes a weight ineligible once
 its aligned group of m consecutive weights (row-major, within a layer)
 has m-n zeroed entries, and stops a block when every group reached its
-quota. It keeps no snapshots: it always takes every step, so only the
-final weights are needed.
+quota. It keeps no snapshots and needs no spill: it always takes every
+step, so only the final weights are needed.
 
 Inverses must come frozen from the build: every solver here takes
 ``prunable`` to say which weights are eligible, and expects each
@@ -78,6 +83,7 @@ import numpy as np
 
 from .fisher import EPS_FLOOR, DegenerateCurvatureWarning, FisherBlockInverse
 from .pools import LayerLayout, Pool, pooled_sums, select_in_pools
+from .tensorstore import Spill
 
 
 class InternalSolverError(AssertionError):
@@ -89,16 +95,20 @@ class PassTrace:
     """Greedy traces of one lockstep pass: ``nb`` consecutive blocks of B
     weights each, starting at global index ``offset``.
 
-    Row b of ``order``, ``cumulative`` and ``states`` describes block b's
-    first ``steps[b]`` recorded steps: its pinned coordinates in index
-    order, then its greedy ones; later entries are padding. ``states``
-    holds the block weights after each step, or no steps in an n:m pass.
+    Row b of ``order`` and ``cumulative`` describes block b's first
+    ``steps[b]`` recorded steps: its pinned coordinates in index order,
+    then its greedy ones; later entries are padding. The block weights
+    after each step are not held: a global pass wrote them to ``spill``,
+    step-major, the (nb, B) weights after step t at byte
+    ``at + t * nb * B * 8``, and ``state`` reads one block's row back. An
+    n:m pass has no spill and no snapshots.
     """
 
     offset: int
     order: np.ndarray  # (nb, S) within-block indices, elimination order
     cumulative: np.ndarray  # (nb, S) non-decreasing cumulative cost
-    states: np.ndarray  # (nb, S, B) or (nb, 0, B) block weights after each step
+    spill: Spill | None  # the solve's spill file; None in an n:m pass
+    at: int  # byte position of the pass's first step in it
     final: np.ndarray  # (nb, B) block weights after the last step
     steps: np.ndarray  # (nb,) recorded steps
     clamps: np.ndarray  # (nb,) pivots clamped to the floor
@@ -109,10 +119,18 @@ class PassTrace:
         nb, bs = self.final.shape
         return self.offset + bs * np.arange(nb)
 
+    def state(self, b: int, t: int, out: np.ndarray) -> np.ndarray:
+        """``out``, filled with block b's weights after its step t."""
+        nb, bs = self.final.shape
+        return self.spill.read(out, self.at + int(t * nb + b) * bs * 8)
+
     def block(self, b: int) -> SolvedBlock:
+        """Block b's trace, its snapshots read back one step at a time."""
         s = int(self.steps[b])
-        return SolvedBlock(self.order[b, :s], self.cumulative[b, :s], self.states[b, :s],
-                           self.final[b])
+        states = np.empty((s if self.spill else 0, self.final.shape[1]))
+        for t, row in enumerate(states):
+            self.state(b, t, row)
+        return SolvedBlock(self.order[b, :s], self.cumulative[b, :s], states, self.final[b])
 
 
 class SolvedBlock(NamedTuple):
@@ -171,6 +189,7 @@ def _eliminate_stack(
     prunable: np.ndarray,
     pinned: np.ndarray,
     nm: tuple[int, int] | None,
+    spill: Spill | None,
 ) -> PassTrace:
     """Greedy elimination on a stack of same-size blocks, in lockstep.
 
@@ -179,8 +198,9 @@ def _eliminate_stack(
     ``w``, ``prunable`` and ``pinned`` are (nb, B). Step t eliminates one
     coordinate in every block that still has one to eliminate: its
     pinned coordinates first, then the live eligible coordinate of least
-    saliency. Without ``nm`` it snapshots the block weights after every
-    step; an n:m solve takes every step, so it needs only the final ones.
+    saliency. Given a ``spill`` it appends the (nb, B) block weights to
+    it after every step; an n:m solve takes every step, so it needs only
+    the final ones.
     """
     nb, bs = w.shape
     rows = np.arange(nb)
@@ -203,7 +223,7 @@ def _eliminate_stack(
     clamps = np.zeros(nb, dtype=np.int64)
     order = np.zeros((nb, max_steps), dtype=np.int64)
     cumulative = np.zeros((nb, max_steps))
-    states = np.zeros((nb, max_steps if nm is None else 0, bs))
+    at = spill.size if spill else 0
 
     for t in range(max_steps):
         active = t < n_steps
@@ -232,12 +252,12 @@ def _eliminate_stack(
         err[r] += wi * wi / (2.0 * pivot[active])
         order[r, t] = iu
         cumulative[r, t] = err[r]
-        if nm is None:
-            states[r, t] = w[r]
-        else:
+        if spill:
+            spill.append(w)
+        if nm is not None:
             counts[r, group[iu]] += 1
 
-    return PassTrace(offset, order, cumulative, states, w, n_steps, clamps)
+    return PassTrace(offset, order, cumulative, spill, at, w, n_steps, clamps)
 
 
 def _check_frozen(offset: int, stack: np.ndarray, prunable: np.ndarray) -> None:
@@ -312,6 +332,7 @@ def eliminate_blocks(
     prunable: np.ndarray,
     pinned: np.ndarray | None = None,
     nm: tuple[int, int] | None = None,
+    spill: Spill | None = None,
 ) -> list[PassTrace]:
     """Greedy traces of every block, one ``PassTrace`` per lockstep pass;
     warns once if any pivot was clamped.
@@ -327,9 +348,11 @@ def eliminate_blocks(
     raised while drawing is re-raised here. ``w``, ``prunable`` and
     ``pinned`` are global flat vectors. With ``nm`` the greedy respects
     n:m group quotas, every block boundary must be a multiple of m, and
-    ``pinned`` must be empty. The inverse must be
-    frozen: each pass raises ValueError, naming the block, before it is
-    solved if a non-prunable coordinate's row holds a nonzero entry.
+    ``pinned`` must be empty; without ``nm``, a ``spill`` is given the
+    snapshots (see ``PassTrace``), and with none no snapshots are kept.
+    The caller closes it. The inverse must be frozen: each pass raises
+    ValueError, naming the block, before it is solved if a non-prunable
+    coordinate's row holds a nonzero entry.
     """
     w = np.asarray(w, dtype=np.float64)
     if pinned is None:
@@ -356,7 +379,7 @@ def eliminate_blocks(
             _check_frozen(offset, stack, pr)
             passes.append(_eliminate_stack(
                 offset, stack.transpose(0, 2, 1), w[sl].reshape(nb, bs).copy(), pr,
-                pinned[sl].reshape(nb, bs), nm,
+                pinned[sl].reshape(nb, bs), nm, spill,
             ))
             offset = end
             del stack  # free this pass before the next one is taken
@@ -399,8 +422,9 @@ def solve_block(
     if inv.shape != (size, size):
         raise ValueError(f"inverse block shape {inv.shape} does not match {size} weights")
     w, pr, pin = _validate_inputs(w_block, prunable, pinned)
-    (solved,) = eliminate_blocks(w, [inv[None]], pr, pin)
-    return solved.block(0)
+    with Spill() as spill:
+        (solved,) = eliminate_blocks(w, [inv[None]], pr, pin, spill=spill)
+        return solved.block(0)
 
 
 def _validate_inputs(w, prunable, pinned):
@@ -455,9 +479,8 @@ def _assemble(
         some = tb > 0
         done = some & (tb == p.steps)
         out[done] = p.final[done]
-        part = some & ~done
-        if part.any():
-            out[part] = p.states[part, tb[part] - 1]
+        for b in np.flatnonzero(some & ~done):
+            p.state(b, tb[b] - 1, out[b])
         costs[first : first + nb][some] = p.cumulative[some, tb[some] - 1]
         first += nb
 
@@ -500,26 +523,27 @@ def solve_global(
     if layout is None:
         layout = _default_layout(w.size)
 
-    passes = eliminate_blocks(w, inv, pr, pin)
-    gidx, scores = _records(passes)
-    steps = np.concatenate([p.steps for p in passes])
-    block_ids = np.repeat(np.arange(steps.size), steps)
-    rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    with Spill() as spill:  # closed on every exit path
+        passes = eliminate_blocks(w, inv, pr, pin, spill=spill)
+        gidx, scores = _records(passes)
+        steps = np.concatenate([p.steps for p in passes])
+        block_ids = np.repeat(np.arange(steps.size), steps)
+        rank = np.arange(block_ids.size) - np.repeat(np.cumsum(steps) - steps, steps)
 
-    chosen = select_in_pools(gidx, scores, pin[gidx], k)
-    take = np.bincount(block_ids[chosen], minlength=steps.size)
+        chosen = select_in_pools(gidx, scores, pin[gidx], k)
+        take = np.bincount(block_ids[chosen], minlength=steps.size)
 
-    # bug trap: the selected set inside each block must be a prefix of its
-    # elimination order, otherwise reloading snapshot t is meaningless;
-    # with take[b] records chosen in block b, that holds iff every chosen
-    # record ranks below take[b]
-    beyond = rank[chosen] >= take[block_ids[chosen]]
-    if beyond.any():
-        raise InternalSolverError(
-            f"block {int(block_ids[chosen][beyond].min())}: "
-            "selected set is not a prefix of the elimination order"
-        )
-    return _assemble(w, passes, take, gidx[chosen], layout, k)
+        # bug trap: the selected set inside each block must be a prefix of its
+        # elimination order, otherwise reloading snapshot t is meaningless;
+        # with take[b] records chosen in block b, that holds iff every chosen
+        # record ranks below take[b]
+        beyond = rank[chosen] >= take[block_ids[chosen]]
+        if beyond.any():
+            raise InternalSolverError(
+                f"block {int(block_ids[chosen][beyond].min())}: "
+                "selected set is not a prefix of the elimination order"
+            )
+        return _assemble(w, passes, take, gidx[chosen], layout, k)
 
 
 def solve_nm(

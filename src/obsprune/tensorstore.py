@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -346,6 +347,45 @@ class _FileRows(GradientSet):
                          f"gradient rows of layer {self.layer!r}")
             self._stripe = lo, stripe
         return stripe[:, lo - first : hi - first]
+
+
+class Spill:
+    """An unlinked temporary file that a solve appends arrays to and reads
+    back by position: the write-side twin of ``_FileRows``. It is made by
+    ``tempfile.TemporaryFile``, in ``TMPDIR``, so no name of it is ever
+    left on disk. Every write and read checks its byte count; a failed
+    write, such as a full disk, raises OSError. The owner closes it on
+    every exit path (it is a context manager)."""
+
+    def __init__(self) -> None:
+        self._file = tempfile.TemporaryFile()
+        self.size = 0  # bytes written
+
+    def __enter__(self) -> Spill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def append(self, arr: np.ndarray) -> int:
+        """Writes ``arr``'s values at the end; returns their byte position."""
+        data = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+        pos, done = self.size, 0
+        while done < data.nbytes:
+            try:
+                wrote = os.pwrite(self._file.fileno(), data[done:], pos + done)
+            except OSError as exc:
+                raise OSError(exc.errno, f"cannot write a spill file in "
+                              f"{tempfile.gettempdir()}: {exc.strerror}") from exc
+            if not wrote:
+                raise OSError(f"a spill file in {tempfile.gettempdir()} took no bytes")
+            done += wrote
+        self.size += done
+        return pos
+
+    def read(self, out: np.ndarray, pos: int) -> np.ndarray:
+        """``out``, filled with the values written from byte ``pos`` on."""
+        return _read_at(self._file.fileno(), out, pos, "the spill file")
 
 
 def read_gradients(path: str, ids) -> dict[str, GradientSet]:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -48,3 +49,18 @@ def random_spd(rng: np.random.Generator, d: int, damp: float = 1e-3) -> np.ndarr
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def spill_files(monkeypatch):
+    """Every file that ``tempfile.TemporaryFile`` opens during the test,
+    which is every ``tensorstore.Spill``'s file."""
+    opened = []
+    real = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return opened

@@ -1,11 +1,13 @@
 """End-to-end command line behavior, exit codes, and byte determinism."""
 
+import errno
 import io
 import os
 import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -279,6 +281,31 @@ class TestPrune:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "truncated" in proc.stderr
         assert sorted(p.name for p in tmp.iterdir()) == ["grads.ovpt", "weights.ovpt"]
+
+    @pytest.mark.parametrize("method", ["ovit", "wf"])
+    def test_a_failed_spill_write_exits_three(self, fixture_files, capsys, monkeypatch,
+                                              spill_files, method):
+        """A disk that fills under the spill file (``tensorstore.Spill``):
+        one error line that names the spill's directory, no report, no
+        output file, the spill closed and nothing left in that directory."""
+        wpath, gpath, tmp = fixture_files
+        spill_dir = tmp / "spill"
+        spill_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", full)
+        code, text = run_cli("prune", "--weights", str(wpath), "--grads", str(gpath),
+                             "--method", method, "--sparsity", "0.5", "--out", str(tmp / "x.ovpt"))
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert err == (f"error: [Errno {errno.ENOSPC}] cannot write a spill file in {spill_dir}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert not (tmp / "x.ovpt").exists()
+        assert len(spill_files) == 1 and spill_files[0].closed
+        assert list(spill_dir.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_runs_leave_no_descriptor_open(self, fixture_files):

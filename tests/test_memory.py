@@ -1,15 +1,20 @@
-"""Gradient rows stay resident only while a stage reads them.
+"""Gradient rows stay resident only while a stage reads them, and what a
+prune needs d*B values of goes to a spill file.
 
 Toy rows are held by the build's streams alone, so a layer's rows are
 freed with its last stack; rows in a container are read by position a
-range at a time and never mapped (see ``tensorstore``). The peaks here
-are each CLI child's own ``ru_maxrss`` from ``os.wait4``, taken above an
-import-only child.
+range at a time and never mapped (see ``tensorstore``). A global ``ovit``
+solve writes its per-step snapshots, and ``wf`` its inverse stacks, to an
+unlinked spill file (``tensorstore.Spill``) and reads back only what it
+uses, so neither holds d*B values. The peaks here are each CLI child's
+own ``ru_maxrss`` from ``os.wait4``, taken above an import-only child, or
+an in-process ``tracemalloc`` peak.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -92,6 +97,53 @@ def test_eval_holds_one_chunk_of_rows_at_a_time(big_rows):
                     "--grads", grads)
     file_mib = os.path.getsize(grads) / 2**20
     assert peak - base < file_mib / 2, f"{peak - base:.1f} MiB above import"
+
+
+@pytest.fixture(scope="module")
+def wide_layer(tmp_path_factory):
+    """A 512x256 layer with 5% of its weights frozen and a 4 MiB file of 8
+    float32 gradient rows: at B=64 its inverse, like a global solve's
+    snapshots, takes d*B*8 bytes, 64 MiB."""
+    tmp = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(5)
+    wbox = {"layer.0.weight": rng.standard_normal((512, 256)),
+            "layer.0.prunable": (rng.random((512, 256)) > 0.05).astype(np.uint8)}
+    gbox = {"layer.0.grads": rng.standard_normal((8, 512 * 256), dtype=np.float32)}
+    paths = tmp / "w.ovpt", tmp / "g.ovpt", tmp / "out.ovpt"
+    write_container(paths[0], wbox)
+    write_container(paths[1], gbox)
+    return paths
+
+
+@pytest.mark.parametrize("method", ["ovit", "wf"])
+def test_a_prune_holds_neither_snapshots_nor_the_whole_inverse(wide_layer, method):
+    """A global ``ovit`` prune writes its snapshots to a spill file, and
+    ``wf`` its inverse stacks: the child peaks less than half of their
+    d*B*8 bytes above an import-only child."""
+    weights, grads, out = wide_layer
+    base = peak_mib("-c", "import obsprune.cli")
+    peak = peak_mib("-c", CLI, "prune", "--weights", weights, "--grads", grads,
+                    "--method", method, "--sparsity", "0.5", "--block-size", "64",
+                    "--out", out)
+    spilled_mib = 512 * 256 * 64 * 8 / 2**20
+    assert peak - base < spilled_mib / 2, f"{peak - base:.1f} MiB above import"
+
+
+def test_global_solve_peaks_below_half_of_its_snapshots():
+    """In-process, ``solve_global`` on a whole inverse of 2^15 weights at
+    B=64 allocates, at its peak, less than half of the d*B*8 bytes (16 MiB)
+    that its snapshots take in the spill file."""
+    d, bs = 2**15, 64
+    rng = np.random.default_rng(6)
+    inv = fisher.build_fisher_inverse(rng.standard_normal((48, d)), FisherConfig(bs, 1e-4, 48))
+    w = rng.standard_normal(d)
+    tracemalloc.start()
+    try:
+        solver.solve_global(w, inv, d // 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * bs * 8 / 2, f"peak {peak / 2**20:.1f} MiB"
 
 
 def record_rows(monkeypatch) -> list[list[weakref.ref]]:

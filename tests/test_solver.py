@@ -28,7 +28,7 @@ from obsprune.solver import (
     solve_global,
     solve_nm,
 )
-from obsprune.tensorstore import nm_violations
+from obsprune.tensorstore import Spill, nm_violations
 
 from conftest import inverse_from_dense, random_spd
 from reference_fisher import eliminate_index_clamped, freeze_indices
@@ -345,13 +345,33 @@ class TestSemiStructured:
         assert nm_violations(np.zeros(8, dtype=np.uint8), 2, 4) == 0
 
 
-def test_per_step_states_have_compact_shape(rng):
+def test_per_step_states_have_compact_shape(rng, spill_files):
     """One row per elimination, one column per in-block coordinate: the
-    trace buffer is steps x B, nothing quadratic in d."""
+    trace buffer is steps x B, nothing quadratic in d, read back from a
+    spill file that is closed once the call returns."""
     fisher = random_spd(rng, 6)
     trace = solve_block(np.ones(6), np.linalg.inv(fisher), block_id=0)
     assert trace.states.shape == (6, 6)
     assert trace.states.dtype == np.float64
+    assert len(spill_files) == 1 and spill_files[0].closed
+
+
+def test_global_snapshots_go_to_the_spill_step_by_step(rng):
+    """A global pass writes its (nb, B) block weights after every step,
+    step-major: d*B values for a solve that eliminates every weight, each
+    block's row at step t equal to the reference's snapshot."""
+    rows, inv = make_inverse(rng, 12, 4)
+    w = rng.standard_normal(12)
+    with Spill() as spill:
+        (p,) = eliminate_blocks(w, inv, np.ones(12, dtype=bool), spill=spill)
+        assert (p.at, spill.size) == (0, 12 * 4 * 8)
+        for b in range(3):
+            want = reference_block(w[4 * b : 4 * b + 4], inv.blocks[b]).states
+            got = [p.state(b, t, np.empty(4)) for t in range(4)]
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
+            raw = np.empty(4)
+            spill.read(raw, (3 * 2 + b) * 4 * 8)  # step 2's slab, row b
+            assert raw.tobytes() == got[2].tobytes()
 
 
 # -- the lockstep kernel against the per-block reference ----------------------
@@ -364,16 +384,16 @@ def assert_matches_reference(w, inv, prunable, pinned=None, nm=None):
     no later step is pinned, which is what lets ``solve_global`` read a
     record's pin from its weight."""
     pin = np.zeros(w.size, dtype=bool) if pinned is None else pinned
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), Spill() as spill:
         warnings.simplefilter("ignore", DegenerateCurvatureWarning)
-        passes = eliminate_blocks(w, inv, prunable, pin, nm=nm)
-    blocks = [(p, j) for p in passes for j in range(len(p.steps))]
+        passes = eliminate_blocks(w, inv, prunable, pin, nm=nm,
+                                  spill=None if nm else spill)
+        blocks = [(p, j, p.block(j)) for p in passes for j in range(len(p.steps))]
     assert len(blocks) == len(inv.blocks)
-    for b, (p, j) in enumerate(blocks):
+    for b, (p, j, got) in enumerate(blocks):
         lo, hi = int(inv.offsets[b]), int(inv.offsets[b + 1])
         want = reference_block(w[lo:hi], inv.blocks[b], prunable[lo:hi],
                                np.flatnonzero(pin[lo:hi]), nm)
-        got = p.block(j)
         assert p.starts[j] == lo
         np.testing.assert_array_equal(got.order, want.order)
         pins = np.flatnonzero(pin[lo:hi])
@@ -558,19 +578,21 @@ def test_stream_stacks_are_solved_one_pass_each(rng, monkeypatch, shapes):
     before = threading.active_count()
     dim = sum(b.shape[0] for b in blocks)
     w = rng.standard_normal(dim)
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, Spill() as spill:
         patch.setattr(solver, "_eliminate_stack", recording)
-        passes = eliminate_blocks(w, stream(), np.ones(dim, dtype=bool))
+        passes = eliminate_blocks(w, stream(), np.ones(dim, dtype=bool), spill=spill)
+        got = [p.block(b) for p in passes for b in range(len(p.steps))]
 
     assert [(nb, own) for nb, own, _ in solves] == [(count, True) for count, _ in shapes]
     assert all(i + 1 <= drawn <= i + 2 for i, (_, _, drawn) in enumerate(solves))
     assert draws == [True] + [False] * (len(shapes) - 1)
     assert threading.active_count() == before
 
-    whole = eliminate_blocks(w, FisherBlockInverse(blocks), np.ones(dim, dtype=bool))
+    with Spill() as spill:
+        whole = eliminate_blocks(w, FisherBlockInverse(blocks), np.ones(dim, dtype=bool),
+                                 spill=spill)
+        ref = [p.block(b) for p in whole for b in range(len(p.steps))]
     assert [len(p.steps) for p in whole] != [count for count, _ in shapes]
-    got = [p.block(b) for p in passes for b in range(len(p.steps))]
-    ref = [p.block(b) for p in whole for b in range(len(p.steps))]
     assert len(got) == len(ref) == len(blocks)
     for g, r in zip(got, ref):
         assert [a.tobytes() for a in g] == [a.tobytes() for a in r]
@@ -636,6 +658,29 @@ def test_abandoned_stream_stops_the_producer(rng):
         eliminate_blocks(np.ones(24), endless(), np.ones(24, dtype=bool))
     assert len(drawn) <= 5  # three passes solved, the overrun, one ahead
     assert threading.active_count() == before
+
+
+def test_spill_is_closed_when_a_stream_worker_raises_on_its_second_pass(rng, spill_files):
+    """The first pass is solved and spilled; the worker drawing the second
+    raises, and the error leaves ``solve_global`` with its file closed."""
+
+    def stream():
+        yield from one_block_stacks(rng, 1)
+        raise ProducerError("build failed")
+
+    with pytest.raises(ProducerError, match="build failed"):
+        solve_global(np.ones(16), stream(), 4)
+    assert len(spill_files) == 1 and spill_files[0].closed
+
+
+def test_spill_is_closed_when_pass_two_is_not_frozen(rng, spill_files):
+    """Pass 2's inverse is refused by the frozen check after pass 1 was
+    spilled, and the file is closed."""
+    prunable = np.ones(16, dtype=bool)
+    prunable[10] = False
+    with pytest.raises(ValueError, match=r"block \[8, 16\) is not frozen"):
+        solve_global(np.ones(16), one_block_stacks(rng, 2), 4, prunable=prunable)
+    assert len(spill_files) == 1 and spill_files[0].closed
 
 
 @pytest.mark.usefixtures("one_block_passes")
